@@ -18,11 +18,11 @@ from .update_rule import (
     UpdateError,
     UpdateParams,
     compute_params,
-    full_update,
     full_update_detailed,
     irregular_update,
     is_off_span,
     solve_gamma,
+    step,
 )
 from .streaming import RunReport, StepRecord, run_fully_online, run_seeded
 from .coreset import CoresetTrace, coreset_step, run_coreset
@@ -56,11 +56,11 @@ __all__ = [
     "UpdateError",
     "UpdateParams",
     "compute_params",
-    "full_update",
     "full_update_detailed",
     "irregular_update",
     "is_off_span",
     "solve_gamma",
+    "step",
     "RunReport",
     "StepRecord",
     "run_fully_online",

@@ -18,7 +18,7 @@ import numpy as np
 from .ellipsoid import Ellipsoid, log_volume
 from .linalg import orthonormal_completion
 from .state import RoundingState
-from .update_rule import full_update
+from .update_rule import step
 
 UpdateRule = Callable[[RoundingState, np.ndarray], RoundingState]
 
@@ -74,7 +74,7 @@ def library_rule(state: RoundingState, z: np.ndarray) -> RoundingState:
     legal monotone move)."""
     if state.alpha > 0.5:
         state = replace(state, alpha=0.5)
-    return full_update(state, z)
+    return step(state, z)[0]
 
 
 def _sphere_directions(n: int, d: int) -> np.ndarray:

@@ -8,16 +8,17 @@ makes replaying the selected sub-stream bit-exact.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
 from .ellipsoid import Ellipsoid, log_volume
 from .state import RoundingState
 from .streaming import RunReport, StepRecord
-from .update_rule import SPAN_TOL, full_update_detailed, irregular_update, is_off_span
+from .update_rule import step
+# looked up here by perfbench/tracing.py
+from .update_rule import full_update_detailed, irregular_update, is_off_span  # noqa: F401
 
 # selection threshold in log space; ties select the point
 VOLUME_JUMP_LOG = 1.0
@@ -46,20 +47,13 @@ def coreset_step(trace: CoresetTrace, t: int,
         first = RoundingState(Ellipsoid.point(z), alpha=1.0)
         return trace.with_selection(t, "dim_growth", first), True
 
-    if state.dim == 0:
-        if float(np.linalg.norm(z - state.center)) <= SPAN_TOL:
-            return trace, False
-        return trace.with_selection(t, "dim_growth", irregular_update(state, z)), True
-
-    if is_off_span(state, z):
-        return trace.with_selection(t, "dim_growth", irregular_update(state, z)), True
-
-    tentative, params = full_update_detailed(state, z)
-    if params is None:
-        return trace, False
-    dlogvol = log_volume(tentative.ellipsoid) - log_volume(state.ellipsoid)
-    if dlogvol >= VOLUME_JUMP_LOG - TIE_TOL:
-        return trace.with_selection(t, "volume_jump", tentative), True
+    tentative, kind, _ = step(state, z)
+    if kind == "irregular":
+        return trace.with_selection(t, "dim_growth", tentative), True
+    if kind == "regular":
+        dlogvol = log_volume(tentative.ellipsoid) - log_volume(state.ellipsoid)
+        if dlogvol >= VOLUME_JUMP_LOG - TIE_TOL:
+            return trace.with_selection(t, "volume_jump", tentative), True
     return trace, False
 
 

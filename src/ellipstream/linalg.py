@@ -1,12 +1,10 @@
-"""Dense linear-algebra kernels for the geometry layer.
+"""Orthonormal frames for the geometry layer.
 
 Everything here works with plain float64 numpy arrays and value semantics:
 inputs are never mutated, outputs are freshly allocated.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,55 +13,6 @@ ORTHO_TOL = 1e-10
 
 class LinalgError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class SvdFactor:
-    """A factored d x d matrix L @ diag(sigma) @ R.T.
-
-    `left_axes` (L) and `right_axes` (R) are orthonormal; `singular_values`
-    are nonnegative and sorted descending.
-    """
-
-    left_axes: np.ndarray
-    singular_values: np.ndarray
-    right_axes: np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        """Reconstruct the represented matrix."""
-        return (self.left_axes * self.singular_values) @ self.right_axes.T
-
-    def gram_defect(self) -> float:
-        """Worst Frobenius deviation of the two Gram matrices from identity."""
-        d = self.left_axes.shape[1]
-        eye = np.eye(d)
-        dl = np.linalg.norm(self.left_axes.T @ self.left_axes - eye)
-        dr = np.linalg.norm(self.right_axes.T @ self.right_axes - eye)
-        return max(dl, dr)
-
-    def is_valid(self, tol: float = ORTHO_TOL) -> bool:
-        s = self.singular_values
-        if np.any(s < 0) or np.any(np.diff(s) > 0):
-            return False
-        return self.gram_defect() <= tol
-
-
-def reorthogonalize(q: np.ndarray) -> np.ndarray:
-    """One modified Gram-Schmidt pass over the columns of `q`.
-
-    Used to undo the slow orthogonality drift that accumulates over long
-    streams of factor updates.
-    """
-    q = np.array(q, dtype=float)
-    n = q.shape[1]
-    for j in range(n):
-        for i in range(j):
-            q[:, j] -= np.dot(q[:, i], q[:, j]) * q[:, i]
-        nrm = np.linalg.norm(q[:, j])
-        if nrm == 0.0:
-            raise LinalgError("column collapsed during re-orthogonalization")
-        q[:, j] /= nrm
-    return q
 
 
 def orthonormal_completion(w: np.ndarray) -> np.ndarray:
@@ -92,37 +41,3 @@ def orthonormal_completion(w: np.ndarray) -> np.ndarray:
     frame[:, 0] = w
     return frame
 
-
-def svd_recompute(m: np.ndarray) -> SvdFactor:
-    """Factor a dense square matrix from scratch (LAPACK, O(d^3))."""
-    m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise LinalgError("non-finite entries")
-    u, s, vt = np.linalg.svd(m)
-    return SvdFactor(u, s, vt.T)
-
-
-def svd_rank_one_update(f: SvdFactor, y1: np.ndarray, y2: np.ndarray) -> SvdFactor:
-    """Factor L @ diag(sigma) @ R.T + y1 @ y2.T without re-forming the sum.
-
-    Rotating y1 and y2 into the factor's own frames reduces the problem to
-    a diagonal-plus-rank-one core, which is refactored by one small dense
-    SVD and composed back into the outer frames.
-    """
-    y1 = np.asarray(y1, dtype=float)
-    y2 = np.asarray(y2, dtype=float)
-    if not (np.all(np.isfinite(y1)) and np.all(np.isfinite(y2))):
-        raise LinalgError("svd update failed; fall back to recompute")
-    p = f.left_axes.T @ y1
-    q = f.right_axes.T @ y2
-    core = np.diag(f.singular_values) + np.outer(p, q)
-    try:
-        cu, cs, cvt = np.linalg.svd(core)
-    except np.linalg.LinAlgError as exc:
-        raise LinalgError("svd update failed; fall back to recompute") from exc
-    left = f.left_axes @ cu
-    right = f.right_axes @ cvt.T
-    out = SvdFactor(left, cs, right)
-    if out.gram_defect() > ORTHO_TOL:
-        out = SvdFactor(reorthogonalize(left), cs, reorthogonalize(right))
-    return out

@@ -1,17 +1,17 @@
 """Brute-force and exact verification utilities.
 
 Everything in this module exists to check the geometry layer from the
-outside: hull membership by LP, support-function dominance, per-step
-monotonicity certificates, an offline enclosing-ellipsoid baseline, Gram
-determinants, and dense grids over the closed-form scalar inequalities the
-update rule relies on.
+outside: hull membership by LP, distance to the hull of a union of points
+and ellipsoids, per-step monotonicity certificates, an offline
+enclosing-ellipsoid baseline, and dense grids over the closed-form scalar
+inequalities the update rule relies on.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -22,7 +22,6 @@ from .ellipsoid import (
     containment_margin,
     log_volume,
     membership,
-    support,
 )
 from .state import RoundingState
 from .update_rule import compute_params, solve_gamma
@@ -106,7 +105,7 @@ def hull_membership(points: Sequence[np.ndarray], x: np.ndarray) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# hull-of-union support
+# distance to the hull of a union
 
 
 @dataclass(frozen=True)
@@ -119,14 +118,6 @@ class HullSpec:
     def __post_init__(self):
         if not self.point_list and not self.ellipsoid_list:
             raise OracleError("empty hull spec")
-
-
-def hull_support(h: HullSpec, u: np.ndarray) -> float:
-    """Support of the union hull: max over member supports."""
-    u = np.asarray(u, dtype=float)
-    vals = [float(np.dot(p, u)) for p in h.point_list]
-    vals += [support(se.as_ellipsoid(), u) for se in h.ellipsoid_list]
-    return max(vals)
 
 
 def _project_simplex_combination(atoms: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -426,74 +417,6 @@ def mvee_khachiyan(points: Sequence[np.ndarray], eps: float = 1e-4,
     axes = basis @ evecs
     center = mean + basis @ c_span
     return Ellipsoid(center, axes, semiaxes)
-
-
-# ---------------------------------------------------------------------------
-# Gram determinants
-
-
-def gram_log_det(points: Sequence[np.ndarray]) -> float:
-    """(1/2) log det(M M^T) for the matrix M whose rows are the points."""
-    m = np.atleast_2d(np.asarray(points, dtype=float))
-    _, r = np.linalg.qr(m.T)
-    diag = np.abs(np.diag(r))
-    if np.any(diag < 1e-12 * max(1.0, diag.max() if diag.size else 1.0)):
-        raise OracleError("rows are not linearly independent")
-    return float(np.sum(np.log(diag)))
-
-
-# ---------------------------------------------------------------------------
-# small-d inradius (facet enumeration + Chebyshev center)
-
-
-def inradius(points: Sequence[np.ndarray]) -> float:
-    """Inradius of the hull of full-dimensional point sets, d <= 3 only."""
-    from scipy.optimize import linprog
-    from scipy.spatial import ConvexHull
-
-    pts = np.asarray(points, dtype=float)
-    d = pts.shape[1]
-    if d > 3:
-        raise OracleError("inradius oracle is limited to d <= 3")
-    hull = ConvexHull(pts)
-    a = hull.equations[:, :-1]
-    b = -hull.equations[:, -1]
-    norms = np.linalg.norm(a, axis=1)
-    # maximize r subject to a@x + r*||a_i|| <= b
-    cost = np.zeros(d + 1)
-    cost[-1] = -1.0
-    a_ub = np.hstack([a, norms[:, None]])
-    res = linprog(cost, A_ub=a_ub, b_ub=b, bounds=[(None, None)] * d + [(0, None)])
-    if not res.success:
-        raise OracleError("inradius LP failed")
-    return float(res.x[-1])
-
-
-# ---------------------------------------------------------------------------
-# conic through five points (debug-plot self test)
-
-
-def fit_conic(points: Sequence[np.ndarray]) -> np.ndarray:
-    """Coefficients (A, B, C, D, E, F) of the conic through five 2-D points.
-
-    Solves the one-dimensional nullspace of the design matrix; returns a
-    unit-norm coefficient vector.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.shape != (5, 2):
-        raise OracleError("exactly five 2-D points required")
-    x, y = pts[:, 0], pts[:, 1]
-    design = np.column_stack([x * x, x * y, y * y, x, y, np.ones(5)])
-    _, _, vt = np.linalg.svd(design)
-    coeff = vt[-1]
-    return coeff / np.linalg.norm(coeff)
-
-
-def conic_residual(coeff: np.ndarray, pts: np.ndarray) -> float:
-    x, y = pts[:, 0], pts[:, 1]
-    vals = (coeff[0] * x * x + coeff[1] * x * y + coeff[2] * y * y
-            + coeff[3] * x + coeff[4] * y + coeff[5])
-    return float(np.abs(vals).max())
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,13 @@ class RoundingState:
 
     `ellipsoid` carries the outer body; its axes double as the orthonormal
     basis of the affine span of the points seen so far (relative to the
-    center). `dim` is the span dimension, `phase`/`r0_ball` are only used
-    by the seeded two-phase driver.
+    center). `dim` is the span dimension; `phase` is only used by the
+    seeded two-phase driver.
     """
 
     ellipsoid: Ellipsoid
     alpha: float
     phase: Optional[Phase] = None
-    r0_ball: float = 0.0
 
     @property
     def center(self) -> np.ndarray:
@@ -38,10 +37,6 @@ class RoundingState:
     @property
     def dim(self) -> int:
         return self.ellipsoid.rank
-
-    @property
-    def span_basis(self) -> np.ndarray:
-        return self.ellipsoid.axes
 
     def with_body(self, ellipsoid: Ellipsoid, alpha: float) -> "RoundingState":
         return replace(self, ellipsoid=ellipsoid, alpha=alpha)

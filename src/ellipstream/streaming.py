@@ -8,19 +8,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .ellipsoid import Ellipsoid, log_volume
 from .state import Phase, RoundingState
-from .update_rule import (
-    SPAN_TOL,
-    UpdateError,
-    full_update_detailed,
-    irregular_update,
-    is_off_span,
-)
+from .update_rule import UpdateParams, step
+# looked up here by perfbench/tracing.py
+from .update_rule import full_update_detailed, irregular_update, is_off_span  # noqa: F401
 
 # re-exported: the state type logically belongs to this module
 __all__ = [
@@ -47,7 +43,6 @@ class StepRecord:
 class RunReport:
     records: List[StepRecord] = field(default_factory=list)
     final_alpha_inv: float = 1.0
-    aspect_surrogate: float = 1.0
 
     def append(self, rec: StepRecord) -> None:
         if self.records and rec.t <= self.records[-1].t:
@@ -68,11 +63,14 @@ def _check_point(z: np.ndarray, t: int) -> np.ndarray:
     return z
 
 
-def _observe_aspect(report: RunReport, state: RoundingState) -> None:
-    body = state.ellipsoid
-    if body.rank:
-        ratio = float(body.semiaxes.max() / (state.alpha * body.semiaxes.min()))
-        report.aspect_surrogate = max(report.aspect_surrogate, ratio)
+def _record(report: RunReport, on_step: Optional[StepObserver], t: int,
+            prev: RoundingState, state: RoundingState, z: np.ndarray,
+            kind: str, params: Optional[UpdateParams]) -> None:
+    gamma = 0.0 if params is None else params.gamma
+    report.append(StepRecord(t, state.alpha, log_volume(state.ellipsoid),
+                             kind, gamma))
+    if on_step is not None:
+        on_step(t, prev, state, z, kind, gamma)
 
 
 def run_seeded(
@@ -80,14 +78,13 @@ def run_seeded(
     c0: np.ndarray,
     r0: float,
     on_step: Optional[StepObserver] = None,
-    use_rank_one: bool = False,
 ) -> Tuple[RoundingState, RunReport]:
     """Two-phase rounding given a seed ball c0 + r0*B inside the hull.
 
     Phase I keeps both bodies as balls around c0; once a point lands
     beyond r0 * d * log(d) the outer ball is grown to that radius once
     and for all and every remaining point (including the trigger) goes
-    through the regular update.
+    through the step kernel.
     """
     c0 = np.atleast_1d(np.asarray(c0, dtype=float))
     d = c0.shape[0]
@@ -99,54 +96,28 @@ def run_seeded(
 
     report = RunReport()
     state = RoundingState(Ellipsoid.ball(c0, r0), alpha=1.0,
-                          phase=Phase.LOCAL_BALL, r0_ball=r0)
-    r_max = r0
-
-    points = iter(enumerate(stream, start=1))
-    pending: Optional[Tuple[int, np.ndarray]] = None
-    for t, z in points:
+                          phase=Phase.LOCAL_BALL)
+    for t, z in enumerate(stream, start=1):
         z = _check_point(z, t)
-        dist = float(np.linalg.norm(z - c0))
-        if dist > gate:
-            pending = (t, z)
-            break
+        if state.phase is Phase.LOCAL_BALL:
+            dist = float(np.linalg.norm(z - c0))
+            if dist > gate:
+                # transition: grow the ball to its maximum allowed size; the
+                # update rule needs alpha <= 1/2, so small dimensions are
+                # clamped
+                alpha0 = min(0.5, 1.0 / (d * math.log(d)))
+                state = RoundingState(Ellipsoid.ball(c0, gate), alpha=alpha0,
+                                      phase=Phase.FULL)
         prev = state
-        if dist > r_max:
-            r_max = dist
-            state = RoundingState(Ellipsoid.ball(c0, r_max), alpha=r0 / r_max,
-                                  phase=Phase.LOCAL_BALL, r0_ball=r0)
-            kind = "local"
+        if state.phase is Phase.FULL:
+            state, kind, params = step(state, z)
+        elif dist > state.ellipsoid.semiaxes[0]:
+            state = RoundingState(Ellipsoid.ball(c0, dist), alpha=r0 / dist,
+                                  phase=Phase.LOCAL_BALL)
+            kind, params = "local", None
         else:
-            kind = "skip"
-        report.append(StepRecord(t, state.alpha, log_volume(state.ellipsoid), kind, 0.0))
-        if on_step is not None:
-            on_step(t, prev, state, z, kind, 0.0)
-        _observe_aspect(report, state)
-
-    if pending is not None:
-        # transition: grow the ball to its maximum allowed size; the
-        # update rule needs alpha <= 1/2, so small dimensions are clamped
-        alpha0 = min(0.5, 1.0 / (d * math.log(d)))
-        state = RoundingState(Ellipsoid.ball(c0, gate), alpha=alpha0,
-                              phase=Phase.FULL, r0_ball=r0)
-        t, z = pending
-        while True:
-            prev = state
-            state, params = full_update_detailed(state, z, use_rank_one=use_rank_one)
-            if params is None:
-                kind, gamma = "skip", 0.0
-            else:
-                kind, gamma = "regular", params.gamma
-            report.append(StepRecord(t, state.alpha, log_volume(state.ellipsoid),
-                                     kind, gamma))
-            if on_step is not None:
-                on_step(t, prev, state, z, kind, gamma)
-            _observe_aspect(report, state)
-            try:
-                t, z = next(points)
-            except StopIteration:
-                break
-            z = _check_point(z, t)
+            kind, params = "skip", None
+        _record(report, on_step, t, prev, state, z, kind, params)
 
     report.final_alpha_inv = state.alpha_inv
     return state, report
@@ -155,7 +126,6 @@ def run_seeded(
 def run_fully_online(
     stream: Iterable[np.ndarray],
     on_step: Optional[StepObserver] = None,
-    use_rank_one: bool = False,
 ) -> Tuple[RoundingState, RunReport]:
     """Online rounding with no seed: the first point initializes a rank-0
     state and every span-raising point triggers an irregular step.
@@ -166,32 +136,11 @@ def run_fully_online(
         z = _check_point(z, t)
         if state is None:
             state = RoundingState(Ellipsoid.point(z), alpha=1.0)
-            report.append(StepRecord(t, 1.0, 0.0, "init", 0.0))
-            if on_step is not None:
-                on_step(t, state, state, z, "init", 0.0)
+            _record(report, on_step, t, state, state, z, "init", None)
             continue
         prev = state
-        if state.dim == 0:
-            delta = float(np.linalg.norm(z - state.center))
-            if delta <= SPAN_TOL:
-                kind, gamma = "skip", 0.0
-            else:
-                state = irregular_update(state, z)
-                kind, gamma = "irregular", 0.0
-        elif is_off_span(state, z):
-            state = irregular_update(state, z)
-            kind, gamma = "irregular", 0.0
-        else:
-            state, params = full_update_detailed(state, z, use_rank_one=use_rank_one)
-            if params is None:
-                kind, gamma = "skip", 0.0
-            else:
-                kind, gamma = "regular", params.gamma
-        report.append(StepRecord(t, state.alpha, log_volume(state.ellipsoid),
-                                 kind, gamma))
-        if on_step is not None:
-            on_step(t, prev, state, z, kind, gamma)
-        _observe_aspect(report, state)
+        state, kind, params = step(state, z)
+        _record(report, on_step, t, prev, state, z, kind, params)
 
     if state is None:
         raise ValueError("empty stream")

@@ -1,16 +1,17 @@
 """The monotone sandwich update: per-step scalars, the gamma solve, the
-regular full-dimensional step, and the dimension-raising irregular step.
+regular full-dimensional step, the dimension-raising irregular step, and
+`step`, the one per-point kernel that decides between skip, regular step
+and span raise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from . import linalg
 from .ellipsoid import Ellipsoid
 from .state import RoundingState
 
@@ -92,38 +93,41 @@ def solve_gamma(rho: float, alpha: float) -> float:
     raise UpdateError("gamma bisection did not converge")
 
 
-def _off_span_split(state: RoundingState, z: np.ndarray):
-    """Split z - center into its span part and orthogonal residual."""
-    delta = np.asarray(z, dtype=float) - state.center
+class _Split(NamedTuple):
+    delta: np.ndarray     # z - center
+    coeffs: np.ndarray    # span coordinates of delta
+    residual: np.ndarray  # part of delta orthogonal to the span
+    rnorm: float
+    off: bool             # the residual counts as off-span
+
+
+def _off_span_split(state: RoundingState, z: np.ndarray) -> _Split:
+    """Split z - center into span coordinates and orthogonal residual. At
+    rank 0 the axes are d x 0, so the residual is delta itself."""
+    delta = z - state.center
     axes = state.ellipsoid.axes
     coeffs = axes.T @ delta
     residual = delta - axes @ coeffs
-    return delta, coeffs, residual
+    rnorm = float(np.linalg.norm(residual))
+    off = rnorm > SPAN_TOL * max(1.0, float(np.linalg.norm(delta)))
+    return _Split(delta, coeffs, residual, rnorm, off)
 
 
-def is_off_span(state: RoundingState, z: np.ndarray) -> bool:
-    delta, _, residual = _off_span_split(state, z)
-    return float(np.linalg.norm(residual)) > SPAN_TOL * max(1.0, float(np.linalg.norm(delta)))
-
-
-def full_update_detailed(
-    state: RoundingState, z: np.ndarray, use_rank_one: bool = False
-) -> Tuple[RoundingState, Optional[UpdateParams]]:
-    """One regular step; returns the next state and the scalars used.
-
-    Returns (state, None) unchanged when the point is already covered.
-    """
+def _finite_point(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise UpdateError("non-finite point")
-    if state.alpha > 0.5 + 1e-12:
-        raise UpdateError("alpha must lie in (0, 1/2]")
-    if state.dim == 0:
-        raise UpdateError("irregular step required")
-    delta, coeffs, residual = _off_span_split(state, z)
-    if float(np.linalg.norm(residual)) > SPAN_TOL * max(1.0, float(np.linalg.norm(delta))):
-        raise UpdateError("irregular step required")
+    return z
 
+
+def is_off_span(state: RoundingState, z: np.ndarray) -> bool:
+    return _off_span_split(state, np.asarray(z, dtype=float)).off
+
+
+def _regular(state: RoundingState,
+             coeffs: np.ndarray) -> Tuple[RoundingState, Optional[UpdateParams]]:
+    """The regular step on an in-span point given by its span coordinates;
+    (state, None) when the point is already covered."""
     body = state.ellipsoid
     s = body.semiaxes
     # u is the new point in the outer body's unit-ball coordinates
@@ -132,28 +136,17 @@ def full_update_detailed(
     if rho <= 1.0:
         return state, None
 
+    # solve_gamma enforces alpha <= 1/2
     params = compute_params(solve_gamma(rho, state.alpha), state.alpha)
     w = u / rho
 
     # compose the shrink map with the current factor, both in axis coords
-    if use_rank_one:
-        k = s.shape[0]
-        # diag(1/(b*s)) as a valid factor: conjugating by the reversal
-        # permutation puts the diagonal in descending order
-        perm = np.eye(k)[:, ::-1]
-        base = linalg.SvdFactor(perm, (1.0 / (params.b * s))[::-1], perm)
-        y1 = (1.0 / params.a - 1.0 / params.b) * w
-        y2 = w / s
-        updated = linalg.svd_rank_one_update(base, y1, y2)
-        new_axes = body.axes @ updated.right_axes
-        new_semiaxes = 1.0 / updated.singular_values
-    else:
-        core = np.diag(1.0 / (params.b * s))
-        core += np.outer((1.0 / params.a - 1.0 / params.b) * w, w / s)
-        cu, cs, cvt = np.linalg.svd(core)
-        new_axes = body.axes @ cvt.T
-        new_semiaxes = 1.0 / cs
-        # ascending after inversion; the Ellipsoid constructor re-sorts
+    core = np.diag(1.0 / (params.b * s))
+    core += np.outer((1.0 / params.a - 1.0 / params.b) * w, w / s)
+    cu, cs, cvt = np.linalg.svd(core)
+    new_axes = body.axes @ cvt.T
+    new_semiaxes = 1.0 / cs
+    # ascending after inversion; the Ellipsoid constructor re-sorts
 
     # center moves along the pre-image of w
     center_shift = body.axes @ (s * w) * params.c
@@ -161,32 +154,11 @@ def full_update_detailed(
     return state.with_body(new_body, params.alpha_next), params
 
 
-def full_update(state: RoundingState, z: np.ndarray,
-                use_rank_one: bool = False) -> RoundingState:
-    """Regular monotone step (skip when the point is already covered)."""
-    new_state, _ = full_update_detailed(state, z, use_rank_one=use_rank_one)
-    return new_state
-
-
-def irregular_update(state: RoundingState, z: np.ndarray) -> RoundingState:
-    """Dimension-raising step: extend the span toward z.
-
-    In normalized coordinates the previous body is the unit ball of its
-    span and z maps onto sqrt(1+2*alpha) times the new basis vector; the
-    new outer body is the ball of radius (1+alpha)/sqrt(1+2*alpha) in the
-    extended span, recentred a fraction alpha/(1+2*alpha) of the way
-    toward z. 1/alpha grows by exactly one.
-    """
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise UpdateError("non-finite point")
+def _irregular(state: RoundingState, split: _Split) -> RoundingState:
+    """The span raise toward an off-span point, given its split."""
     if not (0.0 < state.alpha <= 1.0):
         raise UpdateError("alpha must lie in (0, 1]")
-    delta, coeffs, residual = _off_span_split(state, z)
-    rnorm = float(np.linalg.norm(residual))
-    if rnorm <= SPAN_TOL * max(1.0, float(np.linalg.norm(delta))):
-        raise UpdateError("regular step required")
-
+    delta, coeffs, residual, rnorm, _ = split
     alpha = state.alpha
     body = state.ellipsoid
     k = body.rank
@@ -209,3 +181,49 @@ def irregular_update(state: RoundingState, z: np.ndarray) -> RoundingState:
     new_alpha = 1.0 / (1.0 / alpha + 1.0)
     new_body = Ellipsoid(new_center, new_axes, new_semiaxes)
     return state.with_body(new_body, new_alpha)
+
+
+def step(state: RoundingState, z: np.ndarray
+         ) -> Tuple[RoundingState, str, Optional[UpdateParams]]:
+    """The per-point kernel every driver folds: returns the next state, the
+    step kind (skip | regular | irregular) and the scalars of a regular
+    step (None otherwise). A skip returns `state` itself.
+    """
+    split = _off_span_split(state, _finite_point(z))
+    if split.off:
+        return _irregular(state, split), "irregular", None
+    new_state, params = _regular(state, split.coeffs)
+    return new_state, ("skip" if params is None else "regular"), params
+
+
+def full_update_detailed(
+    state: RoundingState, z: np.ndarray
+) -> Tuple[RoundingState, Optional[UpdateParams]]:
+    """One regular step; returns the next state and the scalars used.
+
+    Returns (state, None) unchanged when the point is already covered.
+    """
+    z = _finite_point(z)
+    if state.alpha > 0.5 + 1e-12:
+        raise UpdateError("alpha must lie in (0, 1/2]")
+    if state.dim == 0:
+        raise UpdateError("irregular step required")
+    split = _off_span_split(state, z)
+    if split.off:
+        raise UpdateError("irregular step required")
+    return _regular(state, split.coeffs)
+
+
+def irregular_update(state: RoundingState, z: np.ndarray) -> RoundingState:
+    """Dimension-raising step: extend the span toward z.
+
+    In normalized coordinates the previous body is the unit ball of its
+    span and z maps onto sqrt(1+2*alpha) times the new basis vector; the
+    new outer body is the ball of radius (1+alpha)/sqrt(1+2*alpha) in the
+    extended span, recentred a fraction alpha/(1+2*alpha) of the way
+    toward z. 1/alpha grows by exactly one.
+    """
+    split = _off_span_split(state, _finite_point(z))
+    if not split.off:
+        raise UpdateError("regular step required")
+    return _irregular(state, split)

@@ -275,7 +275,7 @@ def _bench_updates(d, n_updates=1000):
            / np.linalg.norm(zs, axis=1))[:, None]
     t0 = time.perf_counter()
     for z in zs:
-        state, _ = full_update_detailed(state, z, use_rank_one=True)
+        state, _ = full_update_detailed(state, z)
     return (time.perf_counter() - t0) / n_updates
 
 

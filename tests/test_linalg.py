@@ -41,63 +41,3 @@ class TestOrthonormalCompletion:
     def test_non_unit_rejected(self):
         with pytest.raises(linalg.LinalgError):
             linalg.orthonormal_completion(np.array([1.0, 1.0]))
-
-
-class TestSvdFactor:
-    def test_matrix_reconstruction(self):
-        rng = np.random.default_rng(0)
-        m = rng.standard_normal((4, 4))
-        f = linalg.svd_recompute(m)
-        assert np.allclose(f.matrix(), m, atol=1e-12)
-        assert f.is_valid()
-
-    def test_gram_defect_small_for_fresh_svd(self):
-        rng = np.random.default_rng(1)
-        f = linalg.svd_recompute(rng.standard_normal((6, 6)))
-        assert f.gram_defect() < 1e-13
-
-    def test_non_finite_rejected(self):
-        m = np.eye(2)
-        m[0, 0] = np.nan
-        with pytest.raises(linalg.LinalgError):
-            linalg.svd_recompute(m)
-
-
-class TestRankOneUpdate:
-    def test_matches_recompute(self):
-        rng = np.random.default_rng(2)
-        m = rng.standard_normal((5, 5))
-        f = linalg.svd_recompute(m)
-        y1 = rng.standard_normal(5)
-        y2 = rng.standard_normal(5)
-        updated = linalg.svd_rank_one_update(f, y1, y2)
-        direct = m + np.outer(y1, y2)
-        assert np.allclose(updated.matrix(), direct, atol=1e-10)
-        assert np.allclose(np.sort(updated.singular_values),
-                           np.sort(np.linalg.svd(direct, compute_uv=False)),
-                           atol=1e-10)
-
-    def test_orthogonality_preserved_over_many_updates(self):
-        rng = np.random.default_rng(3)
-        f = linalg.svd_recompute(np.eye(8))
-        for _ in range(200):
-            f = linalg.svd_rank_one_update(
-                f, 0.1 * rng.standard_normal(8), 0.1 * rng.standard_normal(8))
-        assert f.gram_defect() < 1e-9
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
-    def test_random_agreement(self, k, seed):
-        rng = np.random.default_rng(seed)
-        m = rng.standard_normal((k, k))
-        y1, y2 = rng.standard_normal(k), rng.standard_normal(k)
-        updated = linalg.svd_rank_one_update(linalg.svd_recompute(m), y1, y2)
-        assert np.allclose(updated.matrix(), m + np.outer(y1, y2), atol=1e-8)
-
-
-def test_reorthogonalize_repairs_drift():
-    rng = np.random.default_rng(4)
-    q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-    drifted = q + 1e-6 * rng.standard_normal((5, 5))
-    fixed = linalg.reorthogonalize(drifted)
-    assert np.linalg.norm(fixed.T @ fixed - np.eye(5)) < 1e-12

@@ -8,19 +8,14 @@ from hypothesis import strategies as st
 from ellipstream.ellipsoid import Ellipsoid, ScaledEllipsoid
 from ellipstream.oracle import (
     HullSpec,
-    OracleError,
     union_hull_distance,
     check_monotone_step,
-    conic_residual,
-    fit_conic,
-    gram_log_det,
     hull_membership,
     inequality_suite,
-    inradius,
     mvee_khachiyan,
 )
 from ellipstream.state import RoundingState
-from ellipstream.update_rule import full_update, irregular_update
+from ellipstream.update_rule import full_update_detailed, irregular_update
 
 SQUARE = [np.array(p) for p in
           [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]]
@@ -97,7 +92,7 @@ class TestCheckMonotoneStep:
     def test_valid_regular_step(self):
         prev = self.make_state()
         z = np.array([2.5, 0.4])
-        nxt = full_update(prev, z)
+        nxt = full_update_detailed(prev, z)[0]
         cert = check_monotone_step(prev, nxt, z)
         assert cert.outer_ok and cert.inner_ok
         assert cert.worst_margin >= -1e-9
@@ -113,7 +108,7 @@ class TestCheckMonotoneStep:
     def test_outer_shrink_detected(self):
         prev = self.make_state()
         z = np.array([2.5, 0.0])
-        nxt = full_update(prev, z)
+        nxt = full_update_detailed(prev, z)[0]
         bad = RoundingState(
             Ellipsoid(nxt.center, nxt.ellipsoid.axes,
                       nxt.ellipsoid.semiaxes * 0.4), nxt.alpha)
@@ -123,14 +118,14 @@ class TestCheckMonotoneStep:
     def test_missed_point_detected(self):
         prev = self.make_state()
         z = np.array([4.0, 0.0])
-        nxt = full_update(prev, z)
+        nxt = full_update_detailed(prev, z)[0]
         cert = check_monotone_step(prev, nxt, np.array([10.0, 0.0]))
         assert not cert.outer_ok
 
     def test_overgrown_inner_detected(self):
         prev = self.make_state()
         z = np.array([2.5, 0.0])
-        nxt = full_update(prev, z)
+        nxt = full_update_detailed(prev, z)[0]
         bad = RoundingState(nxt.ellipsoid, alpha=0.95)
         cert = check_monotone_step(prev, bad, z)
         assert not cert.inner_ok
@@ -139,14 +134,14 @@ class TestCheckMonotoneStep:
     def test_certificate_serializes(self):
         prev = self.make_state()
         z = np.array([2.0, 1.0])
-        cert = check_monotone_step(prev, full_update(prev, z), z)
+        cert = check_monotone_step(prev, full_update_detailed(prev, z)[0], z)
         payload = cert.to_json()
         assert '"outer_ok": true' in payload
 
     def test_tuple_inputs_accepted(self):
         prev = self.make_state()
         z = np.array([2.5, 0.0])
-        nxt = full_update(prev, z)
+        nxt = full_update_detailed(prev, z)[0]
         cert = check_monotone_step(
             (prev.center, prev.ellipsoid, prev.alpha),
             (nxt.center, nxt.ellipsoid, nxt.alpha), z)
@@ -178,34 +173,6 @@ class TestMvee:
                for _ in range(60)]
         e = mvee_khachiyan(pts, eps=1e-7)
         assert e.semiaxes[0] / e.semiaxes[1] > 20.0
-
-
-class TestSmallHelpers:
-    def test_gram_log_det(self):
-        v = [np.array([3.0, 0.0]), np.array([0.0, 2.0])]
-        assert gram_log_det(v) == pytest.approx(math.log(6.0))
-
-    def test_gram_log_det_dependent_rows(self):
-        v = [np.array([1.0, 0.0]), np.array([2.0, 0.0])]
-        with pytest.raises(OracleError, match="independent"):
-            gram_log_det(v)
-
-    def test_inradius_right_triangle(self):
-        tri = [np.array([0.0, 0.0]), np.array([1.0, 0.0]),
-               np.array([0.0, 1.0])]
-        assert inradius(tri) == pytest.approx((2.0 - math.sqrt(2.0)) / 2.0,
-                                              abs=1e-8)
-
-    def test_inradius_square(self):
-        assert inradius(SQUARE) == pytest.approx(1.0, abs=1e-8)
-
-    def test_fit_conic_recovers_circle(self):
-        ang = np.linspace(0.0, 2.0 * math.pi, 6)[:5]
-        pts = [np.array([2.0 * math.cos(a), 2.0 * math.sin(a)]) for a in ang]
-        coeff = fit_conic(pts)
-        assert conic_residual(coeff, np.asarray(pts)) < 1e-12
-        off = np.array([[3.0, 0.0]])
-        assert conic_residual(coeff, off) > 1e-3
 
 
 class TestInequalitySuite:

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from ellipstream.ellipsoid import Ellipsoid, log_volume, membership
 from ellipstream.state import RoundingState
 from ellipstream.update_rule import (
+    SPAN_TOL,
     UpdateError,
     compute_params,
-    full_update,
     full_update_detailed,
     irregular_update,
     is_off_span,
     solve_gamma,
+    step,
 )
 
 alphas = st.floats(1e-3, 0.5)
@@ -104,7 +105,7 @@ class TestFullUpdate:
         st0 = self.unit_state(4)
         for _ in range(30):
             z = rng.standard_normal(4) * 3.0
-            st0 = full_update(st0, z)
+            st0, _ = full_update_detailed(st0, z)
             assert membership(st0.ellipsoid, z) <= 1e-9
 
     def test_volume_growth_matches_gamma(self):
@@ -119,31 +120,16 @@ class TestFullUpdate:
         nxt, p = full_update_detailed(self.unit_state(), np.array([0.0, 3.0]))
         assert 1.0 / nxt.alpha - 2.0 == pytest.approx(2.0 * p.gamma, rel=1e-12)
 
-    def test_rank_one_path_agrees(self):
-        rng = np.random.default_rng(11)
-        st0 = self.unit_state(5)
-        for _ in range(25):
-            z = rng.standard_normal(5) * 2.0
-            a, pa = full_update_detailed(st0, z, use_rank_one=False)
-            b, pb = full_update_detailed(st0, z, use_rank_one=True)
-            if pa is None:
-                assert pb is None
-                continue
-            assert np.allclose(a.center, b.center, atol=1e-10)
-            assert np.allclose(a.ellipsoid.semiaxes, b.ellipsoid.semiaxes,
-                               atol=1e-9)
-            st0 = a
-
     def test_alpha_precondition(self):
         bad = RoundingState(Ellipsoid.ball(np.zeros(2), 1.0), alpha=0.9)
         with pytest.raises(UpdateError, match="alpha"):
-            full_update(bad, np.array([3.0, 0.0]))
+            full_update_detailed(bad, np.array([3.0, 0.0]))
 
     def test_off_span_point_rejected(self):
         body = Ellipsoid(np.zeros(3), np.eye(3)[:, :2], np.array([1.0, 1.0]))
         st0 = RoundingState(body, alpha=0.5)
         with pytest.raises(UpdateError, match="irregular"):
-            full_update(st0, np.array([0.0, 0.0, 2.0]))
+            full_update_detailed(st0, np.array([0.0, 0.0, 2.0]))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 5))
@@ -206,3 +192,57 @@ def test_is_off_span():
     st0 = RoundingState(body, alpha=0.5)
     assert is_off_span(st0, np.array([0.0, 0.0, 1.0]))
     assert not is_off_span(st0, np.array([5.0, 5.0, 0.0]))
+
+
+class TestStep:
+    def mixed_stream(self):
+        # rank-0 start with a coincident point, a span raise into a plane,
+        # covered and uncovered points in that plane, then full-dimensional
+        # gaussians that mix span raises, regular steps and skips
+        rng = np.random.default_rng(13)
+        plane = [np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0]),
+                 np.array([0.1, 0.1, 0.0, 0.0]), np.array([3.0, -2.0, 0.0, 0.0])]
+        head = [np.zeros(4), np.array([0.5 * SPAN_TOL, 0.0, 0.0, 0.0])] + plane
+        return head + list(rng.standard_normal((40, 4)) * 2.0)
+
+    def test_matches_checked_wrappers_bit_for_bit(self):
+        stream = self.mixed_stream()
+        state = RoundingState(Ellipsoid.point(stream[0]), alpha=1.0)
+        kinds = []
+        for z in stream[1:]:
+            nxt, kind, params = step(state, z)
+            if is_off_span(state, z):
+                ref, ref_kind, ref_params = irregular_update(state, z), "irregular", None
+            elif state.dim == 0:
+                ref, ref_kind, ref_params = state, "skip", None
+            else:
+                ref, ref_params = full_update_detailed(state, z)
+                ref_kind = "skip" if ref_params is None else "regular"
+            assert kind == ref_kind
+            assert params == ref_params
+            if kind == "skip":
+                assert nxt is state
+            for attr in ("center", "axes", "semiaxes"):
+                assert np.array_equal(getattr(nxt.ellipsoid, attr),
+                                      getattr(ref.ellipsoid, attr))
+            assert nxt.alpha == ref.alpha
+            kinds.append(kind)
+            state = nxt
+        assert {"skip", "regular", "irregular"} <= set(kinds)
+        assert kinds[0] == "skip"  # the coincident point at rank 0
+
+    def test_rank_zero_threshold(self):
+        z0 = np.array([1.0, 2.0, 3.0])
+        st0 = RoundingState(Ellipsoid.point(z0), alpha=1.0)
+        e1 = np.array([1.0, 0.0, 0.0])
+        nxt, kind, params = step(st0, z0 + 0.5 * SPAN_TOL * e1)
+        assert kind == "skip" and params is None
+        assert nxt is st0
+        nxt, kind, params = step(st0, z0 + 2.0 * SPAN_TOL * e1)
+        assert kind == "irregular" and params is None
+        assert nxt.dim == 1
+
+    def test_non_finite_point_rejected(self):
+        st0 = RoundingState(Ellipsoid.ball(np.zeros(2), 1.0), alpha=0.5)
+        with pytest.raises(UpdateError, match="non-finite"):
+            step(st0, np.array([np.nan, 0.0]))
