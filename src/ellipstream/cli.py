@@ -328,9 +328,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             r0=args.r0, seed=args.seed, out=args.out,
             verify_every=args.verify_every)
         return run(config)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -32,6 +32,10 @@ def orthonormal_completion(w: np.ndarray) -> np.ndarray:
     e1 = np.zeros(d)
     e1[0] = 1.0
     v = w - e1
+    if w[0] > 0.0:
+        # w[0] - 1 cancels when w is close to e1; since |w| = 1 it equals
+        # -|w[1:]|^2 / (1 + w[0]) (Parlett; Golub & Van Loan Alg. 5.1.1)
+        v[0] = -float(w[1:] @ w[1:]) / (1.0 + w[0])
     vv = np.dot(v, v)
     if vv < 1e-30:
         return np.eye(d)

@@ -1,10 +1,10 @@
 """Brute-force and exact verification utilities.
 
 Everything in this module exists to check the geometry layer from the
-outside: hull membership by LP, distance to the hull of a union of points
-and ellipsoids, per-step monotonicity certificates, an offline
-enclosing-ellipsoid baseline, and dense grids over the closed-form scalar
-inequalities the update rule relies on.
+outside: min-norm-point hull membership and distance (to the hull of a
+union of points and ellipsoids), per-step monotonicity certificates, an
+offline enclosing-ellipsoid baseline, and dense grids over the closed-form
+scalar inequalities the update rule relies on.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .ellipsoid import (
     membership,
 )
 from .state import RoundingState
-from .update_rule import compute_params, solve_gamma
+from .update_rule import SPAN_TOL, compute_params, solve_gamma
 
 LP_TOL = 1e-9
 _DIR_SEED = 987654321
@@ -35,73 +35,76 @@ class OracleError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# hull membership via a dense phase-1 simplex
+# hull membership and distance by Wolfe's min-norm-point method
 
 
-def _phase1_simplex(a_eq: np.ndarray, b_eq: np.ndarray) -> float:
-    """Minimal artificial-variable sum for {x >= 0 : a_eq @ x = b_eq}.
+def _min_norm_point(lmo: Callable[[np.ndarray], np.ndarray],
+                    start: np.ndarray, tol: float, max_iter: int) -> float:
+    """Norm of the point of least norm in conv(atoms), by Wolfe (1976).
 
-    Textbook dense tableau with Bland's rule; the instances here are tiny,
-    so robustness wins over speed.
+    The atoms are shifted so that the query is the origin; `lmo(g)`
+    returns an atom minimizing <atom, g>. Each major cycle adds the atom
+    the current point y sees best to the corral; the minor cycles then move
+    y to the affine min-norm point of the corral, dropping one atom per
+    cycle whenever that point leaves the hull. Stops once |y| <= tol or
+    Wolfe's gap <y, y - s> <= tol*|y|, which bounds |y| - dist by tol.
+    Raises OracleError when neither holds after max_iter major cycles.
     """
-    m, n = a_eq.shape
-    a = a_eq.copy()
-    b = b_eq.copy()
-    flip = b < 0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
-
-    # tableau columns: x (n), artificials (m), rhs
-    tab = np.zeros((m + 1, n + m + 1))
-    tab[:m, :n] = a
-    tab[:m, n:n + m] = np.eye(m)
-    tab[:m, -1] = b
-    # objective: minimize sum of artificials (stored as its negation)
-    tab[m, :n] = -a.sum(axis=0)
-    tab[m, -1] = -b.sum()
-    basis = list(range(n, n + m))
-
-    for _ in range(20000):
-        # Bland: entering variable is the lowest index with a negative cost
-        enter = -1
-        for j in range(n + m):
-            if tab[m, j] < -LP_TOL:
-                enter = j
+    corral = start[None, :]
+    lam = np.ones(1)
+    y = start
+    for _ in range(max_iter):
+        dist = float(np.linalg.norm(y))
+        if dist <= tol:
+            return dist
+        s = lmo(y)
+        if float(y @ (y - s)) <= tol * dist:
+            return dist
+        corral = np.vstack([corral, s])
+        lam = np.append(lam, 0.0)
+        while True:
+            # affine min-norm point, mu = (1 - sum t, t), by least squares on
+            # the atom differences: unlike a bordered Gram system this keeps
+            # the corral's own conditioning, however far it is from 0
+            a0 = corral[0]
+            t = np.linalg.lstsq((corral[1:] - a0).T, -a0, rcond=None)[0]
+            mu = np.concatenate([[1.0 - t.sum()], t])
+            if mu.min() > 0.0:
+                lam = mu
                 break
-        if enter < 0:
-            break
-        ratios = np.full(m, np.inf)
-        col = tab[:m, enter]
-        pos = col > LP_TOL
-        ratios[pos] = tab[:m, -1][pos] / col[pos]
-        if not np.any(np.isfinite(ratios)):
-            raise OracleError("unbounded phase-1 LP (should not happen)")
-        best = np.min(ratios)
-        # Bland again on ties: lowest basis index leaves
-        leave = min((basis[i], i) for i in range(m)
-                    if pos[i] and ratios[i] <= best + LP_TOL)[1]
-        pivot = tab[leave, enter]
-        tab[leave] /= pivot
-        for i in range(m + 1):
-            if i != leave and abs(tab[i, enter]) > 0:
-                tab[i] -= tab[i, enter] * tab[leave]
-        basis[leave] = enter
-    return float(-tab[m, -1])
+            # walk from lam toward mu until the first weight hits zero, and
+            # drop the atom that sets the ratio even if it rounds to zero
+            neg = np.flatnonzero(mu <= 0.0)
+            ratios = lam[neg] / np.maximum(lam[neg] - mu[neg], 1e-300)
+            j = int(np.argmin(ratios))
+            lam = lam + ratios[j] * (mu - lam)
+            keep = lam > 0.0
+            keep[neg[j]] = False
+            corral, lam = corral[keep], lam[keep] / lam[keep].sum()
+        y = lam @ corral
+    raise OracleError(f"min-norm point not reached in {max_iter} major cycles")
 
 
 def hull_membership(points: Sequence[np.ndarray], x: np.ndarray) -> bool:
-    """Is x a convex combination of the given points?"""
+    """Is x a convex combination of the given points? Raises OracleError
+    rather than guess when the solver does not settle."""
     pts = np.asarray(points, dtype=float)
     x = np.asarray(x, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise OracleError("need at least one point")
     if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(x))):
         raise OracleError("non-finite inputs")
-    n, d = pts.shape
     scale = max(1.0, float(np.abs(pts).max()), float(np.abs(x).max()))
-    a_eq = np.vstack([pts.T / scale, np.ones((1, n))])
-    b_eq = np.concatenate([x / scale, [1.0]])
-    return _phase1_simplex(a_eq, b_eq) <= 10 * LP_TOL
+    atoms = (pts - x) / scale
+
+    def lmo(g: np.ndarray) -> np.ndarray:
+        return atoms[int(np.argmin(atoms @ g))]
+
+    # start from the nearest point; an interior query needs d + 1 or more
+    # major cycles, and the benchmark's queries settle within d + 2
+    start = atoms[int(np.argmin(np.einsum("ij,ij->i", atoms, atoms)))]
+    max_iter = 20 * (atoms.shape[1] + 1)
+    return _min_norm_point(lmo, start, LP_TOL, max_iter) <= 10 * LP_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -120,82 +123,37 @@ class HullSpec:
             raise OracleError("empty hull spec")
 
 
-def _project_simplex_combination(atoms: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Weights of the closest point to x in conv(atoms)."""
-    from scipy.optimize import minimize
-
-    m = atoms.shape[0]
-    if m == 1:
-        return np.ones(1)
-
-    def objective(lam):
-        r = lam @ atoms - x
-        return 0.5 * float(r @ r), atoms @ r
-
-    res = minimize(objective, np.full(m, 1.0 / m), jac=True, method="SLSQP",
-                   bounds=[(0.0, 1.0)] * m,
-                   constraints=[{"type": "eq", "fun": lambda l: l.sum() - 1.0,
-                                 "jac": lambda l: np.ones(m)}],
-                   options={"maxiter": 200, "ftol": 1e-18})
-    lam = np.clip(res.x, 0.0, None)
-    return lam / lam.sum()
-
-
 def union_hull_distance(h: HullSpec, x: np.ndarray, tol: float = 1e-9,
                         max_iter: int = 200) -> float:
-    """Distance from x to conv(points union ellipsoids), by fully
-    corrective Frank-Wolfe.
+    """Distance from x to conv(points union ellipsoids), by Wolfe's
+    min-norm-point method on the members shifted by -x.
 
-    Each round asks every member for its farthest point against the
-    current gradient (trivial for both points and ellipsoids), adds it to
-    an atom set, and re-projects exactly onto the hull of the atoms. The
-    duality gap gives a certified stopping rule.
+    Each major cycle asks every member for its farthest point against the
+    current gradient, which is trivial for both points and ellipsoids.
+    Raises OracleError if max_iter major cycles do not settle the distance.
     """
     x = np.asarray(x, dtype=float)
-    pts = (np.asarray(h.point_list, dtype=float)
+    pts = (np.asarray(h.point_list, dtype=float) - x
            if h.point_list else np.zeros((0, x.shape[0])))
+    ells = [se.as_ellipsoid() for se in h.ellipsoid_list]
 
     def lmo(g):
         best, val = None, math.inf
         if pts.shape[0]:
             i = int(np.argmin(pts @ g))
             best, val = pts[i], float(pts[i] @ g)
-        for se in h.ellipsoid_list:
-            e = se.as_ellipsoid()
-            gn = float(np.linalg.norm(g))
-            if gn == 0.0:
-                cand = e.center
-            else:
-                w = -(e.axes.T @ g)
-                coeff = e.semiaxes * w
-                cn = float(np.linalg.norm(coeff))
-                step = (e.axes @ (e.semiaxes * coeff / cn)) if cn > 0 \
-                    else np.zeros_like(e.center)
-                cand = e.center + step
+        for e in ells:
+            cand = e.center - x
+            coeff = e.semiaxes * (e.axes.T @ g)
+            cn = float(np.linalg.norm(coeff))
+            if cn > 0.0:
+                cand = cand - e.axes @ (e.semiaxes * coeff / cn)
             v = float(cand @ g)
             if v < val:
                 best, val = cand, v
         return best
 
-    atoms = [lmo(-x)]
-    y = atoms[0]
-    for _ in range(max_iter):
-        g = y - x
-        dist = float(np.linalg.norm(g))
-        if dist <= tol:
-            return dist
-        s = lmo(g)
-        gap = float(g @ (y - s))
-        # gap bounds f(y) - f*; a tiny gap certifies y is essentially optimal
-        if gap <= 0.5 * tol * tol:
-            return dist
-        atoms.append(s)
-        stack = np.asarray(atoms)
-        lam = _project_simplex_combination(stack, x)
-        keep = lam > 1e-14
-        atoms = [a for a, k in zip(atoms, keep) if k]
-        y = lam[keep] @ stack[keep]
-    return float(np.linalg.norm(y - x))
+    return _min_norm_point(lmo, lmo(-x), tol, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +207,7 @@ def _normalized_frame(prev_body: Ellipsoid, prev_center: np.ndarray,
     coeffs = axes.T @ delta
     residual = delta - axes @ coeffs
     rnorm = float(np.linalg.norm(residual))
-    off_span = rnorm > 1e-8 * max(1.0, float(np.linalg.norm(delta)))
+    off_span = rnorm > SPAN_TOL * max(1.0, float(np.linalg.norm(delta)))
     k = prev_body.rank
     if not off_span:
         def project(vecs: np.ndarray) -> np.ndarray:

@@ -158,15 +158,22 @@ def _irregular(state: RoundingState, split: _Split) -> RoundingState:
     """The span raise toward an off-span point, given its split."""
     if not (0.0 < state.alpha <= 1.0):
         raise UpdateError("alpha must lie in (0, 1]")
-    delta, coeffs, residual, rnorm, _ = split
+    delta, coeffs, residual, _, _ = split
     alpha = state.alpha
     body = state.ellipsoid
     k = body.rank
+    # a single Gram-Schmidt pass can leave the residual visibly
+    # non-orthogonal to the span when it is small next to delta; a second
+    # pass restores it ("twice is enough"). Its correction joins the span
+    # coordinates, so [coeffs, rnorm] still spells delta in [axes, v_new]
+    extra = body.axes.T @ residual
+    residual = residual - body.axes @ extra
+    rnorm = float(np.linalg.norm(residual))
     v_new = residual / rnorm
     root = math.sqrt(1.0 + 2.0 * alpha)
 
     # all linear algebra happens in the extended-span basis [axes, v_new]
-    z_w = np.concatenate([coeffs, [rnorm]])
+    z_w = np.concatenate([coeffs + extra, [rnorm]])
     a_bar = np.ones(k + 1)
     a_bar[:k] = 1.0 / body.semiaxes
     m_w = np.eye(k + 1)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from ellipstream.ellipsoid import Ellipsoid, ScaledEllipsoid
 from ellipstream.oracle import (
     HullSpec,
+    OracleError,
     union_hull_distance,
     check_monotone_step,
     hull_membership,
@@ -19,6 +21,17 @@ from ellipstream.update_rule import full_update_detailed, irregular_update
 
 SQUARE = [np.array(p) for p in
           [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]]
+
+
+def linprog_membership(points, x) -> bool:
+    """Independent reference: is {lam >= 0, sum lam = 1, lam @ points = x}
+    feasible, by HiGHS?"""
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    res = linprog(np.zeros(n), A_eq=np.vstack([pts.T, np.ones((1, n))]),
+                  b_eq=np.append(x, 1.0), bounds=(0.0, None), method="highs")
+    assert res.status in (0, 2), res.message
+    return res.status == 0
 
 
 class TestHullMembership:
@@ -74,15 +87,86 @@ class TestUnionHullDistance:
         assert union_hull_distance(h, np.array([0.0, 1.5])) == pytest.approx(
             0.5, abs=1e-8)
 
+    def test_large_coordinates(self):
+        # the solver must not lose the hull when the atoms, shifted by the
+        # query, are large next to their differences
+        h = HullSpec(point_list=tuple(p * 1e4 for p in SQUARE))
+        assert union_hull_distance(h, np.array([2e4, 0.0])) == pytest.approx(
+            1e4, rel=1e-12)
+        assert union_hull_distance(h, np.array([5e3, -2e3])) <= 1e-9
+        h = HullSpec(point_list=tuple(SQUARE))
+        assert union_hull_distance(h, np.array([1e4 + 1.0, 0.0])) == (
+            pytest.approx(1e4, rel=1e-12))
+        assert union_hull_distance(h, np.array([3e6, 4e6])) == pytest.approx(
+            math.hypot(3e6 - 1.0, 4e6 - 1.0), rel=1e-12)
+        assert not hull_membership(SQUARE, np.array([1e4, 0.0]))
+
+    def test_unconverged_solve_raises(self):
+        # the nearest point lies on an edge, two major cycles away
+        h = HullSpec(point_list=tuple(SQUARE))
+        with pytest.raises(OracleError):
+            union_hull_distance(h, np.array([2.0, 0.5]), max_iter=1)
+        assert union_hull_distance(h, np.array([2.0, 0.5]), max_iter=2) == (
+            pytest.approx(1.0, abs=1e-12))
+
     def test_agrees_with_lp_membership(self):
         rng = np.random.default_rng(52)
         pts = tuple(rng.standard_normal(3) for _ in range(8))
         h = HullSpec(point_list=pts)
         for _ in range(20):
             q = rng.standard_normal(3) * 0.8
-            lp = hull_membership(pts, q)
+            lp = linprog_membership(pts, q)
             fw = union_hull_distance(h, q) <= 1e-7
             assert lp == fw
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.data())
+    def test_random_clouds_agree_with_linprog(self, seed, d, data):
+        n = data.draw(st.integers(d + 1, 40))
+        rng = np.random.default_rng(seed)
+        pts = rng.standard_normal((n, d))
+        h = HullSpec(point_list=tuple(pts))
+        # inside: a convex combination with full support
+        w = rng.random(n) + 0.05
+        inside = (w / w.sum()) @ pts
+        # outside: a vertex pushed further along a direction it maximizes
+        u = rng.standard_normal(d)
+        u /= np.linalg.norm(u)
+        outside = pts[int(np.argmax(pts @ u))] + 0.1 * u
+        for q, expected in ((inside, True), (outside, False)):
+            assert linprog_membership(pts, q) is expected
+            assert hull_membership(pts, q) is expected
+            assert (union_hull_distance(h, q) <= 1e-7) is expected
+
+    def test_repeated_and_collinear_points(self):
+        # segments listed with repeated ends and interior points: corrals
+        # become affinely dependent and the minor cycle has to drop atoms
+        rng = np.random.default_rng(53)
+        ends, pts = [], []
+        for _ in range(3):
+            a, b = rng.standard_normal((2, 3))
+            ends += [a, b]
+            pts += [a + t * (b - a) for t in (0.0, 0.3, 1.0, 0.7, 1.0, 0.0)]
+        h = HullSpec(point_list=tuple(pts))
+        h_ends = HullSpec(point_list=tuple(ends))
+        for _ in range(20):
+            q = rng.standard_normal(3) * 1.5
+            inside = linprog_membership(pts, q)
+            assert hull_membership(pts, q) is inside
+            dist = union_hull_distance(h, q)
+            assert (dist <= 1e-7) is inside
+            assert dist == pytest.approx(union_hull_distance(h_ends, q),
+                                         abs=1e-9)
+        # on one segment the distances are known in closed form
+        seg = [np.zeros(3), np.full(3, 3.0), np.full(3, 1.0), np.full(3, 3.0)]
+        h = HullSpec(point_list=tuple(seg))
+        on = np.full(3, 1.7)
+        off = on + 1e-3 * np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
+        assert hull_membership(seg, on) and not hull_membership(seg, off)
+        assert union_hull_distance(h, on) <= 1e-9
+        assert union_hull_distance(h, off) == pytest.approx(1e-3, abs=1e-9)
+        assert union_hull_distance(h, np.full(3, 4.0)) == pytest.approx(
+            math.sqrt(3.0), abs=1e-9)
 
 
 class TestCheckMonotoneStep:

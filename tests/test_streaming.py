@@ -71,6 +71,18 @@ class TestFullyOnline:
             if r2.step_kind in ("regular", "skip"):
                 assert r2.log_volume >= r1.log_volume - 1e-9
 
+    def test_anisotropic_span_raises_stay_orthonormal(self):
+        # axis scales 1e3 .. 1e-3: a single Gram-Schmidt pass on the span
+        # raise left the new axis visibly non-orthogonal to the old ones
+        pts = np.random.default_rng(0).standard_normal((200, 4)) \
+            * np.array([1e3, 1.0, 1.0, 1e-3])
+        state, report = run_fully_online(pts)
+        assert state.ellipsoid.rank == 4
+        axes = state.ellipsoid.axes
+        assert np.allclose(axes.T @ axes, np.eye(4), atol=1e-12)
+        worst = max(membership(state.ellipsoid, p) for p in pts)
+        assert worst <= 1e-7
+
     def test_observer_sees_every_step(self):
         pts = np.random.default_rng(22).standard_normal((30, 3))
         seen = []
