@@ -6,14 +6,13 @@ and brute-force verification oracles.
 
 from .ellipsoid import (
     Ellipsoid,
-    ScaledEllipsoid,
     containment_margin,
     contains_ellipsoid,
     log_volume,
     membership,
     support,
 )
-from .state import Phase, RoundingState
+from .state import RoundingState
 from .update_rule import (
     UpdateError,
     UpdateParams,
@@ -45,13 +44,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Ellipsoid",
-    "ScaledEllipsoid",
     "containment_margin",
     "contains_ellipsoid",
     "log_volume",
     "membership",
     "support",
-    "Phase",
     "RoundingState",
     "UpdateError",
     "UpdateParams",

@@ -15,14 +15,14 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .ellipsoid import Ellipsoid, log_volume
+from .ellipsoid import Ellipsoid, _unit_directions, log_volume
 from .linalg import orthonormal_completion
 from .state import RoundingState
 from .update_rule import step
 
 UpdateRule = Callable[[RoundingState, np.ndarray], RoundingState]
 
-_QMC_SEED = 1729
+_SHELL_SEED = 1729
 
 
 class AdversaryError(ValueError):
@@ -40,13 +40,6 @@ class AdversaryTrace:
     @property
     def phase2_steps(self) -> int:
         return sum(1 for k in self.step_kinds if k == "shell")
-
-    def to_csv(self) -> str:
-        lines = ["t,A_t,P_t,step_kind"]
-        for t, (a, p, k) in enumerate(zip(self.a_values, self.p_values,
-                                          self.step_kinds), start=1):
-            lines.append(f"{t},{a!r},{p!r},{k}")
-        return "\n".join(lines) + "\n"
 
 
 def simplex_vertices(d: int) -> np.ndarray:
@@ -77,24 +70,11 @@ def library_rule(state: RoundingState, z: np.ndarray) -> RoundingState:
     return step(state, z)[0]
 
 
-def _sphere_directions(n: int, d: int) -> np.ndarray:
-    from scipy.stats import norm, qmc
-
-    sampler = qmc.Sobol(d=d, scramble=True, seed=_QMC_SEED)
-    u = sampler.random(n)
-    # keep strictly inside (0,1) before the Gaussian transform
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    g = norm.ppf(u)
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return g / norms
-
-
 def shell_point(state: RoundingState, r_cap: float) -> Optional[np.ndarray]:
     """A point of boundary(center + 2E) with norm at most r_cap, if any.
 
     Deterministic: the 2d signed semiaxis endpoints are tried first in
-    order of increasing norm; failing that, 4096 quasi-random boundary
+    order of increasing norm; failing that, 4096 fixed-seed random boundary
     directions are scanned and the smallest-norm candidate is returned if
     it fits.
     """
@@ -111,7 +91,7 @@ def shell_point(state: RoundingState, r_cap: float) -> Optional[np.ndarray]:
     for p in candidates:
         if np.linalg.norm(p) <= r_cap * (1.0 + 1e-12):
             return p
-    dirs = _sphere_directions(4096, body.rank)
+    dirs = _unit_directions(4096, body.rank, _SHELL_SEED)
     pts = c[None, :] + 2.0 * (dirs * body.semiaxes[None, :]) @ body.axes.T
     norms = np.linalg.norm(pts, axis=1)
     j = int(np.argmin(norms))

@@ -251,9 +251,9 @@ def run(config: RunConfig) -> int:
     payload["n"] = int(points.shape[0])
     observer, summary = _make_verifier(config)
 
-    if config.mode in ("online", "verify") and config.c0 is None:
-        state, report = streaming.run_fully_online(points, on_step=observer)
-    elif config.mode in ("seeded", "verify"):
+    seeded = config.mode == "seeded" or (
+        config.mode == "verify" and config.c0 is not None)
+    if seeded:
         if config.c0 is None or config.r0 is None:
             raise InputError("seeded mode needs --c0 and --r0")
         if config.c0.shape[0] != points.shape[1]:
@@ -269,7 +269,11 @@ def run(config: RunConfig) -> int:
             "".join(f"{i}\n" for i in trace.selected))
         payload["constants"]["coreset_size"] = len(trace.selected)
     else:
-        raise InputError(f"unknown mode {config.mode!r}")
+        if config.mode == "online" and (config.c0 is not None
+                                        or config.r0 is not None):
+            flag = "--c0" if config.c0 is not None else "--r0"
+            raise InputError(f"online mode takes no {flag}; use --mode seeded")
+        state, report = streaming.run_fully_online(points, on_step=observer)
 
     steps = _steps_payload(report)
     payload.update(final_alpha_inv=report.final_alpha_inv, steps=steps)

@@ -37,24 +37,27 @@ class CoresetTrace:
 
 
 def coreset_step(trace: CoresetTrace, t: int,
-                 z: np.ndarray) -> Tuple[CoresetTrace, bool]:
-    """Process one stream point; returns the new trace and whether it was kept."""
+                 z: np.ndarray) -> Tuple[CoresetTrace, str, float]:
+    """Process one stream point; returns the new trace, the step kind
+    (init | irregular | regular for a kept point, skip for a dropped one)
+    and the gamma of a kept regular step (0 otherwise)."""
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError(f"non-finite point at index {t}")
     state = trace.driver
     if state is None:
         first = RoundingState(Ellipsoid.point(z), alpha=1.0)
-        return trace.with_selection(t, "dim_growth", first), True
+        return trace.with_selection(t, "dim_growth", first), "init", 0.0
 
-    tentative, kind, _ = step(state, z)
+    tentative, kind, params = step(state, z)
     if kind == "irregular":
-        return trace.with_selection(t, "dim_growth", tentative), True
+        return trace.with_selection(t, "dim_growth", tentative), kind, 0.0
     if kind == "regular":
         dlogvol = log_volume(tentative.ellipsoid) - log_volume(state.ellipsoid)
         if dlogvol >= VOLUME_JUMP_LOG - TIE_TOL:
-            return trace.with_selection(t, "volume_jump", tentative), True
-    return trace, False
+            return (trace.with_selection(t, "volume_jump", tentative), kind,
+                    params.gamma)
+    return trace, "skip", 0.0
 
 
 def run_coreset(stream: Iterable[np.ndarray]) -> Tuple[CoresetTrace, RunReport]:
@@ -62,18 +65,10 @@ def run_coreset(stream: Iterable[np.ndarray]) -> Tuple[CoresetTrace, RunReport]:
     trace = CoresetTrace()
     report = RunReport()
     for t, z in enumerate(stream, start=1):
-        trace, selected = coreset_step(trace, t, z)
+        trace, kind, gamma = coreset_step(trace, t, z)
         state = trace.driver
-        if state is None:
-            continue
-        if selected:
-            kind = "irregular" if trace.reasons[-1] == "dim_growth" else "regular"
-            if len(trace.selected) == 1:
-                kind = "init"
-        else:
-            kind = "skip"
         report.append(StepRecord(t, state.alpha, log_volume(state.ellipsoid),
-                                 kind, 0.0))
+                                 kind, gamma))
     if trace.driver is not None:
         report.final_alpha_inv = trace.driver.alpha_inv
     return trace, report

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ORTHO_TOL, LinalgError
+from .linalg import ORTHO_TOL
 
 # a semiaxis below this fraction of the largest one means the body has
 # effectively collapsed a dimension; such bodies are rejected outright
@@ -91,21 +91,6 @@ class Ellipsoid:
         if self.rank == 0:
             return self
         return Ellipsoid(self.center, self.axes, self.semiaxes * factor)
-
-
-@dataclass(frozen=True)
-class ScaledEllipsoid:
-    """center + alpha * (body - center), for alpha in (0, 1]."""
-
-    body: Ellipsoid
-    alpha: float
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise EllipsoidError("alpha must be in (0, 1]")
-
-    def as_ellipsoid(self) -> Ellipsoid:
-        return self.body.scaled(self.alpha)
 
 
 def membership(e: Ellipsoid, x: np.ndarray, tol: float = CONTAINMENT_TOL) -> float:
@@ -251,8 +236,4 @@ def containment_margin(outer: Ellipsoid, inner: Ellipsoid,
 def contains_ellipsoid(outer: Ellipsoid, inner: Ellipsoid,
                        tol: float = CONTAINMENT_TOL) -> bool:
     """True iff inner is inside outer, up to tol on the normalized scale."""
-    try:
-        margin = containment_margin(outer, inner)
-    except LinalgError:
-        return False
-    return margin <= tol
+    return containment_margin(outer, inner) <= tol

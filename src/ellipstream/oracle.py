@@ -12,19 +12,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .ellipsoid import (
     Ellipsoid,
-    ScaledEllipsoid,
+    _unit_directions,
     containment_margin,
     log_volume,
     membership,
 )
 from .state import RoundingState
-from .update_rule import SPAN_TOL, compute_params, solve_gamma
+from .update_rule import _off_span_split, compute_params, solve_gamma
 
 LP_TOL = 1e-9
 _DIR_SEED = 987654321
@@ -113,10 +113,10 @@ def hull_membership(points: Sequence[np.ndarray], x: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class HullSpec:
-    """conv of a union of points and scaled ellipsoids."""
+    """conv of a union of points and ellipsoids."""
 
     point_list: Tuple[np.ndarray, ...] = ()
-    ellipsoid_list: Tuple[ScaledEllipsoid, ...] = ()
+    ellipsoid_list: Tuple[Ellipsoid, ...] = ()
 
     def __post_init__(self):
         if not self.point_list and not self.ellipsoid_list:
@@ -135,14 +135,13 @@ def union_hull_distance(h: HullSpec, x: np.ndarray, tol: float = 1e-9,
     x = np.asarray(x, dtype=float)
     pts = (np.asarray(h.point_list, dtype=float) - x
            if h.point_list else np.zeros((0, x.shape[0])))
-    ells = [se.as_ellipsoid() for se in h.ellipsoid_list]
 
     def lmo(g):
         best, val = None, math.inf
         if pts.shape[0]:
             i = int(np.argmin(pts @ g))
             best, val = pts[i], float(pts[i] @ g)
-        for e in ells:
+        for e in h.ellipsoid_list:
             cand = e.center - x
             coeff = e.semiaxes * (e.axes.T @ g)
             cn = float(np.linalg.norm(coeff))
@@ -180,35 +179,21 @@ class StepCertificate:
         return json.dumps(payload, sort_keys=True)
 
 
-SandwichLike = Union[RoundingState, Tuple[np.ndarray, Ellipsoid, float]]
-
-
-def _as_sandwich(s: SandwichLike) -> Tuple[np.ndarray, Ellipsoid, float]:
-    if isinstance(s, RoundingState):
-        return s.center, s.ellipsoid, s.alpha
-    center, body, alpha = s
-    return np.asarray(center, dtype=float), body, float(alpha)
-
-
-def _normalized_frame(prev_body: Ellipsoid, prev_center: np.ndarray,
-                      z: np.ndarray):
+def _normalized_frame(prev: RoundingState, z: np.ndarray):
     """Linear map sending the previous outer body to the unit ball.
 
-    Returns (project, k, z_norm) where `project` maps ambient vectors
-    (already shifted by prev_center) into normalized span coordinates.
-    For a span-raising step the frame is extended by the residual
+    Returns (project, k, z_norm, raised) where `project` maps ambient
+    vectors (already shifted by the previous center) into normalized span
+    coordinates. `raised` is the step kernel's own off-span verdict on z;
+    for a span-raising step the frame is extended by the residual
     direction and composed with the shear that pins the new point onto
     the fresh axis, so the constructed bodies become bodies of revolution
     about the last coordinate.
     """
-    axes = prev_body.axes
-    s = prev_body.semiaxes
-    delta = z - prev_center
-    coeffs = axes.T @ delta
-    residual = delta - axes @ coeffs
-    rnorm = float(np.linalg.norm(residual))
-    off_span = rnorm > SPAN_TOL * max(1.0, float(np.linalg.norm(delta)))
-    k = prev_body.rank
+    axes = prev.ellipsoid.axes
+    s = prev.ellipsoid.semiaxes
+    delta, coeffs, residual, rnorm, off_span = _off_span_split(prev, z)
+    k = prev.ellipsoid.rank
     if not off_span:
         def project(vecs: np.ndarray) -> np.ndarray:
             return (axes.T @ vecs) / s[:, None]
@@ -231,7 +216,7 @@ def _normalized_frame(prev_body: Ellipsoid, prev_center: np.ndarray,
     return project, k + 1, z_norm, True
 
 
-def check_monotone_step(prev: SandwichLike, next_: SandwichLike,
+def check_monotone_step(prev: RoundingState, next_: RoundingState,
                         z: np.ndarray, tol: float = 1e-7,
                         n_sample_dirs: int = 4096,
                         n_slice: int = 2048) -> StepCertificate:
@@ -244,8 +229,8 @@ def check_monotone_step(prev: SandwichLike, next_: SandwichLike,
     builds) is combined with random full-dimensional directions that act
     as a falsifier.
     """
-    prev_c, prev_e, prev_a = _as_sandwich(prev)
-    next_c, next_e, next_a = _as_sandwich(next_)
+    prev_c, prev_e, prev_a = prev.center, prev.ellipsoid, prev.alpha
+    next_c, next_e, next_a = next_.center, next_.ellipsoid, next_.alpha
     z = np.asarray(z, dtype=float)
     if prev_e.dim != next_e.dim or prev_e.dim != z.shape[0]:
         raise OracleError("span mismatch")
@@ -269,7 +254,7 @@ def check_monotone_step(prev: SandwichLike, next_: SandwichLike,
         # a rank-0 next inner is just its center; check it against the hull
         inner_ok = True
     else:
-        project, k, z_norm, raised = _normalized_frame(prev_e, prev_c, z)
+        project, k, z_norm, raised = _normalized_frame(prev, z)
         c_in = project((next_c - prev_c)[:, None])[:, 0]
         m_in = project(next_e.axes * (next_a * next_e.semiaxes)[None, :])
 
@@ -313,9 +298,7 @@ def check_monotone_step(prev: SandwichLike, next_: SandwichLike,
             inner_margins.append((float(fm[j]), dirs_f[j]))
 
         # sampled falsifier directions in the full normalized space
-        rng = np.random.default_rng(_DIR_SEED)
-        dirs_r = rng.standard_normal((n_sample_dirs, k))
-        dirs_r /= np.linalg.norm(dirs_r, axis=1, keepdims=True)
+        dirs_r = _unit_directions(n_sample_dirs, k, _DIR_SEED)
         rm = margin_for(dirs_r)
         j = int(np.argmin(rm))
         inner_margins.append((float(rm[j]), dirs_r[j]))

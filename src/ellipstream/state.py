@@ -2,18 +2,11 @@
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ellipsoid import Ellipsoid
-
-
-class Phase(enum.Enum):
-    LOCAL_BALL = "local_ball"
-    FULL = "full"
 
 
 @dataclass(frozen=True)
@@ -22,13 +15,11 @@ class RoundingState:
 
     `ellipsoid` carries the outer body; its axes double as the orthonormal
     basis of the affine span of the points seen so far (relative to the
-    center). `dim` is the span dimension; `phase` is only used by the
-    seeded two-phase driver.
+    center). `dim` is the span dimension.
     """
 
     ellipsoid: Ellipsoid
     alpha: float
-    phase: Optional[Phase] = None
 
     @property
     def center(self) -> np.ndarray:
@@ -37,9 +28,6 @@ class RoundingState:
     @property
     def dim(self) -> int:
         return self.ellipsoid.rank
-
-    def with_body(self, ellipsoid: Ellipsoid, alpha: float) -> "RoundingState":
-        return replace(self, ellipsoid=ellipsoid, alpha=alpha)
 
     @property
     def alpha_inv(self) -> float:

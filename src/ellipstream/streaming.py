@@ -13,7 +13,7 @@ from typing import Callable, Iterable, List, Optional, Tuple
 import numpy as np
 
 from .ellipsoid import Ellipsoid, log_volume
-from .state import Phase, RoundingState
+from .state import RoundingState
 from .update_rule import UpdateParams, step
 # looked up here by perfbench/tracing.py
 from .update_rule import full_update_detailed, irregular_update, is_off_span  # noqa: F401
@@ -95,25 +95,24 @@ def run_seeded(
     gate = r0 * d * math.log(d)
 
     report = RunReport()
-    state = RoundingState(Ellipsoid.ball(c0, r0), alpha=1.0,
-                          phase=Phase.LOCAL_BALL)
+    state = RoundingState(Ellipsoid.ball(c0, r0), alpha=1.0)
+    local = True  # phase I: both bodies are balls around c0
     for t, z in enumerate(stream, start=1):
         z = _check_point(z, t)
-        if state.phase is Phase.LOCAL_BALL:
+        if local:
             dist = float(np.linalg.norm(z - c0))
             if dist > gate:
                 # transition: grow the ball to its maximum allowed size; the
                 # update rule needs alpha <= 1/2, so small dimensions are
                 # clamped
                 alpha0 = min(0.5, 1.0 / (d * math.log(d)))
-                state = RoundingState(Ellipsoid.ball(c0, gate), alpha=alpha0,
-                                      phase=Phase.FULL)
+                state = RoundingState(Ellipsoid.ball(c0, gate), alpha=alpha0)
+                local = False
         prev = state
-        if state.phase is Phase.FULL:
+        if not local:
             state, kind, params = step(state, z)
         elif dist > state.ellipsoid.semiaxes[0]:
-            state = RoundingState(Ellipsoid.ball(c0, dist), alpha=r0 / dist,
-                                  phase=Phase.LOCAL_BALL)
+            state = RoundingState(Ellipsoid.ball(c0, dist), alpha=r0 / dist)
             kind, params = "local", None
         else:
             kind, params = "skip", None

@@ -151,7 +151,7 @@ def _regular(state: RoundingState,
     # center moves along the pre-image of w
     center_shift = body.axes @ (s * w) * params.c
     new_body = Ellipsoid(body.center + center_shift, new_axes, new_semiaxes)
-    return state.with_body(new_body, params.alpha_next), params
+    return RoundingState(new_body, params.alpha_next), params
 
 
 def _irregular(state: RoundingState, split: _Split) -> RoundingState:
@@ -187,7 +187,7 @@ def _irregular(state: RoundingState, split: _Split) -> RoundingState:
     new_center = body.center + (alpha / (1.0 + 2.0 * alpha)) * delta
     new_alpha = 1.0 / (1.0 / alpha + 1.0)
     new_body = Ellipsoid(new_center, new_axes, new_semiaxes)
-    return state.with_body(new_body, new_alpha)
+    return RoundingState(new_body, new_alpha)
 
 
 def step(state: RoundingState, z: np.ndarray

@@ -11,7 +11,7 @@ import pytest
 from ellipstream.adversary import library_rule, reduced_case_grid, run_adversary, simplex_vertices
 from ellipstream.cli import generate
 from ellipstream.coreset import run_coreset
-from ellipstream.ellipsoid import Ellipsoid, ScaledEllipsoid, log_volume, membership
+from ellipstream.ellipsoid import Ellipsoid, log_volume, membership
 from ellipstream.oracle import (
     HullSpec,
     check_monotone_step,
@@ -87,7 +87,7 @@ def test_criterion_2_final_sandwich():
                           max(float(membership(state.ellipsoid, p)) for p in pts))
         hull = HullSpec(
             point_list=tuple(pts),
-            ellipsoid_list=(ScaledEllipsoid(Ellipsoid.ball(c0, r0), 1.0),))
+            ellipsoid_list=(Ellipsoid.ball(c0, r0),))
         inner = state.ellipsoid.scaled(state.alpha)
         dirs = rng.standard_normal((500 // 4 + 1, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

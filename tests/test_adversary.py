@@ -69,15 +69,26 @@ class TestShellPoint:
         assert shell_point(st, r_cap=6.0) is None
 
     def test_fallback_direction_search(self):
-        # semiaxis endpoints of an off-center ball all miss a tight cap,
-        # but part of the doubled boundary still fits inside it
-        center = np.array([2.5, 0.0])
-        st = RoundingState(Ellipsoid.ball(center, 2.0), alpha=0.5)
-        z = shell_point(st, r_cap=2.0)
-        assert z is not None
-        assert np.linalg.norm(z) <= 2.0 * (1 + 1e-9)
-        assert membership(st.ellipsoid.scaled(2.0), z) == pytest.approx(
-            0.0, abs=1e-9)
+        def search(center, radius, cap):
+            st = RoundingState(Ellipsoid.ball(np.array(center), radius),
+                               alpha=0.5)
+            z = shell_point(st, r_cap=cap)
+            assert z is not None
+            assert np.linalg.norm(z) <= cap * (1 + 1e-9)
+            assert membership(st.ellipsoid.scaled(2.0), z) == pytest.approx(
+                0.0, abs=1e-9)
+            return z
+
+        # the semiaxis endpoint (-1.5, 0) of the doubled ball fits the cap
+        search([2.5, 0.0], 2.0, 2.0)
+        # here every endpoint misses the cap, so only the direction search
+        # can succeed; it lands near the least norm 3*sqrt(2) - 2 of the
+        # doubled circle
+        ends = np.array([3.0, 3.0]) + 2.0 * np.vstack([np.eye(2), -np.eye(2)])
+        assert np.linalg.norm(ends, axis=1).min() >= math.sqrt(10) > 2.5
+        z = search([3.0, 3.0], 1.0, 2.5)
+        assert np.linalg.norm(z) == pytest.approx(3 * math.sqrt(2) - 2,
+                                                  abs=1e-4)
 
     def test_degenerate_state_rejected(self):
         body = Ellipsoid(np.zeros(3), np.eye(3)[:, :2], np.array([1.0, 1.0]))

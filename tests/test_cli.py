@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ellipstream import cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParsePoints:
@@ -136,6 +142,14 @@ class TestRun:
                             "--d", "2", "--n", "10")
         assert code == 1
 
+    def test_online_rejects_seed_ball(self, tmp_path, capsys):
+        args = ("--mode", "online", "--gen", "gaussian", "--d", "3")
+        assert self.run_cli(tmp_path, *args, "--c0", "0,0,0",
+                            "--r0", "0.1") == 1
+        assert "online mode takes no --c0" in capsys.readouterr().err
+        assert self.run_cli(tmp_path, *args, "--r0", "0.1") == 1
+        assert "online mode takes no --r0" in capsys.readouterr().err
+
     def test_seeded_runs(self, tmp_path):
         code = self.run_cli(tmp_path, "--mode", "seeded", "--gen", "gaussian",
                             "--d", "3", "--n", "50", "--seed", "2",
@@ -169,6 +183,32 @@ class TestRun:
         code = cli.main(["--mode", "online", "--input", str(bad),
                          "--out", str(tmp_path)])
         assert code == 1
+
+
+def test_runs_without_scipy(tmp_path):
+    # scipy is a test-only dependency: the package, the adversary's shell
+    # search fallback and a verify run must not import it
+    script = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+import ellipstream
+from ellipstream import cli
+from ellipstream.adversary import library_rule, run_adversary, shell_point
+st = ellipstream.RoundingState(
+    ellipstream.Ellipsoid.ball(np.array([3.0, 3.0]), 1.0), alpha=0.5)
+assert shell_point(st, r_cap=2.5) is not None
+assert run_adversary(library_rule, 3, 8.0).stop_reason == "volume_reached"
+code = cli.main(["--mode", "verify", "--gen", "gaussian", "--d", "4",
+                 "--n", "60", "--seed", "2", "--out", sys.argv[1]])
+assert code == 0, code
+assert sys.modules["scipy"] is None
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                            env=env, capture_output=True, text=True,
+                            timeout=300)
+    assert result.returncode == 0, result.stderr
 
 
 class TestJsonFormatter:

@@ -10,25 +10,25 @@ OUTER_FACTOR = 2.0 * math.e + 1.0
 
 
 def test_first_point_always_selected():
-    trace, kept = coreset_step(CoresetTrace(), 1, np.array([1.0, 2.0]))
-    assert kept
+    trace, kind, gamma = coreset_step(CoresetTrace(), 1, np.array([1.0, 2.0]))
+    assert (kind, gamma) == ("init", 0.0)
     assert trace.selected == (1,)
     assert trace.reasons == ("dim_growth",)
 
 
 def test_duplicate_first_point_skipped():
-    trace, _ = coreset_step(CoresetTrace(), 1, np.array([1.0, 2.0]))
-    trace, kept = coreset_step(trace, 2, np.array([1.0, 2.0]))
-    assert not kept
+    trace, _, _ = coreset_step(CoresetTrace(), 1, np.array([1.0, 2.0]))
+    trace, kind, _ = coreset_step(trace, 2, np.array([1.0, 2.0]))
+    assert kind == "skip"
     assert trace.selected == (1,)
 
 
 def test_span_raising_point_selected():
-    trace, _ = coreset_step(CoresetTrace(), 1, np.zeros(2))
-    trace, kept = coreset_step(trace, 2, np.array([1.0, 0.0]))
-    assert kept and trace.reasons[-1] == "dim_growth"
-    trace, kept = coreset_step(trace, 3, np.array([0.0, 1.0]))
-    assert kept and trace.reasons[-1] == "dim_growth"
+    trace, _, _ = coreset_step(CoresetTrace(), 1, np.zeros(2))
+    trace, kind, _ = coreset_step(trace, 2, np.array([1.0, 0.0]))
+    assert kind == "irregular" and trace.reasons[-1] == "dim_growth"
+    trace, kind, _ = coreset_step(trace, 3, np.array([0.0, 1.0]))
+    assert kind == "irregular" and trace.reasons[-1] == "dim_growth"
 
 
 def test_interior_point_discarded():
@@ -47,8 +47,8 @@ def test_small_growth_point_discarded_without_state_change():
     before = trace.driver
     z = before.center + 1.05 * before.ellipsoid.semiaxes[0] * \
         before.ellipsoid.axes[:, 0]
-    trace2, kept = coreset_step(trace, 5, z)
-    assert not kept
+    trace2, kind, gamma = coreset_step(trace, 5, z)
+    assert (kind, gamma) == ("skip", 0.0)
     assert trace2.driver is before
 
 
@@ -91,6 +91,17 @@ def test_size_respects_volume_ledger():
     r_n = float(max(np.linalg.norm(pts - state.center, axis=1)))
     bound = d * math.log(r_n / r_hat) + d + 2
     assert len(trace.selected) <= bound
+
+
+def test_alpha_ledger():
+    # each kept regular step records the kernel's gamma, so the online
+    # driver's ledger 1/alpha = 1 + #irregular + 2*sum(gamma) holds here too
+    pts = np.random.default_rng(3).standard_normal((400, 3))
+    trace, report = run_coreset(pts)
+    assert report.regular_gamma_sum() > 0.0
+    expected = 1.0 + report.irregular_count() + \
+        2.0 * report.regular_gamma_sum()
+    assert trace.driver.alpha_inv == pytest.approx(expected, rel=1e-10)
 
 
 def test_report_kinds_align_with_reasons():

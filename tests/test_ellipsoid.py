@@ -9,7 +9,6 @@ from ellipstream.ellipsoid import (
     CONTAINMENT_TOL,
     Ellipsoid,
     EllipsoidError,
-    ScaledEllipsoid,
     containment_margin,
     contains_ellipsoid,
     log_volume,
@@ -52,10 +51,6 @@ class TestConstruction:
     def test_scaled(self):
         e = Ellipsoid.ball(np.zeros(2), 1.0).scaled(3.0)
         assert np.allclose(e.semiaxes, 3.0)
-
-    def test_scaled_alpha_range(self):
-        with pytest.raises(EllipsoidError):
-            ScaledEllipsoid(Ellipsoid.ball(np.zeros(2), 1.0), alpha=1.5)
 
 
 class TestMembership:

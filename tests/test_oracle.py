@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from ellipstream.ellipsoid import Ellipsoid, ScaledEllipsoid
+from ellipstream.ellipsoid import Ellipsoid
 from ellipstream.oracle import (
     HullSpec,
     OracleError,
@@ -79,7 +79,7 @@ class TestUnionHullDistance:
             1.0, abs=1e-8)
 
     def test_ball_and_point_union(self):
-        ball = ScaledEllipsoid(Ellipsoid.ball(np.zeros(2), 1.0), 1.0)
+        ball = Ellipsoid.ball(np.zeros(2), 1.0)
         h = HullSpec(point_list=(np.array([3.0, 0.0]),),
                      ellipsoid_list=(ball,))
         # the cone from the point tangent to the ball covers this one
@@ -221,15 +221,6 @@ class TestCheckMonotoneStep:
         cert = check_monotone_step(prev, full_update_detailed(prev, z)[0], z)
         payload = cert.to_json()
         assert '"outer_ok": true' in payload
-
-    def test_tuple_inputs_accepted(self):
-        prev = self.make_state()
-        z = np.array([2.5, 0.0])
-        nxt = full_update_detailed(prev, z)[0]
-        cert = check_monotone_step(
-            (prev.center, prev.ellipsoid, prev.alpha),
-            (nxt.center, nxt.ellipsoid, nxt.alpha), z)
-        assert cert.outer_ok and cert.inner_ok
 
 
 class TestMvee:

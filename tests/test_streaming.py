@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellipstream.ellipsoid import membership
-from ellipstream.state import Phase
 from ellipstream.streaming import RunReport, StepRecord, run_fully_online, run_seeded
 
 
@@ -98,7 +97,6 @@ class TestSeeded:
         pts = rng.standard_normal((50, d))
         pts *= (2.0 / np.linalg.norm(pts, axis=1))[:, None]
         state, report = run_seeded(pts, np.zeros(d), 1.0)
-        assert state.phase == Phase.LOCAL_BALL
         assert all(r.step_kind in ("skip", "local") for r in report.records)
         r_max = max(np.linalg.norm(p) for p in pts)
         assert state.alpha_inv == pytest.approx(r_max, rel=1e-12)
@@ -116,7 +114,6 @@ class TestSeeded:
         gate = 1.0 * d * math.log(d)
         pts = [np.array([gate * 1.5, 0.0, 0.0]), np.array([0.1, 0.1, 0.0])]
         state, report = run_seeded(pts, np.zeros(d), 1.0)
-        assert state.phase == Phase.FULL
         assert report.records[0].step_kind == "regular"
         assert report.records[1].step_kind == "skip"
 
