@@ -53,6 +53,14 @@ class RunConfig:
             raise InputError("exactly one of --input and --gen is required")
         if self.d < 1 or self.n < 1 or self.lattice_n < 1:
             raise InputError("d, n, and N must be positive")
+        if self.c0 is not None or self.r0 is not None:
+            flag = "--c0" if self.c0 is not None else "--r0"
+            if self.mode not in ("seeded", "verify"):
+                raise InputError(
+                    f"{self.mode} mode takes no {flag}; use --mode seeded")
+            if self.c0 is None or self.r0 is None:
+                other = "--r0" if self.c0 is not None else "--c0"
+                raise InputError(f"{flag} needs {other}")
 
     @property
     def effective_verify_every(self) -> int:
@@ -254,7 +262,7 @@ def run(config: RunConfig) -> int:
     seeded = config.mode == "seeded" or (
         config.mode == "verify" and config.c0 is not None)
     if seeded:
-        if config.c0 is None or config.r0 is None:
+        if config.c0 is None:
             raise InputError("seeded mode needs --c0 and --r0")
         if config.c0.shape[0] != points.shape[1]:
             raise InputError("--c0 dimension does not match the points")
@@ -269,10 +277,6 @@ def run(config: RunConfig) -> int:
             "".join(f"{i}\n" for i in trace.selected))
         payload["constants"]["coreset_size"] = len(trace.selected)
     else:
-        if config.mode == "online" and (config.c0 is not None
-                                        or config.r0 is not None):
-            flag = "--c0" if config.c0 is not None else "--r0"
-            raise InputError(f"online mode takes no {flag}; use --mode seeded")
         state, report = streaming.run_fully_online(points, on_step=observer)
 
     steps = _steps_payload(report)

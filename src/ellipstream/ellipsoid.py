@@ -7,6 +7,7 @@ dimension, in which case the body lives in the affine span of its axes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -189,12 +190,17 @@ def _max_norm_over_ellipsoid(c: np.ndarray, m: np.ndarray) -> float:
     return math.sqrt(max(0.0, val2))
 
 
+@functools.lru_cache(maxsize=8)
 def _unit_directions(n: int, k: int, seed: int = _FALSIFIER_SEED) -> np.ndarray:
+    """n seeded unit directions in R^k, memoized: the certificates ask for
+    the same few arrays on every call. The result is read-only."""
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((n, k))
     norms = np.linalg.norm(u, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
-    return u / norms
+    u /= norms
+    u.flags.writeable = False
+    return u
 
 
 def containment_margin(outer: Ellipsoid, inner: Ellipsoid,

@@ -28,6 +28,8 @@ from .update_rule import _off_span_split, compute_params, solve_gamma
 
 LP_TOL = 1e-9
 _DIR_SEED = 987654321
+# mvee_khachiyan recomputes inv(X) from scratch every this many iterations
+_MVEE_RESYNC = 1000
 
 
 class OracleError(ValueError):
@@ -301,7 +303,7 @@ def check_monotone_step(prev: RoundingState, next_: RoundingState,
         dirs_r = _unit_directions(n_sample_dirs, k, _DIR_SEED)
         rm = margin_for(dirs_r)
         j = int(np.argmin(rm))
-        inner_margins.append((float(rm[j]), dirs_r[j]))
+        inner_margins.append((float(rm[j]), dirs_r[j].copy()))
 
         inner_ok = min(m for m, _ in inner_margins) >= -tol
         margins.extend(inner_margins)
@@ -316,12 +318,32 @@ def check_monotone_step(prev: RoundingState, next_: RoundingState,
 # offline enclosing-ellipsoid baseline
 
 
+def _lifted_inverse(q: np.ndarray, u: np.ndarray):
+    """inv(X) for X = q diag(u) q^T, and m_i = q_i^T inv(X) q_i."""
+    x_inv = np.linalg.inv(q @ (u[:, None] * q.T))
+    return x_inv, np.einsum("in,in->n", q, x_inv @ q)
+
+
 def mvee_khachiyan(points: Sequence[np.ndarray], eps: float = 1e-4,
                    max_iter: int = 100000) -> Ellipsoid:
     """(1+eps)-approximate minimum-volume enclosing ellipsoid.
 
-    Barycentric-coordinate ascent on the lifted moment matrix; degenerate
-    point sets are first projected onto their affine span.
+    Solves the D-optimal-design dual on the lifted points q_i = [p_i, 1]
+    by Todd & Yildirim's weight adjustment with away steps (WA-TY), which
+    converges linearly (Ahipasaoglu, Sun & Todd 2008); degenerate point
+    sets are first projected onto their affine span, of dimension r.
+    With m_i = q_i^T inv(X) q_i and X = sum u_i q_i q_i^T, each iteration
+    either moves weight toward argmax m (a Khachiyan step) or away from
+    the support point of least m, dropping it from the support when its
+    weight reaches zero. It stops once max m <= (1+eps)(r+1) and
+    min over the support of m >= (1-eps)(r+1).
+
+    inv(X) and m follow each step by a Sherman-Morrison update at
+    O(n r) cost and are recomputed from scratch every _MVEE_RESYNC
+    iterations. The stop is confirmed from a fresh inverse, so every
+    point has membership at most sqrt(1 + eps (r+1)/r) - 1 in the
+    returned body. Raises OracleError when max_iter iterations do not
+    reach the stop.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or len(pts) < 2:
@@ -340,16 +362,42 @@ def mvee_khachiyan(points: Sequence[np.ndarray], eps: float = 1e-4,
 
     q = np.hstack([p, np.ones((n, 1))]).T  # (r+1) x n
     u = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        x = q @ (u[:, None] * q.T)
-        m = np.einsum("in,ij,jn->n", q, np.linalg.inv(x), q)
+    x_inv, m = _lifted_inverse(q, u)
+    for it in range(1, max_iter + 1):
         j = int(np.argmax(m))
-        maximum = m[j]
-        if maximum <= (1.0 + eps) * (r + 1):
-            break
-        step = (maximum - r - 1.0) / ((r + 1.0) * (maximum - 1.0))
-        u *= (1.0 - step)
-        u[j] += step
+        i = int(np.argmin(np.where(u > 0.0, m, math.inf)))
+        eps_plus = m[j] / (r + 1) - 1.0
+        eps_minus = 1.0 - m[i] / (r + 1)
+        if eps_plus <= eps and eps_minus <= eps:
+            x_inv, m = _lifted_inverse(q, u)
+            if m.max() <= (1.0 + eps) * (r + 1):
+                break
+            continue
+        if eps_plus >= eps_minus:
+            k, dropped = j, False
+            tau = (m[k] - r - 1.0) / ((r + 1.0) * (m[k] - 1.0))
+        else:
+            # away step; below m = 1 the volume grows all the way to the drop
+            k = i
+            drop = u[k] / (1.0 - u[k])
+            line = (math.inf if m[k] <= 1.0
+                    else (r + 1.0 - m[k]) / ((r + 1.0) * (m[k] - 1.0)))
+            dropped = drop <= line
+            tau = -min(line, drop)
+        w = x_inv @ q[:, k]
+        g = w @ q
+        coef = tau / ((1.0 - tau) + tau * m[k])
+        x_inv = (x_inv - coef * np.outer(w, w)) / (1.0 - tau)
+        m = (m - coef * g * g) / (1.0 - tau)
+        u *= 1.0 - tau
+        u[k] += tau
+        if dropped:
+            u[k] = 0.0
+        if it % _MVEE_RESYNC == 0:
+            x_inv, m = _lifted_inverse(q, u)
+    else:
+        raise OracleError(
+            f"enclosing ellipsoid not within eps={eps:g} after {max_iter} iterations")
     c_span = u @ p
     shape = (p.T @ (u[:, None] * p) - np.outer(c_span, c_span)) * r
     evals, evecs = np.linalg.eigh(shape)

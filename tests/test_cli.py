@@ -150,6 +150,18 @@ class TestRun:
         assert self.run_cli(tmp_path, *args, "--r0", "0.1") == 1
         assert "online mode takes no --r0" in capsys.readouterr().err
 
+    def test_verify_rejects_lone_r0(self, tmp_path, capsys):
+        assert self.run_cli(tmp_path, "--mode", "verify", "--gen", "gaussian",
+                            "--d", "3", "--n", "50", "--r0", "0.1") == 1
+        assert "--r0 needs --c0" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_coreset_rejects_seed_ball(self, tmp_path, capsys):
+        assert self.run_cli(tmp_path, "--mode", "coreset", "--gen", "gaussian",
+                            "--d", "3", "--c0", "0,0,0", "--r0", "0.1") == 1
+        assert "coreset mode takes no --c0" in capsys.readouterr().err
+        assert not (tmp_path / "selected.txt").exists()
+
     def test_seeded_runs(self, tmp_path):
         code = self.run_cli(tmp_path, "--mode", "seeded", "--gen", "gaussian",
                             "--d", "3", "--n", "50", "--seed", "2",

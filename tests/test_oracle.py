@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from ellipstream.ellipsoid import Ellipsoid
+from ellipstream.adversary import simplex_vertices
+from ellipstream.ellipsoid import Ellipsoid, log_volume, membership
 from ellipstream.oracle import (
     HullSpec,
     OracleError,
@@ -248,6 +249,43 @@ class TestMvee:
                for _ in range(60)]
         e = mvee_khachiyan(pts, eps=1e-7)
         assert e.semiaxes[0] / e.semiaxes[1] > 20.0
+
+    def test_unconverged_raises(self):
+        rng = np.random.default_rng(50)
+        pts = [rng.standard_normal(4) for _ in range(40)]
+        with pytest.raises(OracleError):
+            mvee_khachiyan(pts, eps=1e-6, max_iter=1)
+
+    @pytest.mark.parametrize("d", [3, 6])
+    def test_interior_points_dropped(self, d):
+        # the interior points and the repeated vertices carry no weight at
+        # the optimum, so away steps must clear them; the enclosing
+        # ellipsoid of the simplex then sandwiches it with factor d
+        verts = simplex_vertices(d)
+        rng = np.random.default_rng(d)
+        interior = rng.dirichlet(np.ones(d + 1), 500) @ verts
+        pts = np.vstack([verts, interior, verts, verts[:2]])
+        e = mvee_khachiyan(pts, eps=1e-8)
+        m = e.axes * e.semiaxes[None, :]
+        factor = max(
+            float(np.linalg.norm(m.T @ (v / np.linalg.norm(v))))
+            / (1.0 + float(v @ e.center) / np.linalg.norm(v))
+            for v in verts)
+        assert 0.95 * d <= factor <= 1.05 * d
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(0, 80))
+    def test_covering_and_near_optimal(self, seed, d, extra):
+        eps = 1e-6
+        pts = np.random.default_rng(seed).standard_normal(
+            (min(d + 1 + extra, 80), d))
+        e = mvee_khachiyan(pts, eps=eps)
+        r = e.rank
+        bound = math.sqrt(1.0 + eps * (r + 1) / r) - 1.0
+        assert max(membership(e, p) for p in pts) <= bound + 1e-12
+        ref = mvee_khachiyan(pts, eps=1e-10)
+        gap = 0.5 * r * math.log1p(eps * (r + 1) / r)
+        assert abs(log_volume(e) - log_volume(ref)) <= gap + 1e-9
 
 
 class TestInequalitySuite:
