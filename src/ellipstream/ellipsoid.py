@@ -1,4 +1,4 @@
-"""Ellipsoid values: membership, support, volume, and exact containment.
+"""Ellipsoid values: span split, membership, support, volume, containment.
 
 An ellipsoid is stored as a center plus orthonormal axis directions with
 strictly positive semiaxis lengths; the rank may be below the ambient
@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +23,14 @@ RANK_COLLAPSE_RATIO = 1e-10
 # containment verdicts operate on the normalized (unit-ball) scale
 CONTAINMENT_TOL = 1e-8
 
+# a vector is off a body's span once its orthogonal residual exceeds this
+# fraction of the body's own scale; far above SVD noise
+SPAN_TOL = 1e-8
+# ... and this fraction of the coordinates' size, a few hundred ulps
+SPAN_RES = 256 * np.finfo(float).eps
+
 _FALSIFIER_SEED = 20260823
+_N_FALSIFIERS = 2048
 
 
 class EllipsoidError(ValueError):
@@ -89,44 +97,66 @@ class Ellipsoid:
 
     def scaled(self, factor: float) -> "Ellipsoid":
         """The ellipsoid scaled about its own center."""
-        if self.rank == 0:
-            return self
         return Ellipsoid(self.center, self.axes, self.semiaxes * factor)
 
 
-def membership(e: Ellipsoid, x: np.ndarray, tol: float = CONTAINMENT_TOL) -> float:
-    """Signed margin of x against e; <= 0 means inside.
+class SpanSplit(NamedTuple):
+    delta: np.ndarray     # x - center
+    coeffs: np.ndarray    # span coordinates of delta
+    residual: np.ndarray  # part of delta orthogonal to the span
+    rnorm: float
+    off: bool             # the residual counts as off-span
 
-    For rank-deficient bodies an off-span component beyond tol (relative to
-    the distance from the center) yields +inf.
+
+def span_split(e: Ellipsoid, x: np.ndarray) -> SpanSplit:
+    """Split x - center into span coordinates and orthogonal residual; the
+    one off-span test every layer shares.
+
+    x is off-span once the residual exceeds both SPAN_TOL * max(|delta|,
+    s_max), the body's own scale, and SPAN_RES * (|delta| + |center|), the
+    rounding of the coordinates; at rank 0 only the second applies. An
+    off-span residual gets a second Gram-Schmidt pass whose correction
+    joins coeffs: [coeffs, rnorm] spells delta in [axes, residual/rnorm].
     """
     x = np.asarray(x, dtype=float)
     delta = x - e.center
-    t = e.axes.T @ delta
-    residual = delta - e.axes @ t
-    rnorm = np.linalg.norm(residual)
-    if e.rank < e.dim and rnorm > tol * max(np.linalg.norm(delta), 1e-300):
-        return math.inf
+    coeffs = e.axes.T @ delta
+    residual = delta - e.axes @ coeffs
+    rnorm = math.sqrt(residual @ residual)
+    dnorm = math.sqrt(delta @ delta)
+    s_max = float(e.semiaxes[0]) if e.rank else 0.0
+    # |center| is only needed once the first test passes, which is rare
+    off = (rnorm > SPAN_TOL * max(dnorm, s_max)
+           and rnorm > SPAN_RES * (dnorm + math.sqrt(e.center @ e.center)))
+    if off:
+        extra = e.axes.T @ residual
+        residual = residual - e.axes @ extra
+        coeffs = coeffs + extra
+        rnorm = float(np.linalg.norm(residual))
+    return SpanSplit(delta, coeffs, residual, rnorm, off)
+
+
+def membership(e: Ellipsoid, x: np.ndarray) -> float:
+    """Signed margin of x against e; <= 0 means inside, +inf off its span.
+    A rank-0 body holds its center alone, so a skipped near-duplicate shows."""
+    split = span_split(e, x)
     if e.rank == 0:
-        return 0.0 if rnorm == 0.0 else math.inf
-    return float(np.linalg.norm(t / e.semiaxes) - 1.0)
+        return 0.0 if split.rnorm == 0.0 else math.inf
+    if split.off:
+        return math.inf
+    return float(np.linalg.norm(split.coeffs / e.semiaxes) - 1.0)
 
 
 def log_volume(e: Ellipsoid) -> float:
     """log of vol_k(e) / vol_k(unit k-ball); 0 for a rank-0 body."""
-    if e.rank == 0:
-        return 0.0
     return float(np.sum(np.log(e.semiaxes)))
 
 
 def support(e: Ellipsoid, u: np.ndarray) -> float:
     """Support function h_e(u) = max over x in e of <x, u>."""
     u = np.asarray(u, dtype=float)
-    base = float(np.dot(e.center, u))
-    if e.rank == 0:
-        return base
     proj = e.semiaxes * (e.axes.T @ u)
-    return base + float(np.linalg.norm(proj))
+    return float(np.dot(e.center, u)) + float(np.linalg.norm(proj))
 
 
 def _max_norm_over_ellipsoid(c: np.ndarray, m: np.ndarray) -> float:
@@ -203,8 +233,7 @@ def _unit_directions(n: int, k: int, seed: int = _FALSIFIER_SEED) -> np.ndarray:
     return u
 
 
-def containment_margin(outer: Ellipsoid, inner: Ellipsoid,
-                       n_falsifiers: int = 2048) -> float:
+def containment_margin(outer: Ellipsoid, inner: Ellipsoid) -> float:
     """max reach of `inner` in `outer`'s unit-ball coordinates, minus 1.
 
     Nonpositive means contained. Combines the exact one-parameter search
@@ -214,32 +243,23 @@ def containment_margin(outer: Ellipsoid, inner: Ellipsoid,
         raise EllipsoidError("dimension mismatch")
     if inner.rank > outer.rank:
         return math.inf
-    # the inner span and the center offset must lie inside the outer span
-    off = inner.center - outer.center
-    off_residual = off - outer.axes @ (outer.axes.T @ off)
-    if np.linalg.norm(off_residual) > CONTAINMENT_TOL * max(1.0, np.linalg.norm(off)):
+    # the inner center and extent must lie in the outer span, at its scale
+    split = span_split(outer, inner.center)
+    ax_residual = inner.axes - outer.axes @ (outer.axes.T @ inner.axes)
+    off_reach = (np.linalg.norm(ax_residual, axis=0) * inner.semiaxes).max(initial=0.0)
+    if split.off or off_reach > CONTAINMENT_TOL * outer.semiaxes.max(initial=0.0):
         return math.inf
-    if inner.rank:
-        ax_residual = inner.axes - outer.axes @ (outer.axes.T @ inner.axes)
-        if np.linalg.norm(ax_residual, axis=0).max() > CONTAINMENT_TOL:
-            return math.inf
     inv_s = 1.0 / outer.semiaxes
-    c_prime = inv_s * (outer.axes.T @ off)
-    if inner.rank:
-        m = (inv_s[:, None]) * (outer.axes.T @ inner.axes) * inner.semiaxes[None, :]
-    else:
-        m = np.zeros((outer.rank, 0))
+    c_prime = inv_s * split.coeffs
+    m = (inv_s[:, None]) * (outer.axes.T @ inner.axes) * inner.semiaxes[None, :]
     reach = _max_norm_over_ellipsoid(c_prime, m)
     if m.size:
-        dirs = _unit_directions(n_falsifiers, outer.rank)
+        dirs = _unit_directions(_N_FALSIFIERS, outer.rank)
         sampled = dirs @ c_prime + np.linalg.norm(dirs @ m, axis=1)
         reach = max(reach, float(sampled.max()))
-    else:
-        reach = max(reach, float(np.linalg.norm(c_prime)))
     return reach - 1.0
 
 
-def contains_ellipsoid(outer: Ellipsoid, inner: Ellipsoid,
-                       tol: float = CONTAINMENT_TOL) -> bool:
-    """True iff inner is inside outer, up to tol on the normalized scale."""
-    return containment_margin(outer, inner) <= tol
+def contains_ellipsoid(outer: Ellipsoid, inner: Ellipsoid) -> bool:
+    """True iff inner is inside outer, up to CONTAINMENT_TOL (normalized)."""
+    return containment_margin(outer, inner) <= CONTAINMENT_TOL

@@ -22,12 +22,16 @@ from .ellipsoid import (
     containment_margin,
     log_volume,
     membership,
+    span_split,
 )
 from .state import RoundingState
-from .update_rule import _off_span_split, compute_params, solve_gamma
+from .update_rule import compute_params, solve_gamma
 
 LP_TOL = 1e-9
 _DIR_SEED = 987654321
+# check_monotone_step's sampled falsifier directions and slice resolution
+_N_SAMPLE_DIRS = 4096
+_N_SLICE = 2048
 # mvee_khachiyan recomputes inv(X) from scratch every this many iterations
 _MVEE_RESYNC = 1000
 
@@ -96,8 +100,12 @@ def hull_membership(points: Sequence[np.ndarray], x: np.ndarray) -> bool:
         raise OracleError("need at least one point")
     if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(x))):
         raise OracleError("non-finite inputs")
-    scale = max(1.0, float(np.abs(pts).max()), float(np.abs(x).max()))
-    atoms = (pts - x) / scale
+    # scale by the atoms' own spread, so translation and scale drop out
+    atoms = pts - x
+    scale = float(np.abs(atoms).max())
+    if scale == 0.0:
+        return True
+    atoms /= scale
 
     def lmo(g: np.ndarray) -> np.ndarray:
         return atoms[int(np.argmin(atoms @ g))]
@@ -194,7 +202,7 @@ def _normalized_frame(prev: RoundingState, z: np.ndarray):
     """
     axes = prev.ellipsoid.axes
     s = prev.ellipsoid.semiaxes
-    delta, coeffs, residual, rnorm, off_span = _off_span_split(prev, z)
+    delta, coeffs, residual, rnorm, off_span = span_split(prev.ellipsoid, z)
     k = prev.ellipsoid.rank
     if not off_span:
         def project(vecs: np.ndarray) -> np.ndarray:
@@ -204,12 +212,11 @@ def _normalized_frame(prev: RoundingState, z: np.ndarray):
     v_new = residual / rnorm
     w_basis = np.hstack([axes, v_new[:, None]])
     a_bar = np.concatenate([1.0 / s, [1.0]])
-    z_w = np.concatenate([coeffs, [rnorm]])
     # shear sending z onto the new axis at its original normalized height;
     # it fixes the old span, so the constructed bodies stay rotation
     # symmetric about the last coordinate
     m = np.eye(k + 1)
-    m[:, k] -= (z_w - z_w[k] * np.eye(k + 1)[:, k]) / z_w[k]
+    m[:k, k] = -coeffs / rnorm
 
     def project(vecs: np.ndarray) -> np.ndarray:
         return a_bar[:, None] * (m @ (w_basis.T @ vecs))
@@ -219,9 +226,7 @@ def _normalized_frame(prev: RoundingState, z: np.ndarray):
 
 
 def check_monotone_step(prev: RoundingState, next_: RoundingState,
-                        z: np.ndarray, tol: float = 1e-7,
-                        n_sample_dirs: int = 4096,
-                        n_slice: int = 2048) -> StepCertificate:
+                        z: np.ndarray, tol: float = 1e-7) -> StepCertificate:
     """Certify one monotone step: outer growth + coverage, inner inclusion.
 
     The inner inclusion is checked in coordinates where the previous outer
@@ -240,13 +245,8 @@ def check_monotone_step(prev: RoundingState, next_: RoundingState,
     margins: List[Tuple[float, Optional[np.ndarray]]] = []
 
     # outer: previous outer inside next outer, and z covered
-    if prev_e.rank == 0:
-        om = membership(next_e, prev_c)
-        margins.append((-om if math.isfinite(om) else -math.inf, None))
-    else:
-        margins.append((-containment_margin(next_e, prev_e), None))
-    zm = membership(next_e, z)
-    margins.append((-zm if math.isfinite(zm) else -math.inf, None))
+    margins.append((-containment_margin(next_e, prev_e), None))
+    margins.append((-membership(next_e, z), None))
     outer_ok = min(m for m, _ in margins) >= -tol
 
     # inner: h_next_inner(u) <= max(h_prev_inner(u), <z,u>) in normalized
@@ -263,9 +263,7 @@ def check_monotone_step(prev: RoundingState, next_: RoundingState,
         def margin_for(dirs: np.ndarray) -> np.ndarray:
             # dirs: (n, k) unit directions in normalized coordinates
             h_next = dirs @ c_in + np.linalg.norm(dirs @ m_in, axis=1)
-            if prev_e.rank == 0:
-                h_prev = np.zeros(len(dirs))
-            elif raised:
+            if raised:
                 h_prev = prev_a * np.linalg.norm(dirs[:, :k - 1], axis=1)
             else:
                 h_prev = prev_a * np.ones(len(dirs))
@@ -280,7 +278,7 @@ def check_monotone_step(prev: RoundingState, next_: RoundingState,
             probe = np.eye(k)[:, int(np.argmin(np.abs(e1)))]
             e2 = probe - e1 * np.dot(e1, probe)
             e2 /= np.linalg.norm(e2)
-            theta = np.linspace(0.0, 2.0 * math.pi, n_slice, endpoint=False)
+            theta = np.linspace(0.0, 2.0 * math.pi, _N_SLICE, endpoint=False)
             dirs = np.outer(np.cos(theta), e1) + np.outer(np.sin(theta), e2)
         else:
             dirs = np.array([[1.0], [-1.0]]) * e1[None, :] if k == 1 else np.zeros((0, k))
@@ -291,16 +289,16 @@ def check_monotone_step(prev: RoundingState, next_: RoundingState,
 
         # refine the worst slice direction locally
         if k >= 2:
-            base = 2.0 * math.pi * worst_idx / n_slice
-            fine = base + np.linspace(-2.0 * math.pi / n_slice,
-                                      2.0 * math.pi / n_slice, 64)
+            base = 2.0 * math.pi * worst_idx / _N_SLICE
+            fine = base + np.linspace(-2.0 * math.pi / _N_SLICE,
+                                      2.0 * math.pi / _N_SLICE, 64)
             dirs_f = np.outer(np.cos(fine), e1) + np.outer(np.sin(fine), e2)
             fm = margin_for(dirs_f)
             j = int(np.argmin(fm))
             inner_margins.append((float(fm[j]), dirs_f[j]))
 
         # sampled falsifier directions in the full normalized space
-        dirs_r = _unit_directions(n_sample_dirs, k, _DIR_SEED)
+        dirs_r = _unit_directions(_N_SAMPLE_DIRS, k, _DIR_SEED)
         rm = margin_for(dirs_r)
         j = int(np.argmin(rm))
         inner_margins.append((float(rm[j]), dirs_r[j].copy()))
@@ -353,7 +351,9 @@ def mvee_khachiyan(points: Sequence[np.ndarray], eps: float = 1e-4,
     mean = pts.mean(axis=0)
     centered = pts - mean
     u_s, s_s, _ = np.linalg.svd(centered.T, full_matrices=False)
-    rank = int(np.sum(s_s > 1e-10 * max(1.0, s_s.max())))
+    # spread must clear both the cloud's own scale and its rounding
+    floor = 4.0 * np.finfo(float).eps * math.sqrt(pts.size) * np.abs(pts).max()
+    rank = int(np.sum(s_s > max(1e-10 * s_s[0], floor)))
     if rank == 0:
         raise OracleError("all points coincide")
     basis = u_s[:, :rank]

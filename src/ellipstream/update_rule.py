@@ -8,16 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .ellipsoid import Ellipsoid
+from .ellipsoid import SPAN_TOL, Ellipsoid, SpanSplit, span_split
 from .state import RoundingState
-
-# a point counts as off-span once its orthogonal residual exceeds this
-# fraction of max(1, distance from the center); far above SVD noise
-SPAN_TOL = 1e-8
 
 GAMMA_MAX_ITER = 200
 GAMMA_REL_RESIDUAL = 1e-10
@@ -93,26 +89,6 @@ def solve_gamma(rho: float, alpha: float) -> float:
     raise UpdateError("gamma bisection did not converge")
 
 
-class _Split(NamedTuple):
-    delta: np.ndarray     # z - center
-    coeffs: np.ndarray    # span coordinates of delta
-    residual: np.ndarray  # part of delta orthogonal to the span
-    rnorm: float
-    off: bool             # the residual counts as off-span
-
-
-def _off_span_split(state: RoundingState, z: np.ndarray) -> _Split:
-    """Split z - center into span coordinates and orthogonal residual. At
-    rank 0 the axes are d x 0, so the residual is delta itself."""
-    delta = z - state.center
-    axes = state.ellipsoid.axes
-    coeffs = axes.T @ delta
-    residual = delta - axes @ coeffs
-    rnorm = float(np.linalg.norm(residual))
-    off = rnorm > SPAN_TOL * max(1.0, float(np.linalg.norm(delta)))
-    return _Split(delta, coeffs, residual, rnorm, off)
-
-
 def _finite_point(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
@@ -121,7 +97,7 @@ def _finite_point(z: np.ndarray) -> np.ndarray:
 
 
 def is_off_span(state: RoundingState, z: np.ndarray) -> bool:
-    return _off_span_split(state, np.asarray(z, dtype=float)).off
+    return span_split(state.ellipsoid, z).off
 
 
 def _regular(state: RoundingState,
@@ -154,30 +130,32 @@ def _regular(state: RoundingState,
     return RoundingState(new_body, params.alpha_next), params
 
 
-def _irregular(state: RoundingState, split: _Split) -> RoundingState:
-    """The span raise toward an off-span point, given its split."""
+def _irregular(state: RoundingState, z: np.ndarray,
+               split: SpanSplit) -> RoundingState:
+    """The span raise toward an off-span point z, given its split."""
     if not (0.0 < state.alpha <= 1.0):
         raise UpdateError("alpha must lie in (0, 1]")
-    delta, coeffs, residual, _, _ = split
-    alpha = state.alpha
     body = state.ellipsoid
+    # axes below SPAN_TOL/2 * rnorm (a near-duplicate's) are a point at z's
+    # scale, in the new body's span as its s_max >= 2/3 rnorm; kept, they collapse it
+    keep = body.semiaxes > 0.5 * SPAN_TOL * split.rnorm
+    if not keep.all():
+        body = Ellipsoid(body.center, body.axes[:, keep], body.semiaxes[keep])
+        split = span_split(body, z)
+    delta, coeffs, residual, rnorm, _ = split
+    alpha = state.alpha
     k = body.rank
-    # a single Gram-Schmidt pass can leave the residual visibly
-    # non-orthogonal to the span when it is small next to delta; a second
-    # pass restores it ("twice is enough"). Its correction joins the span
-    # coordinates, so [coeffs, rnorm] still spells delta in [axes, v_new]
-    extra = body.axes.T @ residual
-    residual = residual - body.axes @ extra
-    rnorm = float(np.linalg.norm(residual))
     v_new = residual / rnorm
     root = math.sqrt(1.0 + 2.0 * alpha)
 
-    # all linear algebra happens in the extended-span basis [axes, v_new]
-    z_w = np.concatenate([coeffs + extra, [rnorm]])
+    # all linear algebra happens in the extended-span basis [axes, v_new];
+    # the shear m_w sends [coeffs, rnorm] to root*e_k. Its column is set
+    # directly: 1 - (rnorm - root)/rnorm cancels once rnorm >> root
     a_bar = np.ones(k + 1)
     a_bar[:k] = 1.0 / body.semiaxes
     m_w = np.eye(k + 1)
-    m_w[:, k] -= (z_w - root * np.eye(k + 1)[:, k]) / z_w[k]
+    m_w[:k, k] = -coeffs / rnorm
+    m_w[k, k] = root / rnorm
     composed = (a_bar[:, None]) * m_w
     cu, cs, cvt = np.linalg.svd(composed)
     scale = (1.0 + alpha) / root
@@ -196,9 +174,10 @@ def step(state: RoundingState, z: np.ndarray
     step kind (skip | regular | irregular) and the scalars of a regular
     step (None otherwise). A skip returns `state` itself.
     """
-    split = _off_span_split(state, _finite_point(z))
+    z = _finite_point(z)
+    split = span_split(state.ellipsoid, z)
     if split.off:
-        return _irregular(state, split), "irregular", None
+        return _irregular(state, z, split), "irregular", None
     new_state, params = _regular(state, split.coeffs)
     return new_state, ("skip" if params is None else "regular"), params
 
@@ -215,7 +194,7 @@ def full_update_detailed(
         raise UpdateError("alpha must lie in (0, 1/2]")
     if state.dim == 0:
         raise UpdateError("irregular step required")
-    split = _off_span_split(state, z)
+    split = span_split(state.ellipsoid, z)
     if split.off:
         raise UpdateError("irregular step required")
     return _regular(state, split.coeffs)
@@ -230,7 +209,8 @@ def irregular_update(state: RoundingState, z: np.ndarray) -> RoundingState:
     extended span, recentred a fraction alpha/(1+2*alpha) of the way
     toward z. 1/alpha grows by exactly one.
     """
-    split = _off_span_split(state, _finite_point(z))
+    z = _finite_point(z)
+    split = span_split(state.ellipsoid, z)
     if not split.off:
         raise UpdateError("regular step required")
-    return _irregular(state, split)
+    return _irregular(state, z, split)

@@ -71,6 +71,10 @@ class TestMembership:
     def test_off_span_is_infinite(self):
         e = Ellipsoid(np.zeros(3), np.eye(3)[:, :2], np.array([1.0, 1.0]))
         assert membership(e, np.array([0.0, 0.0, 1.0])) == math.inf
+        # a point holds only itself, however close the neighbour
+        z0 = np.array([1.0, 2.0, 3.0])
+        assert membership(Ellipsoid.point(z0), z0) == 0.0
+        assert membership(Ellipsoid.point(z0), np.nextafter(z0, 4.0)) == math.inf
 
     def test_in_span_point_of_degenerate_body(self):
         e = Ellipsoid(np.zeros(3), np.eye(3)[:, :2], np.array([1.0, 1.0]))

@@ -56,6 +56,12 @@ class TestHullMembership:
         pts = [p * 1e6 for p in SQUARE]
         assert hull_membership(pts, np.array([9.9e5, 0.0]))
         assert not hull_membership(pts, np.array([1.1e6, 0.0]))
+        # neither a far translation nor a tiny scale may blur the hull
+        shifted = [p + 1e9 for p in SQUARE]
+        assert not hull_membership(shifted, np.array([5.0, 5.0]) + 1e9)
+        tiny = [p * 1e-9 for p in SQUARE]
+        assert not hull_membership(tiny, np.array([5e-9, 5e-9]))
+        assert hull_membership(tiny, np.array([5e-10, 5e-10]))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -235,13 +241,22 @@ class TestMvee:
         e = mvee_khachiyan(pts, eps=1e-8)
         assert e.rank == 1
         assert e.semiaxes[0] == pytest.approx(1.0, abs=1e-5)
+        # copies of an inexact point centre to rounding noise, not a segment
+        with pytest.raises(OracleError, match="coincide"):
+            mvee_khachiyan([np.array([0.1, 0.2, 0.3])] * 3)
 
     def test_all_points_covered(self):
         rng = np.random.default_rng(50)
         pts = [rng.standard_normal(4) for _ in range(40)]
         e = mvee_khachiyan(pts, eps=1e-6)
-        from ellipstream.ellipsoid import membership
         assert max(membership(e, p) for p in pts) <= 1e-4
+        # the affine rank is relative to the cloud's own spread
+        pts = np.random.default_rng(0).standard_normal((50, 3))
+        ref = log_volume(mvee_khachiyan(pts))
+        e = mvee_khachiyan(pts * 1e-11)
+        assert e.rank == 3
+        assert log_volume(e) - 3.0 * math.log(1e-11) == pytest.approx(ref, rel=1e-9)
+        assert max(membership(e, p) for p in pts * 1e-11) <= 1e-4
 
     def test_anisotropic_cloud(self):
         rng = np.random.default_rng(51)

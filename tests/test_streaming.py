@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellipstream.coreset import run_coreset
 from ellipstream.ellipsoid import membership
 from ellipstream.streaming import RunReport, StepRecord, run_fully_online, run_seeded
 
@@ -39,6 +40,15 @@ class TestFullyOnline:
         rng = np.random.default_rng(20)
         pts = rng.standard_normal((200, 4)) * np.array([5.0, 1.0, 0.2, 2.0])
         state, report = run_fully_online(pts)
+        worst = max(membership(state.ellipsoid, p) for p in pts)
+        assert worst <= 1e-7
+        # a point 5e-10 off a unit square's plane, 1e-3 from the body's
+        # center: the step and membership must agree that it is in-span
+        square = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
+        center = run_fully_online(square)[0].center
+        pts = np.vstack([square, center + np.array([1e-3, 0.0, 5e-10])])
+        state, report = run_fully_online(pts)
+        assert report.records[-1].step_kind == "skip"
         worst = max(membership(state.ellipsoid, p) for p in pts)
         assert worst <= 1e-7
 
@@ -87,6 +97,34 @@ class TestFullyOnline:
         seen = []
         run_fully_online(pts, on_step=lambda t, p, n, z, k, g: seen.append(t))
         assert seen == list(range(1, 31))
+
+
+class TestAffineEquivariance:
+    @settings(max_examples=45, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(-12, 12))
+    def test_affine_maps_and_scalings_preserve_the_run(self, seed, d, log_scale):
+        # the update rule is affine-equivariant, so A z + b must replay the
+        # run on z: same step kinds and coreset, the same 1/alpha trace, and
+        # a final body that covers the mapped points
+        rng = np.random.default_rng(seed)
+        pts = rng.standard_normal((60, d))
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        a = q * rng.uniform(0.2, 5.0, d)
+        b = rng.uniform(-10.0, 10.0, d)
+        _, base = run_fully_online(pts)
+        base_selected = run_coreset(pts)[0].selected
+        # at an offset of 1e8 the coordinates keep only ~1e-8 of a unit
+        # spread, and the trace agrees only to what that leaves
+        for mapped, rel in ((pts @ a.T + b, 1e-9), (pts * 10.0 ** log_scale, 1e-9),
+                            (pts + 1e8, 1e-4)):
+            state, report = run_fully_online(mapped)
+            assert [r.step_kind for r in report.records] == \
+                [r.step_kind for r in base.records]
+            for r, r0 in zip(report.records, base.records):
+                assert 1.0 / r.alpha == pytest.approx(1.0 / r0.alpha, rel=rel)
+            assert run_coreset(mapped)[0].selected == base_selected
+            worst = max(membership(state.ellipsoid, p) for p in mapped)
+            assert worst <= 1e-7
 
 
 class TestSeeded:

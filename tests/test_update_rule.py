@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellipstream.ellipsoid import Ellipsoid, log_volume, membership
+from ellipstream.ellipsoid import SPAN_RES, Ellipsoid, log_volume, membership
+from ellipstream.oracle import check_monotone_step
 from ellipstream.state import RoundingState
 from ellipstream.update_rule import (
-    SPAN_TOL,
     UpdateError,
     compute_params,
     full_update_detailed,
@@ -202,7 +202,7 @@ class TestStep:
         rng = np.random.default_rng(13)
         plane = [np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0]),
                  np.array([0.1, 0.1, 0.0, 0.0]), np.array([3.0, -2.0, 0.0, 0.0])]
-        head = [np.zeros(4), np.array([0.5 * SPAN_TOL, 0.0, 0.0, 0.0])] + plane
+        head = [np.zeros(4), np.zeros(4)] + plane
         return head + list(rng.standard_normal((40, 4)) * 2.0)
 
     def test_matches_checked_wrappers_bit_for_bit(self):
@@ -232,15 +232,39 @@ class TestStep:
         assert kinds[0] == "skip"  # the coincident point at rank 0
 
     def test_rank_zero_threshold(self):
-        z0 = np.array([1.0, 2.0, 3.0])
-        st0 = RoundingState(Ellipsoid.point(z0), alpha=1.0)
+        # a point has no scale of its own: only the rounding of the
+        # coordinates, SPAN_RES * |z0|, separates a duplicate from a first
+        # step, at every magnitude and offset
         e1 = np.array([1.0, 0.0, 0.0])
-        nxt, kind, params = step(st0, z0 + 0.5 * SPAN_TOL * e1)
-        assert kind == "skip" and params is None
-        assert nxt is st0
-        nxt, kind, params = step(st0, z0 + 2.0 * SPAN_TOL * e1)
-        assert kind == "irregular" and params is None
-        assert nxt.dim == 1
+        z = np.array([1.0, 2.0, 3.0])
+        for z0 in (z, 1e-9 * z, z + 1e8):
+            st0 = RoundingState(Ellipsoid.point(z0), alpha=1.0)
+            tol = SPAN_RES * np.linalg.norm(z0)
+            nxt, kind, params = step(st0, z0 + 0.5 * tol * e1)
+            assert kind == "skip" and params is None
+            assert nxt is st0
+            nxt, kind, params = step(st0, z0 + 2.0 * tol * e1)
+            assert kind == "irregular" and params is None
+            assert nxt.dim == 1
+
+    @pytest.mark.parametrize("g", [1e-14, 1e-12, 1e-10])
+    def test_near_duplicate_then_span_raise(self, g):
+        # a near-duplicate leaves a segment of length ~g; the next raise, at
+        # unit scale, drops that axis instead of collapsing the new body,
+        # and the step certificate accepts the drop
+        rng = np.random.default_rng(5)
+        e1, e2 = np.eye(3)[:2]
+        for z0 in (np.zeros(3), np.array([1.0, 2.0, 3.0])):
+            pts = [z0, z0 + g * e1, z0 + e2] + list(z0 + rng.standard_normal((50, 3)))
+            state = RoundingState(Ellipsoid.point(z0), alpha=1.0)
+            for t, z in enumerate(pts[1:], start=2):
+                prev, state = state, step(state, z)[0]
+                if t == 3:
+                    assert state.dim == 1
+                    cert = check_monotone_step(prev, state, z)
+                    assert cert.outer_ok and cert.inner_ok
+            assert state.dim == 3
+            assert max(membership(state.ellipsoid, p) for p in pts) <= 1e-7
 
     def test_non_finite_point_rejected(self):
         st0 = RoundingState(Ellipsoid.ball(np.zeros(2), 1.0), alpha=0.5)
