@@ -11,15 +11,16 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from . import adversary, coreset, oracle, streaming
-from .ellipsoid import log_volume, membership
-from .state import RoundingState
+from .ellipsoid import membership
+# looked up here by perfbench/tracing.py
+from .ellipsoid import log_volume  # noqa: F401
 
 MONOTONE_TOL = 1e-7
 GENERATORS = ("ball", "gaussian", "lattice", "simplex-shell", "file")

@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .ellipsoid import Ellipsoid, log_volume
+from .ellipsoid import Ellipsoid, NumericalLimitError, log_volume
 from .state import RoundingState
 from .streaming import RunReport, StepRecord
 from .update_rule import step
@@ -64,11 +64,14 @@ def run_coreset(stream: Iterable[np.ndarray]) -> Tuple[CoresetTrace, RunReport]:
     """Fold coreset_step over a stream."""
     trace = CoresetTrace()
     report = RunReport()
-    for t, z in enumerate(stream, start=1):
-        trace, kind, gamma = coreset_step(trace, t, z)
-        state = trace.driver
-        report.append(StepRecord(t, state.alpha, log_volume(state.ellipsoid),
-                                 kind, gamma))
+    try:
+        for t, z in enumerate(stream, start=1):
+            trace, kind, gamma = coreset_step(trace, t, z)
+            state = trace.driver
+            report.append(StepRecord(t, state.alpha, log_volume(state.ellipsoid),
+                                     kind, gamma))
+    except NumericalLimitError as exc:
+        raise exc.at_step(t) from exc
     if trace.driver is not None:
         report.final_alpha_inv = trace.driver.alpha_inv
     return trace, report

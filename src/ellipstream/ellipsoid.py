@@ -10,14 +10,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .linalg import ORTHO_TOL
+from .linalg import ORTHO_TOL, row_norms
 
 # a semiaxis below this fraction of the largest one means the body has
-# effectively collapsed a dimension; such bodies are rejected outright
+# effectively collapsed a dimension; such bodies raise NumericalLimitError
 RANK_COLLAPSE_RATIO = 1e-10
 
 # containment verdicts operate on the normalized (unit-ball) scale
@@ -29,12 +29,38 @@ SPAN_TOL = 1e-8
 # ... and this fraction of the coordinates' size, a few hundred ulps
 SPAN_RES = 256 * np.finfo(float).eps
 
+# eigenvalues of m.T m closer to the top than this fraction of it are one
+# repeated value to _max_norm_over_ellipsoid: a few ulps of eigh's rounding
+_EIG_RES = 64 * np.finfo(float).eps
+# cap on its Newton steps; 20k random cases (semiaxes 1e-6..1e6, centers
+# 1e-8..1e8) took at most 11
+_NEWTON_MAX_ITER = 100
+
 _FALSIFIER_SEED = 20260823
 _N_FALSIFIERS = 2048
 
 
 class EllipsoidError(ValueError):
     pass
+
+
+class NumericalLimitError(EllipsoidError):
+    """float64 can no longer hold the body: its semiaxis ratio s_max/s_min
+    passed 1/RANK_COLLAPSE_RATIO. `t` is the stream index of the step that
+    built it, once a driver has attached it."""
+
+    def __init__(self, ratio: float, t: Optional[int] = None):
+        super().__init__(ratio, t)
+        self.ratio = ratio
+        self.t = t
+
+    def __str__(self) -> str:
+        where = "" if self.t is None else f" at step t={self.t}"
+        return (f"numerical limit{where}: semiaxis ratio s_max/s_min = {self.ratio:.3e} "
+                f"exceeds 1/RANK_COLLAPSE_RATIO = {1.0 / RANK_COLLAPSE_RATIO:.0e}")
+
+    def at_step(self, t: int) -> "NumericalLimitError":
+        return NumericalLimitError(self.ratio, t)
 
 
 @dataclass(frozen=True)
@@ -64,7 +90,7 @@ class Ellipsoid:
             if np.any(semiaxes <= 0):
                 raise EllipsoidError("semiaxes must be strictly positive")
             if semiaxes.min() < RANK_COLLAPSE_RATIO * semiaxes.max():
-                raise EllipsoidError("dimension collapse: semiaxis ratio below threshold")
+                raise NumericalLimitError(float(semiaxes.max() / semiaxes.min()))
             order = np.argsort(-semiaxes, kind="stable")
             semiaxes = semiaxes[order]
             axes = axes[:, order]
@@ -160,64 +186,61 @@ def support(e: Ellipsoid, u: np.ndarray) -> float:
 
 
 def _max_norm_over_ellipsoid(c: np.ndarray, m: np.ndarray) -> float:
-    """max of ||c + m @ s|| over ||s|| <= 1, solved via the secular equation.
+    """max of ||c + m @ s|| over ||s|| <= 1, by safeguarded Newton on the
+    secular equation with an explicit hard case (More & Sorensen 1983).
 
-    The maximizer sits on the unit sphere (convex maximization), where the
-    stationarity condition (lam*I - m.T m) s = m.T c admits a monotone
-    one-parameter search over the multiplier lam above the top eigenvalue.
+    The maximizer sits on the unit sphere (convex maximization), where
+    (mu*I - m.T m) s = m.T c with mu >= lam_top. In the eigenbasis of m.T m,
+    s(nu) = g / (nu + gap) with nu = mu - lam_top and gap = lam_top - lam,
+    and h(nu) = 1/||s(nu)|| is concave and increasing, so Newton on
+    h(nu) = 1 started left of the root climbs to it monotonically. The
+    eigenvalues carry rounding of about _EIG_RES * lam_top, so those within
+    that of the top form one top group (gap 0). When the root lies within
+    that resolution (the non-top part of s(0) fits in the unit ball and the
+    top-group forcing cannot push nu past it), the hard case spends the
+    leftover norm on the top group along its forcing. The reach is the norm
+    at the feasible s so found.
     """
     if m.size == 0:
         return float(np.linalg.norm(c))
-    gram = m.T @ m
-    lam, q = np.linalg.eigh(gram)
-    g = q.T @ (m.T @ c)
-    lam_top = lam[-1]
-    cc = float(np.dot(c, c))
-    gnorm = float(np.linalg.norm(g))
-    top_mask = lam > lam_top - 1e-12 * max(1.0, abs(lam_top))
-    g_top = float(np.linalg.norm(g[top_mask]))
-    if gnorm < 1e-15:
-        # center component along the ellipsoid image is negligible; the
-        # best direction is the top semiaxis
-        return math.sqrt(max(0.0, lam_top + cc))
-
-    def phi(mu):
-        return float(np.sum((g / (mu - lam)) ** 2))
-
-    if g_top < 1e-14 * gnorm:
-        # hard case: no forcing along the top eigenspace. Spend the leftover
-        # norm budget on the top eigenvector at mu = lam_top.
-        denom = lam_top - lam
-        safe = denom > 1e-14 * max(1.0, abs(lam_top))
-        s = np.zeros_like(g)
-        s[safe] = g[safe] / denom[safe]
-        # note the stationarity sign: s = g / (mu - lam) maximizes
-        rest = 1.0 - float(np.dot(s, s))
-        if rest > 0.0:
-            tau = math.sqrt(rest)
-            val2 = float(np.sum(lam * s * s) + 2.0 * np.dot(g, s) + cc
-                         + lam_top * tau * tau)
-            return math.sqrt(max(0.0, val2))
-        # fall through to the regular search if the budget is exhausted
-
-    lo = lam_top + 1e-18 + 1e-15 * max(1.0, abs(lam_top))
-    hi = lam_top + gnorm + 1e-15
-    # phi decreases from (near) infinity to <= 1 on [lo, hi]
-    while phi(hi) > 1.0:
-        hi = lam_top + 2.0 * (hi - lam_top)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if phi(mid) > 1.0:
-            lo = mid
+    lam, q = np.linalg.eigh(m.T @ m)
+    g = (m.T @ c) @ q
+    gap = lam[-1] - lam
+    res = _EIG_RES * lam[-1]
+    # lam ascends, so the top group is [j:]
+    j = int(np.count_nonzero(gap > res))
+    gap[j:] = 0.0
+    s = np.zeros_like(g)
+    s[:j] = g[:j] / gap[:j]
+    rest = 1.0 - s @ s
+    g_top = math.sqrt(g[j:] @ g[j:])
+    if rest >= 0.0 and g_top <= res * math.sqrt(rest):
+        # hard case: the root is lam_top itself, to the eigenvalues' rounding
+        if g_top > 0.0:
+            s[j:] = g[j:] / g_top * math.sqrt(rest)
         else:
-            hi = mid
-    mu = hi
-    s = g / (mu - lam)
-    nrm = np.linalg.norm(s)
-    if nrm > 0:
-        s = s / nrm
-    val2 = float(np.sum(lam * s * s) + 2.0 * np.dot(g, s) + cc)
-    return math.sqrt(max(0.0, val2))
+            s[-1] = math.sqrt(rest)
+    else:
+        # a zero top-group forcing drops out, so nu may start at 0
+        n = len(g) if g_top > 0.0 else j
+        gl, dl = g[:n], gap[:n]
+        # start left of the root, where phi(nu) = ||s(nu)||^2 >= 1: at
+        # max(|g| - gap) one term alone reaches 1, and phi(0) = 1 - rest
+        nu = max(0.0, float(np.max(np.abs(gl) - dl)))
+        for _ in range(_NEWTON_MAX_ITER):
+            w = gl / (nu + dl)
+            phi = w @ w
+            if phi <= 1.0:
+                break
+            # Newton on h = phi**-0.5; h' = phi**-1.5 * sum(w**2 / (nu + dl))
+            step = phi * (math.sqrt(phi) - 1.0) / ((w * w) @ (1.0 / (nu + dl)))
+            if not nu + step > nu:
+                break
+            nu += step
+        s[:n] = gl / (nu + dl)
+        s /= math.sqrt(s @ s)
+    v = c + m @ (q @ s)
+    return math.sqrt(v @ v)
 
 
 @functools.lru_cache(maxsize=8)
@@ -236,8 +259,10 @@ def _unit_directions(n: int, k: int, seed: int = _FALSIFIER_SEED) -> np.ndarray:
 def containment_margin(outer: Ellipsoid, inner: Ellipsoid) -> float:
     """max reach of `inner` in `outer`'s unit-ball coordinates, minus 1.
 
-    Nonpositive means contained. Combines the exact one-parameter search
-    with sampled support directions acting as a falsifier.
+    Nonpositive means contained. Combines the exact search (Newton on the
+    secular equation, with the hard case of a repeated top semiaxis that
+    the center barely pushes along; see _max_norm_over_ellipsoid) with
+    sampled support directions acting as a falsifier.
     """
     if outer.dim != inner.dim:
         raise EllipsoidError("dimension mismatch")
@@ -255,7 +280,7 @@ def containment_margin(outer: Ellipsoid, inner: Ellipsoid) -> float:
     reach = _max_norm_over_ellipsoid(c_prime, m)
     if m.size:
         dirs = _unit_directions(_N_FALSIFIERS, outer.rank)
-        sampled = dirs @ c_prime + np.linalg.norm(dirs @ m, axis=1)
+        sampled = dirs @ c_prime + row_norms(dirs @ m)
         reach = max(reach, float(sampled.max()))
     return reach - 1.0
 

@@ -20,10 +20,12 @@ from .ellipsoid import (
     Ellipsoid,
     _unit_directions,
     containment_margin,
-    log_volume,
     membership,
     span_split,
 )
+# looked up here by perfbench/tracing.py
+from .ellipsoid import log_volume  # noqa: F401
+from .linalg import row_norms
 from .state import RoundingState
 from .update_rule import compute_params, solve_gamma
 
@@ -32,6 +34,11 @@ _DIR_SEED = 987654321
 # check_monotone_step's sampled falsifier directions and slice resolution
 _N_SAMPLE_DIRS = 4096
 _N_SLICE = 2048
+# the slice's angles as (cos, sin) columns, and the fine offsets swept
+# around its worst angle
+_SLICE_ANGLES = np.linspace(0.0, 2.0 * math.pi, _N_SLICE, endpoint=False)
+_SLICE_COS, _SLICE_SIN = np.cos(_SLICE_ANGLES), np.sin(_SLICE_ANGLES)
+_FINE_OFFSETS = np.linspace(-2.0 * math.pi / _N_SLICE, 2.0 * math.pi / _N_SLICE, 64)
 # mvee_khachiyan recomputes inv(X) from scratch every this many iterations
 _MVEE_RESYNC = 1000
 
@@ -262,11 +269,8 @@ def check_monotone_step(prev: RoundingState, next_: RoundingState,
 
         def margin_for(dirs: np.ndarray) -> np.ndarray:
             # dirs: (n, k) unit directions in normalized coordinates
-            h_next = dirs @ c_in + np.linalg.norm(dirs @ m_in, axis=1)
-            if raised:
-                h_prev = prev_a * np.linalg.norm(dirs[:, :k - 1], axis=1)
-            else:
-                h_prev = prev_a * np.ones(len(dirs))
+            h_next = dirs @ c_in + row_norms(dirs @ m_in)
+            h_prev = prev_a * row_norms(dirs[:, :k - 1]) if raised else prev_a
             allowed = np.maximum(h_prev, dirs @ z_norm)
             return allowed - h_next
 
@@ -278,8 +282,7 @@ def check_monotone_step(prev: RoundingState, next_: RoundingState,
             probe = np.eye(k)[:, int(np.argmin(np.abs(e1)))]
             e2 = probe - e1 * np.dot(e1, probe)
             e2 /= np.linalg.norm(e2)
-            theta = np.linspace(0.0, 2.0 * math.pi, _N_SLICE, endpoint=False)
-            dirs = np.outer(np.cos(theta), e1) + np.outer(np.sin(theta), e2)
+            dirs = _SLICE_COS[:, None] * e1 + _SLICE_SIN[:, None] * e2
         else:
             dirs = np.array([[1.0], [-1.0]]) * e1[None, :] if k == 1 else np.zeros((0, k))
             dirs = dirs.reshape(-1, k)
@@ -290,9 +293,8 @@ def check_monotone_step(prev: RoundingState, next_: RoundingState,
         # refine the worst slice direction locally
         if k >= 2:
             base = 2.0 * math.pi * worst_idx / _N_SLICE
-            fine = base + np.linspace(-2.0 * math.pi / _N_SLICE,
-                                      2.0 * math.pi / _N_SLICE, 64)
-            dirs_f = np.outer(np.cos(fine), e1) + np.outer(np.sin(fine), e2)
+            fine = base + _FINE_OFFSETS
+            dirs_f = np.cos(fine)[:, None] * e1 + np.sin(fine)[:, None] * e2
             fm = margin_for(dirs_f)
             j = int(np.argmin(fm))
             inner_margins.append((float(fm[j]), dirs_f[j]))

@@ -12,7 +12,7 @@ from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .ellipsoid import Ellipsoid, log_volume
+from .ellipsoid import Ellipsoid, NumericalLimitError, log_volume
 from .state import RoundingState
 from .update_rule import UpdateParams, step
 # looked up here by perfbench/tracing.py
@@ -97,26 +97,29 @@ def run_seeded(
     report = RunReport()
     state = RoundingState(Ellipsoid.ball(c0, r0), alpha=1.0)
     local = True  # phase I: both bodies are balls around c0
-    for t, z in enumerate(stream, start=1):
-        z = _check_point(z, t)
-        if local:
-            dist = float(np.linalg.norm(z - c0))
-            if dist > gate:
-                # transition: grow the ball to its maximum allowed size; the
-                # update rule needs alpha <= 1/2, so small dimensions are
-                # clamped
-                alpha0 = min(0.5, 1.0 / (d * math.log(d)))
-                state = RoundingState(Ellipsoid.ball(c0, gate), alpha=alpha0)
-                local = False
-        prev = state
-        if not local:
-            state, kind, params = step(state, z)
-        elif dist > state.ellipsoid.semiaxes[0]:
-            state = RoundingState(Ellipsoid.ball(c0, dist), alpha=r0 / dist)
-            kind, params = "local", None
-        else:
-            kind, params = "skip", None
-        _record(report, on_step, t, prev, state, z, kind, params)
+    try:
+        for t, z in enumerate(stream, start=1):
+            z = _check_point(z, t)
+            if local:
+                dist = float(np.linalg.norm(z - c0))
+                if dist > gate:
+                    # transition: grow the ball to its maximum allowed size; the
+                    # update rule needs alpha <= 1/2, so small dimensions are
+                    # clamped
+                    alpha0 = min(0.5, 1.0 / (d * math.log(d)))
+                    state = RoundingState(Ellipsoid.ball(c0, gate), alpha=alpha0)
+                    local = False
+            prev = state
+            if not local:
+                state, kind, params = step(state, z)
+            elif dist > state.ellipsoid.semiaxes[0]:
+                state = RoundingState(Ellipsoid.ball(c0, dist), alpha=r0 / dist)
+                kind, params = "local", None
+            else:
+                kind, params = "skip", None
+            _record(report, on_step, t, prev, state, z, kind, params)
+    except NumericalLimitError as exc:
+        raise exc.at_step(t) from exc
 
     report.final_alpha_inv = state.alpha_inv
     return state, report
@@ -131,15 +134,18 @@ def run_fully_online(
     """
     report = RunReport()
     state: Optional[RoundingState] = None
-    for t, z in enumerate(stream, start=1):
-        z = _check_point(z, t)
-        if state is None:
-            state = RoundingState(Ellipsoid.point(z), alpha=1.0)
-            _record(report, on_step, t, state, state, z, "init", None)
-            continue
-        prev = state
-        state, kind, params = step(state, z)
-        _record(report, on_step, t, prev, state, z, kind, params)
+    try:
+        for t, z in enumerate(stream, start=1):
+            z = _check_point(z, t)
+            if state is None:
+                state = RoundingState(Ellipsoid.point(z), alpha=1.0)
+                _record(report, on_step, t, state, state, z, "init", None)
+                continue
+            prev = state
+            state, kind, params = step(state, z)
+            _record(report, on_step, t, prev, state, z, kind, params)
+    except NumericalLimitError as exc:
+        raise exc.at_step(t) from exc
 
     if state is None:
         raise ValueError("empty stream")

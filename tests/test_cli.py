@@ -196,6 +196,18 @@ class TestRun:
                          "--out", str(tmp_path)])
         assert code == 1
 
+    def test_numerical_limit_exit_code(self, tmp_path, capsys):
+        # the first coordinate grows by e^30 over the stream
+        z = np.random.default_rng(0).standard_normal((4000, 3))
+        z[:, 0] *= np.exp(np.linspace(0.0, 30.0, 4000))
+        path = tmp_path / "grow.csv"
+        np.savetxt(path, z, fmt="%.17g", delimiter=",")
+        code = self.run_cli(tmp_path, "--mode", "online", "--input", str(path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical limit at step t=")
+        assert "s_max/s_min" in err
+
 
 def test_runs_without_scipy(tmp_path):
     # scipy is a test-only dependency: the package, the adversary's shell

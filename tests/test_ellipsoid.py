@@ -9,12 +9,14 @@ from ellipstream.ellipsoid import (
     CONTAINMENT_TOL,
     Ellipsoid,
     EllipsoidError,
+    _max_norm_over_ellipsoid,
     containment_margin,
     contains_ellipsoid,
     log_volume,
     membership,
     support,
 )
+from ellipstream.streaming import run_fully_online
 
 
 def random_ellipsoid(rng, d, k=None):
@@ -152,3 +154,82 @@ class TestContainment:
         sampled = max(membership(outer, p) for p in pts)
         # the secular-equation margin never underestimates sampling
         assert margin >= sampled - 1e-9
+
+
+def reference_reach(c, m, n_dirs=20000, n_starts=8, n_iter=3000):
+    """max |c + m s| over |s| <= 1 without the secular equation: the best
+    of n_dirs sampled support values u.c + |m.T u|, refined by projected
+    ascent s <- m.T (c + m s) / |.| from the n_starts best samples."""
+    rng = np.random.default_rng(1)
+    u = rng.standard_normal((n_dirs, m.shape[0]))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    mu = u @ m
+    sampled = u @ c + np.linalg.norm(mu, axis=1)
+    best = np.argsort(sampled)[-n_starts:]
+    s = mu[best] / np.linalg.norm(mu[best], axis=1, keepdims=True)
+    for _ in range(n_iter):
+        s = (c + s @ m.T) @ m
+        s /= np.linalg.norm(s, axis=1, keepdims=True)
+    return max(sampled.max(), np.linalg.norm(c + s @ m.T, axis=1).max())
+
+
+def normalized(outer, inner):
+    """inner's center and semiaxis matrix where outer is the unit ball."""
+    inv_s = 1.0 / outer.semiaxes
+    c = inv_s * (outer.axes.T @ (inner.center - outer.center))
+    m = inv_s[:, None] * (outer.axes.T @ inner.axes) * inner.semiaxes
+    return c, m
+
+
+def frame(seed, d):
+    return np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))[0]
+
+
+class TestExactSearch:
+    """The secular-equation search against the sampled-and-ascended
+    reference, on the bodies of revolution the update rule builds."""
+
+    def assert_matches_reference(self, c, m):
+        ref = reference_reach(c, m)
+        assert abs(_max_norm_over_ellipsoid(c, m) - ref) <= 1e-12 * max(1.0, ref)
+        return ref
+
+    # m = q diag(1, 1, 0.5) repeats its top semiaxis on q's first two
+    # columns; c's coordinates in q give the forcing along each
+    @pytest.mark.parametrize("c_q", [
+        (0.0, 0.0, 0.3), (0.0, 0.0, 1.2),
+        (1e-16, 3e-17, 0.02), (1e-16, 0.0, 1e-3), (0.4, 0.0, 0.3),
+    ], ids=["hard", "hard-wide", "near-hard", "near-hard-small", "easy"])
+    def test_repeated_top_semiaxis(self, c_q):
+        q = frame(3, 3)
+        self.assert_matches_reference(q @ np.array(c_q), q @ np.diag([1.0, 1.0, 0.5]))
+
+    def test_off_center_body_of_revolution(self):
+        q = frame(4, 4)
+        outer = Ellipsoid(np.zeros(4), q, np.array([2.0, 2.0, 2.0, 1.0]))
+        inner = Ellipsoid(q @ np.array([0.1, 0.0, 0.0, 0.2]), frame(5, 4),
+                          np.array([1.5, 1.5, 0.7, 0.7]))
+        ref = self.assert_matches_reference(*normalized(outer, inner))
+        assert containment_margin(outer, inner) == pytest.approx(
+            ref - 1.0, abs=1e-12 * max(1.0, ref))
+
+    def test_outer_pairs_of_a_drift_stream(self):
+        # the previous outer body inside the next, as the step certificate
+        # asks on a drifting d=6 stream: the top semiaxis repeats and the
+        # forcing along it is a few ulps
+        rng = np.random.default_rng(11)
+        g = rng.standard_normal((150, 6))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        pts = g * np.exp(0.005 * np.arange(1, 151))[:, None]
+        pairs = []
+
+        def keep(t, prev, next_, z, kind, gamma):
+            if kind in ("regular", "irregular"):
+                pairs.append((prev.ellipsoid, next_.ellipsoid))
+
+        run_fully_online(pts, on_step=keep)
+        assert len(pairs) > 60
+        for prev, next_ in pairs[::4]:
+            ref = self.assert_matches_reference(*normalized(next_, prev))
+            assert containment_margin(next_, prev) == pytest.approx(
+                ref - 1.0, abs=1e-12 * max(1.0, ref))

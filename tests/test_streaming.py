@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellipstream.coreset import run_coreset
-from ellipstream.ellipsoid import membership
+from ellipstream.ellipsoid import RANK_COLLAPSE_RATIO, NumericalLimitError, membership
 from ellipstream.streaming import RunReport, StepRecord, run_fully_online, run_seeded
 
 
@@ -187,6 +187,32 @@ class TestSeeded:
         state, report = run_seeded(pts, np.zeros(d), 0.5)
         worst = max(membership(state.ellipsoid, p) for p in pts)
         assert worst <= 1e-7
+
+
+def one_axis_growth(d):
+    """4000 gaussian points whose first coordinate grows by e^30: the outer
+    body's semiaxis ratio outruns float64 about four fifths of the way in."""
+    z = np.random.default_rng(0).standard_normal((4000, d))
+    z[:, 0] *= np.exp(np.linspace(0.0, 30.0, 4000))
+    return z
+
+
+class TestNumericalLimit:
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    @pytest.mark.parametrize("driver", ["online", "seeded", "coreset"])
+    def test_collapse_names_step_and_ratio(self, driver, d):
+        run = {"online": run_fully_online,
+               "seeded": lambda pts: run_seeded(pts, np.zeros(d), 0.5),
+               "coreset": run_coreset}[driver]
+        pts = one_axis_growth(d)
+        with pytest.raises(NumericalLimitError) as info:
+            run(pts)
+        err = info.value
+        assert err.ratio > 1.0 / RANK_COLLAPSE_RATIO
+        assert f"step t={err.t}:" in str(err)
+        assert f"s_max/s_min = {err.ratio:.3e}" in str(err)
+        # t is the step that raised: the stream before it runs through
+        run(pts[:err.t - 1])
 
 
 class TestRunReport:
