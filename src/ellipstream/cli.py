@@ -13,14 +13,14 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import adversary, coreset, oracle, streaming
-from .ellipsoid import membership
+from .ellipsoid import max_membership
 # looked up here by perfbench/tracing.py
-from .ellipsoid import log_volume  # noqa: F401
+from .ellipsoid import log_volume, membership  # noqa: F401
 
 MONOTONE_TOL = 1e-7
 GENERATORS = ("ball", "gaussian", "lattice", "simplex-shell", "file")
@@ -138,8 +138,14 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+class _Verbatim(str):
+    """JSON text that to_json emits as it is."""
+
+
 def to_json(obj, indent: int = 0) -> str:
     pad = "  " * indent
+    if isinstance(obj, _Verbatim):
+        return obj
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -166,27 +172,41 @@ def to_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _steps_payload(report: streaming.RunReport) -> List[Dict]:
-    return [
-        {"t": r.t, "kind": r.step_kind, "alpha_inv": 1.0 / r.alpha,
-         "log_vol": r.log_volume, "gamma": r.gamma}
-        for r in report.records
-    ]
+# (t, count, kind, alpha_inv, log_vol, gamma): `count` steps from t on
+# that agree apart from t
+StepRun = Tuple[int, int, str, float, float, float]
 
 
-def _trace_csv(steps: List[Dict]) -> str:
-    lines = ["t,kind,alpha_inv,log_vol,gamma"]
-    for s in steps:
-        lines.append(",".join([str(s["t"]), s["kind"], _fmt(s["alpha_inv"]),
-                               _fmt(s["log_vol"]), _fmt(s["gamma"])]))
-    return "\n".join(lines) + "\n"
+def _step_runs(report: streaming.RunReport) -> List[StepRun]:
+    return [(r.t, n, r.step_kind, 1.0 / r.alpha, r.log_volume, r.gamma)
+            for r, n in report.runs]
 
 
-def _write_outputs(config: RunConfig, payload: Dict, steps: List[Dict]) -> None:
+def _step_texts(runs: List[StepRun]) -> Tuple[str, str]:
+    """The "steps" array of report.json, as to_json renders it at the top
+    level of the payload, and trace.csv. Each run's fields are formatted
+    once; its rows differ only in t."""
+    rows, lines = [], ["t,kind,alpha_inv,log_vol,gamma"]
+    for t0, count, kind, alpha_inv, log_vol, gamma in runs:
+        a, lv, g = _fmt(alpha_inv), _fmt(log_vol), _fmt(gamma)
+        head = (f'    {{\n      "alpha_inv": {a},\n      "gamma": {g},\n'
+                f'      "kind": {to_json(kind)},\n      "log_vol": {lv},\n'
+                f'      "t": ')
+        tail = f",{kind},{a},{lv},{g}"
+        for t in range(t0, t0 + count):
+            rows.append(f"{head}{t}\n    }}")
+            lines.append(f"{t}{tail}")
+    steps = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    return steps, "\n".join(lines) + "\n"
+
+
+def _write_outputs(config: RunConfig, payload: Dict, runs: List[StepRun]) -> None:
+    steps, csv = _step_texts(runs)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(to_json(payload) + "\n")
-    (out / "trace.csv").write_text(_trace_csv(steps))
+    (out / "report.json").write_text(
+        to_json(dict(payload, steps=_Verbatim(steps))) + "\n")
+    (out / "trace.csv").write_text(csv)
 
 
 def _make_verifier(config: RunConfig):
@@ -239,20 +259,16 @@ def run(config: RunConfig) -> int:
     if config.mode == "adversary":
         trace = adversary.run_adversary(adversary.library_rule,
                                         config.d, config.r_big)
-        steps = [
-            {"t": t, "kind": k, "alpha_inv": a, "log_vol": p, "gamma": 0.0}
-            for t, (k, a, p) in enumerate(
-                zip(trace.step_kinds, trace.a_values, trace.p_values), start=1)
-        ]
-        payload.update(n=len(steps), final_alpha_inv=trace.a_values[-1],
-                       steps=steps)
+        runs = [(t, 1, k, a, p, 0.0) for t, (k, a, p) in enumerate(
+            zip(trace.step_kinds, trace.a_values, trace.p_values), start=1)]
+        payload.update(n=len(runs), final_alpha_inv=trace.a_values[-1])
         payload["constants"] = {
             "phase2_steps": trace.phase2_steps,
             "final_log_vol": trace.p_values[-1],
             "volume_target": config.d * math.log(config.r_big / 2.0),
         }
         payload["certificates"] = {"stop_reason": trace.stop_reason}
-        _write_outputs(config, payload, steps)
+        _write_outputs(config, payload, runs)
         return 0
 
     points = _load_stream(config)
@@ -280,15 +296,14 @@ def run(config: RunConfig) -> int:
     else:
         state, report = streaming.run_fully_online(points, on_step=observer)
 
-    steps = _steps_payload(report)
-    payload.update(final_alpha_inv=report.final_alpha_inv, steps=steps)
+    payload["final_alpha_inv"] = report.final_alpha_inv
     payload["certificates"] = _cert_payload(summary)
     if config.gen == "lattice":
         denom = config.d * math.log(config.d * config.lattice_n)
         payload["constants"]["c_empirical"] = report.final_alpha_inv / denom
-    payload["constants"]["worst_final_margin"] = max(
-        float(membership(state.ellipsoid, p)) for p in points)
-    _write_outputs(config, payload, steps)
+    payload["constants"]["worst_final_margin"] = max_membership(
+        state.ellipsoid, points)
+    _write_outputs(config, payload, _step_runs(report))
 
     if config.mode == "verify":
         bad = summary["failures"] > 0 or (

@@ -4,19 +4,34 @@ A point is kept when committing it would either raise the affine span
 dimension or multiply the outer volume by at least e; everything else is
 provably redundant and the driver state is left untouched, which is what
 makes replaying the selected sub-stream bit-exact.
+
+Since a dropped point leaves the state untouched, `run_coreset` scans past
+runs of them in bulk (see `streaming.fold`): a covered point, and also an
+in-span point whose tentative regular step would stay below the threshold.
+The tentative step's shrink map is core = (I + (b/a - 1) w w^T) diag(1/(b s)),
+so det(core) = b/a * prod 1/(b s) and its log volume grows by
+log a + (k-1) log b = gamma + (k-1) log b(gamma) on a rank-k body. That is
+increasing in gamma, and gamma in rho, so the point is dropped for every
+rho below rho*, where gamma* solves gamma + (k-1) log b(gamma) =
+VOLUME_JUMP_LOG - TIE_TOL and rho* = a(gamma*) + c(gamma*). The scan passes
+rows with rho <= rho* (1 - SKIP_MARGIN - scan_tolerance): the margin covers
+the gamma solve's 1e-10 window and the rounding of the computed log
+volumes, which stay within about 1e-13 of the closed form. A state whose
+tentative step could trip the collapse guard scans with limit 1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .ellipsoid import Ellipsoid, NumericalLimitError, log_volume
+from .ellipsoid import RANK_COLLAPSE_RATIO, Ellipsoid, log_volume
 from .state import RoundingState
-from .streaming import RunReport, StepRecord
-from .update_rule import step
+from .streaming import RunReport, fold
+from .update_rule import compute_params, step
 # looked up here by perfbench/tracing.py
 from .update_rule import full_update_detailed, irregular_update, is_off_span  # noqa: F401
 
@@ -63,15 +78,47 @@ def coreset_step(trace: CoresetTrace, t: int,
 def run_coreset(stream: Iterable[np.ndarray]) -> Tuple[CoresetTrace, RunReport]:
     """Fold coreset_step over a stream."""
     trace = CoresetTrace()
-    report = RunReport()
-    try:
-        for t, z in enumerate(stream, start=1):
-            trace, kind, gamma = coreset_step(trace, t, z)
-            state = trace.driver
-            report.append(StepRecord(t, state.alpha, log_volume(state.ellipsoid),
-                                     kind, gamma))
-    except NumericalLimitError as exc:
-        raise exc.at_step(t) from exc
-    if trace.driver is not None:
-        report.final_alpha_inv = trace.driver.alpha_inv
+
+    def advance(state, t, z):
+        nonlocal trace
+        trace, kind, gamma = coreset_step(trace, t, z)
+        return state, trace.driver, kind, gamma
+
+    state, report = fold(stream, advance, skip_limit=drop_limit)
+    if state is not None:
+        report.final_alpha_inv = state.alpha_inv
     return trace, report
+
+
+def drop_limit(state: RoundingState) -> float:
+    """rho* of the state: coreset_step drops every in-span point with rho
+    below it (see the module docstring). 1 at rank 0, and near the collapse
+    guard, where a tentative step could raise NumericalLimitError.
+    """
+    body = state.ellipsoid
+    k = body.rank
+    if k == 0:
+        return 1.0
+    # a dropped step stretches s_max/s_min by at most a < e; near the
+    # guard its tentative body may collapse, which must still raise
+    if body.semiaxes[0] * math.e > 0.5 * body.semiaxes[-1] / RANK_COLLAPSE_RATIO:
+        return 1.0
+    alpha = state.alpha
+    target = VOLUME_JUMP_LOG - TIE_TOL
+
+    def growth(gamma: float) -> float:
+        # gamma + (k-1) log b, with b as compute_params forms it
+        alpha_next = 1.0 / (1.0 / alpha + 2.0 * gamma)
+        return gamma + (k - 1) * math.log(1.0 + (alpha - alpha_next) / 2.0)
+
+    # growth(gamma) >= gamma, so gamma* lies in [0, target]; lo stays below
+    # it, and 1e-12 is far inside SKIP_MARGIN
+    lo, hi = 0.0, target
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if growth(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    p = compute_params(lo, alpha)
+    return p.a + p.c

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ CONTAINMENT_TOL = 1e-8
 SPAN_TOL = 1e-8
 # ... and this fraction of the coordinates' size, a few hundred ulps
 SPAN_RES = 256 * np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 # eigenvalues of m.T m closer to the top than this fraction of it are one
 # repeated value to _max_norm_over_ellipsoid: a few ulps of eigh's rounding
@@ -162,6 +163,41 @@ def span_split(e: Ellipsoid, x: np.ndarray) -> SpanSplit:
     return SpanSplit(delta, coeffs, residual, rnorm, off)
 
 
+def scan_rows(e: Ellipsoid, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Batched span split of the rows of xs: (rho, inside), where rho is
+    |coeffs / semiaxes| of each row and `inside` marks the rows whose
+    residual is at most SPAN_TOL/2 * max(|delta|, s_max), half the off-span
+    threshold. Those rows are in the span for span_split too, since one gemm
+    and a gemv move the residual by a few ulps of |delta|; their rho agrees
+    with span_split's to scan_tolerance(e) * max(1, rho).
+    """
+    delta = xs - e.center
+    coeffs = delta @ e.axes
+    rho = row_norms(coeffs / e.semiaxes)
+    if e.rank == e.dim:
+        # the constructor holds |A^T A - I| <= ORTHO_TOL, so for a square A
+        # every residual is below ORTHO_TOL * |delta| plus rounding
+        return rho, np.ones(len(rho), dtype=bool)
+    rnorm = row_norms(delta - coeffs @ e.axes.T)
+    s_max = float(e.semiaxes[0]) if e.rank else 0.0
+    inside = rnorm <= 0.5 * SPAN_TOL * np.maximum(row_norms(delta), s_max)
+    return rho, inside
+
+
+def scan_tolerance(e: Ellipsoid) -> float:
+    """Relative bound on the gap between scan_rows' rho and span_split's.
+
+    The gemm and the gemv sum d products in different orders, so a span
+    coordinate moves by up to 2*d*eps*|delta|; dividing by the semiaxes
+    scales that by s_max/s_min on rows with rho <= 1. Padded by a factor
+    of four and by k for the norms.
+    """
+    k = e.rank
+    if k == 0:
+        return 0.0
+    return 8.0 * (e.dim + k) * k * _EPS * float(e.semiaxes[0] / e.semiaxes[-1])
+
+
 def membership(e: Ellipsoid, x: np.ndarray) -> float:
     """Signed margin of x against e; <= 0 means inside, +inf off its span.
     A rank-0 body holds its center alone, so a skipped near-duplicate shows."""
@@ -171,6 +207,24 @@ def membership(e: Ellipsoid, x: np.ndarray) -> float:
     if split.off:
         return math.inf
     return float(np.linalg.norm(split.coeffs / e.semiaxes) - 1.0)
+
+
+def max_membership(e: Ellipsoid, xs: np.ndarray) -> float:
+    """max of membership(e, x) over the rows of xs, equal to the scalar max.
+
+    One scan_rows pass scores every row. membership then re-scores the rows
+    it cannot rule out: those not certainly in the span, and those within
+    1e-12 plus twice scan_tolerance of the top in-span score (at rank 0,
+    every row).
+    """
+    xs = np.asarray(xs, dtype=float)
+    rho, inside = scan_rows(e, xs)
+    rescore = ~inside
+    if inside.any():
+        top = float(rho[inside].max())
+        window = (1e-12 + 2.0 * scan_tolerance(e)) * max(1.0, top)
+        rescore |= rho >= top - window
+    return max(membership(e, x) for x in xs[rescore])
 
 
 def log_volume(e: Ellipsoid) -> float:

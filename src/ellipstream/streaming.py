@@ -1,20 +1,33 @@
-"""End-to-end drivers: seeded two-phase rounding and fully-online rounding.
+"""End-to-end drivers: seeded two-phase rounding and fully-online rounding,
+and `fold`, the loop all drivers share.
 
-Both consume a finite iterable of points and fold the monotone update rule
-over it, producing the final sandwich state plus a per-step report.
+Every driver folds a per-point step over a finite iterable of points,
+producing the final sandwich state plus a per-step report. A skip leaves
+the state unchanged, so `fold` ingests points in bulk: `chunks` cuts the
+stream into blocks of CHUNK_ROWS rows, and after the scalar step returns a
+skip, `update_rule.leading_skips` scans the rows ahead with one mat-mul and
+records the run of certain skips at once. A row is a certain skip when its
+residual is at most half the off-span threshold and its rho lies inside
+the limit by SKIP_MARGIN plus scan_tolerance, the most a gemm and the
+scalar gemv can disagree; any row nearer a threshold goes through the
+scalar step, so the outputs equal the scalar fold's bit for bit. The scan
+window starts at SCAN_START rows and doubles, up to CHUNK_ROWS, while the
+whole window is skips; a non-skip resets it, so streams of mostly regular
+steps pay for few scans. Skip runs are stored run-length encoded.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Tuple
+from itertools import islice
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .ellipsoid import Ellipsoid, NumericalLimitError, log_volume
 from .state import RoundingState
-from .update_rule import UpdateParams, step
+from .update_rule import leading_skips, step
 # looked up here by perfbench/tracing.py
 from .update_rule import full_update_detailed, irregular_update, is_off_span  # noqa: F401
 
@@ -28,10 +41,17 @@ __all__ = [
 ]
 
 StepObserver = Callable[[int, RoundingState, RoundingState, np.ndarray, str, float], None]
+# advance(state, t, z) -> (prev, next, kind, gamma): one scalar step of a
+# driver, from state None at the first point; prev is the state the step
+# started from, which a driver may put in place of `state` first
+Advance = Callable[[Optional[RoundingState], int, np.ndarray],
+                   Tuple[RoundingState, RoundingState, str, float]]
+
+CHUNK_ROWS = 256
+SCAN_START = 8
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     t: int
     alpha: float
     log_volume: float
@@ -41,13 +61,28 @@ class StepRecord:
 
 @dataclass
 class RunReport:
-    records: List[StepRecord] = field(default_factory=list)
+    """Per-step records, stored as runs (record, count): `count` steps at
+    t, t+1, ... that equal `record` apart from t."""
+
+    runs: List[Tuple[StepRecord, int]] = field(default_factory=list)
     final_alpha_inv: float = 1.0
 
-    def append(self, rec: StepRecord) -> None:
-        if self.records and rec.t <= self.records[-1].t:
-            raise ValueError("records must be strictly ordered by t")
-        self.records.append(rec)
+    def append(self, rec: StepRecord, count: int = 1) -> None:
+        """Add `count` steps starting at rec.t, merged into the last run
+        when they continue it."""
+        if self.runs:
+            last, n = self.runs[-1]
+            if rec.t < last.t + n:
+                raise ValueError("records must be strictly ordered by t")
+            if rec.t == last.t + n and rec[1:] == last[1:]:
+                self.runs[-1] = (last, n + count)
+                return
+        self.runs.append((rec, count))
+
+    @property
+    def records(self) -> List[StepRecord]:
+        return [rec._replace(t=rec.t + i) if i else rec
+                for rec, n in self.runs for i in range(n)]
 
     def regular_gamma_sum(self) -> float:
         return sum(r.gamma for r in self.records if r.step_kind == "regular")
@@ -56,21 +91,88 @@ class RunReport:
         return sum(1 for r in self.records if r.step_kind == "irregular")
 
 
-def _check_point(z: np.ndarray, t: int) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise ValueError(f"non-finite point at index {t}")
-    return z
+def chunks(stream: Iterable[np.ndarray]) -> Iterator[Tuple[int, np.ndarray]]:
+    """(t0, block): the stream as float blocks of up to CHUNK_ROWS rows, the
+    first at stream index t0 (counting from 1); slices of an ndarray, islice
+    of anything else. A non-finite row at index t raises ValueError naming
+    t, once the finite rows before it have been yielded.
+    """
+    t0 = 1
+    for block in _blocks(stream):
+        block = block.reshape(len(block), -1)
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            j = int(finite.argmin())
+            if j:
+                yield t0, block[:j]
+            raise ValueError(f"non-finite point at index {t0 + j}")
+        yield t0, block
+        t0 += len(block)
 
 
-def _record(report: RunReport, on_step: Optional[StepObserver], t: int,
-            prev: RoundingState, state: RoundingState, z: np.ndarray,
-            kind: str, params: Optional[UpdateParams]) -> None:
-    gamma = 0.0 if params is None else params.gamma
-    report.append(StepRecord(t, state.alpha, log_volume(state.ellipsoid),
-                             kind, gamma))
-    if on_step is not None:
-        on_step(t, prev, state, z, kind, gamma)
+def _blocks(stream: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    if isinstance(stream, np.ndarray):
+        pts = np.asarray(stream, dtype=float)
+        for i in range(0, len(pts), CHUNK_ROWS):
+            yield pts[i:i + CHUNK_ROWS]
+        return
+    it = iter(stream)
+    while rows := list(islice(it, CHUNK_ROWS)):
+        yield np.asarray(rows, dtype=float)
+
+
+def fold(stream: Iterable[np.ndarray], advance: Advance,
+         state: Optional[RoundingState] = None,
+         on_step: Optional[StepObserver] = None,
+         skip_limit: Callable[[RoundingState], float] = lambda state: 1.0,
+         ) -> Tuple[Optional[RoundingState], RunReport]:
+    """Fold `advance` over the stream from `state`, recording every step.
+
+    After `advance` returns a skip, the rows ahead that leading_skips
+    certifies at `skip_limit(state)` (recomputed when the state changes)
+    are recorded as skips without calling it. A NumericalLimitError is
+    re-raised with the index of the step that hit it.
+    """
+    report = RunReport()
+    logvol = limit = 0.0
+    if state is not None:
+        logvol, limit = log_volume(state.ellipsoid), skip_limit(state)
+    scan, window, t = False, SCAN_START, 0
+    try:
+        for t0, block in chunks(stream):
+            i, n = 0, len(block)
+            while i < n:
+                if scan:
+                    rows = block[i:i + window]
+                    j = leading_skips(state, rows, limit)
+                    if j:
+                        report.append(StepRecord(t0 + i, state.alpha, logvol,
+                                                 "skip", 0.0), j)
+                        if on_step is not None:
+                            for r in range(j):
+                                on_step(t0 + i + r, state, state, rows[r],
+                                        "skip", 0.0)
+                        i += j
+                    if j == len(rows):
+                        if j == window:
+                            window = min(2 * window, CHUNK_ROWS)
+                        continue
+                    scan = False
+                t, z = t0 + i, block[i]
+                old = state
+                prev, state, kind, gamma = advance(state, t, z)
+                if state is not old:
+                    logvol, limit = log_volume(state.ellipsoid), skip_limit(state)
+                report.append(StepRecord(t, state.alpha, logvol, kind, gamma))
+                if on_step is not None:
+                    on_step(t, prev, state, z, kind, gamma)
+                scan = kind == "skip"
+                if not scan:
+                    window = SCAN_START
+                i += 1
+    except NumericalLimitError as exc:
+        raise exc.at_step(t) from exc
+    return state, report
 
 
 def run_seeded(
@@ -94,35 +196,34 @@ def run_seeded(
         raise ValueError("seed radius must be positive")
     gate = r0 * d * math.log(d)
 
-    report = RunReport()
-    state = RoundingState(Ellipsoid.ball(c0, r0), alpha=1.0)
     local = True  # phase I: both bodies are balls around c0
-    try:
-        for t, z in enumerate(stream, start=1):
-            z = _check_point(z, t)
-            if local:
-                dist = float(np.linalg.norm(z - c0))
-                if dist > gate:
-                    # transition: grow the ball to its maximum allowed size; the
-                    # update rule needs alpha <= 1/2, so small dimensions are
-                    # clamped
-                    alpha0 = min(0.5, 1.0 / (d * math.log(d)))
-                    state = RoundingState(Ellipsoid.ball(c0, gate), alpha=alpha0)
-                    local = False
-            prev = state
-            if not local:
-                state, kind, params = step(state, z)
-            elif dist > state.ellipsoid.semiaxes[0]:
-                state = RoundingState(Ellipsoid.ball(c0, dist), alpha=r0 / dist)
-                kind, params = "local", None
-            else:
-                kind, params = "skip", None
-            _record(report, on_step, t, prev, state, z, kind, params)
-    except NumericalLimitError as exc:
-        raise exc.at_step(t) from exc
 
+    def advance(state, t, z):
+        nonlocal local
+        if local:
+            dist = float(np.linalg.norm(z - c0))
+            if dist <= gate:
+                if dist > state.ellipsoid.semiaxes[0]:
+                    return (state, RoundingState(Ellipsoid.ball(c0, dist),
+                                                 alpha=r0 / dist), "local", 0.0)
+                return state, state, "skip", 0.0
+            # transition: grow the ball to its maximum allowed size; the
+            # update rule needs alpha <= 1/2, so small dimensions are clamped
+            alpha0 = min(0.5, 1.0 / (d * math.log(d)))
+            state = RoundingState(Ellipsoid.ball(c0, gate), alpha=alpha0)
+            local = False
+        return _step(state, t, z)
+
+    state, report = fold(stream, advance,
+                         RoundingState(Ellipsoid.ball(c0, r0), alpha=1.0), on_step)
     report.final_alpha_inv = state.alpha_inv
     return state, report
+
+
+def _step(state: RoundingState, t: int, z: np.ndarray):
+    """The kernel `step` as an Advance."""
+    new, kind, params = step(state, z)
+    return state, new, kind, (0.0 if params is None else params.gamma)
 
 
 def run_fully_online(
@@ -132,21 +233,13 @@ def run_fully_online(
     """Online rounding with no seed: the first point initializes a rank-0
     state and every span-raising point triggers an irregular step.
     """
-    report = RunReport()
-    state: Optional[RoundingState] = None
-    try:
-        for t, z in enumerate(stream, start=1):
-            z = _check_point(z, t)
-            if state is None:
-                state = RoundingState(Ellipsoid.point(z), alpha=1.0)
-                _record(report, on_step, t, state, state, z, "init", None)
-                continue
-            prev = state
-            state, kind, params = step(state, z)
-            _record(report, on_step, t, prev, state, z, kind, params)
-    except NumericalLimitError as exc:
-        raise exc.at_step(t) from exc
+    def advance(state, t, z):
+        if state is None:
+            first = RoundingState(Ellipsoid.point(z), alpha=1.0)
+            return first, first, "init", 0.0
+        return _step(state, t, z)
 
+    state, report = fold(stream, advance, on_step=on_step)
     if state is None:
         raise ValueError("empty stream")
     report.final_alpha_inv = state.alpha_inv

@@ -1,7 +1,8 @@
 """The monotone sandwich update: per-step scalars, the gamma solve, the
-regular full-dimensional step, the dimension-raising irregular step, and
+regular full-dimensional step, the dimension-raising irregular step,
 `step`, the one per-point kernel that decides between skip, regular step
-and span raise.
+and span raise, and `leading_skips`, which finds a run of certain skips in
+a block of points with one mat-mul.
 """
 
 from __future__ import annotations
@@ -12,11 +13,15 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .ellipsoid import SPAN_TOL, Ellipsoid, SpanSplit, span_split
+from .ellipsoid import SPAN_TOL, Ellipsoid, SpanSplit, scan_rows, scan_tolerance, span_split
 from .state import RoundingState
 
 GAMMA_MAX_ITER = 200
 GAMMA_REL_RESIDUAL = 1e-10
+# leading_skips takes a row as a certain skip only this far (relative)
+# inside its limit, on top of scan_tolerance; 100x GAMMA_REL_RESIDUAL, so a
+# gamma solved anywhere in its window stays below the coreset's threshold
+SKIP_MARGIN = 1e-8
 
 
 class UpdateError(ValueError):
@@ -180,6 +185,20 @@ def step(state: RoundingState, z: np.ndarray
         return _irregular(state, z, split), "irregular", None
     new_state, params = _regular(state, split.coeffs)
     return new_state, ("skip" if params is None else "regular"), params
+
+
+def leading_skips(state: RoundingState, zs: np.ndarray, limit: float = 1.0) -> int:
+    """How many leading rows of zs are certain skips at `state`: in the span
+    by half its threshold (see scan_rows) and with rho <= limit * (1 -
+    SKIP_MARGIN - scan_tolerance). `step` skips each of them; a row nearer
+    either threshold ends the run, and `step` re-decides it. A limit above 1
+    also passes covered-by-limit rows, which only the coreset may drop.
+    """
+    body = state.ellipsoid
+    rho, inside = scan_rows(body, zs)
+    ok = inside & (rho <= limit * (1.0 - SKIP_MARGIN - scan_tolerance(body)))
+    j = int(ok.argmin())
+    return len(ok) if ok[j] else j
 
 
 def full_update_detailed(

@@ -245,3 +245,43 @@ class TestJsonFormatter:
         rng = np.random.default_rng(8)
         for x in rng.standard_normal(100) * 10.0**rng.integers(-8, 8, 100):
             assert float(json.loads(cli.to_json(float(x)))) == x
+
+
+class TestStepTexts:
+    """report.json's steps and trace.csv come from one row template per
+    run of records; they must equal the generic per-record output."""
+
+    @staticmethod
+    def generic_csv(steps):
+        lines = ["t,kind,alpha_inv,log_vol,gamma"]
+        for s in steps:
+            lines.append(",".join([str(s["t"]), s["kind"], cli._fmt(s["alpha_inv"]),
+                                   cli._fmt(s["log_vol"]), cli._fmt(s["gamma"])]))
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("mode", ["online", "seeded", "coreset", "verify"])
+    def test_bytes_equal_generic_output(self, tmp_path, mode):
+        from ellipstream import coreset, streaming
+        d, n = 3, 700
+        argv = ["--mode", mode, "--gen", "gaussian", "--d", str(d), "--n", str(n),
+                "--seed", "5", "--out", str(tmp_path)]
+        if mode == "seeded":
+            argv += ["--c0", "0,0,0", "--r0", "0.3"]
+        assert cli.main(argv) == 0
+        pts = cli.generate("gaussian", d, n, 5)
+        if mode == "seeded":
+            _, report = streaming.run_seeded(pts, np.zeros(d), 0.3)
+        elif mode == "coreset":
+            _, report = coreset.run_coreset(pts)
+        else:
+            _, report = streaming.run_fully_online(pts)
+        # long skip runs make the run-length path matter
+        assert max(count for _, count in report.runs) > 50
+        steps = [{"t": r.t, "kind": r.step_kind, "alpha_inv": 1.0 / r.alpha,
+                  "log_vol": r.log_volume, "gamma": r.gamma}
+                 for r in report.records]
+        raw = (tmp_path / "report.json").read_text()
+        payload = json.loads(raw)
+        payload["steps"] = steps
+        assert cli.to_json(payload) + "\n" == raw
+        assert (tmp_path / "trace.csv").read_text() == self.generic_csv(steps)

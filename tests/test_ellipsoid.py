@@ -13,6 +13,7 @@ from ellipstream.ellipsoid import (
     containment_margin,
     contains_ellipsoid,
     log_volume,
+    max_membership,
     membership,
     support,
 )
@@ -81,6 +82,32 @@ class TestMembership:
     def test_in_span_point_of_degenerate_body(self):
         e = Ellipsoid(np.zeros(3), np.eye(3)[:, :2], np.array([1.0, 1.0]))
         assert membership(e, np.array([0.5, 0.0, 0.0])) < 0
+
+
+class TestMaxMembership:
+    """The batched max equals the per-point max bit for bit."""
+
+    @pytest.mark.parametrize("d, k", [(3, 3), (6, 6), (16, 16), (4, 2)])
+    def test_equals_scalar_max(self, d, k):
+        rng = np.random.default_rng(50 + d + k)
+        e = random_ellipsoid(rng, d, k)
+        for _ in range(30):
+            # a few rows on the boundary, so the top is decided in the last
+            # bits, where the batched and the scalar rho differ
+            rho = np.concatenate([rng.uniform(0.1, 1.0, 100), np.ones(4)])
+            u = rng.standard_normal((len(rho), k))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            xs = e.center + (u * e.semiaxes * rho[:, None]) @ e.axes.T
+            assert max_membership(e, xs) == max(membership(e, x) for x in xs)
+        if k < d:
+            off = xs[:5] + 1e-3 * np.linalg.svd(e.axes, full_matrices=True)[0][:, -1]
+            assert max_membership(e, np.vstack([xs, off])) == math.inf
+
+    def test_rank_zero(self):
+        z = np.array([1.0, 2.0, 3.0])
+        e = Ellipsoid.point(z)
+        assert max_membership(e, np.array([z, z])) == 0.0
+        assert max_membership(e, np.array([z, np.nextafter(z, 4.0)])) == math.inf
 
 
 class TestVolumeAndSupport:

@@ -5,9 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellipstream.coreset import run_coreset
-from ellipstream.ellipsoid import RANK_COLLAPSE_RATIO, NumericalLimitError, membership
+from ellipstream.coreset import CoresetTrace, coreset_step, drop_limit, run_coreset
+from ellipstream.ellipsoid import (
+    RANK_COLLAPSE_RATIO,
+    SPAN_TOL,
+    Ellipsoid,
+    NumericalLimitError,
+    log_volume,
+    membership,
+    span_split,
+)
+from ellipstream.state import RoundingState
 from ellipstream.streaming import RunReport, StepRecord, run_fully_online, run_seeded
+from ellipstream.update_rule import leading_skips, step
 
 
 class TestFullyOnline:
@@ -230,3 +240,271 @@ class TestRunReport:
         rep.append(StepRecord(4, 0.3, 0.4, "regular", 0.2))
         assert rep.regular_gamma_sum() == pytest.approx(0.5)
         assert rep.irregular_count() == 1
+
+
+# --- batched ingestion: bit-identity with a scalar reference fold ---------
+
+EPS = np.finfo(float).eps
+
+
+def reference_online(pts):
+    """run_fully_online as a plain per-point fold of `step`."""
+    state, records = None, []
+    for t, z in enumerate(pts, start=1):
+        z = np.asarray(z, dtype=float)
+        if state is None:
+            state, kind, gamma = RoundingState(Ellipsoid.point(z), alpha=1.0), "init", 0.0
+        else:
+            state, kind, params = step(state, z)
+            gamma = 0.0 if params is None else params.gamma
+        records.append((t, state.alpha, log_volume(state.ellipsoid), kind, gamma))
+    return state, records, None
+
+
+def reference_seeded(pts, r0=0.5):
+    """run_seeded as a plain per-point fold of its two phases."""
+    d = len(pts[0])
+    c0 = np.zeros(d)
+    gate = r0 * d * math.log(d)
+    state, local, records = RoundingState(Ellipsoid.ball(c0, r0), alpha=1.0), True, []
+    for t, z in enumerate(pts, start=1):
+        z = np.asarray(z, dtype=float)
+        kind, gamma = None, 0.0
+        if local:
+            dist = float(np.linalg.norm(z - c0))
+            if dist > gate:
+                state = RoundingState(Ellipsoid.ball(c0, gate),
+                                      alpha=min(0.5, 1.0 / (d * math.log(d))))
+                local = False
+            elif dist > state.ellipsoid.semiaxes[0]:
+                state, kind = RoundingState(Ellipsoid.ball(c0, dist), alpha=r0 / dist), "local"
+            else:
+                kind = "skip"
+        if kind is None:
+            state, kind, params = step(state, z)
+            gamma = 0.0 if params is None else params.gamma
+        records.append((t, state.alpha, log_volume(state.ellipsoid), kind, gamma))
+    return state, records, None
+
+
+def reference_coreset(pts):
+    """run_coreset as a plain per-point fold of `coreset_step`."""
+    trace, records = CoresetTrace(), []
+    for t, z in enumerate(pts, start=1):
+        try:
+            trace, kind, gamma = coreset_step(trace, t, z)
+        except NumericalLimitError as exc:
+            raise exc.at_step(t) from exc
+        state = trace.driver
+        records.append((t, state.alpha, log_volume(state.ellipsoid), kind, gamma))
+    return trace.driver, records, trace.selected
+
+
+DRIVERS = {
+    "online": (lambda s: run_fully_online(s), reference_online),
+    "seeded": (lambda s: run_seeded(s, np.zeros(3), 0.5), reference_seeded),
+    "coreset": (lambda s: run_coreset(s), reference_coreset),
+}
+
+
+def at_rho(state, rhos, rng, residual=0.0):
+    """Points at the given rho of `state`, as span_split finds it, along
+    random span directions; pushed off the span by `residual` times the
+    off-span threshold."""
+    e = state.ellipsoid
+    rows = []
+    for rho in rhos:
+        u = rng.standard_normal(e.rank)
+        delta = e.axes @ (e.semiaxes * u / np.linalg.norm(u)) * rho
+        for _ in range(3):
+            got = np.linalg.norm(span_split(e, e.center + delta).coeffs / e.semiaxes)
+            delta = delta * (rho / got)
+        if residual:
+            n = rng.standard_normal(e.dim)
+            n -= e.axes @ (e.axes.T @ n)
+            n -= e.axes @ (e.axes.T @ n)
+            scale = SPAN_TOL * max(np.linalg.norm(delta), e.semiaxes[0])
+            delta = delta + n / np.linalg.norm(n) * residual * scale
+        rows.append(e.center + delta)
+    return np.array(rows)
+
+
+def crafted(reference, prefix, make_rows, rounds=1):
+    """prefix, then rounds of the rows make_rows builds at the reference
+    state after the stream so far."""
+    pts = prefix
+    for _ in range(rounds):
+        pts = np.vstack([pts, make_rows(reference(pts)[0])])
+    return pts
+
+
+def boundary_rows(state, rng):
+    # covered points, then points a few ulps either side of rho = 1
+    ulps = 1.0 + EPS * rng.integers(-3, 4, 12)
+    return np.vstack([at_rho(state, rng.uniform(0.1, 0.9, 6), rng), at_rho(state, ulps, rng)])
+
+
+def span_rows(state, rng):
+    # in-span points with a residual at the off-span threshold, and at half
+    # of it, by a factor 1 -+ 1e-6
+    rows = [at_rho(state, rng.uniform(0.1, 0.9, 30), rng)]
+    for f in (0.5, 1.0):
+        for r in (f * (1 - 1e-6), f * (1 + 1e-6)):
+            rows.append(at_rho(state, [0.5], rng, residual=r))
+            rows.append(at_rho(state, rng.uniform(0.1, 0.9, 8), rng))
+    return np.vstack(rows)
+
+
+def drop_rows(state, rng):
+    # the coreset's drop limit rho*: either side by 1e-9, and just inside
+    # the scan margin
+    limit = drop_limit(state)
+    factors = [1 - 1e-9, 1 + 1e-9, 1 - 2e-8, 1 - 1e-7, 1 - 1e-3]
+    rows = [at_rho(state, rng.uniform(0.1, 0.9, 20), rng)]
+    for f in factors:
+        rows.append(at_rho(state, [limit * f], rng))
+        rows.append(at_rho(state, rng.uniform(0.1, 0.9, 10), rng))
+    return np.vstack(rows)
+
+
+def streams():
+    rng = np.random.default_rng(40)
+    gauss = rng.standard_normal((120, 3))
+    # a planar stream in R^3 keeps the body at rank 2
+    plane = np.hstack([rng.standard_normal((120, 2)), np.zeros((120, 1))]) + 1.0
+    z = rng.standard_normal(3)
+    near = z + np.array([EPS, 0.0, 0.0]) * np.abs(z)
+    dup = np.array([z, z, z, near, z, near, z] + [z] * 20)
+    out = {
+        "duplicates_at_rank_0": np.vstack([dup, rng.standard_normal((40, 3))]),
+        "n255": rng.standard_normal((255, 3)),
+        "n256": rng.standard_normal((256, 3)),
+        "n257": rng.standard_normal((257, 3)),
+    }
+    for name, ref in (("online", reference_online), ("seeded", reference_seeded),
+                      ("coreset", reference_coreset)):
+        out[f"boundary_{name}"] = crafted(ref, gauss, lambda s: boundary_rows(s, rng), 12)
+        out[f"span_{name}"] = crafted(ref, plane, lambda s: span_rows(s, rng))
+    out["drop_coreset"] = crafted(reference_coreset, gauss, lambda s: drop_rows(s, rng))
+    # seeded phase I: a ball of radius 0.5 about the origin
+    ball = Ellipsoid.ball(np.zeros(3), 0.5)
+    out["ball_phase1"] = at_rho(RoundingState(ball, 1.0),
+                                [1.0 + j * EPS for j in range(-4, 5)] * 3, rng)
+    return out
+
+
+STREAMS = streams()
+
+
+def as_list(pts):
+    return [np.array(p) for p in pts]
+
+
+def as_generator(pts):
+    return (np.array(p) for p in pts)
+
+
+class TestBatchedIngestion:
+    @pytest.mark.parametrize("name", sorted(STREAMS))
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_bit_identical_to_scalar_fold(self, driver, name):
+        run, reference = DRIVERS[driver]
+        pts = STREAMS[name]
+        ref_state, ref_records, ref_selected = reference(pts)
+        for given in (pts, as_list(pts), as_generator(pts)):
+            out, report = run(given)
+            state = out.driver if driver == "coreset" else out
+            assert [tuple(r) for r in report.records] == ref_records
+            assert np.array_equal(state.center, ref_state.center)
+            assert np.array_equal(state.ellipsoid.axes, ref_state.ellipsoid.axes)
+            assert np.array_equal(state.ellipsoid.semiaxes, ref_state.ellipsoid.semiaxes)
+            assert state.alpha == ref_state.alpha
+            if driver == "coreset":
+                assert out.selected == ref_selected
+
+    def test_skip_runs_are_run_length_encoded(self):
+        pts = np.random.default_rng(41).standard_normal((3000, 3))
+        _, report = run_fully_online(pts)
+        assert len(report.records) == 3000
+        assert len(report.runs) < 100
+
+    @pytest.mark.parametrize("name, driver, start, kinds", [
+        ("boundary_online", "online", 120, {"skip", "regular"}),
+        ("drop_coreset", "coreset", 120, {"skip", "regular"}),
+        ("span_online", "online", 120, {"skip", "irregular"}),
+        ("ball_phase1", "seeded", 0, {"skip", "local"})])
+    def test_crafted_rows_reach_both_decisions(self, name, driver, start, kinds):
+        # the rows near a threshold are not all decided one way
+        records = DRIVERS[driver][1](STREAMS[name])[1]
+        assert kinds <= {r[3] for r in records[start:]}
+
+
+class TestLeadingSkips:
+    """Every row leading_skips passes is a skip of the scalar kernel."""
+
+    @staticmethod
+    def assert_passes_only(state, rows, scalar_skip, limit=1.0):
+        assert scalar_skip.any() and not scalar_skip.all()
+        for m in (1, 8, 256):
+            for i in range(len(rows)):
+                j = leading_skips(state, rows[i:i + m], limit)
+                assert scalar_skip[i:i + j].all()
+
+    @pytest.mark.parametrize("d", [3, 16])
+    def test_rows_at_rho_one(self, d):
+        rng = np.random.default_rng(43)
+        state = run_fully_online(rng.standard_normal((200, d)) * rng.uniform(0.5, 3.0, d))[0]
+        rows = at_rho(state, 1.0 + EPS * rng.integers(-3, 4, 400), rng)
+        scalar_skip = np.array([step(state, z)[1] == "skip" for z in rows])
+        self.assert_passes_only(state, rows, scalar_skip)
+
+    def test_rows_at_the_drop_limit(self):
+        rng = np.random.default_rng(44)
+        trace = run_coreset(rng.standard_normal((200, 4)))[0]
+        limit = drop_limit(trace.driver)
+        assert limit > 1.0
+        rows = at_rho(trace.driver, limit * (1.0 + rng.uniform(-3e-8, 1e-8, 300)), rng)
+        scalar_skip = np.array([coreset_step(trace, 201, z)[1] == "skip" for z in rows])
+        self.assert_passes_only(trace.driver, rows, scalar_skip, limit)
+
+
+class TestErrorOrdering:
+    @pytest.mark.parametrize("d", [2, 6])
+    def test_coreset_collapse_at_the_scalar_step(self, d):
+        # near the collapse guard a dropped point's tentative body may
+        # collapse; the scalar fold raises there, so the batched run must too
+        pts = one_axis_growth(d)
+        with pytest.raises(NumericalLimitError) as ref:
+            reference_coreset(pts)
+        with pytest.raises(NumericalLimitError) as info:
+            run_coreset(pts)
+        assert (info.value.t, info.value.ratio) == (ref.value.t, ref.value.ratio)
+
+    @pytest.mark.parametrize("given", [np.asarray, as_list, as_generator])
+    def test_nan_mid_block_after_the_rows_before_it(self, given):
+        pts = np.random.default_rng(42).standard_normal((300, 3))
+        pts[137, 1] = np.nan
+        seen = []
+        with pytest.raises(ValueError, match="non-finite point at index 138"):
+            run_fully_online(given(pts), on_step=lambda t, *_: seen.append(t))
+        assert seen == list(range(1, 138))
+        with pytest.raises(ValueError, match="index 138"):
+            run_seeded(given(pts), np.zeros(3), 0.5)
+        with pytest.raises(ValueError, match="index 138"):
+            run_coreset(given(pts))
+
+    @pytest.mark.parametrize("driver", ["online", "seeded", "coreset"])
+    def test_collapse_before_a_later_nan_still_wins(self, driver):
+        run = {"online": run_fully_online,
+               "seeded": lambda pts: run_seeded(pts, np.zeros(3), 0.5),
+               "coreset": run_coreset}[driver]
+        pts = one_axis_growth(3)
+        with pytest.raises(NumericalLimitError) as info:
+            run(pts)
+        t = info.value.t
+        for later in (t + 1, t + 300):
+            bad = pts.copy()
+            bad[later - 1, 2] = np.nan
+            with pytest.raises(NumericalLimitError) as again:
+                run(bad)
+            assert again.value.t == t
