@@ -1,9 +1,10 @@
 """Streaming convex-hull coreset selection.
 
-A point is kept when committing it would either raise the affine span
-dimension or multiply the outer volume by at least e; everything else is
-provably redundant and the driver state is left untouched, which is what
-makes replaying the selected sub-stream bit-exact.
+`coreset_step` is a keep-rule on `step`. A point is kept when committing it
+would either raise the affine span dimension or multiply the outer volume
+by at least e; everything else is provably redundant and the driver state
+is left untouched, which is what makes replaying the kept points, the
+report's non-skip steps, bit-exact.
 
 Since a dropped point leaves the state untouched, `run_coreset` scans past
 runs of them in bulk (see `streaming.fold`): a covered point, and also an
@@ -28,7 +29,7 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .ellipsoid import RANK_COLLAPSE_RATIO, Ellipsoid, log_volume
+from .ellipsoid import RANK_COLLAPSE_RATIO, log_volume
 from .state import RoundingState
 from .streaming import RunReport, fold
 from .update_rule import compute_params, step
@@ -46,48 +47,33 @@ class CoresetTrace:
     reasons: Tuple[str, ...] = ()  # dim_growth | volume_jump
     driver: Optional[RoundingState] = None
 
-    def with_selection(self, t: int, reason: str,
-                       state: RoundingState) -> "CoresetTrace":
-        return CoresetTrace(self.selected + (t,), self.reasons + (reason,), state)
+
+# the reason recorded for a kept step of each kind
+REASONS = {"init": "dim_growth", "irregular": "dim_growth", "regular": "volume_jump"}
 
 
-def coreset_step(trace: CoresetTrace, t: int,
-                 z: np.ndarray) -> Tuple[CoresetTrace, str, float]:
-    """Process one stream point; returns the new trace, the step kind
-    (init | irregular | regular for a kept point, skip for a dropped one)
-    and the gamma of a kept regular step (0 otherwise)."""
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise ValueError(f"non-finite point at index {t}")
-    state = trace.driver
-    if state is None:
-        first = RoundingState(Ellipsoid.point(z), alpha=1.0)
-        return trace.with_selection(t, "dim_growth", first), "init", 0.0
-
-    tentative, kind, params = step(state, z)
+def coreset_step(state: RoundingState,
+                 z: np.ndarray) -> Tuple[RoundingState, str, float]:
+    """`step`, keeping only span raises and volume-jumping regular steps:
+    (next state, kind, gamma); a dropped point gives (state, skip, 0)."""
+    new, kind, params = step(state, z)
     if kind == "irregular":
-        return trace.with_selection(t, "dim_growth", tentative), kind, 0.0
+        return new, kind, 0.0
     if kind == "regular":
-        dlogvol = log_volume(tentative.ellipsoid) - log_volume(state.ellipsoid)
+        dlogvol = log_volume(new.ellipsoid) - log_volume(state.ellipsoid)
         if dlogvol >= VOLUME_JUMP_LOG - TIE_TOL:
-            return (trace.with_selection(t, "volume_jump", tentative), kind,
-                    params.gamma)
-    return trace, "skip", 0.0
+            return new, kind, params.gamma
+    return state, "skip", 0.0
 
 
 def run_coreset(stream: Iterable[np.ndarray]) -> Tuple[CoresetTrace, RunReport]:
     """Fold coreset_step over a stream."""
-    trace = CoresetTrace()
-
-    def advance(state, t, z):
-        nonlocal trace
-        trace, kind, gamma = coreset_step(trace, t, z)
-        return state, trace.driver, kind, gamma
-
-    state, report = fold(stream, advance, skip_limit=drop_limit)
-    if state is not None:
-        report.final_alpha_inv = state.alpha_inv
-    return trace, report
+    state, report = fold(stream, lambda state, z: (state, *coreset_step(state, z)),
+                         skip_limit=drop_limit)
+    kept = [(rec.t + i, REASONS[rec.step_kind]) for rec, n in report.runs
+            if rec.step_kind != "skip" for i in range(n)]
+    return CoresetTrace(tuple(t for t, _ in kept), tuple(r for _, r in kept),
+                        state), report
 
 
 def drop_limit(state: RoundingState) -> float:

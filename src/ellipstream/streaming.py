@@ -2,10 +2,12 @@
 and `fold`, the loop all drivers share.
 
 Every driver folds a per-point step over a finite iterable of points,
-producing the final sandwich state plus a per-step report. A skip leaves
-the state unchanged, so `fold` ingests points in bulk: `chunks` cuts the
-stream into blocks of CHUNK_ROWS rows, and after the scalar step returns a
-skip, `update_rule.leading_skips` scans the rows ahead with one mat-mul and
+producing the final sandwich state plus a per-step report. `fold` owns the
+step protocol: from no state, the first point makes a rank-0 state; the
+observer sees each state change, and skips show only in the report. A skip
+leaves the state unchanged, so `fold` ingests points in bulk: `chunks`
+cuts the stream into blocks of CHUNK_ROWS rows, and after a scalar skip,
+`update_rule.leading_skips` scans the rows ahead with one mat-mul and
 records the run of certain skips at once. A row is a certain skip when its
 residual is at most half the off-span threshold and its rho lies inside
 the limit by SKIP_MARGIN plus scan_tolerance, the most a gemm and the
@@ -40,11 +42,12 @@ __all__ = [
     "run_fully_online",
 ]
 
+# on_step(t, prev, next, z, kind, gamma): called once per state change; a
+# skip leaves the state as it was and shows only in the report
 StepObserver = Callable[[int, RoundingState, RoundingState, np.ndarray, str, float], None]
-# advance(state, t, z) -> (prev, next, kind, gamma): one scalar step of a
-# driver, from state None at the first point; prev is the state the step
-# started from, which a driver may put in place of `state` first
-Advance = Callable[[Optional[RoundingState], int, np.ndarray],
+# advance(state, z) -> (prev, next, kind, gamma): one scalar step from prev,
+# which a driver may put in place of `state`; a skip returns prev as next
+Advance = Callable[[RoundingState, np.ndarray],
                    Tuple[RoundingState, RoundingState, str, float]]
 
 CHUNK_ROWS = 256
@@ -65,7 +68,10 @@ class RunReport:
     t, t+1, ... that equal `record` apart from t."""
 
     runs: List[Tuple[StepRecord, int]] = field(default_factory=list)
-    final_alpha_inv: float = 1.0
+
+    @property
+    def final_alpha_inv(self) -> float:
+        return 1.0 / self.runs[-1][0].alpha if self.runs else 1.0
 
     def append(self, rec: StepRecord, count: int = 1) -> None:
         """Add `count` steps starting at rec.t, merged into the last run
@@ -126,12 +132,12 @@ def fold(stream: Iterable[np.ndarray], advance: Advance,
          on_step: Optional[StepObserver] = None,
          skip_limit: Callable[[RoundingState], float] = lambda state: 1.0,
          ) -> Tuple[Optional[RoundingState], RunReport]:
-    """Fold `advance` over the stream from `state`, recording every step.
-
-    After `advance` returns a skip, the rows ahead that leading_skips
-    certifies at `skip_limit(state)` (recomputed when the state changes)
-    are recorded as skips without calling it. A NumericalLimitError is
-    re-raised with the index of the step that hit it.
+    """Fold `advance` over the stream from `state`, or from the rank-0 state
+    of the first point (kind init), recording every step; `on_step` sees
+    each step that changes the state. After a skip, the rows ahead that
+    leading_skips certifies at `skip_limit(state)` (recomputed when the
+    state changes) are recorded as skips without calling `advance`. A
+    NumericalLimitError is re-raised with the index of the step that hit it.
     """
     report = RunReport()
     logvol = limit = 0.0
@@ -148,10 +154,6 @@ def fold(stream: Iterable[np.ndarray], advance: Advance,
                     if j:
                         report.append(StepRecord(t0 + i, state.alpha, logvol,
                                                  "skip", 0.0), j)
-                        if on_step is not None:
-                            for r in range(j):
-                                on_step(t0 + i + r, state, state, rows[r],
-                                        "skip", 0.0)
                         i += j
                     if j == len(rows):
                         if j == window:
@@ -160,12 +162,16 @@ def fold(stream: Iterable[np.ndarray], advance: Advance,
                     scan = False
                 t, z = t0 + i, block[i]
                 old = state
-                prev, state, kind, gamma = advance(state, t, z)
+                if state is None:
+                    prev = state = RoundingState(Ellipsoid.point(z), 1.0)
+                    kind, gamma = "init", 0.0
+                else:
+                    prev, state, kind, gamma = advance(state, z)
                 if state is not old:
                     logvol, limit = log_volume(state.ellipsoid), skip_limit(state)
+                    if on_step is not None:
+                        on_step(t, prev, state, z, kind, gamma)
                 report.append(StepRecord(t, state.alpha, logvol, kind, gamma))
-                if on_step is not None:
-                    on_step(t, prev, state, z, kind, gamma)
                 scan = kind == "skip"
                 if not scan:
                     window = SCAN_START
@@ -198,7 +204,7 @@ def run_seeded(
 
     local = True  # phase I: both bodies are balls around c0
 
-    def advance(state, t, z):
+    def advance(state, z):
         nonlocal local
         if local:
             dist = float(np.linalg.norm(z - c0))
@@ -212,15 +218,13 @@ def run_seeded(
             alpha0 = min(0.5, 1.0 / (d * math.log(d)))
             state = RoundingState(Ellipsoid.ball(c0, gate), alpha=alpha0)
             local = False
-        return _step(state, t, z)
+        return _step(state, z)
 
-    state, report = fold(stream, advance,
-                         RoundingState(Ellipsoid.ball(c0, r0), alpha=1.0), on_step)
-    report.final_alpha_inv = state.alpha_inv
-    return state, report
+    return fold(stream, advance,
+                RoundingState(Ellipsoid.ball(c0, r0), alpha=1.0), on_step)
 
 
-def _step(state: RoundingState, t: int, z: np.ndarray):
+def _step(state: RoundingState, z: np.ndarray):
     """The kernel `step` as an Advance."""
     new, kind, params = step(state, z)
     return state, new, kind, (0.0 if params is None else params.gamma)
@@ -233,14 +237,7 @@ def run_fully_online(
     """Online rounding with no seed: the first point initializes a rank-0
     state and every span-raising point triggers an irregular step.
     """
-    def advance(state, t, z):
-        if state is None:
-            first = RoundingState(Ellipsoid.point(z), alpha=1.0)
-            return first, first, "init", 0.0
-        return _step(state, t, z)
-
-    state, report = fold(stream, advance, on_step=on_step)
+    state, report = fold(stream, _step, on_step=on_step)
     if state is None:
         raise ValueError("empty stream")
-    report.final_alpha_inv = state.alpha_inv
     return state, report

@@ -124,15 +124,9 @@ def _regular(state: RoundingState,
     # compose the shrink map with the current factor, both in axis coords
     core = np.diag(1.0 / (params.b * s))
     core += np.outer((1.0 / params.a - 1.0 / params.b) * w, w / s)
-    cu, cs, cvt = np.linalg.svd(core)
-    new_axes = body.axes @ cvt.T
-    new_semiaxes = 1.0 / cs
-    # ascending after inversion; the Ellipsoid constructor re-sorts
-
     # center moves along the pre-image of w
-    center_shift = body.axes @ (s * w) * params.c
-    new_body = Ellipsoid(body.center + center_shift, new_axes, new_semiaxes)
-    return RoundingState(new_body, params.alpha_next), params
+    return _reshaped(body.center + body.axes @ (s * w) * params.c, body.axes,
+                     core, 1.0, params.alpha_next), params
 
 
 def _irregular(state: RoundingState, z: np.ndarray,
@@ -162,15 +156,18 @@ def _irregular(state: RoundingState, z: np.ndarray,
     m_w[:k, k] = -coeffs / rnorm
     m_w[k, k] = root / rnorm
     composed = (a_bar[:, None]) * m_w
-    cu, cs, cvt = np.linalg.svd(composed)
-    scale = (1.0 + alpha) / root
-    w_basis = np.hstack([body.axes, v_new[:, None]])
-    new_axes = w_basis @ cvt.T
-    new_semiaxes = scale / cs
-    new_center = body.center + (alpha / (1.0 + 2.0 * alpha)) * delta
-    new_alpha = 1.0 / (1.0 / alpha + 1.0)
-    new_body = Ellipsoid(new_center, new_axes, new_semiaxes)
-    return RoundingState(new_body, new_alpha)
+    return _reshaped(body.center + (alpha / (1.0 + 2.0 * alpha)) * delta,
+                     np.hstack([body.axes, v_new[:, None]]), composed,
+                     (1.0 + alpha) / root, 1.0 / (1.0 / alpha + 1.0))
+
+
+def _reshaped(center: np.ndarray, basis: np.ndarray, core: np.ndarray,
+              scale: float, alpha: float) -> RoundingState:
+    """The state whose outer body is {center + basis x : |core x| <= scale},
+    read off the SVD of the small square core."""
+    _, cs, cvt = np.linalg.svd(core)
+    # semiaxes ascend after inversion; the Ellipsoid constructor re-sorts
+    return RoundingState(Ellipsoid(center, basis @ cvt.T, scale / cs), alpha)
 
 
 def step(state: RoundingState, z: np.ndarray

@@ -3,31 +3,34 @@ import math
 import numpy as np
 import pytest
 
-from ellipstream.coreset import CoresetTrace, coreset_step, run_coreset
+from ellipstream.coreset import coreset_step, run_coreset
 from ellipstream.ellipsoid import membership
 
 OUTER_FACTOR = 2.0 * math.e + 1.0
 
 
 def test_first_point_always_selected():
-    trace, kind, gamma = coreset_step(CoresetTrace(), 1, np.array([1.0, 2.0]))
+    trace, report = run_coreset([np.array([1.0, 2.0])])
+    kind, gamma = report.records[-1].step_kind, report.records[-1].gamma
     assert (kind, gamma) == ("init", 0.0)
     assert trace.selected == (1,)
     assert trace.reasons == ("dim_growth",)
 
 
 def test_duplicate_first_point_skipped():
-    trace, _, _ = coreset_step(CoresetTrace(), 1, np.array([1.0, 2.0]))
-    trace, kind, _ = coreset_step(trace, 2, np.array([1.0, 2.0]))
+    trace, report = run_coreset([np.array([1.0, 2.0]), np.array([1.0, 2.0])])
+    kind = report.records[-1].step_kind
     assert kind == "skip"
     assert trace.selected == (1,)
 
 
 def test_span_raising_point_selected():
-    trace, _, _ = coreset_step(CoresetTrace(), 1, np.zeros(2))
-    trace, kind, _ = coreset_step(trace, 2, np.array([1.0, 0.0]))
+    pts = [np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    trace, report = run_coreset(pts[:2])
+    kind = report.records[-1].step_kind
     assert kind == "irregular" and trace.reasons[-1] == "dim_growth"
-    trace, kind, _ = coreset_step(trace, 3, np.array([0.0, 1.0]))
+    trace, report = run_coreset(pts)
+    kind = report.records[-1].step_kind
     assert kind == "irregular" and trace.reasons[-1] == "dim_growth"
 
 
@@ -47,9 +50,9 @@ def test_small_growth_point_discarded_without_state_change():
     before = trace.driver
     z = before.center + 1.05 * before.ellipsoid.semiaxes[0] * \
         before.ellipsoid.axes[:, 0]
-    trace2, kind, gamma = coreset_step(trace, 5, z)
+    after, kind, gamma = coreset_step(before, z)
     assert (kind, gamma) == ("skip", 0.0)
-    assert trace2.driver is before
+    assert after is before
 
 
 def test_non_finite_point_rejected():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellipstream.coreset import CoresetTrace, coreset_step, drop_limit, run_coreset
+from ellipstream.coreset import coreset_step, drop_limit, run_coreset
 from ellipstream.ellipsoid import (
     RANK_COLLAPSE_RATIO,
     SPAN_TOL,
@@ -103,10 +103,17 @@ class TestFullyOnline:
         assert worst <= 1e-7
 
     def test_observer_sees_every_step(self):
-        pts = np.random.default_rng(22).standard_normal((30, 3))
-        seen = []
-        run_fully_online(pts, on_step=lambda t, p, n, z, k, g: seen.append(t))
-        assert seen == list(range(1, 31))
+        # every step that changes the state, and no skip: those show only
+        # in the report
+        pts = np.random.default_rng(22).standard_normal((300, 3))
+        for run in (run_fully_online,
+                    lambda pts, on_step: run_seeded(pts, np.zeros(3), 1.0, on_step)):
+            seen = []
+            _, report = run(pts, on_step=lambda t, p, n, z, k, g: seen.append((t, k)))
+            assert any(n > 1 for rec, n in report.runs if rec.step_kind == "skip")
+            assert seen == [(r.t, r.step_kind) for r in report.records
+                            if r.step_kind != "skip"]
+        assert "local" in {kind for _, kind in seen}
 
 
 class TestAffineEquivariance:
@@ -288,16 +295,23 @@ def reference_seeded(pts, r0=0.5):
 
 
 def reference_coreset(pts):
-    """run_coreset as a plain per-point fold of `coreset_step`."""
-    trace, records = CoresetTrace(), []
+    """run_coreset as a plain per-point fold of `coreset_step`; its last
+    value is (selected, reasons)."""
+    state, records, selected, reasons = None, [], [], []
     for t, z in enumerate(pts, start=1):
-        try:
-            trace, kind, gamma = coreset_step(trace, t, z)
-        except NumericalLimitError as exc:
-            raise exc.at_step(t) from exc
-        state = trace.driver
+        z = np.asarray(z, dtype=float)
+        if state is None:
+            state, kind, gamma = RoundingState(Ellipsoid.point(z), alpha=1.0), "init", 0.0
+        else:
+            try:
+                state, kind, gamma = coreset_step(state, z)
+            except NumericalLimitError as exc:
+                raise exc.at_step(t) from exc
+        if kind != "skip":
+            selected.append(t)
+            reasons.append("volume_jump" if kind == "regular" else "dim_growth")
         records.append((t, state.alpha, log_volume(state.ellipsoid), kind, gamma))
-    return trace.driver, records, trace.selected
+    return state, records, (tuple(selected), tuple(reasons))
 
 
 DRIVERS = {
@@ -419,8 +433,14 @@ class TestBatchedIngestion:
             assert np.array_equal(state.ellipsoid.axes, ref_state.ellipsoid.axes)
             assert np.array_equal(state.ellipsoid.semiaxes, ref_state.ellipsoid.semiaxes)
             assert state.alpha == ref_state.alpha
+            assert report.final_alpha_inv == state.alpha_inv
             if driver == "coreset":
-                assert out.selected == ref_selected
+                assert (out.selected, out.reasons) == ref_selected
+
+    def test_empty_coreset(self):
+        trace, report = run_coreset([])
+        assert (trace.selected, trace.reasons, trace.driver) == ((), (), None)
+        assert report.final_alpha_inv == 1.0
 
     def test_skip_runs_are_run_length_encoded(self):
         pts = np.random.default_rng(41).standard_normal((3000, 3))
@@ -464,7 +484,7 @@ class TestLeadingSkips:
         limit = drop_limit(trace.driver)
         assert limit > 1.0
         rows = at_rho(trace.driver, limit * (1.0 + rng.uniform(-3e-8, 1e-8, 300)), rng)
-        scalar_skip = np.array([coreset_step(trace, 201, z)[1] == "skip" for z in rows])
+        scalar_skip = np.array([coreset_step(trace.driver, z)[1] == "skip" for z in rows])
         self.assert_passes_only(trace.driver, rows, scalar_skip, limit)
 
 
@@ -487,7 +507,8 @@ class TestErrorOrdering:
         seen = []
         with pytest.raises(ValueError, match="non-finite point at index 138"):
             run_fully_online(given(pts), on_step=lambda t, *_: seen.append(t))
-        assert seen == list(range(1, 138))
+        _, clean = run_fully_online(pts[:137])
+        assert seen == [r.t for r in clean.records if r.step_kind != "skip"]
         with pytest.raises(ValueError, match="index 138"):
             run_seeded(given(pts), np.zeros(3), 0.5)
         with pytest.raises(ValueError, match="index 138"):
