@@ -8,7 +8,7 @@ worst slack; all slacks must be nonnegative up to rounding.
 from ellipstream import inequality_suite
 from ellipstream.adversary import reduced_case_grid
 
-reports = inequality_suite(grid_density=100)
+reports = inequality_suite()
 width = max(len(r.claim_id) for r in reports)
 print(f"{'claim':<{width}}  worst slack")
 for r in reports:

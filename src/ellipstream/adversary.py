@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -23,6 +23,10 @@ from .update_rule import step
 UpdateRule = Callable[[RoundingState, np.ndarray], RoundingState]
 
 _SHELL_SEED = 1729
+ADVERSARY_MAX_STEPS = 100000
+# reduced_case_grid: the dimensions, and the grid sizes for a, b, A and c
+GRID_DIMS = (2, 3, 4, 5, 6, 7, 8)
+GRID_N_A, GRID_N_B, GRID_N_BIG_A, GRID_N_C = 24, 24, 16, 60
 
 
 class AdversaryError(ValueError):
@@ -100,8 +104,7 @@ def shell_point(state: RoundingState, r_cap: float) -> Optional[np.ndarray]:
     return None
 
 
-def run_adversary(rule: UpdateRule, d: int, r_big: float,
-                  max_steps: int = 100000) -> AdversaryTrace:
+def run_adversary(rule: UpdateRule, d: int, r_big: float) -> AdversaryTrace:
     """Drive a monotone rule with the adversarial stream.
 
     The trace records A_t = 1/alpha_t and P_t = log-volume ratio after
@@ -132,7 +135,7 @@ def run_adversary(rule: UpdateRule, d: int, r_big: float,
         feed(v, "simplex")
 
     target = d * math.log(r_big / 2.0)
-    for _ in range(max_steps):
+    for _ in range(ADVERSARY_MAX_STEPS):
         if log_volume(state.ellipsoid) > target:
             trace.stop_reason = "volume_reached"
             break
@@ -158,13 +161,7 @@ class ReducedCaseReport:
     min_slack: float
 
 
-def reduced_case_grid(
-    d_values: Tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
-    n_a: int = 24,
-    n_b: int = 24,
-    n_big_a: int = 16,
-    n_c: int = 60,
-) -> ReducedCaseReport:
+def reduced_case_grid() -> ReducedCaseReport:
     """Numerically probe the hardest monotone update in the reduced
     two-ellipse configuration (previous sandwich = unit ball pair scaled
     by 1/A, new point at distance 2 on the long axis).
@@ -174,13 +171,13 @@ def reduced_case_grid(
     smallest possible step ratio dA/dP; the report carries the minimal
     constant observed wherever the A/(10 d) branch is not the binding one.
     """
-    a_grid = np.geomspace(1.5, 50.0, n_a)
-    b_grid = np.geomspace(1.0, 50.0, n_b)
-    big_a_grid = np.geomspace(1.0, 200.0, n_big_a)
+    a_grid = np.geomspace(1.5, 50.0, GRID_N_A)
+    b_grid = np.geomspace(1.0, 50.0, GRID_N_B)
+    big_a_grid = np.geomspace(1.0, 200.0, GRID_N_BIG_A)
 
     ratios = []
     bounds = []
-    for d in d_values:
+    for d in GRID_DIMS:
         for big_a in big_a_grid:
             alpha = 1.0 / big_a
             for a in a_grid:
@@ -188,7 +185,7 @@ def reduced_case_grid(
                 c_hi = a - 1.0
                 if c_hi <= c_lo:
                     continue
-                c_grid = np.linspace(c_lo, c_hi, n_c)
+                c_grid = np.linspace(c_lo, c_hi, GRID_N_C)
                 for b in b_grid:
                     width = alpha / b
                     reach = (c_grid + alpha) / a

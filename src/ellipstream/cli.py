@@ -215,7 +215,7 @@ def _make_verifier(config: RunConfig):
     summary = {"checked": 0, "failures": 0, "worst_margin": math.inf}
 
     def observer(t, prev, next_, z, kind, gamma):
-        if every <= 0 or t % every or kind in ("init", "skip", "local"):
+        if every <= 0 or t % every or kind in ("init", "local"):
             return
         cert = oracle.check_monotone_step(prev, next_, z, tol=MONOTONE_TOL)
         summary["checked"] += 1

@@ -9,7 +9,6 @@ scalar inequalities the update rule relies on.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -41,6 +40,8 @@ _SLICE_COS, _SLICE_SIN = np.cos(_SLICE_ANGLES), np.sin(_SLICE_ANGLES)
 _FINE_OFFSETS = np.linspace(-2.0 * math.pi / _N_SLICE, 2.0 * math.pi / _N_SLICE, 64)
 # mvee_khachiyan recomputes inv(X) from scratch every this many iterations
 _MVEE_RESYNC = 1000
+# points per axis of inequality_suite's (gamma, alpha) grid
+GRID_DENSITY = 100
 
 
 class OracleError(ValueError):
@@ -182,18 +183,6 @@ class StepCertificate:
     inner_ok: bool
     worst_margin: float
     violating_direction: Optional[np.ndarray] = None
-    method: str = "slice+sampling"
-
-    def to_json(self) -> str:
-        payload = {
-            "outer_ok": self.outer_ok,
-            "inner_ok": self.inner_ok,
-            "worst_margin": self.worst_margin,
-            "violating_direction": (None if self.violating_direction is None
-                                    else list(map(float, self.violating_direction))),
-            "method": self.method,
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def _normalized_frame(prev: RoundingState, z: np.ndarray):
@@ -421,9 +410,9 @@ class SlackReport:
     argmin: Tuple[float, ...]
 
 
-def _grid_params(grid_density: int):
-    gammas = np.geomspace(1e-6, 10.0, grid_density)
-    alphas = np.linspace(1e-4, 0.5, grid_density)
+def _grid_params():
+    gammas = np.geomspace(1e-6, 10.0, GRID_DENSITY)
+    alphas = np.linspace(1e-4, 0.5, GRID_DENSITY)
     g, al = np.meshgrid(gammas, alphas, indexing="ij")
     g = g.ravel()
     al = al.ravel()
@@ -441,14 +430,12 @@ def _min_report(claim_id: str, slack: np.ndarray,
                        tuple(float(arg[j]) for arg in args))
 
 
-def inequality_suite(grid_density: int = 100) -> List[SlackReport]:
+def inequality_suite() -> List[SlackReport]:
     """Evaluate the scalar inequalities behind the update analysis on
     dense grids; every worst slack should be >= -1e-12.
     """
-    if grid_density < 10:
-        raise OracleError("grid_density must be at least 10")
     reports: List[SlackReport] = []
-    n1 = max(grid_density * grid_density, 10000)
+    n1 = max(GRID_DENSITY * GRID_DENSITY, 10000)
 
     x = np.linspace(-10.0, 10.0, n1)
     reports.append(_min_report("exp_lower_linear", np.exp(x) - (1.0 + x), [x]))
@@ -463,7 +450,7 @@ def inequality_suite(grid_density: int = 100) -> List[SlackReport]:
     lhs = (np.expm1(g1)) ** 2 / (np.exp(2.0 * g1) - (1.0 + g1 / 4.0) ** 2)
     reports.append(_min_report("gamma_ratio_bound", 1.5 * g1 - lhs, [g1]))
 
-    g, al, a, b, c, alp = _grid_params(grid_density)
+    g, al, a, b, c, alp = _grid_params()
     args = [g, al]
     harmonic = np.abs(1.0 / alp - (1.0 / al + 2.0 * g)) / (1.0 / al + 2.0 * g)
     reports.append(_min_report("params_harmonic", -harmonic, args))

@@ -12,10 +12,10 @@ records the run of certain skips at once. A row is a certain skip when its
 residual is at most half the off-span threshold and its rho lies inside
 the limit by SKIP_MARGIN plus scan_tolerance, the most a gemm and the
 scalar gemv can disagree; any row nearer a threshold goes through the
-scalar step, so the outputs equal the scalar fold's bit for bit. The scan
-window starts at SCAN_START rows and doubles, up to CHUNK_ROWS, while the
-whole window is skips; a non-skip resets it, so streams of mostly regular
-steps pay for few scans. Skip runs are stored run-length encoded.
+scalar step, so the outputs equal the scalar fold's bit for bit. A scan
+runs to the end of the block; a run that reaches it carries into the next
+block, and the row that ends a run goes to the scalar step. Skip runs are
+stored run-length encoded.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ Advance = Callable[[RoundingState, np.ndarray],
                    Tuple[RoundingState, RoundingState, str, float]]
 
 CHUNK_ROWS = 256
-SCAN_START = 8
 
 
 class StepRecord(NamedTuple):
@@ -143,23 +142,19 @@ def fold(stream: Iterable[np.ndarray], advance: Advance,
     logvol = limit = 0.0
     if state is not None:
         logvol, limit = log_volume(state.ellipsoid), skip_limit(state)
-    scan, window, t = False, SCAN_START, 0
+    scan, t = False, 0
     try:
         for t0, block in chunks(stream):
             i, n = 0, len(block)
             while i < n:
                 if scan:
-                    rows = block[i:i + window]
-                    j = leading_skips(state, rows, limit)
+                    j = leading_skips(state, block[i:], limit)
                     if j:
                         report.append(StepRecord(t0 + i, state.alpha, logvol,
                                                  "skip", 0.0), j)
                         i += j
-                    if j == len(rows):
-                        if j == window:
-                            window = min(2 * window, CHUNK_ROWS)
-                        continue
-                    scan = False
+                        if i == n:
+                            break
                 t, z = t0 + i, block[i]
                 old = state
                 if state is None:
@@ -173,8 +168,6 @@ def fold(stream: Iterable[np.ndarray], advance: Advance,
                         on_step(t, prev, state, z, kind, gamma)
                 report.append(StepRecord(t, state.alpha, logvol, kind, gamma))
                 scan = kind == "skip"
-                if not scan:
-                    window = SCAN_START
                 i += 1
     except NumericalLimitError as exc:
         raise exc.at_step(t) from exc
@@ -216,8 +209,12 @@ def run_seeded(
             # transition: grow the ball to its maximum allowed size; the
             # update rule needs alpha <= 1/2, so small dimensions are clamped
             alpha0 = min(0.5, 1.0 / (d * math.log(d)))
-            state = RoundingState(Ellipsoid.ball(c0, gate), alpha=alpha0)
+            grown = RoundingState(Ellipsoid.ball(c0, gate), alpha=alpha0)
             local = False
+            stepped = _step(grown, z)
+            # the grown ball may cover a point within ulps of the gate; the
+            # growth is then the step, as a skip never changes the state
+            return (state, grown, "local", 0.0) if stepped[2] == "skip" else stepped
         return _step(state, z)
 
     return fold(stream, advance,

@@ -18,6 +18,7 @@ from .state import RoundingState
 
 GAMMA_MAX_ITER = 200
 GAMMA_REL_RESIDUAL = 1e-10
+GAMMA_FALLBACK_RESIDUAL = 1e-8  # accepted once GAMMA_MAX_ITER steps are spent
 # leading_skips takes a row as a certain skip only this far (relative)
 # inside its limit, on top of scan_tolerance; 100x GAMMA_REL_RESIDUAL, so a
 # gamma solved anywhere in its window stays below the coreset's threshold
@@ -63,7 +64,7 @@ def _a_plus_c(gamma: float, alpha: float) -> float:
 
 
 def solve_gamma(rho: float, alpha: float) -> float:
-    """Smallest gamma with a(gamma) + c(gamma) in [rho, rho*(1+1e-10)].
+    """Smallest gamma with a + c in [rho, rho*(1 + GAMMA_REL_RESIDUAL)].
 
     The map gamma -> a + c equals 1 at gamma = 0 and is strictly
     increasing, so a plain bisection on [0, log(rho)+1] works. The upper
@@ -78,7 +79,7 @@ def solve_gamma(rho: float, alpha: float) -> float:
     hi = math.log(rho) + 1.0
     if _a_plus_c(hi, alpha) < rho:
         raise UpdateError("bisection bracket failed")
-    target_hi = rho * (1.0 + 1e-10)
+    target_hi = rho * (1.0 + GAMMA_REL_RESIDUAL)
     for _ in range(GAMMA_MAX_ITER):
         f_hi = _a_plus_c(hi, alpha)
         if rho <= f_hi <= target_hi:
@@ -89,7 +90,7 @@ def solve_gamma(rho: float, alpha: float) -> float:
         else:
             lo = mid
     f_hi = _a_plus_c(hi, alpha)
-    if rho <= f_hi <= rho * (1.0 + 1e-8):
+    if rho <= f_hi <= rho * (1.0 + GAMMA_FALLBACK_RESIDUAL):
         return hi
     raise UpdateError("gamma bisection did not converge")
 

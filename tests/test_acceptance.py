@@ -253,7 +253,7 @@ def test_criterion_8_adversary():
 
 def test_criterion_9_inequality_grids():
     t0 = time.time()
-    reports = inequality_suite(grid_density=100)
+    reports = inequality_suite()
     reduced = reduced_case_grid()
     elapsed = time.time() - t0
     worst = min(r.worst_slack for r in reports)

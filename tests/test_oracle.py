@@ -222,13 +222,6 @@ class TestCheckMonotoneStep:
         assert not cert.inner_ok
         assert cert.worst_margin < 0
 
-    def test_certificate_serializes(self):
-        prev = self.make_state()
-        z = np.array([2.0, 1.0])
-        cert = check_monotone_step(prev, full_update_detailed(prev, z)[0], z)
-        payload = cert.to_json()
-        assert '"outer_ok": true' in payload
-
 
 class TestMvee:
     def test_square_gives_circumscribed_circle(self):

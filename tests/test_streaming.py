@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellipstream import streaming
 from ellipstream.coreset import coreset_step, drop_limit, run_coreset
 from ellipstream.ellipsoid import (
     RANK_COLLAPSE_RATIO,
@@ -16,7 +17,7 @@ from ellipstream.ellipsoid import (
     span_split,
 )
 from ellipstream.state import RoundingState
-from ellipstream.streaming import RunReport, StepRecord, run_fully_online, run_seeded
+from ellipstream.streaming import CHUNK_ROWS, RunReport, StepRecord, run_fully_online, run_seeded
 from ellipstream.update_rule import leading_skips, step
 
 
@@ -276,13 +277,13 @@ def reference_seeded(pts, r0=0.5):
     state, local, records = RoundingState(Ellipsoid.ball(c0, r0), alpha=1.0), True, []
     for t, z in enumerate(pts, start=1):
         z = np.asarray(z, dtype=float)
-        kind, gamma = None, 0.0
+        kind, gamma, grown = None, 0.0, False
         if local:
             dist = float(np.linalg.norm(z - c0))
             if dist > gate:
                 state = RoundingState(Ellipsoid.ball(c0, gate),
                                       alpha=min(0.5, 1.0 / (d * math.log(d))))
-                local = False
+                local, grown = False, True
             elif dist > state.ellipsoid.semiaxes[0]:
                 state, kind = RoundingState(Ellipsoid.ball(c0, dist), alpha=r0 / dist), "local"
             else:
@@ -290,6 +291,9 @@ def reference_seeded(pts, r0=0.5):
         if kind is None:
             state, kind, params = step(state, z)
             gamma = 0.0 if params is None else params.gamma
+            if grown and kind == "skip":
+                # the grown ball covers the trigger: the growth is the step
+                kind = "local"
         records.append((t, state.alpha, log_volume(state.ellipsoid), kind, gamma))
     return state, records, None
 
@@ -381,6 +385,31 @@ def drop_rows(state, rng):
     return np.vstack(rows)
 
 
+def near_gate(rng, d=3, r0=0.5):
+    """A seeded stream (c0 = 0) whose first point past the gate lies a few
+    ulps beyond it, where the grown ball covers it."""
+    gate = r0 * d * math.log(d)
+    grown = RoundingState(Ellipsoid.ball(np.zeros(d), gate), min(0.5, 1.0 / (d * math.log(d))))
+    inside = at_rho(grown, rng.uniform(0.1, 0.9, 20), rng)
+    while True:
+        u = rng.standard_normal(d)
+        for k in range(1, 5):
+            z = u / np.linalg.norm(u) * gate * (1.0 + k * EPS)
+            if np.linalg.norm(z) > gate and step(grown, z)[1] == "skip":
+                return np.vstack([inside, z, 2.0 * rng.standard_normal((60, d))])
+
+
+def long_skip_run(prefix, rng):
+    """prefix, then 800 covered rows, with rows within ulps of rho = 1 at
+    stream offsets 255, 512 and 513: a scan stops mid-block, runs carry
+    across block edges, and a block's first row takes the scalar step."""
+    state = reference_online(prefix)[0]
+    tail = at_rho(state, rng.uniform(0.1, 0.9, 800), rng)
+    at = np.array([255, 512, 513]) - len(prefix)
+    tail[at] = at_rho(state, 1.0 - EPS * np.arange(1, 4), rng)
+    return np.vstack([prefix, tail])
+
+
 def streams():
     rng = np.random.default_rng(40)
     gauss = rng.standard_normal((120, 3))
@@ -404,6 +433,8 @@ def streams():
     ball = Ellipsoid.ball(np.zeros(3), 0.5)
     out["ball_phase1"] = at_rho(RoundingState(ball, 1.0),
                                 [1.0 + j * EPS for j in range(-4, 5)] * 3, rng)
+    out["near_gate"] = near_gate(rng)
+    out["long_skip_run"] = long_skip_run(gauss, rng)
     return out
 
 
@@ -436,6 +467,11 @@ class TestBatchedIngestion:
             assert report.final_alpha_inv == state.alpha_inv
             if driver == "coreset":
                 assert (out.selected, out.reasons) == ref_selected
+        # a skip never changes the state
+        records = report.records
+        for before, rec in zip(records, records[1:]):
+            if rec.step_kind == "skip":
+                assert rec[1:3] == before[1:3]
 
     def test_empty_coreset(self):
         trace, report = run_coreset([])
@@ -447,6 +483,26 @@ class TestBatchedIngestion:
         _, report = run_fully_online(pts)
         assert len(report.records) == 3000
         assert len(report.runs) < 100
+
+    @pytest.mark.parametrize("driver", ["online", "coreset"])
+    def test_one_scan_per_block_on_a_skip_run(self, driver, monkeypatch):
+        # a tail of certain skips over four blocks: after the last state
+        # change, each block the run reaches is scanned once
+        run, reference = DRIVERS[driver]
+        rng = np.random.default_rng(45)
+        prefix = rng.standard_normal((120, 3))
+        tail = at_rho(reference(prefix)[0], rng.uniform(0.1, 0.9, 900), rng)
+        scanned = []
+
+        def counted(state, zs, limit):
+            scanned.append(state)
+            return leading_skips(state, zs, limit)
+
+        monkeypatch.setattr(streaming, "leading_skips", counted)
+        out, _ = run(np.vstack([prefix, tail]))
+        final = out.driver if driver == "coreset" else out
+        blocks = -(-(len(prefix) + len(tail)) // CHUNK_ROWS)
+        assert sum(state is final for state in scanned) <= blocks + 1
 
     @pytest.mark.parametrize("name, driver, start, kinds", [
         ("boundary_online", "online", 120, {"skip", "regular"}),
