@@ -115,7 +115,7 @@ def run_adversary(rule: UpdateRule, d: int, r_big: float) -> AdversaryTrace:
         raise AdversaryError("dimension must be at least 2")
     if r_big < 1.0:
         raise AdversaryError("outer radius must be at least 1")
-    state = RoundingState(Ellipsoid.ball(np.zeros(d), 1.0), alpha=1.0)
+    state = RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(d), 1.0), alpha=1.0)
     trace = AdversaryTrace()
 
     def feed(z: np.ndarray, kind: str) -> None:

@@ -9,16 +9,16 @@ report's non-skip steps, bit-exact.
 Since a dropped point leaves the state untouched, `run_coreset` scans past
 runs of them in bulk (see `streaming.fold`): a covered point, and also an
 in-span point whose tentative regular step would stay below the threshold.
-The tentative step's shrink map is core = (I + (b/a - 1) w w^T) diag(1/(b s)),
-so det(core) = b/a * prod 1/(b s) and its log volume grows by
-log a + (k-1) log b = gamma + (k-1) log b(gamma) on a rank-k body. That is
-increasing in gamma, and gamma in rho, so the point is dropped for every
+The tentative step multiplies the factor by b I + (a - b) w w^T, whose
+determinant is a b^(k-1), so on a rank-k body the recorded log volume grows
+by log a + (k-1) log b = gamma + (k-1) log b(gamma), in closed form. That
+is increasing in gamma, and gamma in rho, so the point is dropped for every
 rho below rho*, where gamma* solves gamma + (k-1) log b(gamma) =
 VOLUME_JUMP_LOG - TIE_TOL and rho* = a(gamma*) + c(gamma*). The scan passes
 rows with rho <= rho* (1 - SKIP_MARGIN - scan_tolerance): the margin covers
-the gamma solve's 1e-10 window and the rounding of the computed log
-volumes, which stay within about 1e-13 of the closed form. A state whose
-tentative step could trip the collapse guard scans with limit 1.
+the gamma solve's 1e-10 window and the rounding of the difference of two
+recorded log volumes, a few ulps of their size. A state whose tentative
+step could trip the collapse guard scans with limit 1.
 """
 
 from __future__ import annotations
@@ -29,11 +29,12 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .ellipsoid import RANK_COLLAPSE_RATIO, log_volume
+from .ellipsoid import RANK_COLLAPSE_RATIO
 from .state import RoundingState
 from .streaming import RunReport, fold
 from .update_rule import compute_params, step
 # looked up here by perfbench/tracing.py
+from .ellipsoid import log_volume  # noqa: F401
 from .update_rule import full_update_detailed, irregular_update, is_off_span  # noqa: F401
 
 # selection threshold in log space; ties select the point
@@ -60,8 +61,7 @@ def coreset_step(state: RoundingState,
     if kind == "irregular":
         return new, kind, 0.0
     if kind == "regular":
-        dlogvol = log_volume(new.ellipsoid) - log_volume(state.ellipsoid)
-        if dlogvol >= VOLUME_JUMP_LOG - TIE_TOL:
+        if new.log_volume - state.log_volume >= VOLUME_JUMP_LOG - TIE_TOL:
             return new, kind, params.gamma
     return state, "skip", 0.0
 
@@ -81,13 +81,13 @@ def drop_limit(state: RoundingState) -> float:
     below it (see the module docstring). 1 at rank 0, and near the collapse
     guard, where a tentative step could raise NumericalLimitError.
     """
-    body = state.ellipsoid
-    k = body.rank
+    k = state.dim
     if k == 0:
         return 1.0
     # a dropped step stretches s_max/s_min by at most a < e; near the
-    # guard its tentative body may collapse, which must still raise
-    if body.semiaxes[0] * math.e > 0.5 * body.semiaxes[-1] / RANK_COLLAPSE_RATIO:
+    # guard its tentative body may collapse, which must still raise; the
+    # bound |factor|_F |inverse|_F on s_max/s_min stands in for the ratio
+    if state.factor_norm * state.inverse_norm * math.e > 0.5 / RANK_COLLAPSE_RATIO:
         return 1.0
     alpha = state.alpha
     target = VOLUME_JUMP_LOG - TIE_TOL

@@ -136,66 +136,71 @@ class SpanSplit(NamedTuple):
 
 
 def span_split(e: Ellipsoid, x: np.ndarray) -> SpanSplit:
-    """Split x - center into span coordinates and orthogonal residual; the
-    one off-span test every layer shares.
+    """basis_split against the body's axes and its largest semiaxis."""
+    return basis_split(e.center, e.axes, float(e.semiaxes[0]) if e.rank else 0.0, x)
+
+
+def basis_split(center: np.ndarray, basis: np.ndarray, s_max: float,
+                x: np.ndarray) -> SpanSplit:
+    """Split x - center into coordinates on the orthonormal `basis` and an
+    orthogonal residual; the one off-span test every layer shares.
 
     x is off-span once the residual exceeds both SPAN_TOL * max(|delta|,
     s_max), the body's own scale, and SPAN_RES * (|delta| + |center|), the
     rounding of the coordinates; at rank 0 only the second applies. An
     off-span residual gets a second Gram-Schmidt pass whose correction
-    joins coeffs: [coeffs, rnorm] spells delta in [axes, residual/rnorm].
+    joins coeffs: [coeffs, rnorm] spells delta in [basis, residual/rnorm].
     """
     x = np.asarray(x, dtype=float)
-    delta = x - e.center
-    coeffs = e.axes.T @ delta
-    residual = delta - e.axes @ coeffs
+    delta = x - center
+    coeffs = basis.T @ delta
+    residual = delta - basis @ coeffs
     rnorm = math.sqrt(residual @ residual)
     dnorm = math.sqrt(delta @ delta)
-    s_max = float(e.semiaxes[0]) if e.rank else 0.0
     # |center| is only needed once the first test passes, which is rare
     off = (rnorm > SPAN_TOL * max(dnorm, s_max)
-           and rnorm > SPAN_RES * (dnorm + math.sqrt(e.center @ e.center)))
+           and rnorm > SPAN_RES * (dnorm + math.sqrt(center @ center)))
     if off:
-        extra = e.axes.T @ residual
-        residual = residual - e.axes @ extra
+        extra = basis.T @ residual
+        residual = residual - basis @ extra
         coeffs = coeffs + extra
         rnorm = float(np.linalg.norm(residual))
     return SpanSplit(delta, coeffs, residual, rnorm, off)
 
 
-def scan_rows(e: Ellipsoid, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched span split of the rows of xs: (rho, inside), where rho is
-    |coeffs / semiaxes| of each row and `inside` marks the rows whose
-    residual is at most SPAN_TOL/2 * max(|delta|, s_max), half the off-span
-    threshold. Those rows are in the span for span_split too, since one gemm
-    and a gemv move the residual by a few ulps of |delta|; their rho agrees
-    with span_split's to scan_tolerance(e) * max(1, rho).
+def scan_rows(center: np.ndarray, basis: np.ndarray, scale_map: np.ndarray,
+              s_max: float, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Batched span split of the rows of xs against a rank-k body: (rho,
+    inside). rho is |scale_map (x - center)|, the row's norm in the body's
+    unit-ball coordinates (scale_map is k x d); `inside` marks the rows
+    whose residual off `basis` is at most SPAN_TOL/2 * max(|delta|, s_max),
+    half the off-span threshold, for s_max at most the largest semiaxis.
+    Those rows are in the span for basis_split too, since one gemm and a
+    gemv move the residual by a few ulps of |delta|; their rho agrees with
+    the scalar one to scan_tolerance * max(1, rho).
     """
-    delta = xs - e.center
-    coeffs = delta @ e.axes
-    rho = row_norms(coeffs / e.semiaxes)
-    if e.rank == e.dim:
-        # the constructor holds |A^T A - I| <= ORTHO_TOL, so for a square A
-        # every residual is below ORTHO_TOL * |delta| plus rounding
+    delta = xs - center
+    rho = row_norms(delta @ scale_map.T)
+    if basis.shape[1] == basis.shape[0]:
+        # an orthonormal square basis leaves every residual below a few
+        # ulps of |delta|
         return rho, np.ones(len(rho), dtype=bool)
-    rnorm = row_norms(delta - coeffs @ e.axes.T)
-    s_max = float(e.semiaxes[0]) if e.rank else 0.0
+    rnorm = row_norms(delta - (delta @ basis) @ basis.T)
     inside = rnorm <= 0.5 * SPAN_TOL * np.maximum(row_norms(delta), s_max)
     return rho, inside
 
 
-def scan_tolerance(e: Ellipsoid) -> float:
-    """Relative bound on the gap between scan_rows' rho and span_split's.
+def scan_tolerance(d: int, k: int, cond: float) -> float:
+    """Relative bound on the gap between scan_rows' rho and the scalar one,
+    for a rank-k body in R^d whose s_max/s_min is at most `cond`.
 
-    The gemm and the gemv sum d products in different orders, so a span
-    coordinate moves by up to 2*d*eps*|delta|; dividing by the semiaxes
-    scales that by s_max/s_min on rows with rho <= 1. Padded by a factor
-    of four and by k for the norms.
+    The scalar rho is |M (B^T delta)| for the orthonormal basis B and the
+    map M to unit-ball coordinates, the scan's uses the rounded M B^T. Each
+    order moves it by up to (d + k) eps |M| |B^T| |delta|, at most (d + k)
+    eps sqrt(k) |M|_F s_max rho on in-span rows, and s_max |M|_F <= sqrt(k)
+    cond: 2 (d + k) k eps cond rho in all, padded by a factor of four.
     """
-    k = e.rank
-    if k == 0:
-        return 0.0
-    return 8.0 * (e.dim + k) * k * _EPS * float(e.semiaxes[0] / e.semiaxes[-1])
+    return 8.0 * (d + k) * k * _EPS * cond
 
 
 def membership(e: Ellipsoid, x: np.ndarray) -> float:
@@ -218,11 +223,13 @@ def max_membership(e: Ellipsoid, xs: np.ndarray) -> float:
     every row).
     """
     xs = np.asarray(xs, dtype=float)
-    rho, inside = scan_rows(e, xs)
+    s = e.semiaxes
+    rho, inside = scan_rows(e.center, e.axes, (e.axes / s).T, s[0] if e.rank else 0.0, xs)
     rescore = ~inside
     if inside.any():
         top = float(rho[inside].max())
-        window = (1e-12 + 2.0 * scan_tolerance(e)) * max(1.0, top)
+        tol = scan_tolerance(e.dim, e.rank, s[0] / s[-1] if e.rank else 0.0)
+        window = (1e-12 + 2.0 * tol) * max(1.0, top)
         rescore |= rho >= top - window
     return max(membership(e, x) for x in xs[rescore])
 

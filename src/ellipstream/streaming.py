@@ -6,16 +6,17 @@ producing the final sandwich state plus a per-step report. `fold` owns the
 step protocol: from no state, the first point makes a rank-0 state; the
 observer sees each state change, and skips show only in the report. A skip
 leaves the state unchanged, so `fold` ingests points in bulk: `chunks`
-cuts the stream into blocks of CHUNK_ROWS rows, and after a scalar skip,
-`update_rule.leading_skips` scans the rows ahead with one mat-mul and
-records the run of certain skips at once. A row is a certain skip when its
-residual is at most half the off-span threshold and its rho lies inside
-the limit by SKIP_MARGIN plus scan_tolerance, the most a gemm and the
-scalar gemv can disagree; any row nearer a threshold goes through the
-scalar step, so the outputs equal the scalar fold's bit for bit. A scan
+cuts the stream into blocks of CHUNK_ROWS rows, and once the last two rows
+were skips, `update_rule.leading_skips` scans the rows ahead with one
+mat-mul and records the run of certain skips at once. A row is a certain
+skip when its residual is at most half the off-span threshold and its rho
+lies inside the limit by SKIP_MARGIN plus scan_tolerance, the most a gemm
+and the scalar step can disagree; any row nearer a threshold goes through
+the scalar step, so the outputs equal the scalar fold's bit for bit. A scan
 runs to the end of the block; a run that reaches it carries into the next
-block, and the row that ends a run goes to the scalar step. Skip runs are
-stored run-length encoded.
+block, and the row that ends a run goes to the scalar step, as does the row
+after a lone skip, where a scan would mostly read the block to pass no row.
+Skip runs are stored run-length encoded.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tup
 
 import numpy as np
 
-from .ellipsoid import Ellipsoid, NumericalLimitError, log_volume
+from .ellipsoid import Ellipsoid, NumericalLimitError
 from .state import RoundingState
 from .update_rule import leading_skips, step
 # looked up here by perfbench/tracing.py
+from .ellipsoid import log_volume  # noqa: F401
 from .update_rule import full_update_detailed, irregular_update, is_off_span  # noqa: F401
 
 # re-exported: the state type logically belongs to this module
@@ -63,31 +65,37 @@ class StepRecord(NamedTuple):
 
 @dataclass
 class RunReport:
-    """Per-step records, stored as runs (record, count): `count` steps at
-    t, t+1, ... that equal `record` apart from t."""
+    """Per-step records as runs: `counts[i]` steps at t, t+1, ... equal to
+    `heads[i]` apart from t; flat lists, as most runs of a regular step are 1."""
 
-    runs: List[Tuple[StepRecord, int]] = field(default_factory=list)
+    heads: List[StepRecord] = field(default_factory=list)
+    counts: List[int] = field(default_factory=list)
+
+    @property
+    def runs(self) -> List[Tuple[StepRecord, int]]:
+        return list(zip(self.heads, self.counts))
 
     @property
     def final_alpha_inv(self) -> float:
-        return 1.0 / self.runs[-1][0].alpha if self.runs else 1.0
+        return 1.0 / self.heads[-1].alpha if self.heads else 1.0
 
     def append(self, rec: StepRecord, count: int = 1) -> None:
         """Add `count` steps starting at rec.t, merged into the last run
         when they continue it."""
-        if self.runs:
-            last, n = self.runs[-1]
+        if self.heads:
+            last, n = self.heads[-1], self.counts[-1]
             if rec.t < last.t + n:
                 raise ValueError("records must be strictly ordered by t")
             if rec.t == last.t + n and rec[1:] == last[1:]:
-                self.runs[-1] = (last, n + count)
+                self.counts[-1] = n + count
                 return
-        self.runs.append((rec, count))
+        self.heads.append(rec)
+        self.counts.append(count)
 
     @property
     def records(self) -> List[StepRecord]:
         return [rec._replace(t=rec.t + i) if i else rec
-                for rec, n in self.runs for i in range(n)]
+                for rec, n in zip(self.heads, self.counts) for i in range(n)]
 
     def regular_gamma_sum(self) -> float:
         return sum(r.gamma for r in self.records if r.step_kind == "regular")
@@ -133,24 +141,23 @@ def fold(stream: Iterable[np.ndarray], advance: Advance,
          ) -> Tuple[Optional[RoundingState], RunReport]:
     """Fold `advance` over the stream from `state`, or from the rank-0 state
     of the first point (kind init), recording every step; `on_step` sees
-    each step that changes the state. After a skip, the rows ahead that
+    each step that changes the state. After two skips, the rows ahead that
     leading_skips certifies at `skip_limit(state)` (recomputed when the
     state changes) are recorded as skips without calling `advance`. A
     NumericalLimitError is re-raised with the index of the step that hit it.
     """
     report = RunReport()
-    logvol = limit = 0.0
-    if state is not None:
-        logvol, limit = log_volume(state.ellipsoid), skip_limit(state)
-    scan, t = False, 0
+    limit = 0.0 if state is None else skip_limit(state)
+    # skips: how many of the rows just before row i were skips, up to 2
+    skips, t = 0, 0
     try:
         for t0, block in chunks(stream):
             i, n = 0, len(block)
             while i < n:
-                if scan:
+                if skips == 2:
                     j = leading_skips(state, block[i:], limit)
                     if j:
-                        report.append(StepRecord(t0 + i, state.alpha, logvol,
+                        report.append(StepRecord(t0 + i, state.alpha, state.log_volume,
                                                  "skip", 0.0), j)
                         i += j
                         if i == n:
@@ -158,16 +165,16 @@ def fold(stream: Iterable[np.ndarray], advance: Advance,
                 t, z = t0 + i, block[i]
                 old = state
                 if state is None:
-                    prev = state = RoundingState(Ellipsoid.point(z), 1.0)
+                    prev = state = RoundingState.from_ellipsoid(Ellipsoid.point(z), 1.0)
                     kind, gamma = "init", 0.0
                 else:
                     prev, state, kind, gamma = advance(state, z)
                 if state is not old:
-                    logvol, limit = log_volume(state.ellipsoid), skip_limit(state)
+                    limit = skip_limit(state)
                     if on_step is not None:
                         on_step(t, prev, state, z, kind, gamma)
-                report.append(StepRecord(t, state.alpha, logvol, kind, gamma))
-                scan = kind == "skip"
+                report.append(StepRecord(t, state.alpha, state.log_volume, kind, gamma))
+                skips = min(skips + 1, 2) if kind == "skip" else 0
                 i += 1
     except NumericalLimitError as exc:
         raise exc.at_step(t) from exc
@@ -202,14 +209,15 @@ def run_seeded(
         if local:
             dist = float(np.linalg.norm(z - c0))
             if dist <= gate:
-                if dist > state.ellipsoid.semiaxes[0]:
-                    return (state, RoundingState(Ellipsoid.ball(c0, dist),
-                                                 alpha=r0 / dist), "local", 0.0)
+                # a phase-I state is a ball: its factor is radius * I
+                if dist > state.factor[0, 0]:
+                    return (state, RoundingState.from_ellipsoid(
+                        Ellipsoid.ball(c0, dist), r0 / dist), "local", 0.0)
                 return state, state, "skip", 0.0
             # transition: grow the ball to its maximum allowed size; the
             # update rule needs alpha <= 1/2, so small dimensions are clamped
             alpha0 = min(0.5, 1.0 / (d * math.log(d)))
-            grown = RoundingState(Ellipsoid.ball(c0, gate), alpha=alpha0)
+            grown = RoundingState.from_ellipsoid(Ellipsoid.ball(c0, gate), alpha0)
             local = False
             stepped = _step(grown, z)
             # the grown ball may cover a point within ulps of the gate; the
@@ -218,7 +226,7 @@ def run_seeded(
         return _step(state, z)
 
     return fold(stream, advance,
-                RoundingState(Ellipsoid.ball(c0, r0), alpha=1.0), on_step)
+                RoundingState.from_ellipsoid(Ellipsoid.ball(c0, r0), 1.0), on_step)
 
 
 def _step(state: RoundingState, z: np.ndarray):

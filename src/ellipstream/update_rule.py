@@ -1,5 +1,6 @@
 """The monotone sandwich update: per-step scalars, the gamma solve, the
-regular full-dimensional step, the dimension-raising irregular step,
+regular step and the dimension-raising irregular step, each an update of
+the state's factor and its inverse in O(d k + k^2) (Golub & Van Loan 6.5),
 `step`, the one per-point kernel that decides between skip, regular step
 and span raise, and `leading_skips`, which finds a run of certain skips in
 a block of points with one mat-mul.
@@ -13,7 +14,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .ellipsoid import SPAN_TOL, Ellipsoid, SpanSplit, scan_rows, scan_tolerance, span_split
+from .ellipsoid import (SPAN_TOL, Ellipsoid, SpanSplit, basis_split, scan_rows,
+                        scan_tolerance)
 from .state import RoundingState
 
 GAMMA_MAX_ITER = 200
@@ -23,6 +25,9 @@ GAMMA_FALLBACK_RESIDUAL = 1e-8  # accepted once GAMMA_MAX_ITER steps are spent
 # inside its limit, on top of scan_tolerance; 100x GAMMA_REL_RESIDUAL, so a
 # gamma solved anywhere in its window stays below the coreset's threshold
 SKIP_MARGIN = 1e-8
+# a factor updated in place is accurate to about eps * s_max/s_min of its
+# thin axes; past this bound on that ratio, each step restarts from an SVD
+ALIGN_LIMIT = 1e6
 
 
 class UpdateError(ValueError):
@@ -64,35 +69,43 @@ def _a_plus_c(gamma: float, alpha: float) -> float:
 
 
 def solve_gamma(rho: float, alpha: float) -> float:
-    """Smallest gamma with a + c in [rho, rho*(1 + GAMMA_REL_RESIDUAL)].
+    """A gamma with a + c in [rho, rho*(1 + GAMMA_REL_RESIDUAL)].
 
-    The map gamma -> a + c equals 1 at gamma = 0 and is strictly
-    increasing, so a plain bisection on [0, log(rho)+1] works. The upper
-    end of the residual window is returned deliberately: overshooting
-    keeps the new point covered.
+    The map gamma -> a + c equals 1 at gamma = 0 and is increasing and
+    convex, so Newton started at the upper bracket log(rho) + 1 falls
+    monotonically onto the root from above; should rounding push an
+    iterate below it, bisection of the bracket takes over. The upper end
+    of the residual window is returned deliberately: overshooting keeps
+    the new point covered.
     """
     if not (rho > 1.0):
         raise UpdateError("rho must exceed 1")
     if not (0.0 < alpha <= 0.5):
         raise UpdateError("alpha must lie in (0, 1/2]")
-    lo = 0.0
-    hi = math.log(rho) + 1.0
-    if _a_plus_c(hi, alpha) < rho:
+    lo, hi = 0.0, math.log(rho) + 1.0
+    f_hi = _a_plus_c(hi, alpha)
+    if f_hi < rho:
         raise UpdateError("bisection bracket failed")
     target_hi = rho * (1.0 + GAMMA_REL_RESIDUAL)
+    newton = True
     for _ in range(GAMMA_MAX_ITER):
-        f_hi = _a_plus_c(hi, alpha)
-        if rho <= f_hi <= target_hi:
+        if f_hi <= target_hi:
             return hi
-        mid = 0.5 * (lo + hi)
-        if _a_plus_c(mid, alpha) >= rho:
-            hi = mid
+        if newton:
+            # d(a + c)/dgamma = a (1 + alpha' - 2 alpha'^2)
+            alpha_next = 1.0 / (1.0 / alpha + 2.0 * hi)
+            slope = math.exp(hi) * (1.0 + alpha_next * (1.0 - 2.0 * alpha_next))
+            mid = hi - (f_hi - rho) / slope
         else:
-            lo = mid
-    f_hi = _a_plus_c(hi, alpha)
-    if rho <= f_hi <= rho * (1.0 + GAMMA_FALLBACK_RESIDUAL):
+            mid = 0.5 * (lo + hi)
+        f_mid = _a_plus_c(mid, alpha)
+        if f_mid >= rho:
+            hi, f_hi = mid, f_mid
+        else:
+            lo, newton = mid, False
+    if f_hi <= rho * (1.0 + GAMMA_FALLBACK_RESIDUAL):
         return hi
-    raise UpdateError("gamma bisection did not converge")
+    raise UpdateError("gamma solve did not converge")
 
 
 def _finite_point(z: np.ndarray) -> np.ndarray:
@@ -102,73 +115,103 @@ def _finite_point(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _split(state: RoundingState, z: np.ndarray) -> SpanSplit:
+    """basis_split of z against the state, with the bound |factor|_F on
+    s_max; only a residual between SPAN_TOL * |delta| and SPAN_TOL *
+    |factor|_F needs the exact s_max, from the view."""
+    bound = state.factor_norm
+    split = basis_split(state.center, state.basis, bound, z)
+    if (not split.off and split.rnorm <= SPAN_TOL * bound
+            and split.rnorm > SPAN_TOL * math.sqrt(split.delta @ split.delta)):
+        split = basis_split(state.center, state.basis, float(state.ellipsoid.semiaxes[0]), z)
+    return split
+
+
 def is_off_span(state: RoundingState, z: np.ndarray) -> bool:
-    return span_split(state.ellipsoid, z).off
+    return _split(state, z).off
+
+
+def _checked(state: RoundingState) -> RoundingState:
+    """The state, kept as it is while |factor|_F |inverse|_F, a bound on
+    s_max/s_min, stays within ALIGN_LIMIT. Past it, the state restarts from
+    the SVD of its factor, whose view raises NumericalLimitError on the
+    exact ratio of a collapsed body."""
+    if state.factor_norm * state.inverse_norm <= ALIGN_LIMIT:
+        return state
+    e = state.ellipsoid
+    return RoundingState(state.center, e.axes, np.diag(e.semiaxes), np.diag(1.0 / e.semiaxes),
+                         state.alpha, state.log_volume)
 
 
 def _regular(state: RoundingState,
              coeffs: np.ndarray) -> Tuple[RoundingState, Optional[UpdateParams]]:
     """The regular step on an in-span point given by its span coordinates;
-    (state, None) when the point is already covered."""
-    body = state.ellipsoid
-    s = body.semiaxes
-    # u is the new point in the outer body's unit-ball coordinates
-    u = coeffs / s
-    rho = float(np.linalg.norm(u))
+    (state, None) when the point is already covered.
+
+    With y the point's unit-ball coordinates, rho = |y| and w = y/rho, the
+    factor becomes T' = T (b I + (a - b) w w^T) and its inverse, by Sherman
+    & Morrison (1950), M' = (I - (1 - b/a) w w^T) M / b; both are O(k^2).
+    """
+    y = state.inverse @ coeffs
+    rho = math.sqrt(y @ y)
     if rho <= 1.0:
         return state, None
 
     # solve_gamma enforces alpha <= 1/2
     params = compute_params(solve_gamma(rho, state.alpha), state.alpha)
-    w = u / rho
-
-    # compose the shrink map with the current factor, both in axis coords
-    core = np.diag(1.0 / (params.b * s))
-    core += np.outer((1.0 / params.a - 1.0 / params.b) * w, w / s)
-    # center moves along the pre-image of w
-    return _reshaped(body.center + body.axes @ (s * w) * params.c, body.axes,
-                     core, 1.0, params.alpha_next), params
+    a, b = params.a, params.b
+    w = y / rho
+    tw = state.factor @ w
+    factor = b * state.factor + np.outer((a - b) * tw, w)
+    inverse = (state.inverse - np.outer((1.0 - b / a) * w, w @ state.inverse)) / b
+    # the center moves along the pre-image of w; log a = gamma
+    return _checked(RoundingState(
+        state.center + state.basis @ (params.c * tw), state.basis, factor, inverse,
+        params.alpha_next,
+        state.log_volume + params.gamma + (state.dim - 1) * math.log(b))), params
 
 
 def _irregular(state: RoundingState, z: np.ndarray,
                split: SpanSplit) -> RoundingState:
-    """The span raise toward an off-span point z, given its split."""
+    """The span raise toward an off-span point z, given its split.
+
+    In normalized coordinates the previous body is the unit ball of its
+    span and the shear that fixes the old span sends z to sqrt(1+2*alpha)
+    times the new basis vector; the new outer body is the ball of radius
+    (1+alpha)/sqrt(1+2*alpha) in the extended span, recentred a fraction
+    alpha/(1+2*alpha) of the way toward z. Undoing the shear borders the
+    factor and its inverse by one row and column. 1/alpha grows by one.
+    """
     if not (0.0 < state.alpha <= 1.0):
         raise UpdateError("alpha must lie in (0, 1]")
-    body = state.ellipsoid
     # axes below SPAN_TOL/2 * rnorm (a near-duplicate's) are a point at z's
-    # scale, in the new body's span as its s_max >= 2/3 rnorm; kept, they collapse it
-    keep = body.semiaxes > 0.5 * SPAN_TOL * split.rnorm
-    if not keep.all():
-        body = Ellipsoid(body.center, body.axes[:, keep], body.semiaxes[keep])
-        split = span_split(body, z)
+    # scale, in the new body's span as its s_max >= 2/3 rnorm; kept, they
+    # collapse it. Unless s_min >= 1/|inverse|_F rules them out, drop them
+    if state.inverse_norm * 0.5 * SPAN_TOL * split.rnorm >= 1.0:
+        body = state.ellipsoid
+        keep = body.semiaxes > 0.5 * SPAN_TOL * split.rnorm
+        if not keep.all():
+            state = RoundingState.from_ellipsoid(
+                Ellipsoid(body.center, body.axes[:, keep], body.semiaxes[keep]),
+                state.alpha)
+            split = _split(state, z)
     delta, coeffs, residual, rnorm, _ = split
     alpha = state.alpha
-    k = body.rank
-    v_new = residual / rnorm
+    k = state.dim
     root = math.sqrt(1.0 + 2.0 * alpha)
+    scale = (1.0 + alpha) / root
 
-    # all linear algebra happens in the extended-span basis [axes, v_new];
-    # the shear m_w sends [coeffs, rnorm] to root*e_k. Its column is set
-    # directly: 1 - (rnorm - root)/rnorm cancels once rnorm >> root
-    a_bar = np.ones(k + 1)
-    a_bar[:k] = 1.0 / body.semiaxes
-    m_w = np.eye(k + 1)
-    m_w[:k, k] = -coeffs / rnorm
-    m_w[k, k] = root / rnorm
-    composed = (a_bar[:, None]) * m_w
-    return _reshaped(body.center + (alpha / (1.0 + 2.0 * alpha)) * delta,
-                     np.hstack([body.axes, v_new[:, None]]), composed,
-                     (1.0 + alpha) / root, 1.0 / (1.0 / alpha + 1.0))
-
-
-def _reshaped(center: np.ndarray, basis: np.ndarray, core: np.ndarray,
-              scale: float, alpha: float) -> RoundingState:
-    """The state whose outer body is {center + basis x : |core x| <= scale},
-    read off the SVD of the small square core."""
-    _, cs, cvt = np.linalg.svd(core)
-    # semiaxes ascend after inversion; the Ellipsoid constructor re-sorts
-    return RoundingState(Ellipsoid(center, basis @ cvt.T, scale / cs), alpha)
+    # the new body is scale * the unit ball under the inverse shear, which
+    # sends root*e_k to [coeffs, rnorm]
+    bottom = np.zeros((1, k))
+    factor = np.block([[state.factor, coeffs[:, None] / root], [bottom, rnorm / root]])
+    inverse = np.block([[state.inverse, (state.inverse @ coeffs)[:, None] / -rnorm],
+                        [bottom, root / rnorm]])
+    return _checked(RoundingState(
+        state.center + (alpha / (1.0 + 2.0 * alpha)) * delta,
+        np.hstack([state.basis, (residual / rnorm)[:, None]]),
+        scale * factor, inverse / scale, 1.0 / (1.0 / alpha + 1.0),
+        state.log_volume + (k + 1) * math.log(scale) + math.log(rnorm / root)))
 
 
 def step(state: RoundingState, z: np.ndarray
@@ -178,7 +221,7 @@ def step(state: RoundingState, z: np.ndarray
     step (None otherwise). A skip returns `state` itself.
     """
     z = _finite_point(z)
-    split = span_split(state.ellipsoid, z)
+    split = _split(state, z)
     if split.off:
         return _irregular(state, z, split), "irregular", None
     new_state, params = _regular(state, split.coeffs)
@@ -192,9 +235,12 @@ def leading_skips(state: RoundingState, zs: np.ndarray, limit: float = 1.0) -> i
     either threshold ends the run, and `step` re-decides it. A limit above 1
     also passes covered-by-limit rows, which only the coreset may drop.
     """
-    body = state.ellipsoid
-    rho, inside = scan_rows(body, zs)
-    ok = inside & (rho <= limit * (1.0 - SKIP_MARGIN - scan_tolerance(body)))
+    # P = inverse @ basis.T is built per scan, not kept on the state; and
+    # |factor|_F / sqrt(k) <= s_max keeps the span half-threshold a lower bound
+    rho, inside = scan_rows(state.center, state.basis, state.inverse @ state.basis.T,
+                            state.factor_norm / math.sqrt(max(state.dim, 1)), zs)
+    tol = scan_tolerance(len(state.center), state.dim, state.factor_norm * state.inverse_norm)
+    ok = inside & (rho <= limit * (1.0 - SKIP_MARGIN - tol))
     j = int(ok.argmin())
     return len(ok) if ok[j] else j
 
@@ -211,23 +257,16 @@ def full_update_detailed(
         raise UpdateError("alpha must lie in (0, 1/2]")
     if state.dim == 0:
         raise UpdateError("irregular step required")
-    split = span_split(state.ellipsoid, z)
+    split = _split(state, z)
     if split.off:
         raise UpdateError("irregular step required")
     return _regular(state, split.coeffs)
 
 
 def irregular_update(state: RoundingState, z: np.ndarray) -> RoundingState:
-    """Dimension-raising step: extend the span toward z.
-
-    In normalized coordinates the previous body is the unit ball of its
-    span and z maps onto sqrt(1+2*alpha) times the new basis vector; the
-    new outer body is the ball of radius (1+alpha)/sqrt(1+2*alpha) in the
-    extended span, recentred a fraction alpha/(1+2*alpha) of the way
-    toward z. 1/alpha grows by exactly one.
-    """
+    """Dimension-raising step: extend the span toward z (see _irregular)."""
     z = _finite_point(z)
-    split = span_split(state.ellipsoid, z)
+    split = _split(state, z)
     if not split.off:
         raise UpdateError("regular step required")
     return _irregular(state, z, split)

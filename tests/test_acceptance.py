@@ -163,7 +163,7 @@ def test_criterion_5_irregular_exactness():
     worst = 0.0
     for alpha in (0.5, 0.25, 0.125, 0.05):
         body = Ellipsoid(np.zeros(3), np.eye(3)[:, :2], np.array([1.0, 1.0]))
-        state = RoundingState(body, alpha=alpha)
+        state = RoundingState.from_ellipsoid(body, alpha=alpha)
         root = math.sqrt(1.0 + 2.0 * alpha)
         z = np.array([0.0, 0.0, root])
         nxt = irregular_update(state, z)
@@ -269,7 +269,7 @@ def test_criterion_9_inequality_grids():
 
 def _bench_updates(d, n_updates=1000):
     rng = np.random.default_rng(1010)
-    state = RoundingState(Ellipsoid.ball(np.zeros(d), 1.0), alpha=0.5)
+    state = RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(d), 1.0), alpha=0.5)
     zs = rng.standard_normal((n_updates, d))
     zs *= ((1.05 + 0.2 * rng.random(n_updates))
            / np.linalg.norm(zs, axis=1))[:, None]

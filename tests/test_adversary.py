@@ -50,7 +50,7 @@ class TestSimplexVertices:
 
 class TestShellPoint:
     def test_unit_ball_prefers_axis_point(self):
-        st = RoundingState(Ellipsoid.ball(np.zeros(3), 1.0), alpha=0.5)
+        st = RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(3), 1.0), alpha=0.5)
         z = shell_point(st, r_cap=10.0)
         # a semiaxis endpoint of the doubled ball
         assert np.linalg.norm(z) == pytest.approx(2.0, abs=1e-12)
@@ -60,18 +60,18 @@ class TestShellPoint:
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         body = Ellipsoid(rng.standard_normal(3) * 0.1, q,
                          np.array([2.0, 1.0, 0.5]))
-        st = RoundingState(body, alpha=0.4)
+        st = RoundingState.from_ellipsoid(body, alpha=0.4)
         z = shell_point(st, r_cap=100.0)
         assert membership(body.scaled(2.0), z) == pytest.approx(0.0, abs=1e-9)
 
     def test_none_when_shell_outside_cap(self):
-        st = RoundingState(Ellipsoid.ball(np.zeros(2), 5.0), alpha=0.5)
+        st = RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(2), 5.0), alpha=0.5)
         assert shell_point(st, r_cap=6.0) is None
 
     def test_fallback_direction_search(self):
         def search(center, radius, cap):
-            st = RoundingState(Ellipsoid.ball(np.array(center), radius),
-                               alpha=0.5)
+            st = RoundingState.from_ellipsoid(Ellipsoid.ball(np.array(center), radius),
+                                              alpha=0.5)
             z = shell_point(st, r_cap=cap)
             assert z is not None
             assert np.linalg.norm(z) <= cap * (1 + 1e-9)
@@ -93,7 +93,7 @@ class TestShellPoint:
     def test_degenerate_state_rejected(self):
         body = Ellipsoid(np.zeros(3), np.eye(3)[:, :2], np.array([1.0, 1.0]))
         with pytest.raises(AdversaryError, match="full-rank"):
-            shell_point(RoundingState(body, alpha=0.5), 8.0)
+            shell_point(RoundingState.from_ellipsoid(body, alpha=0.5), 8.0)
 
 
 class TestRunAdversary:
@@ -126,7 +126,7 @@ class TestRunAdversary:
             # grows alpha back, which no monotone rule may do
             body = state.ellipsoid
             grown = Ellipsoid(body.center, body.axes, body.semiaxes * 2.0)
-            return RoundingState(grown, alpha=min(1.0, state.alpha * 4.0))
+            return RoundingState.from_ellipsoid(grown, alpha=min(1.0, state.alpha * 4.0))
 
         bumped = 0
 

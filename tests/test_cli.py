@@ -219,7 +219,7 @@ import numpy as np
 import ellipstream
 from ellipstream import cli
 from ellipstream.adversary import library_rule, run_adversary, shell_point
-st = ellipstream.RoundingState(
+st = ellipstream.RoundingState.from_ellipsoid(
     ellipstream.Ellipsoid.ball(np.array([3.0, 3.0]), 1.0), alpha=0.5)
 assert shell_point(st, r_cap=2.5) is not None
 assert run_adversary(library_rule, 3, 8.0).stop_reason == "volume_reached"

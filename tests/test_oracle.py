@@ -178,7 +178,7 @@ class TestUnionHullDistance:
 
 class TestCheckMonotoneStep:
     def make_state(self, d=2, alpha=0.5):
-        return RoundingState(Ellipsoid.ball(np.zeros(d), 1.0), alpha=alpha)
+        return RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(d), 1.0), alpha=alpha)
 
     def test_valid_regular_step(self):
         prev = self.make_state()
@@ -190,7 +190,7 @@ class TestCheckMonotoneStep:
 
     def test_valid_irregular_step(self):
         body = Ellipsoid(np.zeros(3), np.eye(3)[:, :2], np.array([1.0, 1.0]))
-        prev = RoundingState(body, alpha=0.5)
+        prev = RoundingState.from_ellipsoid(body, alpha=0.5)
         z = np.array([0.2, -0.1, 1.5])
         nxt = irregular_update(prev, z)
         cert = check_monotone_step(prev, nxt, z)
@@ -200,7 +200,7 @@ class TestCheckMonotoneStep:
         prev = self.make_state()
         z = np.array([2.5, 0.0])
         nxt = full_update_detailed(prev, z)[0]
-        bad = RoundingState(
+        bad = RoundingState.from_ellipsoid(
             Ellipsoid(nxt.center, nxt.ellipsoid.axes,
                       nxt.ellipsoid.semiaxes * 0.4), nxt.alpha)
         cert = check_monotone_step(prev, bad, z)
@@ -217,7 +217,7 @@ class TestCheckMonotoneStep:
         prev = self.make_state()
         z = np.array([2.5, 0.0])
         nxt = full_update_detailed(prev, z)[0]
-        bad = RoundingState(nxt.ellipsoid, alpha=0.95)
+        bad = RoundingState.from_ellipsoid(nxt.ellipsoid, alpha=0.95)
         cert = check_monotone_step(prev, bad, z)
         assert not cert.inner_ok
         assert cert.worst_margin < 0

@@ -63,8 +63,10 @@ class TestComputeParams:
 
 class TestSolveGamma:
     def test_frozen_value(self):
-        # bisection output for rho=2, alpha=1/2; pinned to catch solver drift
-        assert solve_gamma(2.0, 0.5) == pytest.approx(0.6518600852013028,
+        # Newton's output for rho=2, alpha=1/2; pinned to catch solver drift.
+        # The root is 0.65186008517955708 (40-digit arithmetic), and a + c
+        # at the pinned value lies in the solver's window above it
+        assert solve_gamma(2.0, 0.5) == pytest.approx(0.6518600851835027,
                                                       abs=1e-12)
 
     @settings(max_examples=100, deadline=None)
@@ -82,7 +84,7 @@ class TestSolveGamma:
 
 class TestFullUpdate:
     def unit_state(self, d=2, alpha=0.5):
-        return RoundingState(Ellipsoid.ball(np.zeros(d), 1.0), alpha=alpha)
+        return RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(d), 1.0), alpha=alpha)
 
     def test_interior_point_is_skipped(self):
         st0 = self.unit_state()
@@ -94,11 +96,11 @@ class TestFullUpdate:
         # unit ball, alpha=1/2, z=(2,0): the stretch axis becomes a, the
         # orthogonal axis b, and the center moves by c along the axis
         nxt, p = full_update_detailed(self.unit_state(), np.array([2.0, 0.0]))
-        assert p.gamma == pytest.approx(0.6518600852013028, abs=1e-12)
+        assert p.gamma == pytest.approx(0.6518600851835027, abs=1e-12)
         assert np.sort(nxt.ellipsoid.semiaxes) == pytest.approx(
-            [1.098655462868979, 1.919107214024143], abs=1e-12)
-        assert nxt.center == pytest.approx([0.0808927860225741, 0.0], abs=1e-12)
-        assert nxt.alpha_inv == pytest.approx(3.3037201704026056, abs=1e-12)
+            [1.0986554628673482, 1.9191072139899827], abs=1e-12)
+        assert nxt.center == pytest.approx([0.08089278601849381, 0.0], abs=1e-12)
+        assert nxt.alpha_inv == pytest.approx(3.303720170367005, abs=1e-12)
 
     def test_new_point_is_covered(self):
         rng = np.random.default_rng(10)
@@ -121,13 +123,13 @@ class TestFullUpdate:
         assert 1.0 / nxt.alpha - 2.0 == pytest.approx(2.0 * p.gamma, rel=1e-12)
 
     def test_alpha_precondition(self):
-        bad = RoundingState(Ellipsoid.ball(np.zeros(2), 1.0), alpha=0.9)
+        bad = RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(2), 1.0), alpha=0.9)
         with pytest.raises(UpdateError, match="alpha"):
             full_update_detailed(bad, np.array([3.0, 0.0]))
 
     def test_off_span_point_rejected(self):
         body = Ellipsoid(np.zeros(3), np.eye(3)[:, :2], np.array([1.0, 1.0]))
-        st0 = RoundingState(body, alpha=0.5)
+        st0 = RoundingState.from_ellipsoid(body, alpha=0.5)
         with pytest.raises(UpdateError, match="irregular"):
             full_update_detailed(st0, np.array([0.0, 0.0, 2.0]))
 
@@ -144,7 +146,7 @@ class TestFullUpdate:
 
 class TestIrregularUpdate:
     def test_rank_zero_to_segment(self):
-        st0 = RoundingState(Ellipsoid.point(np.array([1.0, 1.0])), alpha=1.0)
+        st0 = RoundingState.from_ellipsoid(Ellipsoid.point(np.array([1.0, 1.0])), alpha=1.0)
         nxt = irregular_update(st0, np.array([4.0, 1.0]))
         # hand-checkable: the outer segment spans [-1, 5] x {1}
         assert nxt.center == pytest.approx([2.0, 1.0])
@@ -158,7 +160,7 @@ class TestIrregularUpdate:
         # height sqrt(1+2*alpha) above the center
         alpha = 0.25
         body = Ellipsoid(np.zeros(3), np.eye(3)[:, :2], np.array([1.0, 1.0]))
-        st0 = RoundingState(body, alpha=alpha)
+        st0 = RoundingState.from_ellipsoid(body, alpha=alpha)
         z = np.array([0.0, 0.0, math.sqrt(1.0 + 2.0 * alpha)])
         nxt = irregular_update(st0, z)
         root = math.sqrt(1.0 + 2.0 * alpha)
@@ -171,7 +173,7 @@ class TestIrregularUpdate:
     def test_new_point_and_old_body_covered(self):
         rng = np.random.default_rng(12)
         body = Ellipsoid(np.zeros(3), np.eye(3)[:, :2], np.array([2.0, 0.7]))
-        st0 = RoundingState(body, alpha=0.4)
+        st0 = RoundingState.from_ellipsoid(body, alpha=0.4)
         z = np.array([0.5, -0.3, 1.8])
         nxt = irregular_update(st0, z)
         assert membership(nxt.ellipsoid, z) <= 1e-10
@@ -182,14 +184,14 @@ class TestIrregularUpdate:
             assert membership(nxt.ellipsoid, p) <= 1e-9
 
     def test_in_span_point_rejected(self):
-        st0 = RoundingState(Ellipsoid.ball(np.zeros(2), 1.0), alpha=0.5)
+        st0 = RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(2), 1.0), alpha=0.5)
         with pytest.raises(UpdateError, match="regular"):
             irregular_update(st0, np.array([2.0, 0.0]))
 
 
 def test_is_off_span():
     body = Ellipsoid(np.zeros(3), np.eye(3)[:, :2], np.array([1.0, 1.0]))
-    st0 = RoundingState(body, alpha=0.5)
+    st0 = RoundingState.from_ellipsoid(body, alpha=0.5)
     assert is_off_span(st0, np.array([0.0, 0.0, 1.0]))
     assert not is_off_span(st0, np.array([5.0, 5.0, 0.0]))
 
@@ -207,7 +209,7 @@ class TestStep:
 
     def test_matches_checked_wrappers_bit_for_bit(self):
         stream = self.mixed_stream()
-        state = RoundingState(Ellipsoid.point(stream[0]), alpha=1.0)
+        state = RoundingState.from_ellipsoid(Ellipsoid.point(stream[0]), alpha=1.0)
         kinds = []
         for z in stream[1:]:
             nxt, kind, params = step(state, z)
@@ -238,7 +240,7 @@ class TestStep:
         e1 = np.array([1.0, 0.0, 0.0])
         z = np.array([1.0, 2.0, 3.0])
         for z0 in (z, 1e-9 * z, z + 1e8):
-            st0 = RoundingState(Ellipsoid.point(z0), alpha=1.0)
+            st0 = RoundingState.from_ellipsoid(Ellipsoid.point(z0), alpha=1.0)
             tol = SPAN_RES * np.linalg.norm(z0)
             nxt, kind, params = step(st0, z0 + 0.5 * tol * e1)
             assert kind == "skip" and params is None
@@ -256,7 +258,7 @@ class TestStep:
         e1, e2 = np.eye(3)[:2]
         for z0 in (np.zeros(3), np.array([1.0, 2.0, 3.0])):
             pts = [z0, z0 + g * e1, z0 + e2] + list(z0 + rng.standard_normal((50, 3)))
-            state = RoundingState(Ellipsoid.point(z0), alpha=1.0)
+            state = RoundingState.from_ellipsoid(Ellipsoid.point(z0), alpha=1.0)
             for t, z in enumerate(pts[1:], start=2):
                 prev, state = state, step(state, z)[0]
                 if t == 3:
@@ -267,6 +269,6 @@ class TestStep:
             assert max(membership(state.ellipsoid, p) for p in pts) <= 1e-7
 
     def test_non_finite_point_rejected(self):
-        st0 = RoundingState(Ellipsoid.ball(np.zeros(2), 1.0), alpha=0.5)
+        st0 = RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(2), 1.0), alpha=0.5)
         with pytest.raises(UpdateError, match="non-finite"):
             step(st0, np.array([np.nan, 0.0]))
