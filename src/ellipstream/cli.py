@@ -210,9 +210,11 @@ def _write_outputs(config: RunConfig, payload: Dict, runs: List[StepRun]) -> Non
 
 
 def _make_verifier(config: RunConfig):
-    """A step observer that runs the monotone-step oracle every k steps."""
+    """A step observer that runs the monotone-step oracle every k steps and
+    names each resolution-limited step on stderr."""
     every = config.effective_verify_every
-    summary = {"checked": 0, "failures": 0, "worst_margin": math.inf}
+    summary = {"checked": 0, "failures": 0, "resolution_limited": 0,
+               "worst_margin": math.inf}
 
     def observer(t, prev, next_, z, kind, gamma):
         if every <= 0 or t % every or kind in ("init", "local"):
@@ -220,19 +222,21 @@ def _make_verifier(config: RunConfig):
         cert = oracle.check_monotone_step(prev, next_, z, tol=MONOTONE_TOL)
         summary["checked"] += 1
         summary["worst_margin"] = min(summary["worst_margin"], cert.worst_margin)
-        if not (cert.outer_ok and cert.inner_ok):
+        verdict = cert.verdict
+        if verdict == "fail":
             summary["failures"] += 1
+        elif verdict == "resolution_limited":
+            summary["resolution_limited"] += 1
+            print(f"step t={t} ({kind}): certificate resolution-limited, worst "
+                  f"margin {cert.worst_margin:.3e} is within float64's rounding "
+                  f"of the bodies", file=sys.stderr)
 
     return observer, summary
 
 
 def _cert_payload(summary: Dict) -> Dict:
     worst = summary["worst_margin"]
-    return {
-        "checked": summary["checked"],
-        "failures": summary["failures"],
-        "worst_margin": (worst if summary["checked"] else 0.0),
-    }
+    return dict(summary, worst_margin=(worst if summary["checked"] else 0.0))
 
 
 def run(config: RunConfig) -> int:
@@ -306,9 +310,7 @@ def run(config: RunConfig) -> int:
     _write_outputs(config, payload, _step_runs(report))
 
     if config.mode == "verify":
-        bad = summary["failures"] > 0 or (
-            summary["checked"] and summary["worst_margin"] < -MONOTONE_TOL)
-        return 2 if bad else 0
+        return 2 if summary["failures"] else 0
     return 0
 
 

@@ -92,9 +92,11 @@ class Ellipsoid:
                 raise EllipsoidError("semiaxes must be strictly positive")
             if semiaxes.min() < RANK_COLLAPSE_RATIO * semiaxes.max():
                 raise NumericalLimitError(float(semiaxes.max() / semiaxes.min()))
-            order = np.argsort(-semiaxes, kind="stable")
-            semiaxes = semiaxes[order]
-            axes = axes[:, order]
+            if np.any(semiaxes[1:] > semiaxes[:-1]):
+                # sort descending, ties in place; an SVD's are sorted already
+                order = np.argsort(-semiaxes, kind="stable")
+                semiaxes = semiaxes[order]
+                axes = axes[:, order]
             k = axes.shape[1]
             if np.linalg.norm(axes.T @ axes - np.eye(k)) > ORTHO_TOL:
                 raise EllipsoidError("axes not orthonormal")

@@ -11,22 +11,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .ellipsoid import (
+    SPAN_RES,
     Ellipsoid,
+    SpanSplit,
     _unit_directions,
+    basis_split,
     containment_margin,
     membership,
-    span_split,
 )
 # looked up here by perfbench/tracing.py
 from .ellipsoid import log_volume  # noqa: F401
 from .linalg import row_norms
 from .state import RoundingState
-from .update_rule import compute_params, solve_gamma
+from .update_rule import _split, compute_params, solve_gamma
 
 LP_TOL = 1e-9
 _DIR_SEED = 987654321
@@ -179,128 +181,244 @@ def union_hull_distance(h: HullSpec, x: np.ndarray, tol: float = 1e-9,
 
 @dataclass(frozen=True)
 class StepCertificate:
+    """One step's margins. A check fails when its margin is below -tol;
+    when every failing margin still lies within the rounding of the
+    bodies' coordinates, SPAN_RES * (|c| + |delta|) in frame units, the
+    step is `resolution_limited`: float64 cannot tell it from a pass."""
+
     outer_ok: bool
     inner_ok: bool
     worst_margin: float
     violating_direction: Optional[np.ndarray] = None
+    resolution_limited: bool = False
+
+    @property
+    def verdict(self) -> str:
+        """pass | resolution_limited | fail"""
+        if self.outer_ok and self.inner_ok:
+            return "pass"
+        return "resolution_limited" if self.resolution_limited else "fail"
 
 
-def _normalized_frame(prev: RoundingState, z: np.ndarray):
-    """Linear map sending the previous outer body to the unit ball.
+class _Frame(NamedTuple):
+    """A step's normalized frame: a vector v taken from the previous center
+    has frame coordinates shear @ (basis.T @ v)."""
 
-    Returns (project, k, z_norm, raised) where `project` maps ambient
-    vectors (already shifted by the previous center) into normalized span
-    coordinates. `raised` is the step kernel's own off-span verdict on z;
-    for a span-raising step the frame is extended by the residual
-    direction and composed with the shear that pins the new point onto
-    the fresh axis, so the constructed bodies become bodies of revolution
-    about the last coordinate.
+    basis: np.ndarray   # d x kf: Q, or [Q, v] after a span raise
+    shear: np.ndarray   # kf x kf: M, or M bordered and sheared
+    z: np.ndarray       # the new point in the frame
+    raised: bool
+    split: SpanSplit    # the kernel's split of the new point
+
+
+def _frame(prev: RoundingState, z: np.ndarray) -> _Frame:
+    """The frame in which the previous outer body is the unit ball, built
+    from the factors: M Q^T. The span decision is the kernel's own
+    (update_rule._split). After a raise the frame is bordered by v =
+    residual/|residual| and sheared so that it fixes the old span and sends
+    z onto the new axis, at sqrt(1 + 2 alpha) as the kernel normalizes it:
+    the previous outer body is then the unit ball of the old coordinates,
+    and the raised body is a ball.
     """
-    axes = prev.ellipsoid.axes
-    s = prev.ellipsoid.semiaxes
-    delta, coeffs, residual, rnorm, off_span = span_split(prev.ellipsoid, z)
-    k = prev.ellipsoid.rank
-    if not off_span:
-        def project(vecs: np.ndarray) -> np.ndarray:
-            return (axes.T @ vecs) / s[:, None]
-        z_norm = coeffs / s
-        return project, k, z_norm, False
-    v_new = residual / rnorm
-    w_basis = np.hstack([axes, v_new[:, None]])
-    a_bar = np.concatenate([1.0 / s, [1.0]])
-    # shear sending z onto the new axis at its original normalized height;
-    # it fixes the old span, so the constructed bodies stay rotation
-    # symmetric about the last coordinate
-    m = np.eye(k + 1)
-    m[:k, k] = -coeffs / rnorm
+    split = _split(prev, z)
+    m = prev.inverse
+    if not split.off:
+        return _Frame(prev.basis, m, m @ split.coeffs, False, split)
+    k = prev.dim
+    root = math.sqrt(1.0 + 2.0 * prev.alpha)
+    shear = np.zeros((k + 1, k + 1))
+    shear[:k, :k] = m
+    shear[:k, k] = (m @ split.coeffs) / -split.rnorm
+    shear[k, k] = root / split.rnorm
+    z_frame = np.zeros(k + 1)
+    z_frame[k] = root
+    basis = np.hstack([prev.basis, (split.residual / split.rnorm)[:, None]])
+    return _Frame(basis, shear, z_frame, True, split)
+
+
+def _orthogonal(e1: np.ndarray) -> np.ndarray:
+    """A unit vector orthogonal to the unit vector e1 (len(e1) >= 2)."""
+    probe = np.zeros(len(e1))
+    probe[int(np.argmin(np.abs(e1)))] = 1.0
+    e2 = probe - e1 * (e1 @ probe)
+    return e2 / math.sqrt(e2 @ e2)
+
+
+def _structured_margins(prev: RoundingState, next_: RoundingState,
+                        frame: _Frame, tol: float):
+    """(outer, inner, direction) in closed form from one k x k Gram, or
+    None where that does not apply: the next body off the frame's span, or
+    a bound on its asymmetry above tol/10.
+
+    In the frame the next outer body is c + N B with N = shear @ T'. With
+    e1 = z/|z| = z/rho, split G = N N^T as p e1 e1^T + q (I - e1 e1^T) + dG
+    and c as c_par e1 + c_perp. For the symmetric part each margin is a
+    function of x = <u, e1> alone:
+    - inner: max(h_prev(x), rho x) - c_par x - alpha' sqrt(q + (p - q) x^2),
+      with h_prev = alpha, or alpha sqrt(1 - x^2) after a raise. For p >= q
+      both pieces either side of the switch point x* are concave, so the
+      minimum is at x in {-1, x*, 1}; a q above p joins dG.
+    - outer: the reach of the previous body in the next one, max over the
+      sphere of (x - c_par)^2 / p + (1 - x^2) / q, a quadratic in x (at
+      x = 0 after a raise, where the previous body is the disk orthogonal
+      to e1). The reach of z is |N^-1 (z - c)|, by one solve.
+    The asymmetric parts enter by rigorous bounds: |c_perp|, alpha' |dG|_F
+    / (2 sqrt(min(p, q))) on the inner support, Weyl's bounds on |G^-1 -
+    G0^-1| and on the smallest singular value of N for the reach, and
+    |M T - I|_F for the rounding of the frame itself.
+    """
+    k = len(frame.z)
+    basis = next_.basis
+    if next_.dim != k or not (basis is frame.basis or np.array_equal(basis, frame.basis)):
+        return None
+    rho = math.sqrt(frame.z @ frame.z)
+    split_c = basis_split(next_.center, basis, next_.factor_norm, prev.center)
+    if rho == 0.0 or split_c.off:
+        return None
+    e1 = frame.z / rho
+    c = frame.shear @ -split_c.coeffs
+    n = frame.shear @ next_.factor
+    g = n @ n.T
+    p = float(e1 @ g @ e1)
+    q, dg = p, 0.0
+    if k > 1:
+        q = (float(np.trace(g)) - p) / (k - 1)
+        asym = g - np.outer((p - q) * e1, e1)
+        asym.flat[::k + 1] -= q
+        dg = math.sqrt(np.vdot(asym, asym))
+    c_par = float(c @ e1)
+    c_perp = c - c_par * e1
+    c_perp = math.sqrt(c_perp @ c_perp)
+    frame_err = prev.inverse @ prev.factor
+    frame_err.flat[::prev.dim + 1] -= 1.0
+    frame_err = math.sqrt(np.vdot(frame_err, frame_err))
+    low = min(p, q)
+    if not dg < low:
+        return None
+    alpha, alpha_n, raised = prev.alpha, next_.alpha, frame.raised
+
+    def inner_at(x: float) -> float:
+        h_prev = alpha * math.sqrt(1.0 - x * x) if raised else alpha
+        return (max(h_prev, rho * x) - c_par * x
+                - alpha_n * math.sqrt(low + (p - low) * x * x))
+
+    x_star = (alpha / math.hypot(alpha, rho)) if raised else min(alpha / rho, 1.0)
+    x_inner = min((-1.0, 1.0, x_star) if k > 1 else (-1.0, 1.0), key=inner_at)
+    inner_err = (c_perp + alpha_n * (dg + q - low) / (2.0 * math.sqrt(low))
+                 + alpha * frame_err)
+
+    if raised:
+        reach2 = c_par * c_par / p + (1.0 / q if k > 1 else 0.0)
+        w2 = 1.0 + c_par * c_par
+    else:
+        xs = [-1.0, 1.0]
+        if k > 1 and p > q:
+            # concave in x: the vertex may lie inside
+            xs.append(min(1.0, max(-1.0, c_par * q / (q - p))))
+        reach2 = max((x - c_par) ** 2 / p + ((1.0 - x * x) / q if k > 1 else 0.0)
+                     for x in xs)
+        w2 = (1.0 + abs(c_par)) ** 2
+    reach = (math.sqrt(reach2 + dg / (low * (low - dg)) * w2)
+             + (c_perp + frame_err) / math.sqrt(low - dg))
+    if max(inner_err, reach - math.sqrt(reach2)) > 0.1 * tol:
+        return None
+    reach_z = np.linalg.solve(n, frame.z - c)
+    reach_z = math.sqrt(reach_z @ reach_z)
+
+    inner = inner_at(x_inner) - inner_err
+    direction = None
+    if inner < -tol:
+        direction = x_inner * e1
+        if k > 1:
+            direction = direction + math.sqrt(1.0 - x_inner * x_inner) * _orthogonal(e1)
+    return 1.0 - max(reach, reach_z), inner, direction
+
+
+def _sampled_margins(prev: RoundingState, next_: RoundingState, z: np.ndarray,
+                     frame: _Frame):
+    """(outer, inner, direction) by brute force. The outer checks are the
+    exact containment search and membership on the SVD views. The inner
+    margin is taken over a 2-D slice through z's direction (exact for the
+    rotation-symmetric bodies the update rule builds), refined around its
+    worst angle, and over random directions of the whole frame, which act
+    as a falsifier."""
+    prev_e, next_e = prev.ellipsoid, next_.ellipsoid
+    outer = min(-containment_margin(next_e, prev_e), -membership(next_e, z))
+    if next_.dim == 0:
+        # a rank-0 next inner body is its center alone
+        return outer, math.inf, None
 
     def project(vecs: np.ndarray) -> np.ndarray:
-        return a_bar[:, None] * (m @ (w_basis.T @ vecs))
+        return frame.shear @ (frame.basis.T @ vecs)
 
-    z_norm = project(delta[:, None])[:, 0]
-    return project, k + 1, z_norm, True
+    k = len(frame.z)
+    c_in = project(next_.center - prev.center)
+    m_in = next_.alpha * project(next_.basis @ next_.factor)
+    prev_a, z_n, raised = prev.alpha, frame.z, frame.raised
+
+    def margin_for(dirs: np.ndarray) -> np.ndarray:
+        # dirs: (n, k) unit directions in the frame
+        h_next = dirs @ c_in + row_norms(dirs @ m_in)
+        h_prev = prev_a * row_norms(dirs[:, :k - 1]) if raised else prev_a
+        return np.maximum(h_prev, dirs @ z_n) - h_next
+
+    inner_margins: List[Tuple[float, np.ndarray]] = []
+    zn = math.sqrt(z_n @ z_n)
+    e1 = z_n / zn if zn > 1e-12 else np.eye(k)[:, 0]
+    if k >= 2:
+        # the slice, then the fine sweep around its worst angle
+        e2 = _orthogonal(e1)
+        dirs = _SLICE_COS[:, None] * e1 + _SLICE_SIN[:, None] * e2
+        slice_margins = margin_for(dirs)
+        worst_idx = int(np.argmin(slice_margins))
+        inner_margins.append((float(slice_margins[worst_idx]), dirs[worst_idx]))
+        fine = 2.0 * math.pi * worst_idx / _N_SLICE + _FINE_OFFSETS
+        dirs = np.cos(fine)[:, None] * e1 + np.sin(fine)[:, None] * e2
+    else:
+        dirs = np.array([[1.0], [-1.0]]) * e1[None, :]
+    fm = margin_for(dirs)
+    j = int(np.argmin(fm))
+    inner_margins.append((float(fm[j]), dirs[j]))
+    dirs_r = _unit_directions(_N_SAMPLE_DIRS, k, _DIR_SEED)
+    rm = margin_for(dirs_r)
+    j = int(np.argmin(rm))
+    inner_margins.append((float(rm[j]), dirs_r[j].copy()))
+    inner, direction = min(inner_margins, key=lambda m: m[0])
+    return outer, inner, direction
 
 
 def check_monotone_step(prev: RoundingState, next_: RoundingState,
                         z: np.ndarray, tol: float = 1e-7) -> StepCertificate:
-    """Certify one monotone step: outer growth + coverage, inner inclusion.
+    """Certify one monotone step: the previous outer body and z inside the
+    next outer body, and the next inner body inside the hull of the
+    previous inner body and z, each with margins in the step's normalized
+    frame (see _frame).
 
-    The inner inclusion is checked in coordinates where the previous outer
-    body is the unit ball: there the previous inner body is a centered
-    ball, and a fine sweep over a 2-D slice through the new point's
-    direction (exact for the rotation-symmetric bodies the update rule
-    builds) is combined with random full-dimensional directions that act
-    as a falsifier.
+    The update rule grows bodies of revolution about z's direction, so
+    _structured_margins certifies a step in closed form; where it does not
+    apply, _sampled_margins checks the step by brute force. The tests take
+    the sampled path as the reference.
     """
-    prev_c, prev_e, prev_a = prev.center, prev.ellipsoid, prev.alpha
-    next_c, next_e, next_a = next_.center, next_.ellipsoid, next_.alpha
     z = np.asarray(z, dtype=float)
-    if prev_e.dim != next_e.dim or prev_e.dim != z.shape[0]:
+    if not (prev.center.shape == next_.center.shape == z.shape):
         raise OracleError("span mismatch")
-
-    margins: List[Tuple[float, Optional[np.ndarray]]] = []
-
-    # outer: previous outer inside next outer, and z covered
-    margins.append((-containment_margin(next_e, prev_e), None))
-    margins.append((-membership(next_e, z), None))
-    outer_ok = min(m for m, _ in margins) >= -tol
-
-    # inner: h_next_inner(u) <= max(h_prev_inner(u), <z,u>) in normalized
-    # coordinates
-    inner_margins: List[Tuple[float, Optional[np.ndarray]]] = []
-    if next_e.rank == 0:
-        # a rank-0 next inner is just its center; check it against the hull
-        inner_ok = True
-    else:
-        project, k, z_norm, raised = _normalized_frame(prev, z)
-        c_in = project((next_c - prev_c)[:, None])[:, 0]
-        m_in = project(next_e.axes * (next_a * next_e.semiaxes)[None, :])
-
-        def margin_for(dirs: np.ndarray) -> np.ndarray:
-            # dirs: (n, k) unit directions in normalized coordinates
-            h_next = dirs @ c_in + row_norms(dirs @ m_in)
-            h_prev = prev_a * row_norms(dirs[:, :k - 1]) if raised else prev_a
-            allowed = np.maximum(h_prev, dirs @ z_norm)
-            return allowed - h_next
-
-        # 2-D slice through the new point's direction
-        zn = float(np.linalg.norm(z_norm))
-        e1 = z_norm / zn if zn > 1e-12 else np.eye(k)[:, 0]
-        if k >= 2:
-            # any unit vector orthogonal to e1
-            probe = np.eye(k)[:, int(np.argmin(np.abs(e1)))]
-            e2 = probe - e1 * np.dot(e1, probe)
-            e2 /= np.linalg.norm(e2)
-            dirs = _SLICE_COS[:, None] * e1 + _SLICE_SIN[:, None] * e2
-        else:
-            dirs = np.array([[1.0], [-1.0]]) * e1[None, :] if k == 1 else np.zeros((0, k))
-            dirs = dirs.reshape(-1, k)
-        slice_margins = margin_for(dirs)
-        worst_idx = int(np.argmin(slice_margins))
-        inner_margins.append((float(slice_margins[worst_idx]), dirs[worst_idx]))
-
-        # refine the worst slice direction locally
-        if k >= 2:
-            base = 2.0 * math.pi * worst_idx / _N_SLICE
-            fine = base + _FINE_OFFSETS
-            dirs_f = np.cos(fine)[:, None] * e1 + np.sin(fine)[:, None] * e2
-            fm = margin_for(dirs_f)
-            j = int(np.argmin(fm))
-            inner_margins.append((float(fm[j]), dirs_f[j]))
-
-        # sampled falsifier directions in the full normalized space
-        dirs_r = _unit_directions(_N_SAMPLE_DIRS, k, _DIR_SEED)
-        rm = margin_for(dirs_r)
-        j = int(np.argmin(rm))
-        inner_margins.append((float(rm[j]), dirs_r[j].copy()))
-
-        inner_ok = min(m for m, _ in inner_margins) >= -tol
-        margins.extend(inner_margins)
-
-    worst, direction = min(margins, key=lambda p: p[0])
-    return StepCertificate(outer_ok=outer_ok, inner_ok=inner_ok,
+    frame = _frame(prev, z)
+    margins = _structured_margins(prev, next_, frame, tol)
+    if margins is None:
+        margins = _sampled_margins(prev, next_, z, frame)
+    outer, inner, direction = margins
+    worst = min(outer, inner)
+    limited = False
+    if worst < -tol:
+        resolution = (SPAN_RES * float(np.linalg.norm(frame.shear))
+                      * (math.sqrt(prev.center @ prev.center)
+                         + math.sqrt(frame.split.delta @ frame.split.delta)))
+        limited = worst >= -resolution
+    return StepCertificate(outer_ok=outer >= -tol, inner_ok=inner >= -tol,
                            worst_margin=worst,
-                           violating_direction=(direction if worst < -tol else None))
+                           violating_direction=(direction if worst < -tol and inner < outer
+                                                else None),
+                           resolution_limited=limited)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ Skip runs are stored run-length encoded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from array import array
 from itertools import islice
 from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -63,45 +63,68 @@ class StepRecord(NamedTuple):
     gamma: float
 
 
-@dataclass
-class RunReport:
-    """Per-step records as runs: `counts[i]` steps at t, t+1, ... equal to
-    `heads[i]` apart from t; flat lists, as most runs of a regular step are 1."""
+# the step kinds, in the order of their one-byte codes in a RunReport
+_KINDS = ("init", "skip", "regular", "irregular", "local")
+_KIND_CODE = {kind: i for i, kind in enumerate(_KINDS)}
 
-    heads: List[StepRecord] = field(default_factory=list)
-    counts: List[int] = field(default_factory=list)
+
+class RunReport:
+    """Per-step records as runs of `count` steps at t, t+1, ... that agree
+    apart from t. The runs are stored column-wise, 41 bytes each, as a
+    harness may keep many reports."""
+
+    def __init__(self) -> None:
+        self._t, self._count = array("q"), array("q")
+        self._alpha, self._log_volume, self._gamma = array("d"), array("d"), array("d")
+        self._kind = bytearray()
+        # the t that would continue the last run, and that run's fields
+        self._next_t, self._last = -math.inf, None
+
+    def add(self, t: int, alpha: float, log_volume: float, kind: str, gamma: float,
+            count: int = 1) -> None:
+        """Add `count` steps starting at t, merged into the last run when
+        they continue it: `append` without building a StepRecord."""
+        fields = (alpha, log_volume, kind, gamma)
+        if t < self._next_t:
+            raise ValueError("records must be strictly ordered by t")
+        if t == self._next_t and fields == self._last:
+            self._count[-1] += count
+        else:
+            self._t.append(t)
+            self._count.append(count)
+            self._alpha.append(alpha)
+            self._log_volume.append(log_volume)
+            self._kind.append(_KIND_CODE[kind])
+            self._gamma.append(gamma)
+            self._last = fields
+        self._next_t = t + count
+
+    def append(self, rec: StepRecord, count: int = 1) -> None:
+        """Add `count` steps starting at rec.t (see `add`)."""
+        self.add(*rec, count=count)
 
     @property
     def runs(self) -> List[Tuple[StepRecord, int]]:
-        return list(zip(self.heads, self.counts))
+        return [(StepRecord(t, a, lv, _KINDS[k], g), n) for t, n, a, lv, k, g in zip(
+            self._t, self._count, self._alpha, self._log_volume, self._kind, self._gamma)]
 
     @property
     def final_alpha_inv(self) -> float:
-        return 1.0 / self.heads[-1].alpha if self.heads else 1.0
-
-    def append(self, rec: StepRecord, count: int = 1) -> None:
-        """Add `count` steps starting at rec.t, merged into the last run
-        when they continue it."""
-        if self.heads:
-            last, n = self.heads[-1], self.counts[-1]
-            if rec.t < last.t + n:
-                raise ValueError("records must be strictly ordered by t")
-            if rec.t == last.t + n and rec[1:] == last[1:]:
-                self.counts[-1] = n + count
-                return
-        self.heads.append(rec)
-        self.counts.append(count)
+        return 1.0 / self._alpha[-1] if self._alpha else 1.0
 
     @property
     def records(self) -> List[StepRecord]:
         return [rec._replace(t=rec.t + i) if i else rec
-                for rec, n in zip(self.heads, self.counts) for i in range(n)]
+                for rec, n in self.runs for i in range(n)]
 
     def regular_gamma_sum(self) -> float:
-        return sum(r.gamma for r in self.records if r.step_kind == "regular")
+        code = _KIND_CODE["regular"]
+        return sum(g for k, n, g in zip(self._kind, self._count, self._gamma)
+                   if k == code for _ in range(n))
 
     def irregular_count(self) -> int:
-        return sum(1 for r in self.records if r.step_kind == "irregular")
+        code = _KIND_CODE["irregular"]
+        return sum(n for k, n in zip(self._kind, self._count) if k == code)
 
 
 def chunks(stream: Iterable[np.ndarray]) -> Iterator[Tuple[int, np.ndarray]]:
@@ -157,8 +180,7 @@ def fold(stream: Iterable[np.ndarray], advance: Advance,
                 if skips == 2:
                     j = leading_skips(state, block[i:], limit)
                     if j:
-                        report.append(StepRecord(t0 + i, state.alpha, state.log_volume,
-                                                 "skip", 0.0), j)
+                        report.add(t0 + i, state.alpha, state.log_volume, "skip", 0.0, j)
                         i += j
                         if i == n:
                             break
@@ -173,7 +195,7 @@ def fold(stream: Iterable[np.ndarray], advance: Advance,
                     limit = skip_limit(state)
                     if on_step is not None:
                         on_step(t, prev, state, z, kind, gamma)
-                report.append(StepRecord(t, state.alpha, state.log_volume, kind, gamma))
+                report.add(t, state.alpha, state.log_volume, kind, gamma)
                 skips = min(skips + 1, 2) if kind == "skip" else 0
                 i += 1
     except NumericalLimitError as exc:

@@ -5,10 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from ellipstream import cli
+from ellipstream import cli, oracle, update_rule
+from ellipstream.state import RoundingState
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -207,6 +210,76 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: numerical limit at step t=")
         assert "s_max/s_min" in err
+
+
+class TestVerifyResolution:
+    """A span raise toward a near-duplicate a few thousand ulps away is
+    resolution-limited: its margins lie within the rounding of the bodies'
+    coordinates, so verify names it and exits 0; a real violation of the
+    same step still exits 2."""
+
+    @staticmethod
+    def stream(tmp_path, g):
+        z0 = np.array([1.0, 2.0, 3.0])
+        pts = np.vstack([z0, z0 + g * np.eye(3)[0], z0 + np.eye(3)[1],
+                         np.random.default_rng(0).standard_normal((50, 3))])
+        path = tmp_path / "near.csv"
+        np.savetxt(path, pts, fmt="%.17g", delimiter=",")
+        return ["--mode", "verify", "--input", str(path), "--out", str(tmp_path)]
+
+    @pytest.mark.parametrize("g", [3e-13, 1e-12])
+    def test_near_duplicate_raise_is_resolution_limited(self, tmp_path, capsys, g):
+        assert cli.main(self.stream(tmp_path, g)) == 0
+        certs = json.loads((tmp_path / "report.json").read_text())["certificates"]
+        assert certs["resolution_limited"] == 1 and certs["failures"] == 0
+        assert certs["worst_margin"] < -cli.MONOTONE_TOL
+        assert "step t=2 (irregular): certificate resolution-limited" in capsys.readouterr().err
+
+    def test_shifted_raised_center_fails(self, tmp_path, monkeypatch):
+        raise_ = update_rule._irregular
+
+        def shifted(state, z, split):
+            new = raise_(state, z, split)
+            if state.dim:
+                return new
+            return RoundingState(new.center + 1e-6, new.basis, new.factor, new.inverse,
+                                 new.alpha, new.log_volume)
+
+        monkeypatch.setattr(update_rule, "_irregular", shifted)
+        assert cli.main(self.stream(tmp_path, 3e-13)) == 2
+        certs = json.loads((tmp_path / "report.json").read_text())["certificates"]
+        assert certs["failures"] >= 1 and certs["resolution_limited"] == 0
+
+
+def test_verify_decomposes_only_on_fallback(tmp_path, monkeypatch):
+    # the closed-form certificate needs no SVD view: a verify run makes at
+    # most two per step the sampled path checks, plus the final margin's
+    sys.path.insert(0, str(SRC.parent / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(SRC.parent / "perfbench"))
+    w = workloads.WORKLOADS["audit-file"]
+    inputs = workloads.make_inputs(replace(w, substreams=1), 3, tmp_path)
+    counts = {"svd": 0, "fallback": 0}
+    svd, sampled = np.linalg.svd, oracle._sampled_margins
+
+    def counted_svd(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counted_sampled(*args):
+        counts["fallback"] += 1
+        return sampled(*args)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(oracle, "_sampled_margins", counted_sampled)
+    code = cli.main(["--mode", "verify", "--input", str(inputs.csv_paths[0]),
+                     "--out", str(tmp_path)])
+    assert code == 0
+    checked = json.loads((tmp_path / "report.json").read_text())["certificates"]["checked"]
+    assert checked > 300
+    assert counts["svd"] <= 2 * counts["fallback"] + 1
 
 
 def test_runs_without_scipy(tmp_path):

@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from ellipstream.adversary import simplex_vertices
-from ellipstream.ellipsoid import Ellipsoid, log_volume, membership
+from ellipstream import oracle
+from ellipstream.ellipsoid import Ellipsoid, containment_margin, log_volume, membership
 from ellipstream.oracle import (
     HullSpec,
     OracleError,
@@ -18,7 +21,8 @@ from ellipstream.oracle import (
     mvee_khachiyan,
 )
 from ellipstream.state import RoundingState
-from ellipstream.update_rule import full_update_detailed, irregular_update
+from ellipstream.streaming import run_fully_online
+from ellipstream.update_rule import full_update_detailed, irregular_update, step
 
 SQUARE = [np.array(p) for p in
           [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]]
@@ -221,6 +225,157 @@ class TestCheckMonotoneStep:
         cert = check_monotone_step(prev, bad, z)
         assert not cert.inner_ok
         assert cert.worst_margin < 0
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def sampled_certificate(prev, nxt, z, tol=1e-7):
+    """check_monotone_step on its sampled path alone, the reference."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_structured_margins", lambda *args: None)
+        return check_monotone_step(prev, nxt, z, tol)
+
+
+def certified_steps(pts, every=1):
+    """(prev, next, z) of every step the CLI's verifier would certify."""
+    steps = []
+
+    def observer(t, prev, nxt, z, kind, gamma):
+        if kind not in ("init", "local") and t % every == 0:
+            steps.append((prev, nxt, z))
+
+    run_fully_online(pts, on_step=observer)
+    return steps
+
+
+def frame_margin_reference(prev, nxt, z, n_angles=100_001):
+    """Inner and outer margins from the bodies' own views: the inner one
+    over n_angles directions of the plane through z's direction in the
+    step's frame (it holds the minimum of a body of revolution), from the
+    ambient support functions; the outer ones from the exact containment
+    search and membership."""
+    frame = oracle._frame(prev, z)
+    f = frame.shear @ frame.basis.T
+    k = f.shape[0]
+    e1 = frame.z / np.linalg.norm(frame.z)
+    theta = np.linspace(0.0, 2.0 * math.pi, n_angles)
+    dirs = np.cos(theta)[:, None] * e1
+    if k > 1:
+        dirs = dirs + np.sin(theta)[:, None] * oracle._orthogonal(e1)
+    amb = dirs @ f  # the frame directions, pulled back to ambient space
+
+    def support(body, alpha):
+        # h(v) of center + alpha * body, taken from the previous center
+        return ((body.center - prev.center) @ amb.T
+                + alpha * np.linalg.norm((amb @ body.axes) * body.semiaxes, axis=1))
+
+    h_prev = (support(prev.ellipsoid, prev.alpha) if prev.dim
+              else np.zeros(len(theta)))
+    inner = np.maximum(h_prev, amb @ (z - prev.center)) - support(nxt.ellipsoid, nxt.alpha)
+    outer = min(-containment_margin(nxt.ellipsoid, prev.ellipsoid),
+                -membership(nxt.ellipsoid, z))
+    return float(inner.min()), outer
+
+
+class TestStructuredCertificate:
+    """The closed-form path of check_monotone_step against the sampled one
+    and against a dense 1-D reference."""
+
+    @pytest.mark.parametrize("name", ["audit-file", "regular-highd"])
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_agrees_with_sampled_path_on_perfbench_streams(self, name, seed,
+                                                           tmp_path, monkeypatch):
+        sys.path.insert(0, str(PERFBENCH))
+        try:
+            import workloads
+        finally:
+            sys.path.remove(str(PERFBENCH))
+        w = workloads.WORKLOADS[name]
+        streams = workloads.make_inputs(w, seed, tmp_path).streams
+        structured = oracle._structured_margins
+        fallbacks = []
+
+        def counted(*args):
+            margins = structured(*args)
+            fallbacks.append(margins is None)
+            return margins
+
+        monkeypatch.setattr(oracle, "_structured_margins", counted)
+        n = 0
+        for pts in streams:
+            for prev, nxt, z in certified_steps(pts, w.verify_every):
+                fast = check_monotone_step(prev, nxt, z, tol=1e-7)
+                ref = sampled_certificate(prev, nxt, z)
+                assert fast.verdict == ref.verdict == "pass"
+                assert fast.worst_margin <= ref.worst_margin + 1e-12
+                n += 1
+        assert n > 50 and len(fallbacks) == n
+        assert sum(fallbacks) <= 0.01 * n
+
+    @pytest.mark.parametrize("case", ["regular", "raise-0-1", "raise-k"])
+    def test_margin_matches_dense_reference(self, case):
+        rng = np.random.default_rng(17)
+        g = rng.standard_normal((40, 4))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        pts = 3.0 + g * np.exp(0.02 * np.arange(1, 41))[:, None]
+        steps = certified_steps(pts)
+        picked = {
+            "regular": [s for s in steps if s[1].dim == s[0].dim == 4][:6],
+            "raise-0-1": [s for s in steps if s[0].dim == 0],
+            "raise-k": [s for s in steps if s[1].dim == s[0].dim + 1 >= 3],
+        }[case]
+        assert picked
+        for prev, nxt, z in picked:
+            margins = oracle._structured_margins(prev, nxt, oracle._frame(prev, z), 1e-7)
+            assert margins is not None
+            inner, outer = frame_margin_reference(prev, nxt, z)
+            assert margins[1] == pytest.approx(inner, abs=1e-10)
+            assert margins[0] == pytest.approx(outer, abs=1e-10)
+
+    @staticmethod
+    def small_step(alpha):
+        # a step of small gamma leaves little slack either side of the inner body
+        prev = RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(3), 1.0), alpha)
+        w = np.array([0.6, 0.8, 0.0])
+        nxt, kind, params = step(prev, 1.001 * w)
+        assert kind == "regular"
+        return prev, nxt, 1.001 * w, w, params
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.1])
+    @pytest.mark.parametrize("mutation", ["b+", "b-", "off-axis center", "shear"])
+    def test_mutated_steps_flagged(self, alpha, mutation):
+        prev, nxt, z, w, params = self.small_step(alpha)
+        u2 = np.array([0.8, -0.6, 0.0])
+        factor, center = nxt.factor, nxt.center
+        if mutation in ("b+", "b-"):
+            b = params.b + (1e-3 if mutation == "b+" else -1e-3)
+            factor = b * np.eye(3) + (params.a - b) * np.outer(w, w)
+        elif mutation == "off-axis center":
+            center = center + 1e-3 * u2
+        else:
+            factor = factor @ (np.eye(3) + 1e-3 * np.outer(w, u2))
+        bad = RoundingState(center, nxt.basis, factor, np.linalg.inv(factor),
+                            nxt.alpha, nxt.log_volume)
+        fast = check_monotone_step(prev, bad, z)
+        ref = sampled_certificate(prev, bad, z)
+        assert fast.verdict == ref.verdict == "fail"
+        assert fast.worst_margin <= ref.worst_margin + 1e-12
+        assert check_monotone_step(prev, nxt, z).verdict == "pass"
+
+    def test_structured_step_needs_no_decomposition(self, monkeypatch):
+        prev, nxt, z, _, _ = self.small_step(0.5)
+        calls = []
+        for owner, name in ((np.linalg, "svd"), (np.linalg, "eigh"),
+                            (Ellipsoid, "__post_init__")):
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name,
+                                lambda *a, _fn=fn, _name=name, **kw: calls.append(_name) or _fn(*a, **kw))
+        # fresh states, so that no cached view hides a decomposition
+        prev, nxt = (RoundingState(s.center, s.basis, s.factor, s.inverse, s.alpha, s.log_volume)
+                     for s in (prev, nxt))
+        assert check_monotone_step(prev, nxt, z).verdict == "pass"
+        assert calls == []
 
 
 class TestMvee:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,6 +252,24 @@ class TestRunReport:
         rep.append(StepRecord(4, 0.3, 0.4, "regular", 0.2))
         assert rep.regular_gamma_sum() == pytest.approx(0.5)
         assert rep.irregular_count() == 1
+
+    def test_memory_per_run(self):
+        # a drifting stream: nearly every step is regular, a run of its own;
+        # the memory the report holds is what freeing it releases
+        g = np.random.default_rng(4).standard_normal((3000, 3))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        pts = g * np.exp(0.002 * np.arange(1, 3001))[:, None]
+        tracemalloc.start()
+        try:
+            _, report = run_fully_online(pts)
+            n_runs = len(report.runs)
+            held = tracemalloc.get_traced_memory()[0]
+            del report
+            used = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert n_runs > 2000
+        assert used / n_runs <= 64
 
 
 # --- batched ingestion: bit-identity with a scalar reference fold ---------
