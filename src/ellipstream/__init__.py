@@ -7,10 +7,8 @@ and brute-force verification oracles.
 from .ellipsoid import (
     Ellipsoid,
     containment_margin,
-    contains_ellipsoid,
     log_volume,
     membership,
-    support,
 )
 from .state import RoundingState
 from .update_rule import (
@@ -45,10 +43,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Ellipsoid",
     "containment_margin",
-    "contains_ellipsoid",
     "log_volume",
     "membership",
-    "support",
     "RoundingState",
     "UpdateError",
     "UpdateParams",

@@ -113,8 +113,8 @@ def run_adversary(rule: UpdateRule, d: int, r_big: float) -> AdversaryTrace:
     """
     if d < 2:
         raise AdversaryError("dimension must be at least 2")
-    if r_big < 1.0:
-        raise AdversaryError("outer radius must be at least 1")
+    if not (1.0 <= r_big < math.inf):
+        raise AdversaryError("outer radius must be finite and at least 1")
     state = RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(d), 1.0), alpha=1.0)
     trace = AdversaryTrace()
 
@@ -170,46 +170,38 @@ def reduced_case_grid() -> ReducedCaseReport:
     from the width, reach, and tangent-line constraints, giving the
     smallest possible step ratio dA/dP; the report carries the minimal
     constant observed wherever the A/(10 d) branch is not the binding one.
+    The cells are evaluated in one pass over (A, a, b, c); d enters only
+    dP and the bound.
     """
-    a_grid = np.geomspace(1.5, 50.0, GRID_N_A)
-    b_grid = np.geomspace(1.0, 50.0, GRID_N_B)
-    big_a_grid = np.geomspace(1.0, 200.0, GRID_N_BIG_A)
+    big_a = np.geomspace(1.0, 200.0, GRID_N_BIG_A)[:, None, None]
+    a = np.geomspace(1.5, 50.0, GRID_N_A)[:, None]
+    b = np.geomspace(1.0, 50.0, GRID_N_B)
+    alpha = 1.0 / big_a
+    # (A, a, c): GRID_N_C values of c from c_lo to c_hi, as np.linspace
+    # lays them out; a cell with c_hi <= c_lo is dropped
+    c_lo = np.maximum(-alpha, 2.0 - a) + 1e-9
+    c_hi = a - 1.0
+    c = np.arange(GRID_N_C) * ((c_hi - c_lo) / (GRID_N_C - 1)) + c_lo
+    c[..., -1] = c_hi[:, 0]
+    # (A, a, b, c) -> (A, a, b): the largest next inner scale over c
+    width = (alpha / b)[..., None]
+    reach = ((c + alpha) / a)[:, :, None, :]
+    tangent = ((2.0 - c) * (alpha / 2.0) / np.sqrt(1.0 - (alpha / 2.0) ** 2))
+    tangent = tangent[:, :, None, :] / b[:, None]
+    best = np.minimum(width, np.minimum(reach, tangent)).max(axis=-1)
+    ok = (c_hi > c_lo) & (best > 0.0)
 
-    ratios = []
-    bounds = []
-    for d in GRID_DIMS:
-        for big_a in big_a_grid:
-            alpha = 1.0 / big_a
-            for a in a_grid:
-                c_lo = max(-alpha, 2.0 - a) + 1e-9
-                c_hi = a - 1.0
-                if c_hi <= c_lo:
-                    continue
-                c_grid = np.linspace(c_lo, c_hi, GRID_N_C)
-                for b in b_grid:
-                    width = alpha / b
-                    reach = (c_grid + alpha) / a
-                    with np.errstate(invalid="ignore"):
-                        tangent = ((2.0 - c_grid) * (alpha / 2.0)
-                                   / math.sqrt(1.0 - (alpha / 2.0) ** 2)) / b
-                    alpha_next = np.minimum(width, np.minimum(reach, tangent))
-                    best = float(alpha_next.max())
-                    if best <= 0.0:
-                        continue
-                    delta_a = 1.0 / best - big_a
-                    delta_p = math.log(a) + (d - 1) * math.log(b)
-                    ratios.append(delta_a / delta_p)
-                    bounds.append(big_a / (10.0 * d))
+    # (d, kept cell)
+    dims = np.asarray(GRID_DIMS)
+    big_a = np.broadcast_to(big_a, ok.shape)[ok]
+    delta_a = 1.0 / best[ok] - big_a
+    delta_p = np.log(a) + (dims[:, None, None] - 1) * np.log(b)
+    delta_p = np.broadcast_to(delta_p[:, None], (len(dims),) + ok.shape)[:, ok]
+    ratios = delta_a / delta_p
+    bounds = big_a / (10.0 * dims[:, None])
 
-    ratios_arr = np.asarray(ratios)
-    bounds_arr = np.asarray(bounds)
-    below = ratios_arr < bounds_arr
-    c_observed = float(ratios_arr[below].min()) if np.any(below) \
-        else float(ratios_arr.min())
-    slack = ratios_arr - np.minimum(c_observed, bounds_arr)
-    return ReducedCaseReport(
-        n_points=len(ratios),
-        min_ratio=float(ratios_arr.min()),
-        c_observed=c_observed,
-        min_slack=float(slack.min()),
-    )
+    below = ratios < bounds
+    c_observed = float(ratios[below].min() if below.any() else ratios.min())
+    slack = ratios - np.minimum(c_observed, bounds)
+    return ReducedCaseReport(n_points=ratios.size, min_ratio=float(ratios.min()),
+                             c_observed=c_observed, min_slack=float(slack.min()))

@@ -54,6 +54,10 @@ class RunConfig:
             raise InputError("exactly one of --input and --gen is required")
         if self.d < 1 or self.n < 1 or self.lattice_n < 1:
             raise InputError("d, n, and N must be positive")
+        if self.verify_every is not None and self.verify_every < 0:
+            raise InputError("--verify-every must be at least 0")
+        if not math.isfinite(self.r_big):
+            raise InputError("--R must be finite")
         if self.c0 is not None or self.r0 is not None:
             flag = "--c0" if self.c0 is not None else "--r0"
             if self.mode not in ("seeded", "verify"):
@@ -327,13 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", dest="lattice_n", type=int, default=10,
                    help="lattice half-width (integer coordinates in [-N, N])")
     p.add_argument("--R", dest="r_big", type=float, default=8.0,
-                   help="outer radius for the adversary / shell generator")
+                   help="outer radius for the adversary / shell generator "
+                        "(finite, >= 1)")
     p.add_argument("--c0", help="seed-ball center, comma separated")
     p.add_argument("--r0", type=float, help="seed-ball radius")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--verify-every", type=int, default=None,
-                   help="run the step oracle every k steps (0 = off; "
+                   help="run the step oracle every k >= 0 steps (0 = off; "
                         "default 1 for d <= 6, 0 otherwise)")
     return p
 

@@ -1,4 +1,4 @@
-"""Ellipsoid values: span split, membership, support, volume, containment.
+"""Ellipsoid values: span split, membership, volume, containment.
 
 An ellipsoid is stored as a center plus orthonormal axis directions with
 strictly positive semiaxis lengths; the rank may be below the ambient
@@ -241,13 +241,6 @@ def log_volume(e: Ellipsoid) -> float:
     return float(np.sum(np.log(e.semiaxes)))
 
 
-def support(e: Ellipsoid, u: np.ndarray) -> float:
-    """Support function h_e(u) = max over x in e of <x, u>."""
-    u = np.asarray(u, dtype=float)
-    proj = e.semiaxes * (e.axes.T @ u)
-    return float(np.dot(e.center, u)) + float(np.linalg.norm(proj))
-
-
 def _max_norm_over_ellipsoid(c: np.ndarray, m: np.ndarray) -> float:
     """max of ||c + m @ s|| over ||s|| <= 1, by safeguarded Newton on the
     secular equation with an explicit hard case (More & Sorensen 1983).
@@ -346,8 +339,3 @@ def containment_margin(outer: Ellipsoid, inner: Ellipsoid) -> float:
         sampled = dirs @ c_prime + row_norms(dirs @ m)
         reach = max(reach, float(sampled.max()))
     return reach - 1.0
-
-
-def contains_ellipsoid(outer: Ellipsoid, inner: Ellipsoid) -> bool:
-    """True iff inner is inside outer, up to CONTAINMENT_TOL (normalized)."""
-    return containment_margin(outer, inner) <= CONTAINMENT_TOL

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .linalg import row_norms
 from .state import RoundingState
 from .update_rule import _split, compute_params, solve_gamma
 
+# the min-norm-point stopping tolerance of both hull oracles
 LP_TOL = 1e-9
 _DIR_SEED = 987654321
 # check_monotone_step's sampled falsifier directions and slice resolution
@@ -40,7 +41,11 @@ _N_SLICE = 2048
 _SLICE_ANGLES = np.linspace(0.0, 2.0 * math.pi, _N_SLICE, endpoint=False)
 _SLICE_COS, _SLICE_SIN = np.cos(_SLICE_ANGLES), np.sin(_SLICE_ANGLES)
 _FINE_OFFSETS = np.linspace(-2.0 * math.pi / _N_SLICE, 2.0 * math.pi / _N_SLICE, 64)
-# mvee_khachiyan recomputes inv(X) from scratch every this many iterations
+# union_hull_distance's major-cycle budget
+HULL_DIST_MAX_ITER = 200
+# mvee_khachiyan's iteration budget; it recomputes inv(X) from scratch
+# every _MVEE_RESYNC iterations
+MVEE_MAX_ITER = 100000
 _MVEE_RESYNC = 1000
 # points per axis of inequality_suite's (gamma, alpha) grid
 GRID_DENSITY = 100
@@ -143,14 +148,14 @@ class HullSpec:
             raise OracleError("empty hull spec")
 
 
-def union_hull_distance(h: HullSpec, x: np.ndarray, tol: float = 1e-9,
-                        max_iter: int = 200) -> float:
+def union_hull_distance(h: HullSpec, x: np.ndarray) -> float:
     """Distance from x to conv(points union ellipsoids), by Wolfe's
     min-norm-point method on the members shifted by -x.
 
     Each major cycle asks every member for its farthest point against the
     current gradient, which is trivial for both points and ellipsoids.
-    Raises OracleError if max_iter major cycles do not settle the distance.
+    Raises OracleError if HULL_DIST_MAX_ITER major cycles do not settle the
+    distance to LP_TOL.
     """
     x = np.asarray(x, dtype=float)
     pts = (np.asarray(h.point_list, dtype=float) - x
@@ -172,7 +177,7 @@ def union_hull_distance(h: HullSpec, x: np.ndarray, tol: float = 1e-9,
                 best, val = cand, v
         return best
 
-    return _min_norm_point(lmo, lmo(-x), tol, max_iter)
+    return _min_norm_point(lmo, lmo(-x), LP_TOL, HULL_DIST_MAX_ITER)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +194,6 @@ class StepCertificate:
     outer_ok: bool
     inner_ok: bool
     worst_margin: float
-    violating_direction: Optional[np.ndarray] = None
     resolution_limited: bool = False
 
     @property
@@ -246,7 +250,7 @@ def _orthogonal(e1: np.ndarray) -> np.ndarray:
 
 def _structured_margins(prev: RoundingState, next_: RoundingState,
                         frame: _Frame, tol: float):
-    """(outer, inner, direction) in closed form from one k x k Gram, or
+    """(outer, inner) in closed form from one k x k Gram, or
     None where that does not apply: the next body off the frame's span, or
     a bound on its asymmetry above tol/10.
 
@@ -325,18 +329,12 @@ def _structured_margins(prev: RoundingState, next_: RoundingState,
     reach_z = np.linalg.solve(n, frame.z - c)
     reach_z = math.sqrt(reach_z @ reach_z)
 
-    inner = inner_at(x_inner) - inner_err
-    direction = None
-    if inner < -tol:
-        direction = x_inner * e1
-        if k > 1:
-            direction = direction + math.sqrt(1.0 - x_inner * x_inner) * _orthogonal(e1)
-    return 1.0 - max(reach, reach_z), inner, direction
+    return 1.0 - max(reach, reach_z), inner_at(x_inner) - inner_err
 
 
 def _sampled_margins(prev: RoundingState, next_: RoundingState, z: np.ndarray,
                      frame: _Frame):
-    """(outer, inner, direction) by brute force. The outer checks are the
+    """(outer, inner) by brute force. The outer checks are the
     exact containment search and membership on the SVD views. The inner
     margin is taken over a 2-D slice through z's direction (exact for the
     rotation-symmetric bodies the update rule builds), refined around its
@@ -346,7 +344,7 @@ def _sampled_margins(prev: RoundingState, next_: RoundingState, z: np.ndarray,
     outer = min(-containment_margin(next_e, prev_e), -membership(next_e, z))
     if next_.dim == 0:
         # a rank-0 next inner body is its center alone
-        return outer, math.inf, None
+        return outer, math.inf
 
     def project(vecs: np.ndarray) -> np.ndarray:
         return frame.shear @ (frame.basis.T @ vecs)
@@ -362,29 +360,22 @@ def _sampled_margins(prev: RoundingState, next_: RoundingState, z: np.ndarray,
         h_prev = prev_a * row_norms(dirs[:, :k - 1]) if raised else prev_a
         return np.maximum(h_prev, dirs @ z_n) - h_next
 
-    inner_margins: List[Tuple[float, np.ndarray]] = []
     zn = math.sqrt(z_n @ z_n)
     e1 = z_n / zn if zn > 1e-12 else np.eye(k)[:, 0]
+    inner = math.inf
     if k >= 2:
         # the slice, then the fine sweep around its worst angle
         e2 = _orthogonal(e1)
-        dirs = _SLICE_COS[:, None] * e1 + _SLICE_SIN[:, None] * e2
-        slice_margins = margin_for(dirs)
+        slice_margins = margin_for(_SLICE_COS[:, None] * e1 + _SLICE_SIN[:, None] * e2)
         worst_idx = int(np.argmin(slice_margins))
-        inner_margins.append((float(slice_margins[worst_idx]), dirs[worst_idx]))
+        inner = float(slice_margins[worst_idx])
         fine = 2.0 * math.pi * worst_idx / _N_SLICE + _FINE_OFFSETS
         dirs = np.cos(fine)[:, None] * e1 + np.sin(fine)[:, None] * e2
     else:
         dirs = np.array([[1.0], [-1.0]]) * e1[None, :]
-    fm = margin_for(dirs)
-    j = int(np.argmin(fm))
-    inner_margins.append((float(fm[j]), dirs[j]))
-    dirs_r = _unit_directions(_N_SAMPLE_DIRS, k, _DIR_SEED)
-    rm = margin_for(dirs_r)
-    j = int(np.argmin(rm))
-    inner_margins.append((float(rm[j]), dirs_r[j].copy()))
-    inner, direction = min(inner_margins, key=lambda m: m[0])
-    return outer, inner, direction
+    falsifier = _unit_directions(_N_SAMPLE_DIRS, k, _DIR_SEED)
+    return outer, min(inner, float(margin_for(dirs).min()),
+                      float(margin_for(falsifier).min()))
 
 
 def check_monotone_step(prev: RoundingState, next_: RoundingState,
@@ -406,7 +397,7 @@ def check_monotone_step(prev: RoundingState, next_: RoundingState,
     margins = _structured_margins(prev, next_, frame, tol)
     if margins is None:
         margins = _sampled_margins(prev, next_, z, frame)
-    outer, inner, direction = margins
+    outer, inner = margins
     worst = min(outer, inner)
     limited = False
     if worst < -tol:
@@ -415,10 +406,7 @@ def check_monotone_step(prev: RoundingState, next_: RoundingState,
                          + math.sqrt(frame.split.delta @ frame.split.delta)))
         limited = worst >= -resolution
     return StepCertificate(outer_ok=outer >= -tol, inner_ok=inner >= -tol,
-                           worst_margin=worst,
-                           violating_direction=(direction if worst < -tol and inner < outer
-                                                else None),
-                           resolution_limited=limited)
+                           worst_margin=worst, resolution_limited=limited)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +419,7 @@ def _lifted_inverse(q: np.ndarray, u: np.ndarray):
     return x_inv, np.einsum("in,in->n", q, x_inv @ q)
 
 
-def mvee_khachiyan(points: Sequence[np.ndarray], eps: float = 1e-4,
-                   max_iter: int = 100000) -> Ellipsoid:
+def mvee_khachiyan(points: Sequence[np.ndarray], eps: float = 1e-4) -> Ellipsoid:
     """(1+eps)-approximate minimum-volume enclosing ellipsoid.
 
     Solves the D-optimal-design dual on the lifted points q_i = [p_i, 1]
@@ -449,7 +436,7 @@ def mvee_khachiyan(points: Sequence[np.ndarray], eps: float = 1e-4,
     O(n r) cost and are recomputed from scratch every _MVEE_RESYNC
     iterations. The stop is confirmed from a fresh inverse, so every
     point has membership at most sqrt(1 + eps (r+1)/r) - 1 in the
-    returned body. Raises OracleError when max_iter iterations do not
+    returned body. Raises OracleError when MVEE_MAX_ITER iterations do not
     reach the stop.
     """
     pts = np.asarray(points, dtype=float)
@@ -472,7 +459,7 @@ def mvee_khachiyan(points: Sequence[np.ndarray], eps: float = 1e-4,
     q = np.hstack([p, np.ones((n, 1))]).T  # (r+1) x n
     u = np.full(n, 1.0 / n)
     x_inv, m = _lifted_inverse(q, u)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MVEE_MAX_ITER + 1):
         j = int(np.argmax(m))
         i = int(np.argmin(np.where(u > 0.0, m, math.inf)))
         eps_plus = m[j] / (r + 1) - 1.0
@@ -505,8 +492,8 @@ def mvee_khachiyan(points: Sequence[np.ndarray], eps: float = 1e-4,
         if it % _MVEE_RESYNC == 0:
             x_inv, m = _lifted_inverse(q, u)
     else:
-        raise OracleError(
-            f"enclosing ellipsoid not within eps={eps:g} after {max_iter} iterations")
+        raise OracleError(f"enclosing ellipsoid not within eps={eps:g} "
+                          f"after {MVEE_MAX_ITER} iterations")
     c_span = u @ p
     shape = (p.T @ (u[:, None] * p) - np.outer(c_span, c_span)) * r
     evals, evecs = np.linalg.eigh(shape)
@@ -521,11 +508,9 @@ def mvee_khachiyan(points: Sequence[np.ndarray], eps: float = 1e-4,
 # scalar inequality grids
 
 
-@dataclass(frozen=True)
-class SlackReport:
+class SlackReport(NamedTuple):
     claim_id: str
     worst_slack: float
-    argmin: Tuple[float, ...]
 
 
 def _grid_params():
@@ -541,11 +526,8 @@ def _grid_params():
     return g, al, a, b, c, alp
 
 
-def _min_report(claim_id: str, slack: np.ndarray,
-                args: Sequence[np.ndarray]) -> SlackReport:
-    j = int(np.argmin(slack))
-    return SlackReport(claim_id, float(slack[j]),
-                       tuple(float(arg[j]) for arg in args))
+def _min_report(claim_id: str, slack: np.ndarray) -> SlackReport:
+    return SlackReport(claim_id, float(slack.min()))
 
 
 def inequality_suite() -> List[SlackReport]:
@@ -556,42 +538,38 @@ def inequality_suite() -> List[SlackReport]:
     n1 = max(GRID_DENSITY * GRID_DENSITY, 10000)
 
     x = np.linspace(-10.0, 10.0, n1)
-    reports.append(_min_report("exp_lower_linear", np.exp(x) - (1.0 + x), [x]))
+    reports.append(_min_report("exp_lower_linear", np.exp(x) - (1.0 + x)))
     x = np.linspace(0.0, 10.0, n1)
     reports.append(_min_report("exp_lower_quadratic",
-                               np.exp(x) - (1.0 + x + x * x / 2.0), [x]))
+                               np.exp(x) - (1.0 + x + x * x / 2.0)))
     x = np.linspace(0.0, 4.0 / 3.0, n1)
     reports.append(_min_report("exp_upper_cubic",
-                               (1.0 + x + x * x / 2.0 + x ** 3 / 4.0) - np.exp(x), [x]))
+                               (1.0 + x + x * x / 2.0 + x ** 3 / 4.0) - np.exp(x)))
 
     g1 = np.geomspace(1e-6, 10.0, n1)
     lhs = (np.expm1(g1)) ** 2 / (np.exp(2.0 * g1) - (1.0 + g1 / 4.0) ** 2)
-    reports.append(_min_report("gamma_ratio_bound", 1.5 * g1 - lhs, [g1]))
+    reports.append(_min_report("gamma_ratio_bound", 1.5 * g1 - lhs))
 
     g, al, a, b, c, alp = _grid_params()
-    args = [g, al]
     harmonic = np.abs(1.0 / alp - (1.0 / al + 2.0 * g)) / (1.0 / al + 2.0 * g)
-    reports.append(_min_report("params_harmonic", -harmonic, args))
-    reports.append(_min_report("params_pad_floor", b - 1.0, args))
-    reports.append(_min_report("params_shift_nonneg", c, args))
-    reports.append(_min_report("params_reach_floor", c + alp * a - al, args))
-    reports.append(_min_report("pad_axis_bound", 1.0 + g / 4.0 - b, args))
-    reports.append(_min_report("pad_below_stretch", a - b, args))
-    reports.append(_min_report("stretch_gap",
-                               1.0 - (a - 1.0) ** 2 / (a * a - b * b), args))
-    reports.append(_min_report("pad_alpha_identity",
-                               b * b - (1.0 + al - alp), args))
+    reports.append(_min_report("params_harmonic", -harmonic))
+    reports.append(_min_report("params_pad_floor", b - 1.0))
+    reports.append(_min_report("params_shift_nonneg", c))
+    reports.append(_min_report("params_reach_floor", c + alp * a - al))
+    reports.append(_min_report("pad_axis_bound", 1.0 + g / 4.0 - b))
+    reports.append(_min_report("pad_below_stretch", a - b))
+    reports.append(_min_report("stretch_gap", 1.0 - (a - 1.0) ** 2 / (a * a - b * b)))
+    reports.append(_min_report("pad_alpha_identity", b * b - (1.0 + al - alp)))
     reports.append(_min_report("outer_shift_bound",
-                               (b * b - 1.0) / (b * b) * (a * a - b * b) - c * c,
-                               args))
+                               (b * b - 1.0) / (b * b) * (a * a - b * b) - c * c))
     ell1 = 1.0 / (c + a)
     ell2sq = 1.0 / (al * al) - ell1 * ell1
     r = (a * a * ell1 * ell1) / (b * b * ell2sq)
     reports.append(_min_report("inner_touch_nonneg",
-                               a - alp * a * np.sqrt((1.0 + r) / r), args))
+                               a - alp * a * np.sqrt((1.0 + r) / r)))
     reports.append(_min_report("inner_main_bound",
                                (al * al / (alp * alp)) * (1.0 - alp)
-                               - b * b * (1.0 + alp - 2.0 * al / a), args))
+                               - b * b * (1.0 + alp - 2.0 * al / a)))
 
     # constructed updates at the shell distance rho = 2: the new inner
     # body's transverse width never exceeds the previous one, and obeys
@@ -605,6 +583,6 @@ def inequality_suite() -> List[SlackReport]:
         tangent[i] = ((2.0 - params.c) * (alpha / 2.0)
                       / math.sqrt(1.0 - (alpha / 2.0) ** 2)
                       - params.alpha_next * params.b)
-    reports.append(_min_report("inner_width_bound", width, [alphas]))
-    reports.append(_min_report("tangent_width_bound", tangent, [alphas]))
+    reports.append(_min_report("inner_width_bound", width))
+    reports.append(_min_report("tangent_width_bound", tangent))
     return reports

@@ -70,7 +70,7 @@ _KIND_CODE = {kind: i for i, kind in enumerate(_KINDS)}
 
 class RunReport:
     """Per-step records as runs of `count` steps at t, t+1, ... that agree
-    apart from t. The runs are stored column-wise, 41 bytes each, as a
+    apart from t. The runs are stored column-wise, about 42 bytes each, as a
     harness may keep many reports."""
 
     def __init__(self) -> None:
@@ -83,7 +83,7 @@ class RunReport:
     def add(self, t: int, alpha: float, log_volume: float, kind: str, gamma: float,
             count: int = 1) -> None:
         """Add `count` steps starting at t, merged into the last run when
-        they continue it: `append` without building a StepRecord."""
+        they continue it."""
         fields = (alpha, log_volume, kind, gamma)
         if t < self._next_t:
             raise ValueError("records must be strictly ordered by t")
@@ -98,10 +98,6 @@ class RunReport:
             self._gamma.append(gamma)
             self._last = fields
         self._next_t = t + count
-
-    def append(self, rec: StepRecord, count: int = 1) -> None:
-        """Add `count` steps starting at rec.t (see `add`)."""
-        self.add(*rec, count=count)
 
     @property
     def runs(self) -> List[Tuple[StepRecord, int]]:

@@ -145,6 +145,9 @@ class TestRunAdversary:
             run_adversary(library_rule, 1, 8.0)
         with pytest.raises(AdversaryError):
             run_adversary(library_rule, 3, 0.5)
+        for r_big in (math.nan, math.inf):
+            with pytest.raises(AdversaryError):
+                run_adversary(library_rule, 3, r_big)
 
 
 class TestReducedCaseGrid:
@@ -154,3 +157,11 @@ class TestReducedCaseGrid:
         assert report.min_ratio > 0
         assert report.c_observed > 0
         assert report.min_slack >= -1e-12
+
+    def test_pinned_values(self):
+        # the values a scalar loop over the (d, A, a, b) cells gives
+        report = reduced_case_grid()
+        assert report.n_points == 61824
+        assert report.min_ratio == pytest.approx(0.13786094537020774, rel=1e-15)
+        assert report.c_observed == pytest.approx(0.843852334766833, rel=1e-15)
+        assert report.min_slack == 0.0

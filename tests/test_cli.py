@@ -187,6 +187,29 @@ class TestRun:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["certificates"]["stop_reason"] == "volume_reached"
 
+    def test_verify_rejects_negative_every(self, tmp_path, capsys):
+        assert self.run_cli(tmp_path, "--mode", "verify", "--gen", "gaussian",
+                            "--d", "3", "--n", "50", "--verify-every", "-2") == 1
+        assert "--verify-every must be at least 0" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_adversary_rejects_non_finite_radius(self, tmp_path, capsys):
+        assert self.run_cli(tmp_path, "--mode", "adversary", "--d", "3",
+                            "--R", "nan") == 1
+        assert "--R must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_inequalities_mode(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert cli.main(["--mode", "inequalities", "--out", str(out)]) == 0
+        report = json.loads((a / "report.json").read_text())
+        claims = [r.claim_id for r in oracle.inequality_suite()]
+        assert sorted(report["certificates"]) == sorted(claims + ["reduced_case"])
+        assert report["constants"]["grid_points"] == 61824
+        for name in ("report.json", "trace.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
     def test_verify_mode_on_clean_stream(self, tmp_path):
         code = self.run_cli(tmp_path, "--mode", "verify", "--gen", "gaussian",
                             "--d", "3", "--n", "50", "--seed", "6")

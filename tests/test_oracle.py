@@ -112,12 +112,14 @@ class TestUnionHullDistance:
             math.hypot(3e6 - 1.0, 4e6 - 1.0), rel=1e-12)
         assert not hull_membership(SQUARE, np.array([1e4, 0.0]))
 
-    def test_unconverged_solve_raises(self):
+    def test_unconverged_solve_raises(self, monkeypatch):
         # the nearest point lies on an edge, two major cycles away
         h = HullSpec(point_list=tuple(SQUARE))
+        monkeypatch.setattr(oracle, "HULL_DIST_MAX_ITER", 1)
         with pytest.raises(OracleError):
-            union_hull_distance(h, np.array([2.0, 0.5]), max_iter=1)
-        assert union_hull_distance(h, np.array([2.0, 0.5]), max_iter=2) == (
+            union_hull_distance(h, np.array([2.0, 0.5]))
+        monkeypatch.setattr(oracle, "HULL_DIST_MAX_ITER", 2)
+        assert union_hull_distance(h, np.array([2.0, 0.5])) == (
             pytest.approx(1.0, abs=1e-12))
 
     def test_agrees_with_lp_membership(self):
@@ -413,11 +415,12 @@ class TestMvee:
         e = mvee_khachiyan(pts, eps=1e-7)
         assert e.semiaxes[0] / e.semiaxes[1] > 20.0
 
-    def test_unconverged_raises(self):
+    def test_unconverged_raises(self, monkeypatch):
         rng = np.random.default_rng(50)
         pts = [rng.standard_normal(4) for _ in range(40)]
+        monkeypatch.setattr(oracle, "MVEE_MAX_ITER", 1)
         with pytest.raises(OracleError):
-            mvee_khachiyan(pts, eps=1e-6, max_iter=1)
+            mvee_khachiyan(pts, eps=1e-6)
 
     @pytest.mark.parametrize("d", [3, 6])
     def test_interior_points_dropped(self, d):

@@ -19,7 +19,7 @@ from ellipstream.ellipsoid import (
 )
 from ellipstream.oracle import check_monotone_step
 from ellipstream.state import RoundingState
-from ellipstream.streaming import CHUNK_ROWS, RunReport, StepRecord, run_fully_online, run_seeded
+from ellipstream.streaming import CHUNK_ROWS, RunReport, run_fully_online, run_seeded
 from ellipstream.update_rule import compute_params, leading_skips, solve_gamma, step
 
 
@@ -240,16 +240,16 @@ class TestNumericalLimit:
 class TestRunReport:
     def test_records_strictly_ordered(self):
         rep = RunReport()
-        rep.append(StepRecord(1, 1.0, 0.0, "init", 0.0))
+        rep.add(1, 1.0, 0.0, "init", 0.0)
         with pytest.raises(ValueError):
-            rep.append(StepRecord(1, 1.0, 0.0, "skip", 0.0))
+            rep.add(1, 1.0, 0.0, "skip", 0.0)
 
     def test_gamma_sum_counts_only_regular(self):
         rep = RunReport()
-        rep.append(StepRecord(1, 1.0, 0.0, "init", 0.0))
-        rep.append(StepRecord(2, 0.5, 0.1, "regular", 0.3))
-        rep.append(StepRecord(3, 0.4, 0.2, "irregular", 0.0))
-        rep.append(StepRecord(4, 0.3, 0.4, "regular", 0.2))
+        rep.add(1, 1.0, 0.0, "init", 0.0)
+        rep.add(2, 0.5, 0.1, "regular", 0.3)
+        rep.add(3, 0.4, 0.2, "irregular", 0.0)
+        rep.add(4, 0.3, 0.4, "regular", 0.2)
         assert rep.regular_gamma_sum() == pytest.approx(0.5)
         assert rep.irregular_count() == 1
 
