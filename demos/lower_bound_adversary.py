@@ -9,8 +9,6 @@ approximation factor.
 
 import math
 
-import numpy as np
-
 from ellipstream import library_rule, run_adversary
 
 d = 4

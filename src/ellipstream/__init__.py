@@ -12,6 +12,7 @@ from .ellipsoid import (
 )
 from .state import RoundingState
 from .update_rule import (
+    Step,
     UpdateError,
     UpdateParams,
     compute_params,
@@ -46,6 +47,7 @@ __all__ = [
     "log_volume",
     "membership",
     "RoundingState",
+    "Step",
     "UpdateError",
     "UpdateParams",
     "compute_params",

@@ -71,7 +71,7 @@ def library_rule(state: RoundingState, z: np.ndarray) -> RoundingState:
     legal monotone move)."""
     if state.alpha > 0.5:
         state = replace(state, alpha=0.5)
-    return step(state, z)[0]
+    return step(state, z).state
 
 
 def shell_point(state: RoundingState, r_cap: float) -> Optional[np.ndarray]:

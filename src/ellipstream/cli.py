@@ -23,7 +23,7 @@ from .ellipsoid import max_membership
 from .ellipsoid import log_volume, membership  # noqa: F401
 
 MONOTONE_TOL = 1e-7
-GENERATORS = ("ball", "gaussian", "lattice", "simplex-shell", "file")
+GENERATORS = ("ball", "gaussian", "lattice", "simplex-shell")
 MODES = ("seeded", "online", "coreset", "adversary", "verify", "inequalities")
 
 
@@ -220,10 +220,10 @@ def _make_verifier(config: RunConfig):
     summary = {"checked": 0, "failures": 0, "resolution_limited": 0,
                "worst_margin": math.inf}
 
-    def observer(t, prev, next_, z, kind, gamma):
-        if every <= 0 or t % every or kind in ("init", "local"):
+    def observer(t, step):
+        if every <= 0 or t % every or step.kind in ("init", "local"):
             return
-        cert = oracle.check_monotone_step(prev, next_, z, tol=MONOTONE_TOL)
+        cert = oracle.check_monotone_step(step, tol=MONOTONE_TOL)
         summary["checked"] += 1
         summary["worst_margin"] = min(summary["worst_margin"], cert.worst_margin)
         verdict = cert.verdict
@@ -231,7 +231,7 @@ def _make_verifier(config: RunConfig):
             summary["failures"] += 1
         elif verdict == "resolution_limited":
             summary["resolution_limited"] += 1
-            print(f"step t={t} ({kind}): certificate resolution-limited, worst "
+            print(f"step t={t} ({step.kind}): certificate resolution-limited, worst "
                   f"margin {cert.worst_margin:.3e} is within float64's rounding "
                   f"of the bodies", file=sys.stderr)
 
@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Streaming ellipsoidal rounding of a point stream.")
     p.add_argument("--mode", required=True, choices=MODES)
     p.add_argument("--input", help="CSV file of points, one per line")
-    p.add_argument("--gen", choices=[g for g in GENERATORS if g != "file"],
+    p.add_argument("--gen", choices=GENERATORS,
                    help="synthetic stream generator")
     p.add_argument("--d", type=int, default=2, help="dimension")
     p.add_argument("--n", type=int, default=100, help="stream length")

@@ -32,7 +32,7 @@ import numpy as np
 from .ellipsoid import RANK_COLLAPSE_RATIO
 from .state import RoundingState
 from .streaming import RunReport, fold
-from .update_rule import compute_params, step
+from .update_rule import Step, compute_params, step
 # looked up here by perfbench/tracing.py
 from .ellipsoid import log_volume  # noqa: F401
 from .update_rule import full_update_detailed, irregular_update, is_off_span  # noqa: F401
@@ -53,23 +53,19 @@ class CoresetTrace:
 REASONS = {"init": "dim_growth", "irregular": "dim_growth", "regular": "volume_jump"}
 
 
-def coreset_step(state: RoundingState,
-                 z: np.ndarray) -> Tuple[RoundingState, str, float]:
-    """`step`, keeping only span raises and volume-jumping regular steps:
-    (next state, kind, gamma); a dropped point gives (state, skip, 0)."""
-    new, kind, params = step(state, z)
-    if kind == "irregular":
-        return new, kind, 0.0
-    if kind == "regular":
-        if new.log_volume - state.log_volume >= VOLUME_JUMP_LOG - TIE_TOL:
-            return new, kind, params.gamma
-    return state, "skip", 0.0
+def coreset_step(state: RoundingState, z: np.ndarray) -> Step:
+    """`step`, keeping only span raises and volume-jumping regular steps; a
+    dropped regular step becomes a skip that keeps its split."""
+    s = step(state, z)
+    jump = s.state.log_volume - state.log_volume
+    if s.kind == "regular" and jump < VOLUME_JUMP_LOG - TIE_TOL:
+        return Step(state, state, s.z, "skip", 0.0, s.split)
+    return s
 
 
 def run_coreset(stream: Iterable[np.ndarray]) -> Tuple[CoresetTrace, RunReport]:
     """Fold coreset_step over a stream."""
-    state, report = fold(stream, lambda state, z: (state, *coreset_step(state, z)),
-                         skip_limit=drop_limit)
+    state, report = fold(stream, coreset_step, skip_limit=drop_limit)
     kept = [(rec.t + i, REASONS[rec.step_kind]) for rec, n in report.runs
             if rec.step_kind != "skip" for i in range(n)]
     return CoresetTrace(tuple(t for t, _ in kept), tuple(r for _, r in kept),

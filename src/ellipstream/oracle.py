@@ -28,7 +28,7 @@ from .ellipsoid import (
 from .ellipsoid import log_volume  # noqa: F401
 from .linalg import row_norms
 from .state import RoundingState
-from .update_rule import _split, compute_params, solve_gamma
+from .update_rule import Step, compute_params, solve_gamma
 
 # the min-norm-point stopping tolerance of both hull oracles
 LP_TOL = 1e-9
@@ -212,22 +212,20 @@ class _Frame(NamedTuple):
     shear: np.ndarray   # kf x kf: M, or M bordered and sheared
     z: np.ndarray       # the new point in the frame
     raised: bool
-    split: SpanSplit    # the kernel's split of the new point
 
 
-def _frame(prev: RoundingState, z: np.ndarray) -> _Frame:
+def _frame(prev: RoundingState, split: SpanSplit) -> _Frame:
     """The frame in which the previous outer body is the unit ball, built
-    from the factors: M Q^T. The span decision is the kernel's own
-    (update_rule._split). After a raise the frame is bordered by v =
+    from the factors: M Q^T, given the kernel's split of the new point z
+    against prev. After a raise the frame is bordered by v =
     residual/|residual| and sheared so that it fixes the old span and sends
     z onto the new axis, at sqrt(1 + 2 alpha) as the kernel normalizes it:
     the previous outer body is then the unit ball of the old coordinates,
     and the raised body is a ball.
     """
-    split = _split(prev, z)
     m = prev.inverse
     if not split.off:
-        return _Frame(prev.basis, m, m @ split.coeffs, False, split)
+        return _Frame(prev.basis, m, m @ split.coeffs, False)
     k = prev.dim
     root = math.sqrt(1.0 + 2.0 * prev.alpha)
     shear = np.zeros((k + 1, k + 1))
@@ -237,7 +235,7 @@ def _frame(prev: RoundingState, z: np.ndarray) -> _Frame:
     z_frame = np.zeros(k + 1)
     z_frame[k] = root
     basis = np.hstack([prev.basis, (split.residual / split.rnorm)[:, None]])
-    return _Frame(basis, shear, z_frame, True, split)
+    return _Frame(basis, shear, z_frame, True)
 
 
 def _orthogonal(e1: np.ndarray) -> np.ndarray:
@@ -378,22 +376,21 @@ def _sampled_margins(prev: RoundingState, next_: RoundingState, z: np.ndarray,
                       float(margin_for(falsifier).min()))
 
 
-def check_monotone_step(prev: RoundingState, next_: RoundingState,
-                        z: np.ndarray, tol: float = 1e-7) -> StepCertificate:
-    """Certify one monotone step: the previous outer body and z inside the
-    next outer body, and the next inner body inside the hull of the
-    previous inner body and z, each with margins in the step's normalized
-    frame (see _frame).
+def check_monotone_step(step: Step, tol: float = 1e-7) -> StepCertificate:
+    """Certify one monotone step of the kernel (not init or local): the
+    previous outer body and z inside the next outer body, and the next inner
+    body inside the hull of the previous inner body and z, each with margins
+    in the frame built from the step's split (see _frame).
 
     The update rule grows bodies of revolution about z's direction, so
     _structured_margins certifies a step in closed form; where it does not
     apply, _sampled_margins checks the step by brute force. The tests take
     the sampled path as the reference.
     """
-    z = np.asarray(z, dtype=float)
-    if not (prev.center.shape == next_.center.shape == z.shape):
-        raise OracleError("span mismatch")
-    frame = _frame(prev, z)
+    prev, next_, z, split = step.prev, step.state, step.z, step.split
+    if split is None or not (prev.center.shape == next_.center.shape == z.shape):
+        raise OracleError(f"{step.kind} step: no split to certify, or a span mismatch")
+    frame = _frame(prev, split)
     margins = _structured_margins(prev, next_, frame, tol)
     if margins is None:
         margins = _sampled_margins(prev, next_, z, frame)
@@ -403,7 +400,7 @@ def check_monotone_step(prev: RoundingState, next_: RoundingState,
     if worst < -tol:
         resolution = (SPAN_RES * float(np.linalg.norm(frame.shear))
                       * (math.sqrt(prev.center @ prev.center)
-                         + math.sqrt(frame.split.delta @ frame.split.delta)))
+                         + math.sqrt(split.delta @ split.delta)))
         limited = worst >= -resolution
     return StepCertificate(outer_ok=outer >= -tol, inner_ok=inner >= -tol,
                            worst_margin=worst, resolution_limited=limited)

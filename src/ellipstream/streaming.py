@@ -30,7 +30,7 @@ import numpy as np
 
 from .ellipsoid import Ellipsoid, NumericalLimitError
 from .state import RoundingState
-from .update_rule import leading_skips, step
+from .update_rule import Step, leading_skips, step
 # looked up here by perfbench/tracing.py
 from .ellipsoid import log_volume  # noqa: F401
 from .update_rule import full_update_detailed, irregular_update, is_off_span  # noqa: F401
@@ -44,13 +44,9 @@ __all__ = [
     "run_fully_online",
 ]
 
-# on_step(t, prev, next, z, kind, gamma): called once per state change; a
-# skip leaves the state as it was and shows only in the report
-StepObserver = Callable[[int, RoundingState, RoundingState, np.ndarray, str, float], None]
-# advance(state, z) -> (prev, next, kind, gamma): one scalar step from prev,
-# which a driver may put in place of `state`; a skip returns prev as next
-Advance = Callable[[RoundingState, np.ndarray],
-                   Tuple[RoundingState, RoundingState, str, float]]
+# on_step(t, step): called once per state change; a skip leaves the state
+# as it was and shows only in the report
+StepObserver = Callable[[int, Step], None]
 
 CHUNK_ROWS = 256
 
@@ -153,14 +149,15 @@ def _blocks(stream: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
         yield np.asarray(rows, dtype=float)
 
 
-def fold(stream: Iterable[np.ndarray], advance: Advance,
+def fold(stream: Iterable[np.ndarray],
+         advance: Callable[[RoundingState, np.ndarray], Step],
          state: Optional[RoundingState] = None,
          on_step: Optional[StepObserver] = None,
          skip_limit: Callable[[RoundingState], float] = lambda state: 1.0,
          ) -> Tuple[Optional[RoundingState], RunReport]:
     """Fold `advance` over the stream from `state`, or from the rank-0 state
     of the first point (kind init), recording every step; `on_step` sees
-    each step that changes the state. After two skips, the rows ahead that
+    each Step that changes the state. After two skips, the rows ahead that
     leading_skips certifies at `skip_limit(state)` (recomputed when the
     state changes) are recorded as skips without calling `advance`. A
     NumericalLimitError is re-raised with the index of the step that hit it.
@@ -181,16 +178,16 @@ def fold(stream: Iterable[np.ndarray], advance: Advance,
                         if i == n:
                             break
                 t, z = t0 + i, block[i]
-                old = state
                 if state is None:
-                    prev = state = RoundingState.from_ellipsoid(Ellipsoid.point(z), 1.0)
-                    kind, gamma = "init", 0.0
+                    first = RoundingState.from_ellipsoid(Ellipsoid.point(z), 1.0)
+                    s = Step(first, first, z, "init", 0.0, None)
                 else:
-                    prev, state, kind, gamma = advance(state, z)
-                if state is not old:
-                    limit = skip_limit(state)
+                    s = advance(state, z)
+                _, new, _, kind, gamma, _ = s
+                if new is not state:
+                    state, limit = new, skip_limit(new)
                     if on_step is not None:
-                        on_step(t, prev, state, z, kind, gamma)
+                        on_step(t, s)
                 report.add(t, state.alpha, state.log_volume, kind, gamma)
                 skips = min(skips + 1, 2) if kind == "skip" else 0
                 i += 1
@@ -229,28 +226,22 @@ def run_seeded(
             if dist <= gate:
                 # a phase-I state is a ball: its factor is radius * I
                 if dist > state.factor[0, 0]:
-                    return (state, RoundingState.from_ellipsoid(
-                        Ellipsoid.ball(c0, dist), r0 / dist), "local", 0.0)
-                return state, state, "skip", 0.0
+                    return Step(state, RoundingState.from_ellipsoid(
+                        Ellipsoid.ball(c0, dist), r0 / dist), z, "local", 0.0, None)
+                return Step(state, state, z, "skip", 0.0, None)
             # transition: grow the ball to its maximum allowed size; the
             # update rule needs alpha <= 1/2, so small dimensions are clamped
             alpha0 = min(0.5, 1.0 / (d * math.log(d)))
             grown = RoundingState.from_ellipsoid(Ellipsoid.ball(c0, gate), alpha0)
             local = False
-            stepped = _step(grown, z)
+            stepped = step(grown, z)
             # the grown ball may cover a point within ulps of the gate; the
             # growth is then the step, as a skip never changes the state
-            return (state, grown, "local", 0.0) if stepped[2] == "skip" else stepped
-        return _step(state, z)
+            return Step(state, grown, z, "local", 0.0, None) if stepped.kind == "skip" else stepped
+        return step(state, z)
 
     return fold(stream, advance,
                 RoundingState.from_ellipsoid(Ellipsoid.ball(c0, r0), 1.0), on_step)
-
-
-def _step(state: RoundingState, z: np.ndarray):
-    """The kernel `step` as an Advance."""
-    new, kind, params = step(state, z)
-    return state, new, kind, (0.0 if params is None else params.gamma)
 
 
 def run_fully_online(
@@ -260,7 +251,7 @@ def run_fully_online(
     """Online rounding with no seed: the first point initializes a rank-0
     state and every span-raising point triggers an irregular step.
     """
-    state, report = fold(stream, _step, on_step=on_step)
+    state, report = fold(stream, step, on_step=on_step)
     if state is None:
         raise ValueError("empty stream")
     return state, report

@@ -1,16 +1,16 @@
 """The monotone sandwich update: per-step scalars, the gamma solve, the
 regular step and the dimension-raising irregular step, each an update of
 the state's factor and its inverse in O(d k + k^2) (Golub & Van Loan 6.5),
-`step`, the one per-point kernel that decides between skip, regular step
-and span raise, and `leading_skips`, which finds a run of certain skips in
-a block of points with one mat-mul.
+`step`, the per-point kernel, which decides between skip, regular step and
+span raise and returns a `Step`, and `leading_skips`, which finds a run of
+certain skips in a block of points with one mat-mul.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +43,19 @@ class UpdateParams:
     b: float
     c: float
     alpha_next: float
+
+
+class Step(NamedTuple):
+    """One per-point step from `prev` to `state` (prev itself on a skip) on
+    z; gamma is 0 unless regular. `split` is the kernel's split of z against
+    prev, None for init, local and the seeded phase-I skips."""
+
+    prev: RoundingState
+    state: RoundingState
+    z: np.ndarray
+    kind: str  # init | skip | regular | irregular | local
+    gamma: float
+    split: Optional[SpanSplit]
 
 
 def compute_params(gamma: float, alpha: float) -> UpdateParams:
@@ -214,18 +227,17 @@ def _irregular(state: RoundingState, z: np.ndarray,
         state.log_volume + (k + 1) * math.log(scale) + math.log(rnorm / root)))
 
 
-def step(state: RoundingState, z: np.ndarray
-         ) -> Tuple[RoundingState, str, Optional[UpdateParams]]:
-    """The per-point kernel every driver folds: returns the next state, the
-    step kind (skip | regular | irregular) and the scalars of a regular
-    step (None otherwise). A skip returns `state` itself.
-    """
+def step(state: RoundingState, z: np.ndarray) -> Step:
+    """The per-point kernel every driver folds: a skip, regular or
+    irregular Step from `state`, carrying the split that decided it."""
     z = _finite_point(z)
     split = _split(state, z)
     if split.off:
-        return _irregular(state, z, split), "irregular", None
-    new_state, params = _regular(state, split.coeffs)
-    return new_state, ("skip" if params is None else "regular"), params
+        return Step(state, _irregular(state, z, split), z, "irregular", 0.0, split)
+    new, params = _regular(state, split.coeffs)
+    if params is None:
+        return Step(state, state, z, "skip", 0.0, split)
+    return Step(state, new, z, "regular", params.gamma, split)
 
 
 def leading_skips(state: RoundingState, zs: np.ndarray, limit: float = 1.0) -> int:

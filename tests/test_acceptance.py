@@ -6,7 +6,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from ellipstream.adversary import library_rule, reduced_case_grid, run_adversary, simplex_vertices
 from ellipstream.cli import generate
@@ -52,10 +51,10 @@ def test_criterion_1_monotone_invariant_suite():
         d, pts = _mixed_stream(i, rng)
         results = []
 
-        def observer(t, prev, nxt, z, kind, gamma):
-            if kind in ("init", "skip", "local"):
+        def observer(t, step):
+            if step.kind in ("init", "skip", "local"):
                 return
-            cert = check_monotone_step(prev, nxt, z, tol=MARGIN_TOL)
+            cert = check_monotone_step(step, tol=MARGIN_TOL)
             results.append(cert)
 
         if i % 2 == 0:
@@ -113,9 +112,9 @@ def test_criterion_3_evolution_condition():
         pts = rng.standard_normal((200, d)) * 4.0
         events = []
 
-        def observer(t, prev, nxt, z, kind, gamma):
-            if kind == "regular":
-                events.append((prev, nxt, gamma))
+        def observer(t, step):
+            if step.kind == "regular":
+                events.append((step.prev, step.state, step.gamma))
 
         run_seeded(pts, np.zeros(d), 0.4, on_step=observer)
         for prev, nxt, gamma in events:

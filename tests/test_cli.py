@@ -305,6 +305,36 @@ def test_verify_decomposes_only_on_fallback(tmp_path, monkeypatch):
     assert counts["svd"] <= 2 * counts["fallback"] + 1
 
 
+def test_certificates_make_no_second_split(tmp_path):
+    # a certificate builds its frame from the split the kernel made for the
+    # step, so certifying every step splits as often as certifying none.
+    # Calls are counted by code object, whatever name a caller binds
+    g = np.random.default_rng(8).standard_normal((600, 6))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    path = tmp_path / "drift.csv"
+    np.savetxt(path, g * np.exp(0.005 * np.arange(1, 601))[:, None], fmt="%.17g",
+               delimiter=",")
+    split_code, counts = update_rule._split.__code__, {}
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is split_code:
+            counts[every] += 1
+
+    for every in (1, 0):
+        counts[every], out = 0, tmp_path / str(every)
+        old = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            exit_code = cli.run(cli.RunConfig(mode="verify", input_path=str(path), out=str(out),
+                                              verify_every=every))
+        finally:
+            sys.setprofile(old)
+        assert exit_code == 0
+        checked = json.loads((out / "report.json").read_text())["certificates"]["checked"]
+        assert (checked > 300) if every else checked == 0
+    assert counts[1] == counts[0] > 0
+
+
 def test_runs_without_scipy(tmp_path):
     # scipy is a test-only dependency: the package, the adversary's shell
     # search fallback and a verify run must not import it

@@ -50,9 +50,9 @@ def test_small_growth_point_discarded_without_state_change():
     before = trace.driver
     z = before.center + 1.05 * before.ellipsoid.semiaxes[0] * \
         before.ellipsoid.axes[:, 0]
-    after, kind, gamma = coreset_step(before, z)
-    assert (kind, gamma) == ("skip", 0.0)
-    assert after is before
+    s = coreset_step(before, z)
+    assert (s.kind, s.gamma) == ("skip", 0.0)
+    assert s.state is before
 
 
 def test_non_finite_point_rejected():

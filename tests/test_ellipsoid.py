@@ -236,9 +236,9 @@ class TestExactSearch:
         pts = g * np.exp(0.005 * np.arange(1, 151))[:, None]
         pairs = []
 
-        def keep(t, prev, next_, z, kind, gamma):
-            if kind in ("regular", "irregular"):
-                pairs.append((prev.ellipsoid, next_.ellipsoid))
+        def keep(t, step):
+            if step.kind in ("regular", "irregular"):
+                pairs.append((step.prev.ellipsoid, step.state.ellipsoid))
 
         run_fully_online(pts, on_step=keep)
         assert len(pairs) > 60

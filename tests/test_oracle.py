@@ -22,7 +22,7 @@ from ellipstream.oracle import (
 )
 from ellipstream.state import RoundingState
 from ellipstream.streaming import run_fully_online
-from ellipstream.update_rule import full_update_detailed, irregular_update, step
+from ellipstream.update_rule import compute_params, step
 
 SQUARE = [np.array(p) for p in
           [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]]
@@ -186,45 +186,43 @@ class TestCheckMonotoneStep:
     def make_state(self, d=2, alpha=0.5):
         return RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(d), 1.0), alpha=alpha)
 
+    def regular_step(self, z):
+        s = step(self.make_state(), np.array(z))
+        assert s.kind == "regular"
+        return s
+
     def test_valid_regular_step(self):
-        prev = self.make_state()
-        z = np.array([2.5, 0.4])
-        nxt = full_update_detailed(prev, z)[0]
-        cert = check_monotone_step(prev, nxt, z)
+        cert = check_monotone_step(self.regular_step([2.5, 0.4]))
         assert cert.outer_ok and cert.inner_ok
         assert cert.worst_margin >= -1e-9
 
     def test_valid_irregular_step(self):
         body = Ellipsoid(np.zeros(3), np.eye(3)[:, :2], np.array([1.0, 1.0]))
         prev = RoundingState.from_ellipsoid(body, alpha=0.5)
-        z = np.array([0.2, -0.1, 1.5])
-        nxt = irregular_update(prev, z)
-        cert = check_monotone_step(prev, nxt, z)
+        s = step(prev, np.array([0.2, -0.1, 1.5]))
+        assert s.kind == "irregular"
+        cert = check_monotone_step(s)
         assert cert.outer_ok and cert.inner_ok
 
     def test_outer_shrink_detected(self):
-        prev = self.make_state()
-        z = np.array([2.5, 0.0])
-        nxt = full_update_detailed(prev, z)[0]
+        s = self.regular_step([2.5, 0.0])
+        nxt = s.state
         bad = RoundingState.from_ellipsoid(
             Ellipsoid(nxt.center, nxt.ellipsoid.axes,
                       nxt.ellipsoid.semiaxes * 0.4), nxt.alpha)
-        cert = check_monotone_step(prev, bad, z)
+        cert = check_monotone_step(s._replace(state=bad))
         assert not cert.outer_ok
 
     def test_missed_point_detected(self):
-        prev = self.make_state()
-        z = np.array([4.0, 0.0])
-        nxt = full_update_detailed(prev, z)[0]
-        cert = check_monotone_step(prev, nxt, np.array([10.0, 0.0]))
+        nxt = self.regular_step([4.0, 0.0]).state
+        z10 = np.array([10.0, 0.0])
+        cert = check_monotone_step(step(self.make_state(), z10)._replace(state=nxt))
         assert not cert.outer_ok
 
     def test_overgrown_inner_detected(self):
-        prev = self.make_state()
-        z = np.array([2.5, 0.0])
-        nxt = full_update_detailed(prev, z)[0]
-        bad = RoundingState.from_ellipsoid(nxt.ellipsoid, alpha=0.95)
-        cert = check_monotone_step(prev, bad, z)
+        s = self.regular_step([2.5, 0.0])
+        bad = RoundingState.from_ellipsoid(s.state.ellipsoid, alpha=0.95)
+        cert = check_monotone_step(s._replace(state=bad))
         assert not cert.inner_ok
         assert cert.worst_margin < 0
 
@@ -232,32 +230,33 @@ class TestCheckMonotoneStep:
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def sampled_certificate(prev, nxt, z, tol=1e-7):
+def sampled_certificate(s, tol=1e-7):
     """check_monotone_step on its sampled path alone, the reference."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_structured_margins", lambda *args: None)
-        return check_monotone_step(prev, nxt, z, tol)
+        return check_monotone_step(s, tol)
 
 
 def certified_steps(pts, every=1):
-    """(prev, next, z) of every step the CLI's verifier would certify."""
+    """Every Step the CLI's verifier would certify."""
     steps = []
 
-    def observer(t, prev, nxt, z, kind, gamma):
-        if kind not in ("init", "local") and t % every == 0:
-            steps.append((prev, nxt, z))
+    def observer(t, s):
+        if s.kind not in ("init", "local") and t % every == 0:
+            steps.append(s)
 
     run_fully_online(pts, on_step=observer)
     return steps
 
 
-def frame_margin_reference(prev, nxt, z, n_angles=100_001):
+def frame_margin_reference(s, n_angles=100_001):
     """Inner and outer margins from the bodies' own views: the inner one
     over n_angles directions of the plane through z's direction in the
     step's frame (it holds the minimum of a body of revolution), from the
     ambient support functions; the outer ones from the exact containment
     search and membership."""
-    frame = oracle._frame(prev, z)
+    prev, nxt, z = s.prev, s.state, s.z
+    frame = oracle._frame(prev, s.split)
     f = frame.shear @ frame.basis.T
     k = f.shape[0]
     e1 = frame.z / np.linalg.norm(frame.z)
@@ -306,9 +305,9 @@ class TestStructuredCertificate:
         monkeypatch.setattr(oracle, "_structured_margins", counted)
         n = 0
         for pts in streams:
-            for prev, nxt, z in certified_steps(pts, w.verify_every):
-                fast = check_monotone_step(prev, nxt, z, tol=1e-7)
-                ref = sampled_certificate(prev, nxt, z)
+            for s in certified_steps(pts, w.verify_every):
+                fast = check_monotone_step(s, tol=1e-7)
+                ref = sampled_certificate(s)
                 assert fast.verdict == ref.verdict == "pass"
                 assert fast.worst_margin <= ref.worst_margin + 1e-12
                 n += 1
@@ -323,15 +322,16 @@ class TestStructuredCertificate:
         pts = 3.0 + g * np.exp(0.02 * np.arange(1, 41))[:, None]
         steps = certified_steps(pts)
         picked = {
-            "regular": [s for s in steps if s[1].dim == s[0].dim == 4][:6],
-            "raise-0-1": [s for s in steps if s[0].dim == 0],
-            "raise-k": [s for s in steps if s[1].dim == s[0].dim + 1 >= 3],
+            "regular": [s for s in steps if s.state.dim == s.prev.dim == 4][:6],
+            "raise-0-1": [s for s in steps if s.prev.dim == 0],
+            "raise-k": [s for s in steps if s.state.dim == s.prev.dim + 1 >= 3],
         }[case]
         assert picked
-        for prev, nxt, z in picked:
-            margins = oracle._structured_margins(prev, nxt, oracle._frame(prev, z), 1e-7)
+        for s in picked:
+            margins = oracle._structured_margins(s.prev, s.state,
+                                                 oracle._frame(s.prev, s.split), 1e-7)
             assert margins is not None
-            inner, outer = frame_margin_reference(prev, nxt, z)
+            inner, outer = frame_margin_reference(s)
             assert margins[1] == pytest.approx(inner, abs=1e-10)
             assert margins[0] == pytest.approx(outer, abs=1e-10)
 
@@ -340,14 +340,16 @@ class TestStructuredCertificate:
         # a step of small gamma leaves little slack either side of the inner body
         prev = RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(3), 1.0), alpha)
         w = np.array([0.6, 0.8, 0.0])
-        nxt, kind, params = step(prev, 1.001 * w)
-        assert kind == "regular"
-        return prev, nxt, 1.001 * w, w, params
+        s = step(prev, 1.001 * w)
+        assert s.kind == "regular"
+        # a and b as the kernel's regular step formed them
+        return s, w, compute_params(s.gamma, prev.alpha)
 
     @pytest.mark.parametrize("alpha", [0.5, 0.1])
     @pytest.mark.parametrize("mutation", ["b+", "b-", "off-axis center", "shear"])
     def test_mutated_steps_flagged(self, alpha, mutation):
-        prev, nxt, z, w, params = self.small_step(alpha)
+        s, w, params = self.small_step(alpha)
+        nxt = s.state
         u2 = np.array([0.8, -0.6, 0.0])
         factor, center = nxt.factor, nxt.center
         if mutation in ("b+", "b-"):
@@ -359,14 +361,14 @@ class TestStructuredCertificate:
             factor = factor @ (np.eye(3) + 1e-3 * np.outer(w, u2))
         bad = RoundingState(center, nxt.basis, factor, np.linalg.inv(factor),
                             nxt.alpha, nxt.log_volume)
-        fast = check_monotone_step(prev, bad, z)
-        ref = sampled_certificate(prev, bad, z)
+        fast = check_monotone_step(s._replace(state=bad))
+        ref = sampled_certificate(s._replace(state=bad))
         assert fast.verdict == ref.verdict == "fail"
         assert fast.worst_margin <= ref.worst_margin + 1e-12
-        assert check_monotone_step(prev, nxt, z).verdict == "pass"
+        assert check_monotone_step(s).verdict == "pass"
 
     def test_structured_step_needs_no_decomposition(self, monkeypatch):
-        prev, nxt, z, _, _ = self.small_step(0.5)
+        s, _, _ = self.small_step(0.5)
         calls = []
         for owner, name in ((np.linalg, "svd"), (np.linalg, "eigh"),
                             (Ellipsoid, "__post_init__")):
@@ -374,9 +376,9 @@ class TestStructuredCertificate:
             monkeypatch.setattr(owner, name,
                                 lambda *a, _fn=fn, _name=name, **kw: calls.append(_name) or _fn(*a, **kw))
         # fresh states, so that no cached view hides a decomposition
-        prev, nxt = (RoundingState(s.center, s.basis, s.factor, s.inverse, s.alpha, s.log_volume)
-                     for s in (prev, nxt))
-        assert check_monotone_step(prev, nxt, z).verdict == "pass"
+        prev, nxt = (RoundingState(r.center, r.basis, r.factor, r.inverse, r.alpha, r.log_volume)
+                     for r in (s.prev, s.state))
+        assert check_monotone_step(s._replace(prev=prev, state=nxt)).verdict == "pass"
         assert calls == []
 
 

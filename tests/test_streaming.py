@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellipstream import streaming
+from ellipstream import coreset, streaming, update_rule
 from ellipstream.coreset import coreset_step, drop_limit, run_coreset
 from ellipstream.ellipsoid import (
     RANK_COLLAPSE_RATIO,
@@ -112,7 +112,7 @@ class TestFullyOnline:
         for run in (run_fully_online,
                     lambda pts, on_step: run_seeded(pts, np.zeros(3), 1.0, on_step)):
             seen = []
-            _, report = run(pts, on_step=lambda t, p, n, z, k, g: seen.append((t, k)))
+            _, report = run(pts, on_step=lambda t, s: seen.append((t, s.kind)))
             assert any(n > 1 for rec, n in report.runs if rec.step_kind == "skip")
             assert seen == [(r.t, r.step_kind) for r in report.records
                             if r.step_kind != "skip"]
@@ -285,8 +285,8 @@ def reference_online(pts):
         if state is None:
             state, kind, gamma = RoundingState.from_ellipsoid(Ellipsoid.point(z), 1.0), "init", 0.0
         else:
-            state, kind, params = step(state, z)
-            gamma = 0.0 if params is None else params.gamma
+            s = step(state, z)
+            state, kind, gamma = s.state, s.kind, s.gamma
         records.append((t, state.alpha, state.log_volume, kind, gamma))
     return state, records, None
 
@@ -312,8 +312,8 @@ def reference_seeded(pts, r0=0.5):
             else:
                 kind = "skip"
         if kind is None:
-            state, kind, params = step(state, z)
-            gamma = 0.0 if params is None else params.gamma
+            s = step(state, z)
+            state, kind, gamma = s.state, s.kind, s.gamma
             if grown and kind == "skip":
                 # the grown ball covers the trigger: the growth is the step
                 kind = "local"
@@ -331,7 +331,8 @@ def reference_coreset(pts):
             state, kind, gamma = RoundingState.from_ellipsoid(Ellipsoid.point(z), 1.0), "init", 0.0
         else:
             try:
-                state, kind, gamma = coreset_step(state, z)
+                s = coreset_step(state, z)
+                state, kind, gamma = s.state, s.kind, s.gamma
             except NumericalLimitError as exc:
                 raise exc.at_step(t) from exc
         if kind != "skip":
@@ -392,7 +393,8 @@ def assert_matches_reference(pts):
     for z in pts[1:]:
         body = state.ellipsoid
         ref_body, ref_alpha, ref_kind = reference_step(body, state.alpha, z)
-        state, kind, _ = step(state, z)
+        s = step(state, z)
+        state, kind = s.state, s.kind
         if kind != ref_kind:
             split = span_split(body, z)
             assert not split.off
@@ -485,7 +487,7 @@ def near_gate(rng, d=3, r0=0.5):
         u = rng.standard_normal(d)
         for k in range(1, 5):
             z = u / np.linalg.norm(u) * gate * (1.0 + k * EPS)
-            if np.linalg.norm(z) > gate and step(grown, z)[1] == "skip":
+            if np.linalg.norm(z) > gate and step(grown, z).kind == "skip":
                 return np.vstack([inside, z, 2.0 * rng.standard_normal((60, d))])
 
 
@@ -621,9 +623,9 @@ class TestFactoredState:
         pts = pts[:info.value.t - 1]
         certs = []
 
-        def certify(t, prev, nxt, z, kind, gamma):
-            if kind != "init":
-                certs.append(check_monotone_step(prev, nxt, z))
+        def certify(t, s):
+            if s.kind != "init":
+                certs.append(check_monotone_step(s))
 
         state, _ = run_fully_online(pts, on_step=certify)
         assert all(c.outer_ok and c.inner_ok for c in certs)
@@ -646,7 +648,7 @@ class TestLeadingSkips:
         rng = np.random.default_rng(43)
         state = run_fully_online(rng.standard_normal((200, d)) * rng.uniform(0.5, 3.0, d))[0]
         rows = at_rho(state, 1.0 + EPS * rng.integers(-3, 4, 400), rng)
-        scalar_skip = np.array([step(state, z)[1] == "skip" for z in rows])
+        scalar_skip = np.array([step(state, z).kind == "skip" for z in rows])
         self.assert_passes_only(state, rows, scalar_skip)
 
     def test_rows_at_the_drop_limit(self):
@@ -655,7 +657,7 @@ class TestLeadingSkips:
         limit = drop_limit(trace.driver)
         assert limit > 1.0
         rows = at_rho(trace.driver, limit * (1.0 + rng.uniform(-3e-8, 1e-8, 300)), rng)
-        scalar_skip = np.array([coreset_step(trace.driver, z)[1] == "skip" for z in rows])
+        scalar_skip = np.array([coreset_step(trace.driver, z).kind == "skip" for z in rows])
         self.assert_passes_only(trace.driver, rows, scalar_skip, limit)
 
 
@@ -700,3 +702,89 @@ class TestErrorOrdering:
             with pytest.raises(NumericalLimitError) as again:
                 run(bad)
             assert again.value.t == t
+
+
+class TestStepRecord:
+    """Every Step a fold produces carries the kernel's split of (prev, z),
+    the one a step certificate builds its frame from."""
+
+    @staticmethod
+    def folded_steps(module, run):
+        """Every Step of the fold that `run()` calls through `module`: those
+        its advance returns, and the init step, which fold makes itself."""
+        steps, fold = [], streaming.fold
+
+        def recording(stream, advance, state=None, on_step=None, **kwargs):
+            def recorded(state, z):
+                steps.append(advance(state, z))
+                return steps[-1]
+
+            def observed(t, s):
+                if s.kind == "init":
+                    steps.append(s)
+                if on_step is not None:
+                    on_step(t, s)
+
+            return fold(stream, recorded, state, observed, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(module, "fold", recording)
+            run()
+        return steps
+
+    @staticmethod
+    def assert_split_of_prev(steps):
+        for s in steps:
+            if s.split is not None:
+                ref = update_rule._split(s.prev, s.z)
+                assert all(np.array_equal(a, b) for a, b in zip(s.split, ref))
+
+    @pytest.mark.parametrize("g", [1e-14, 1e-12, 1e-10])
+    def test_near_duplicate_axis_drop(self, g):
+        # the streams of TestStep::test_near_duplicate_then_span_raise: the
+        # raise at t=3 drops the near-duplicate's axis and splits z again
+        # against the smaller body; the record keeps the split against prev
+        rng = np.random.default_rng(5)
+        e1, e2 = np.eye(3)[:2]
+        dropped = 0
+        for z0 in (np.zeros(3), np.array([1.0, 2.0, 3.0])):
+            pts = np.vstack([z0, z0 + g * e1, z0 + e2, z0 + rng.standard_normal((50, 3))])
+            steps = self.folded_steps(streaming, lambda: run_fully_online(pts))
+            assert [s.kind for s in steps if s.split is None] == ["init"]
+            dropped += sum(s.kind == "irregular" and s.state.dim <= s.prev.dim for s in steps)
+            self.assert_split_of_prev(steps)
+        assert dropped
+
+    @pytest.mark.parametrize("near", [False, True])
+    def test_seeded_across_the_gate(self, near):
+        rng = np.random.default_rng(63)
+        d, r0 = 3, 0.5
+        gate = r0 * d * math.log(d)
+        pts = near_gate(rng, d, r0) if near else np.vstack(
+            [0.3 * rng.standard_normal((20, d)), 2.0 * rng.standard_normal((200, d))])
+        steps = self.folded_steps(streaming, lambda: run_seeded(pts, np.zeros(d), r0))
+        i = next(i for i, s in enumerate(steps) if np.linalg.norm(s.z) > gate)
+        # phase I decides by the distance to c0 and makes no split
+        assert i > 0 and all(s.split is None and s.kind in ("skip", "local") for s in steps[:i])
+        trigger = steps[i]
+        if near:
+            # the grown ball covers the trigger: the growth is the step, and
+            # the next step starts from the grown ball
+            assert trigger.kind == "local" and trigger.split is None
+            assert trigger.prev is steps[i - 1].state
+            trigger = steps[i + 1]
+        else:
+            # the trigger steps from the grown ball, not from the phase-I state
+            assert trigger.kind != "local" and trigger.prev is not steps[i - 1].state
+        assert np.array_equal(trigger.prev.factor, gate * np.eye(d))
+        assert all(s.split is not None for s in steps[i + 1:])
+        self.assert_split_of_prev(steps)
+
+    def test_coreset_dropped_regular_steps(self):
+        pts = np.random.default_rng(64).standard_normal((400, 4))
+        steps = self.folded_steps(coreset, lambda: run_coreset(pts))
+        # a dropped regular step is a skip that keeps the state and its split
+        dropped = [s for s in steps if s.kind == "skip" and step(s.prev, s.z).kind == "regular"]
+        assert dropped and all(s.state is s.prev for s in dropped)
+        assert [s.kind for s in steps if s.split is None] == ["init"]
+        self.assert_split_of_prev(steps)

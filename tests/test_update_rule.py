@@ -212,7 +212,9 @@ class TestStep:
         state = RoundingState.from_ellipsoid(Ellipsoid.point(stream[0]), alpha=1.0)
         kinds = []
         for z in stream[1:]:
-            nxt, kind, params = step(state, z)
+            s = step(state, z)
+            nxt, kind = s.state, s.kind
+            params = compute_params(s.gamma, state.alpha) if kind == "regular" else None
             if is_off_span(state, z):
                 ref, ref_kind, ref_params = irregular_update(state, z), "irregular", None
             elif state.dim == 0:
@@ -242,12 +244,12 @@ class TestStep:
         for z0 in (z, 1e-9 * z, z + 1e8):
             st0 = RoundingState.from_ellipsoid(Ellipsoid.point(z0), alpha=1.0)
             tol = SPAN_RES * np.linalg.norm(z0)
-            nxt, kind, params = step(st0, z0 + 0.5 * tol * e1)
-            assert kind == "skip" and params is None
-            assert nxt is st0
-            nxt, kind, params = step(st0, z0 + 2.0 * tol * e1)
-            assert kind == "irregular" and params is None
-            assert nxt.dim == 1
+            s = step(st0, z0 + 0.5 * tol * e1)
+            assert s.kind == "skip" and s.gamma == 0.0
+            assert s.state is st0
+            s = step(st0, z0 + 2.0 * tol * e1)
+            assert s.kind == "irregular" and s.gamma == 0.0
+            assert s.state.dim == 1
 
     @pytest.mark.parametrize("g", [1e-14, 1e-12, 1e-10])
     def test_near_duplicate_then_span_raise(self, g):
@@ -260,10 +262,11 @@ class TestStep:
             pts = [z0, z0 + g * e1, z0 + e2] + list(z0 + rng.standard_normal((50, 3)))
             state = RoundingState.from_ellipsoid(Ellipsoid.point(z0), alpha=1.0)
             for t, z in enumerate(pts[1:], start=2):
-                prev, state = state, step(state, z)[0]
+                s = step(state, z)
+                state = s.state
                 if t == 3:
                     assert state.dim == 1
-                    cert = check_monotone_step(prev, state, z)
+                    cert = check_monotone_step(s)
                     assert cert.outer_ok and cert.inner_ok
             assert state.dim == 3
             assert max(membership(state.ellipsoid, p) for p in pts) <= 1e-7
