@@ -66,6 +66,8 @@ class RunConfig:
             if self.c0 is None or self.r0 is None:
                 other = "--r0" if self.c0 is not None else "--c0"
                 raise InputError(f"{flag} needs {other}")
+        elif self.mode == "seeded":
+            raise InputError("seeded mode needs --c0 and --r0")
 
     @property
     def effective_verify_every(self) -> int:
@@ -117,8 +119,7 @@ def generate(spec: str, d: int, n: int, seed: int, lattice_n: int = 10,
         return rng.integers(-lattice_n, lattice_n + 1, size=(n, d)).astype(float)
     if spec == "simplex-shell":
         trace = adversary.run_adversary(adversary.library_rule, d, r_big)
-        return np.asarray(trace.points[:n] if n < len(trace.points)
-                          else trace.points)
+        return np.asarray(trace.points[:n])
     raise InputError(f"unknown generator {spec!r}")
 
 
@@ -214,14 +215,15 @@ def _write_outputs(config: RunConfig, payload: Dict, runs: List[StepRun]) -> Non
 
 
 def _make_verifier(config: RunConfig):
-    """A step observer that runs the monotone-step oracle every k steps and
-    names each resolution-limited step on stderr."""
+    """A step observer that runs the monotone-step oracle on every k-th
+    step that carries a split and names each resolution-limited step on
+    stderr."""
     every = config.effective_verify_every
     summary = {"checked": 0, "failures": 0, "resolution_limited": 0,
                "worst_margin": math.inf}
 
     def observer(t, step):
-        if every <= 0 or t % every or step.kind in ("init", "local"):
+        if every <= 0 or t % every or step.split is None:
             return
         cert = oracle.check_monotone_step(step, tol=MONOTONE_TOL)
         summary["checked"] += 1
@@ -284,17 +286,13 @@ def run(config: RunConfig) -> int:
     payload["n"] = int(points.shape[0])
     observer, summary = _make_verifier(config)
 
-    seeded = config.mode == "seeded" or (
-        config.mode == "verify" and config.c0 is not None)
-    if seeded:
-        if config.c0 is None:
-            raise InputError("seeded mode needs --c0 and --r0")
+    if config.c0 is not None:
         if config.c0.shape[0] != points.shape[1]:
             raise InputError("--c0 dimension does not match the points")
         state, report = streaming.run_seeded(points, config.c0, config.r0,
                                              on_step=observer)
     elif config.mode == "coreset":
-        trace, report = coreset.run_coreset(points)
+        trace, report = coreset.run_coreset(points, on_step=observer)
         state = trace.driver
         out = Path(config.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .ellipsoid import RANK_COLLAPSE_RATIO
 from .state import RoundingState
-from .streaming import RunReport, fold
+from .streaming import RunReport, StepObserver, fold
 from .update_rule import Step, compute_params, step
 # looked up here by perfbench/tracing.py
 from .ellipsoid import log_volume  # noqa: F401
@@ -63,9 +63,12 @@ def coreset_step(state: RoundingState, z: np.ndarray) -> Step:
     return s
 
 
-def run_coreset(stream: Iterable[np.ndarray]) -> Tuple[CoresetTrace, RunReport]:
-    """Fold coreset_step over a stream."""
-    state, report = fold(stream, coreset_step, skip_limit=drop_limit)
+def run_coreset(stream: Iterable[np.ndarray],
+                on_step: Optional[StepObserver] = None,
+                ) -> Tuple[CoresetTrace, RunReport]:
+    """Fold coreset_step over a stream; `on_step` sees each kept step."""
+    state, report = fold(stream, coreset_step, on_step=on_step,
+                         skip_limit=drop_limit)
     kept = [(rec.t + i, REASONS[rec.step_kind]) for rec, n in report.runs
             if rec.step_kind != "skip" for i in range(n)]
     return CoresetTrace(tuple(t for t, _ in kept), tuple(r for _, r in kept),

@@ -322,8 +322,6 @@ def containment_margin(outer: Ellipsoid, inner: Ellipsoid) -> float:
     """
     if outer.dim != inner.dim:
         raise EllipsoidError("dimension mismatch")
-    if inner.rank > outer.rank:
-        return math.inf
     # the inner center and extent must lie in the outer span, at its scale
     split = span_split(outer, inner.center)
     ax_residual = inner.axes - outer.axes @ (outer.axes.T @ inner.axes)

@@ -41,8 +41,6 @@ _N_SLICE = 2048
 _SLICE_ANGLES = np.linspace(0.0, 2.0 * math.pi, _N_SLICE, endpoint=False)
 _SLICE_COS, _SLICE_SIN = np.cos(_SLICE_ANGLES), np.sin(_SLICE_ANGLES)
 _FINE_OFFSETS = np.linspace(-2.0 * math.pi / _N_SLICE, 2.0 * math.pi / _N_SLICE, 64)
-# union_hull_distance's major-cycle budget
-HULL_DIST_MAX_ITER = 200
 # mvee_khachiyan's iteration budget; it recomputes inv(X) from scratch
 # every _MVEE_RESYNC iterations
 MVEE_MAX_ITER = 100000
@@ -59,8 +57,15 @@ class OracleError(ValueError):
 # hull membership and distance by Wolfe's min-norm-point method
 
 
+def _cycle_budget(d: int) -> int:
+    """Major cycles both hull oracles allow in dimension d: an interior
+    query needs d + 1 or more, and the benchmark's queries settle within
+    d + 2."""
+    return 20 * (d + 1)
+
+
 def _min_norm_point(lmo: Callable[[np.ndarray], np.ndarray],
-                    start: np.ndarray, tol: float, max_iter: int) -> float:
+                    start: np.ndarray, tol: float) -> float:
     """Norm of the point of least norm in conv(atoms), by Wolfe (1976).
 
     The atoms are shifted so that the query is the origin; `lmo(g)`
@@ -69,8 +74,10 @@ def _min_norm_point(lmo: Callable[[np.ndarray], np.ndarray],
     y to the affine min-norm point of the corral, dropping one atom per
     cycle whenever that point leaves the hull. Stops once |y| <= tol or
     Wolfe's gap <y, y - s> <= tol*|y|, which bounds |y| - dist by tol.
-    Raises OracleError when neither holds after max_iter major cycles.
+    Raises OracleError when neither holds within _cycle_budget(d) major
+    cycles.
     """
+    max_iter = _cycle_budget(len(start))
     corral = start[None, :]
     lam = np.ones(1)
     y = start
@@ -125,11 +132,8 @@ def hull_membership(points: Sequence[np.ndarray], x: np.ndarray) -> bool:
     def lmo(g: np.ndarray) -> np.ndarray:
         return atoms[int(np.argmin(atoms @ g))]
 
-    # start from the nearest point; an interior query needs d + 1 or more
-    # major cycles, and the benchmark's queries settle within d + 2
     start = atoms[int(np.argmin(np.einsum("ij,ij->i", atoms, atoms)))]
-    max_iter = 20 * (atoms.shape[1] + 1)
-    return _min_norm_point(lmo, start, LP_TOL, max_iter) <= 10 * LP_TOL
+    return _min_norm_point(lmo, start, LP_TOL) <= 10 * LP_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +158,14 @@ def union_hull_distance(h: HullSpec, x: np.ndarray) -> float:
 
     Each major cycle asks every member for its farthest point against the
     current gradient, which is trivial for both points and ellipsoids.
-    Raises OracleError if HULL_DIST_MAX_ITER major cycles do not settle the
-    distance to LP_TOL.
+    Raises OracleError, as hull_membership does, on non-finite inputs or
+    when the solver does not settle the distance to LP_TOL.
     """
     x = np.asarray(x, dtype=float)
     pts = (np.asarray(h.point_list, dtype=float) - x
            if h.point_list else np.zeros((0, x.shape[0])))
+    if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(x))):
+        raise OracleError("non-finite inputs")
 
     def lmo(g):
         best, val = None, math.inf
@@ -177,7 +183,7 @@ def union_hull_distance(h: HullSpec, x: np.ndarray) -> float:
                 best, val = cand, v
         return best
 
-    return _min_norm_point(lmo, lmo(-x), LP_TOL, HULL_DIST_MAX_ITER)
+    return _min_norm_point(lmo, lmo(-x), LP_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +346,6 @@ def _sampled_margins(prev: RoundingState, next_: RoundingState, z: np.ndarray,
     as a falsifier."""
     prev_e, next_e = prev.ellipsoid, next_.ellipsoid
     outer = min(-containment_margin(next_e, prev_e), -membership(next_e, z))
-    if next_.dim == 0:
-        # a rank-0 next inner body is its center alone
-        return outer, math.inf
 
     def project(vecs: np.ndarray) -> np.ndarray:
         return frame.shear @ (frame.basis.T @ vecs)

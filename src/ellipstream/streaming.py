@@ -35,15 +35,6 @@ from .update_rule import Step, leading_skips, step
 from .ellipsoid import log_volume  # noqa: F401
 from .update_rule import full_update_detailed, irregular_update, is_off_span  # noqa: F401
 
-# re-exported: the state type logically belongs to this module
-__all__ = [
-    "RoundingState",
-    "StepRecord",
-    "RunReport",
-    "run_seeded",
-    "run_fully_online",
-]
-
 # on_step(t, step): called once per state change; a skip leaves the state
 # as it was and shows only in the report
 StepObserver = Callable[[int, Step], None]

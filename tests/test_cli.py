@@ -96,6 +96,10 @@ class TestRunConfig:
         assert small.effective_verify_every == 1
         assert big.effective_verify_every == 0
 
+    def test_seeded_needs_seed_ball(self):
+        with pytest.raises(cli.InputError, match="seeded mode needs --c0 and --r0"):
+            cli.RunConfig(mode="seeded", gen="ball")
+
     def test_unknown_mode(self):
         with pytest.raises(cli.InputError):
             cli.RunConfig(mode="banana", gen="ball")
@@ -179,6 +183,24 @@ class TestRun:
                (tmp_path / "selected.txt").read_text().split()]
         assert sel == sorted(sel)
         assert sel[0] == 1
+
+    def test_coreset_certifies_kept_steps(self, tmp_path):
+        assert self.run_cli(tmp_path, "--mode", "coreset", "--gen", "lattice",
+                            "--d", "3", "--n", "500") == 0
+        selected = (tmp_path / "selected.txt").read_text().split()
+        certs = json.loads((tmp_path / "report.json").read_text())["certificates"]
+        # every kept step but the first point's init
+        assert certs["checked"] == len(selected) - 1 == 5
+        assert certs["failures"] == 0
+
+    @pytest.mark.parametrize("mode", ["online", "seeded", "coreset", "verify"])
+    def test_every_stream_mode_certifies(self, tmp_path, mode):
+        seed_ball = ["--c0", "0,0,0", "--r0", "0.1"] if mode == "seeded" else []
+        assert self.run_cli(tmp_path, "--mode", mode, "--gen", "gaussian",
+                            "--d", "3", "--n", "200", "--seed", "1",
+                            "--verify-every", "1", *seed_ball) == 0
+        certs = json.loads((tmp_path / "report.json").read_text())["certificates"]
+        assert certs["checked"] > 0 and certs["failures"] == 0
 
     def test_adversary_mode(self, tmp_path):
         code = self.run_cli(tmp_path, "--mode", "adversary", "--d", "3",
@@ -272,6 +294,23 @@ class TestVerifyResolution:
         assert cli.main(self.stream(tmp_path, 3e-13)) == 2
         certs = json.loads((tmp_path / "report.json").read_text())["certificates"]
         assert certs["failures"] >= 1 and certs["resolution_limited"] == 0
+
+
+@pytest.mark.parametrize("g", [1e-12, 1e-11, 1e-10])
+def test_two_axis_drop_verifies(tmp_path, g):
+    # two near-duplicates of z0 make a rank-2 body whose axes the span
+    # raise toward z0 + e3 drops, so the next outer body has lower rank
+    # than the previous one; the span test alone decides its containment
+    z0 = np.array([1.0, 2.0, 3.0, 4.0])
+    e = np.eye(4)
+    pts = np.vstack([z0, z0 + g * e[0], z0 + g * e[1], z0 + e[2],
+                     np.random.default_rng(0).standard_normal((40, 4))])
+    path = tmp_path / "drop.csv"
+    np.savetxt(path, pts, fmt="%.17g", delimiter=",")
+    assert cli.main(["--mode", "verify", "--input", str(path),
+                     "--out", str(tmp_path)]) == 0
+    certs = json.loads((tmp_path / "report.json").read_text())["certificates"]
+    assert certs["failures"] == 0 and math.isfinite(certs["worst_margin"])
 
 
 def test_verify_decomposes_only_on_fallback(tmp_path, monkeypatch):

@@ -145,6 +145,13 @@ class TestContainment:
         inner = Ellipsoid.ball(np.zeros(3), 0.5)
         assert containment_margin(outer, inner) == math.inf
 
+    def test_rank_drop_within_tolerance(self):
+        # an inner body of higher rank whose extra axis lies within
+        # CONTAINMENT_TOL of the outer span is measured, not rejected
+        outer = Ellipsoid(np.zeros(3), np.eye(3)[:, :1], np.array([2.0]))
+        inner = Ellipsoid(np.zeros(3), np.eye(3)[:, :2], np.array([1.0, 1e-9]))
+        assert containment_margin(outer, inner) == pytest.approx(-0.5, abs=1e-9)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 5))
     def test_shrunken_copy_always_inside(self, seed, d):

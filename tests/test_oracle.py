@@ -115,12 +115,30 @@ class TestUnionHullDistance:
     def test_unconverged_solve_raises(self, monkeypatch):
         # the nearest point lies on an edge, two major cycles away
         h = HullSpec(point_list=tuple(SQUARE))
-        monkeypatch.setattr(oracle, "HULL_DIST_MAX_ITER", 1)
+        monkeypatch.setattr(oracle, "_cycle_budget", lambda d: 1)
         with pytest.raises(OracleError):
             union_hull_distance(h, np.array([2.0, 0.5]))
-        monkeypatch.setattr(oracle, "HULL_DIST_MAX_ITER", 2)
+        monkeypatch.setattr(oracle, "_cycle_budget", lambda d: 2)
         assert union_hull_distance(h, np.array([2.0, 0.5])) == (
             pytest.approx(1.0, abs=1e-12))
+
+    def test_high_dimension_centroid(self):
+        # the cycle budget grows with d, as hull_membership's does: a fixed
+        # 200 cycles raised here
+        d = 200
+        pts = np.random.default_rng(0).standard_normal((3 * d, d))
+        x = pts.mean(axis=0)
+        assert union_hull_distance(HullSpec(point_list=tuple(pts)), x) <= 10 * oracle.LP_TOL
+        assert hull_membership(pts, x)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_inputs_raise(self, bad):
+        h = HullSpec(point_list=tuple(SQUARE))
+        with pytest.raises(OracleError, match="non-finite"):
+            union_hull_distance(h, np.array([bad, 0.0]))
+        h = HullSpec(point_list=tuple(SQUARE) + (np.array([bad, 0.0]),))
+        with pytest.raises(OracleError, match="non-finite"):
+            union_hull_distance(h, np.zeros(2))
 
     def test_agrees_with_lp_membership(self):
         rng = np.random.default_rng(52)
@@ -218,6 +236,11 @@ class TestCheckMonotoneStep:
         z10 = np.array([10.0, 0.0])
         cert = check_monotone_step(step(self.make_state(), z10)._replace(state=nxt))
         assert not cert.outer_ok
+
+    def test_step_without_split_raises(self):
+        s = self.regular_step([2.5, 0.4])._replace(split=None)
+        with pytest.raises(OracleError, match="no split"):
+            check_monotone_step(s)
 
     def test_overgrown_inner_detected(self):
         s = self.regular_step([2.5, 0.0])
