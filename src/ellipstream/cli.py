@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -76,14 +77,11 @@ class RunConfig:
         return 1 if self.d <= 6 else 0
 
 
-def parse_points(path: str) -> np.ndarray:
-    """Read one point per CSV line; '#' comments and blank lines skipped."""
+def _parse_lines(text: str) -> np.ndarray:
+    """The line loop behind parse_points; it raises every line-numbered error."""
     rows: List[List[float]] = []
+    linenos: List[int] = []
     dim: Optional[int] = None
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(str(exc)) from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -99,9 +97,32 @@ def parse_points(path: str) -> np.ndarray:
             raise InputError(
                 f"ragged row at line {lineno}: expected {dim} fields, got {len(row)}")
         rows.append(row)
+        linenos.append(lineno)
     if not rows:
         raise InputError("no points in input file")
-    return np.asarray(rows, dtype=float)
+    pts = np.asarray(rows, dtype=float)
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        raise InputError(f"non-finite field at line {linenos[finite.argmin()]}")
+    return pts
+
+
+def parse_points(path: str) -> np.ndarray:
+    """Read one point per CSV line; '#' comments and blank lines skipped.
+    np.loadtxt parses in C the lines _parse_lines reads (over the file it
+    would not end a line at a form feed, as splitlines() does). What it
+    refuses, finds empty or reads as non-finite goes through _parse_lines."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise InputError(str(exc)) from exc
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "no data"
+            pts = np.loadtxt(text.splitlines(), delimiter=",", comments="#", ndmin=2)
+    except ValueError:
+        return _parse_lines(text)
+    return pts if pts.size and np.isfinite(pts).all() else _parse_lines(text)
 
 
 def generate(spec: str, d: int, n: int, seed: int, lattice_n: int = 10,
@@ -209,8 +230,10 @@ def _write_outputs(config: RunConfig, payload: Dict, runs: List[StepRun]) -> Non
     steps, csv = _step_texts(runs)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(
-        to_json(dict(payload, steps=_Verbatim(steps))) + "\n")
+    # the steps text is most of the report: write it, not to_json's copies of it
+    head, tail = to_json(dict(payload, steps=_Verbatim("\0"))).split("\0")
+    with (out / "report.json").open("w") as f:
+        f.writelines((head, steps, tail, "\n"))
     (out / "trace.csv").write_text(csv)
 
 

@@ -3,17 +3,58 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellipstream import cli, oracle, update_rule
 from ellipstream.state import RoundingState
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+_PAD = st.sampled_from(["", "", "", "", " ", "\t", " \t "])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NUMBER = st.one_of(
+    _FINITE.map(lambda x: "%.17g" % x),
+    _FINITE.map(repr),
+    st.tuples(st.integers(-999, 999), st.integers(0, 99)).map(
+        lambda t: f"{t[0]}.{t[1]:02d}"),
+    st.integers(-10**20, 10**20).map(str),
+)
+_SPECIAL = st.sampled_from(["inf", "nan", "-Infinity", ""])
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text that parse_points may accept or refuse: padded fields,
+    comments, blank and whitespace-only lines, CRLF ends, ragged rows,
+    empty fields and trailing commas."""
+    dim = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row"] * 5 + ["blank", "space", "comment"]))
+        if kind == "row":
+            count = draw(st.sampled_from([dim] * 12 + [dim + 1, max(dim - 1, 1)]))
+            fields = [draw(_PAD)
+                      + draw(_SPECIAL if draw(st.integers(0, 29)) == 0 else _NUMBER)
+                      + draw(_PAD) for _ in range(count)]
+            line = ",".join(fields) + draw(
+                st.sampled_from([""] * 8 + [",", " # inline, 1,2", "  #"]))
+        elif kind == "space":
+            line = draw(st.sampled_from([" ", "\t", " \t "]))
+        elif kind == "comment":
+            line = draw(st.sampled_from(["# x,y", "  # 1,2", "#"]))
+        else:
+            line = ""
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+    return "".join(lines)
 
 
 class TestParsePoints:
@@ -54,8 +95,86 @@ class TestParsePoints:
     def test_empty_file(self, tmp_path):
         f = tmp_path / "p.csv"
         f.write_text("# only a comment\n")
-        with pytest.raises(cli.InputError, match="no points"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt's "no data" stays inside
+            with pytest.raises(cli.InputError, match="no points"):
+                cli.parse_points(str(f))
+
+    @pytest.mark.parametrize("bad", ["nan", "1e400"])
+    def test_non_finite_field_reports_line(self, tmp_path, capsys, bad):
+        f = tmp_path / "p.csv"
+        f.write_text(f"# header\n\n1,2\n3,4\n{bad},5\n")
+        with pytest.raises(cli.InputError, match="^non-finite field at line 5$"):
             cli.parse_points(str(f))
+        assert cli.main(["--mode", "verify", "--input", str(f),
+                         "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: non-finite field at line 5\n"
+
+    @staticmethod
+    def outcome(parse, arg):
+        """The array's shape and bits, or the InputError message; any
+        warning fails the test."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                pts = parse(arg)
+            except cli.InputError as exc:
+                return str(exc)
+        return pts.shape, pts.view(np.int64).tobytes()
+
+    @given(text=csv_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_line_loop(self, tmp_path_factory, text):
+        f = tmp_path_factory.mktemp("parse") / "p.csv"
+        f.write_text(text, encoding="utf-8", newline="")
+        assert self.outcome(cli.parse_points, str(f)) == \
+            self.outcome(cli._parse_lines, f.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("text, expected", [
+        ("1_0,2\n", [[10.0, 2.0]]),
+        ("\u0661,2\n", [[1.0, 2.0]]),           # ARABIC-INDIC DIGIT ONE
+        ("1,2\n  \n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("\ufeff1,2\n", "non-numeric field at line 1"),
+        # float() strips a form feed, but splitlines() ends the line there
+        ("1,\f2\n", "non-numeric field at line 1"),
+    ], ids=["underscore", "arabic-digit", "whitespace-line", "bom", "form-feed"])
+    def test_fixed_cases(self, tmp_path, text, expected):
+        f = tmp_path / "p.csv"
+        f.write_text(text, encoding="utf-8")
+        got = self.outcome(cli.parse_points, str(f))
+        assert got == self.outcome(cli._parse_lines, text)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            want = np.asarray(expected)
+            assert got == (want.shape, want.view(np.int64).tobytes())
+
+    def test_clean_file_skips_line_loop(self, tmp_path, monkeypatch):
+        pts = np.random.default_rng(3).standard_normal((3000, 3))
+        f = tmp_path / "p.csv"
+        np.savetxt(f, pts, fmt="%.17g", delimiter=",")
+
+        def loop(text):
+            raise AssertionError("clean file sent through the line loop")
+
+        monkeypatch.setattr(cli, "_parse_lines", loop)
+        assert np.array_equal(cli.parse_points(str(f)).view(np.int64),
+                              pts.view(np.int64))
+
+    @pytest.mark.parametrize("last, message", [
+        ("1,x,3", "non-numeric field at line 3002"),
+        ("1,2", "ragged row at line 3002: expected 3 fields, got 2"),
+        ("1,inf,3", "non-finite field at line 3002"),
+    ])
+    def test_bad_last_line_of_long_file(self, tmp_path, last, message):
+        f = tmp_path / "p.csv"
+        np.savetxt(f, np.random.default_rng(3).standard_normal((3000, 3)),
+                   fmt="%.17g", delimiter=",", header="x,y,z")
+        with f.open("a") as fh:
+            fh.write(last + "\n")
+        with pytest.raises(cli.InputError) as exc:
+            cli.parse_points(str(f))
+        assert str(exc.value) == message
 
 
 class TestGenerate:
@@ -450,3 +569,12 @@ class TestStepTexts:
         payload["steps"] = steps
         assert cli.to_json(payload) + "\n" == raw
         assert (tmp_path / "trace.csv").read_text() == self.generic_csv(steps)
+        # the same points read from a %.17g CSV file write the same bytes
+        path, out = tmp_path / "points.csv", tmp_path / "from_input"
+        np.savetxt(path, pts, fmt="%.17g", delimiter=",")
+        argv[argv.index("--gen"):argv.index("--seed") + 2] = ["--input", str(path)]
+        argv[argv.index("--out") + 1] = str(out)
+        assert cli.main(argv) == 0
+        names = ["report.json", "trace.csv"] + ["selected.txt"] * (mode == "coreset")
+        for name in names:
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
