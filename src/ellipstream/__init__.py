@@ -10,15 +10,12 @@ from .ellipsoid import (
     log_volume,
     membership,
 )
-from .state import RoundingState
 from .update_rule import (
+    RoundingState,
     Step,
     UpdateError,
     UpdateParams,
     compute_params,
-    full_update_detailed,
-    irregular_update,
-    is_off_span,
     solve_gamma,
     step,
 )
@@ -32,11 +29,13 @@ from .adversary import (
     simplex_vertices,
 )
 from .oracle import (
+    HullSpec,
     StepCertificate,
     check_monotone_step,
     hull_membership,
     inequality_suite,
     mvee_khachiyan,
+    union_hull_distance,
 )
 
 __version__ = "0.1.0"
@@ -51,9 +50,6 @@ __all__ = [
     "UpdateError",
     "UpdateParams",
     "compute_params",
-    "full_update_detailed",
-    "irregular_update",
-    "is_off_span",
     "solve_gamma",
     "step",
     "RunReport",
@@ -68,10 +64,12 @@ __all__ = [
     "run_adversary",
     "shell_point",
     "simplex_vertices",
+    "HullSpec",
     "StepCertificate",
     "check_monotone_step",
     "hull_membership",
     "inequality_suite",
     "mvee_khachiyan",
+    "union_hull_distance",
     "__version__",
 ]

@@ -16,9 +16,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .ellipsoid import Ellipsoid, _unit_directions, log_volume
-from .linalg import orthonormal_completion
-from .state import RoundingState
-from .update_rule import step
+from .update_rule import RoundingState, step
 
 UpdateRule = Callable[[RoundingState, np.ndarray], RoundingState]
 
@@ -56,10 +54,14 @@ def simplex_vertices(d: int) -> np.ndarray:
     if d < 2:
         raise AdversaryError("dimension must be at least 2")
     ones = np.full(d + 1, 1.0 / math.sqrt(d + 1))
-    frame = orthonormal_completion(ones)
+    w = ones / np.linalg.norm(ones)
+    # the Householder reflector that swaps e1 and w, by v = w - e1 with
+    # w[0] - 1 = -|w[1:]|^2 / (1 + w[0]) (Parlett; Golub & Van Loan 5.1.1)
+    v = w.copy()
+    v[0] = -float(w[1:] @ w[1:]) / (1.0 + w[0])
+    frame = np.eye(d + 1) - (2.0 / np.dot(v, v)) * np.outer(v, v)
     basis = frame[:, 1:]  # orthonormal basis of the sum-zero hyperplane
-    eye = np.eye(d + 1)
-    centered = eye - 1.0 / (d + 1)
+    centered = np.eye(d + 1) - 1.0 / (d + 1)
     coords = centered @ basis  # rows: centered vertices in d coordinates
     scale = math.sqrt(d * (d + 1))  # takes vertex norm sqrt(d/(d+1)) to d
     return coords * scale

@@ -14,7 +14,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .ellipsoid import max_membership
 # looked up here by perfbench/tracing.py
 from .ellipsoid import log_volume, membership  # noqa: F401
 
-MONOTONE_TOL = 1e-7
 GENERATORS = ("ball", "gaussian", "lattice", "simplex-shell")
 MODES = ("seeded", "online", "coreset", "adversary", "verify", "inequalities")
 
@@ -41,13 +40,18 @@ class RunConfig:
     n: int = 100
     lattice_n: int = 10
     r_big: float = 8.0
-    c0: Optional[np.ndarray] = None
+    c0: Union[str, np.ndarray, None] = None  # --c0's text is parsed here
     r0: Optional[float] = None
     seed: int = 0
     out: str = "."
     verify_every: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.c0, str):
+            try:
+                self.c0 = np.asarray([float(f) for f in self.c0.split(",")], dtype=float)
+            except ValueError:
+                raise InputError("--c0 must be comma-separated numbers") from None
         if self.mode not in MODES:
             raise InputError(f"unknown mode {self.mode!r}")
         if (self.input_path is None) == (self.gen is None) and \
@@ -203,11 +207,6 @@ def to_json(obj, indent: int = 0) -> str:
 StepRun = Tuple[int, int, str, float, float, float]
 
 
-def _step_runs(report: streaming.RunReport) -> List[StepRun]:
-    return [(r.t, n, r.step_kind, 1.0 / r.alpha, r.log_volume, r.gamma)
-            for r, n in report.runs]
-
-
 def _step_texts(runs: List[StepRun]) -> Tuple[str, str]:
     """The "steps" array of report.json, as to_json renders it at the top
     level of the payload, and trace.csv. Each run's fields are formatted
@@ -248,7 +247,7 @@ def _make_verifier(config: RunConfig):
     def observer(t, step):
         if every <= 0 or t % every or step.split is None:
             return
-        cert = oracle.check_monotone_step(step, tol=MONOTONE_TOL)
+        cert = oracle.check_monotone_step(step)
         summary["checked"] += 1
         summary["worst_margin"] = min(summary["worst_margin"], cert.worst_margin)
         verdict = cert.verdict
@@ -261,11 +260,6 @@ def _make_verifier(config: RunConfig):
                   f"of the bodies", file=sys.stderr)
 
     return observer, summary
-
-
-def _cert_payload(summary: Dict) -> Dict:
-    worst = summary["worst_margin"]
-    return dict(summary, worst_margin=(worst if summary["checked"] else 0.0))
 
 
 def run(config: RunConfig) -> int:
@@ -326,13 +320,16 @@ def run(config: RunConfig) -> int:
         state, report = streaming.run_fully_online(points, on_step=observer)
 
     payload["final_alpha_inv"] = report.final_alpha_inv
-    payload["certificates"] = _cert_payload(summary)
+    worst = summary["worst_margin"] if summary["checked"] else 0.0
+    payload["certificates"] = dict(summary, worst_margin=worst)
     if config.gen == "lattice":
         denom = config.d * math.log(config.d * config.lattice_n)
         payload["constants"]["c_empirical"] = report.final_alpha_inv / denom
     payload["constants"]["worst_final_margin"] = max_membership(
         state.ellipsoid, points)
-    _write_outputs(config, payload, _step_runs(report))
+    runs = [(r.t, n, r.step_kind, 1.0 / r.alpha, r.log_volume, r.gamma)
+            for r, n in report.runs]
+    _write_outputs(config, payload, runs)
 
     if config.mode == "verify":
         return 2 if summary["failures"] else 0
@@ -340,25 +337,28 @@ def run(config: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The options of RunConfig; an option not given stays out of the
+    namespace, so RunConfig's field defaults are the only defaults."""
     p = argparse.ArgumentParser(
-        prog="ellipstream",
+        prog="ellipstream", argument_default=argparse.SUPPRESS,
         description="Streaming ellipsoidal rounding of a point stream.")
     p.add_argument("--mode", required=True, choices=MODES)
-    p.add_argument("--input", help="CSV file of points, one per line")
+    p.add_argument("--input", dest="input_path", metavar="INPUT",
+                   help="CSV file of points, one per line")
     p.add_argument("--gen", choices=GENERATORS,
                    help="synthetic stream generator")
-    p.add_argument("--d", type=int, default=2, help="dimension")
-    p.add_argument("--n", type=int, default=100, help="stream length")
-    p.add_argument("--N", dest="lattice_n", type=int, default=10,
+    p.add_argument("--d", type=int, help="dimension")
+    p.add_argument("--n", type=int, help="stream length")
+    p.add_argument("--N", dest="lattice_n", type=int,
                    help="lattice half-width (integer coordinates in [-N, N])")
-    p.add_argument("--R", dest="r_big", type=float, default=8.0,
+    p.add_argument("--R", dest="r_big", type=float,
                    help="outer radius for the adversary / shell generator "
                         "(finite, >= 1)")
     p.add_argument("--c0", help="seed-ball center, comma separated")
     p.add_argument("--r0", type=float, help="seed-ball radius")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--verify-every", type=int, default=None,
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out", help="output directory")
+    p.add_argument("--verify-every", type=int,
                    help="run the step oracle every k >= 0 steps (0 = off; "
                         "default 1 for d <= 6, 0 otherwise)")
     return p
@@ -366,20 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    c0 = None
-    if args.c0 is not None:
-        try:
-            c0 = np.asarray([float(f) for f in args.c0.split(",")], dtype=float)
-        except ValueError:
-            print("error: --c0 must be comma-separated numbers", file=sys.stderr)
-            return 1
     try:
-        config = RunConfig(
-            mode=args.mode, input_path=args.input, gen=args.gen, d=args.d,
-            n=args.n, lattice_n=args.lattice_n, r_big=args.r_big, c0=c0,
-            r0=args.r0, seed=args.seed, out=args.out,
-            verify_every=args.verify_every)
-        return run(config)
+        return run(RunConfig(**vars(args)))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -30,9 +30,8 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from .ellipsoid import RANK_COLLAPSE_RATIO
-from .state import RoundingState
 from .streaming import RunReport, StepObserver, fold
-from .update_rule import Step, compute_params, step
+from .update_rule import RoundingState, Step, compute_params, step
 # looked up here by perfbench/tracing.py
 from .ellipsoid import log_volume  # noqa: F401
 from .update_rule import full_update_detailed, irregular_update, is_off_span  # noqa: F401
@@ -85,8 +84,8 @@ def drop_limit(state: RoundingState) -> float:
         return 1.0
     # a dropped step stretches s_max/s_min by at most a < e; near the
     # guard its tentative body may collapse, which must still raise; the
-    # bound |factor|_F |inverse|_F on s_max/s_min stands in for the ratio
-    if state.factor_norm * state.inverse_norm * math.e > 0.5 / RANK_COLLAPSE_RATIO:
+    # state's cond_bound stands in for the ratio
+    if state.cond_bound * math.e > 0.5 / RANK_COLLAPSE_RATIO:
         return 1.0
     alpha = state.alpha
     target = VOLUME_JUMP_LOG - TIE_TOL

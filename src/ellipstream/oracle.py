@@ -23,15 +23,16 @@ from .ellipsoid import (
     basis_split,
     containment_margin,
     membership,
+    row_norms,
 )
 # looked up here by perfbench/tracing.py
 from .ellipsoid import log_volume  # noqa: F401
-from .linalg import row_norms
-from .state import RoundingState
-from .update_rule import Step, compute_params, solve_gamma
+from .update_rule import RoundingState, Step, compute_params, solve_gamma
 
 # the min-norm-point stopping tolerance of both hull oracles
 LP_TOL = 1e-9
+# check_monotone_step's default tolerance on a margin
+MONOTONE_TOL = 1e-7
 _DIR_SEED = 987654321
 # check_monotone_step's sampled falsifier directions and slice resolution
 _N_SAMPLE_DIRS = 4096
@@ -113,13 +114,21 @@ def _min_norm_point(lmo: Callable[[np.ndarray], np.ndarray],
     raise OracleError(f"min-norm point not reached in {max_iter} major cycles")
 
 
-def hull_membership(points: Sequence[np.ndarray], x: np.ndarray) -> bool:
-    """Is x a convex combination of the given points? Raises OracleError
-    rather than guess when the solver does not settle."""
-    pts = np.asarray(points, dtype=float)
+def _query(x: np.ndarray, d: int) -> np.ndarray:
+    """x as a float vector; OracleError unless it has the members' dimension d."""
     x = np.asarray(x, dtype=float)
+    if x.shape != (d,):
+        raise OracleError(f"query of shape {x.shape}, not a vector of dimension {d}")
+    return x
+
+
+def hull_membership(points: Sequence[np.ndarray], x: np.ndarray) -> bool:
+    """Is x, a vector of the points' dimension, in their convex hull? Raises
+    OracleError rather than guess when the solver does not settle."""
+    pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise OracleError("need at least one point")
+    x = _query(x, pts.shape[1])
     if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(x))):
         raise OracleError("non-finite inputs")
     # scale by the atoms' own spread, so translation and scale drop out
@@ -158,12 +167,13 @@ def union_hull_distance(h: HullSpec, x: np.ndarray) -> float:
 
     Each major cycle asks every member for its farthest point against the
     current gradient, which is trivial for both points and ellipsoids.
-    Raises OracleError, as hull_membership does, on non-finite inputs or
-    when the solver does not settle the distance to LP_TOL.
+    Raises OracleError, as hull_membership does, on a malformed query, on
+    non-finite inputs or when the solver does not settle the distance.
     """
-    x = np.asarray(x, dtype=float)
+    d = h.ellipsoid_list[0].dim if h.ellipsoid_list else len(h.point_list[0])
+    x = _query(x, d)
     pts = (np.asarray(h.point_list, dtype=float) - x
-           if h.point_list else np.zeros((0, x.shape[0])))
+           if h.point_list else np.zeros((0, d)))
     if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(x))):
         raise OracleError("non-finite inputs")
 
@@ -379,7 +389,7 @@ def _sampled_margins(prev: RoundingState, next_: RoundingState, z: np.ndarray,
                       float(margin_for(falsifier).min()))
 
 
-def check_monotone_step(step: Step, tol: float = 1e-7) -> StepCertificate:
+def check_monotone_step(step: Step, tol: float = MONOTONE_TOL) -> StepCertificate:
     """Certify one monotone step of the kernel (not init or local): the
     previous outer body and z inside the next outer body, and the next inner
     body inside the hull of the previous inner body and z, each with margins

@@ -29,8 +29,7 @@ from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tup
 import numpy as np
 
 from .ellipsoid import Ellipsoid, NumericalLimitError
-from .state import RoundingState
-from .update_rule import Step, leading_skips, step
+from .update_rule import RoundingState, Step, leading_skips, step
 # looked up here by perfbench/tracing.py
 from .ellipsoid import log_volume  # noqa: F401
 from .update_rule import full_update_detailed, irregular_update, is_off_span  # noqa: F401

@@ -1,22 +1,22 @@
-"""The monotone sandwich update: per-step scalars, the gamma solve, the
-regular step and the dimension-raising irregular step, each an update of
-the state's factor and its inverse in O(d k + k^2) (Golub & Van Loan 6.5),
-`step`, the per-point kernel, which decides between skip, regular step and
-span raise and returns a `Step`, and `leading_skips`, which finds a run of
-certain skips in a block of points with one mat-mul.
+"""The monotone sandwich update on the `RoundingState`: per-step scalars,
+the gamma solve, the regular and the dimension-raising irregular step, each
+an update of the state's factor and its inverse in O(d k + k^2) (Golub &
+Van Loan 6.5), `step`, the per-point kernel, which decides between skip,
+regular step and span raise and returns a `Step`, and `leading_skips`,
+which finds a run of certain skips in a block of points with one mat-mul.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .ellipsoid import (SPAN_TOL, Ellipsoid, SpanSplit, basis_split, scan_rows,
+from .ellipsoid import (SPAN_TOL, Ellipsoid, SpanSplit, basis_split, log_volume, scan_rows,
                         scan_tolerance)
-from .state import RoundingState
 
 GAMMA_MAX_ITER = 200
 GAMMA_REL_RESIDUAL = 1e-10
@@ -32,6 +32,57 @@ ALIGN_LIMIT = 1e6
 
 class UpdateError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class RoundingState:
+    """The sandwich center + alpha*E inside the hull inside center + E, with
+    E = {basis @ factor @ x : |x| <= 1} on an orthonormal d x k basis of the
+    span (k = dim) and the factor's `inverse`, so a step needs no
+    decomposition (see ALIGN_LIMIT). `log_volume` = log |det factor| is E's
+    log volume over the unit k-ball's; `ellipsoid` is a validated view."""
+
+    center: np.ndarray
+    basis: np.ndarray
+    factor: np.ndarray
+    inverse: np.ndarray
+    alpha: float
+    log_volume: float
+
+    @staticmethod
+    def from_ellipsoid(e: Ellipsoid, alpha: float) -> "RoundingState":
+        return RoundingState(e.center, e.axes, np.diag(e.semiaxes),
+                             np.diag(1.0 / e.semiaxes), alpha, log_volume(e))
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[1]
+
+    @property
+    def alpha_inv(self) -> float:
+        return 1.0 / self.alpha
+
+    @cached_property
+    def ellipsoid(self) -> Ellipsoid:
+        """The outer body as an Ellipsoid, from the SVD of the factor; its
+        constructor raises NumericalLimitError on a collapsed body."""
+        u, s, _ = np.linalg.svd(self.factor)
+        return Ellipsoid(self.center, self.basis @ u, s)
+
+    @cached_property
+    def factor_norm(self) -> float:
+        """|factor|_F, at least the largest semiaxis."""
+        return math.sqrt(np.vdot(self.factor, self.factor))
+
+    @cached_property
+    def inverse_norm(self) -> float:
+        """|inverse|_F, at least 1 / the smallest semiaxis."""
+        return math.sqrt(np.vdot(self.inverse, self.inverse))
+
+    @property
+    def cond_bound(self) -> float:
+        """|factor|_F |inverse|_F, the running bound on s_max/s_min."""
+        return self.factor_norm * self.inverse_norm
 
 
 @dataclass(frozen=True)
@@ -145,11 +196,10 @@ def is_off_span(state: RoundingState, z: np.ndarray) -> bool:
 
 
 def _checked(state: RoundingState) -> RoundingState:
-    """The state, kept as it is while |factor|_F |inverse|_F, a bound on
-    s_max/s_min, stays within ALIGN_LIMIT. Past it, the state restarts from
-    the SVD of its factor, whose view raises NumericalLimitError on the
-    exact ratio of a collapsed body."""
-    if state.factor_norm * state.inverse_norm <= ALIGN_LIMIT:
+    """The state, kept as it is while its cond_bound stays within
+    ALIGN_LIMIT; past it, a restart from the SVD of its factor, whose view
+    raises NumericalLimitError on the exact ratio of a collapsed body."""
+    if state.cond_bound <= ALIGN_LIMIT:
         return state
     e = state.ellipsoid
     return RoundingState(state.center, e.axes, np.diag(e.semiaxes), np.diag(1.0 / e.semiaxes),
@@ -251,10 +301,14 @@ def leading_skips(state: RoundingState, zs: np.ndarray, limit: float = 1.0) -> i
     # |factor|_F / sqrt(k) <= s_max keeps the span half-threshold a lower bound
     rho, inside = scan_rows(state.center, state.basis, state.inverse @ state.basis.T,
                             state.factor_norm / math.sqrt(max(state.dim, 1)), zs)
-    tol = scan_tolerance(len(state.center), state.dim, state.factor_norm * state.inverse_norm)
+    tol = scan_tolerance(len(state.center), state.dim, state.cond_bound)
     ok = inside & (rho <= limit * (1.0 - SKIP_MARGIN - tol))
     j = int(ok.argmin())
     return len(ok) if ok[j] else j
+
+
+# full_update_detailed, irregular_update and is_off_span re-run step's split;
+# out of the package API, they stay only for perfbench/tracing.py to wrap.
 
 
 def full_update_detailed(

@@ -18,9 +18,8 @@ from ellipstream.oracle import (
     mvee_khachiyan,
     union_hull_distance,
 )
-from ellipstream.state import RoundingState
 from ellipstream.streaming import run_fully_online, run_seeded
-from ellipstream.update_rule import full_update_detailed, irregular_update
+from ellipstream.update_rule import RoundingState, full_update_detailed, irregular_update
 
 MARGIN_TOL = 1e-7
 EVOLUTION_TOL = 1e-9

@@ -12,7 +12,7 @@ from ellipstream.adversary import (
     simplex_vertices,
 )
 from ellipstream.ellipsoid import Ellipsoid, membership
-from ellipstream.state import RoundingState
+from ellipstream.update_rule import RoundingState
 
 
 class TestSimplexVertices:

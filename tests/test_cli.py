@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellipstream import cli, oracle, update_rule
-from ellipstream.state import RoundingState
+from ellipstream.update_rule import RoundingState
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -223,6 +223,17 @@ class TestRunConfig:
         with pytest.raises(cli.InputError):
             cli.RunConfig(mode="banana", gen="ball")
 
+    def test_defaults_are_the_config_fields(self, monkeypatch):
+        # an option not given on the command line takes RunConfig's default
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or 0)
+        assert cli.main(["--mode", "online", "--gen", "ball"]) == 0
+        assert seen == [cli.RunConfig("online", gen="ball")]
+
+    def test_c0_text_is_parsed(self):
+        config = cli.RunConfig("seeded", gen="ball", c0="0,1.5,-2", r0=0.5)
+        assert config.c0.tolist() == [0.0, 1.5, -2.0]
+
 
 class TestRun:
     def run_cli(self, tmp_path, *args):
@@ -275,6 +286,13 @@ class TestRun:
         assert "online mode takes no --c0" in capsys.readouterr().err
         assert self.run_cli(tmp_path, *args, "--r0", "0.1") == 1
         assert "online mode takes no --r0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("c0", ["0,x,0", "0,,0", ""])
+    def test_bad_c0_exits_1(self, tmp_path, capsys, c0):
+        assert self.run_cli(tmp_path, "--mode", "seeded", "--gen", "gaussian",
+                            "--d", "3", "--c0", c0, "--r0", "0.1") == 1
+        assert capsys.readouterr().err == "error: --c0 must be comma-separated numbers\n"
+        assert not (tmp_path / "report.json").exists()
 
     def test_verify_rejects_lone_r0(self, tmp_path, capsys):
         assert self.run_cli(tmp_path, "--mode", "verify", "--gen", "gaussian",
@@ -396,7 +414,7 @@ class TestVerifyResolution:
         assert cli.main(self.stream(tmp_path, g)) == 0
         certs = json.loads((tmp_path / "report.json").read_text())["certificates"]
         assert certs["resolution_limited"] == 1 and certs["failures"] == 0
-        assert certs["worst_margin"] < -cli.MONOTONE_TOL
+        assert certs["worst_margin"] < -oracle.MONOTONE_TOL
         assert "step t=2 (irregular): certificate resolution-limited" in capsys.readouterr().err
 
     def test_shifted_raised_center_fails(self, tmp_path, monkeypatch):

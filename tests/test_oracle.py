@@ -20,9 +20,8 @@ from ellipstream.oracle import (
     inequality_suite,
     mvee_khachiyan,
 )
-from ellipstream.state import RoundingState
 from ellipstream.streaming import run_fully_online
-from ellipstream.update_rule import compute_params, step
+from ellipstream.update_rule import RoundingState, compute_params, step
 
 SQUARE = [np.array(p) for p in
           [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]]
@@ -198,6 +197,27 @@ class TestUnionHullDistance:
         assert union_hull_distance(h, off) == pytest.approx(1e-3, abs=1e-9)
         assert union_hull_distance(h, np.full(3, 4.0)) == pytest.approx(
             math.sqrt(3.0), abs=1e-9)
+
+
+SIMPLEX = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+ORACLES = {
+    "hull_membership": lambda x: hull_membership(SIMPLEX, x),
+    "union_hull_distance": lambda x: union_hull_distance(HullSpec(point_list=tuple(SIMPLEX)), x),
+    "union_hull_distance-ellipsoids": lambda x: union_hull_distance(
+        HullSpec(ellipsoid_list=(Ellipsoid.ball(np.zeros(3), 1.0),)), x),
+}
+
+
+@pytest.mark.parametrize("oracle_name", sorted(ORACLES))
+@pytest.mark.parametrize("query", [0.0, np.zeros((1, 3)), np.zeros(2), np.zeros(4),
+                                   np.zeros((3, 1))],
+                         ids=["scalar", "row", "short", "long", "column"])
+def test_hull_oracles_refuse_malformed_queries(oracle_name, query):
+    # a query is a vector of the members' dimension; numpy would broadcast
+    # a scalar or a row, or raise its own ValueError or IndexError
+    with pytest.raises(OracleError, match="not a vector of dimension 3"):
+        ORACLES[oracle_name](query)
+    ORACLES[oracle_name](np.zeros(3))  # the origin, a member of each hull
 
 
 class TestCheckMonotoneStep:

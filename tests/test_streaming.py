@@ -18,9 +18,8 @@ from ellipstream.ellipsoid import (
     span_split,
 )
 from ellipstream.oracle import check_monotone_step
-from ellipstream.state import RoundingState
 from ellipstream.streaming import CHUNK_ROWS, RunReport, run_fully_online, run_seeded
-from ellipstream.update_rule import compute_params, leading_skips, solve_gamma, step
+from ellipstream.update_rule import RoundingState, compute_params, leading_skips, solve_gamma, step
 
 
 class TestFullyOnline:
@@ -405,7 +404,7 @@ def assert_matches_reference(pts):
         assert np.linalg.norm(state.inverse @ state.factor - np.eye(state.dim)) < 1e-10
         semi = state.ellipsoid.semiaxes
         if state.dim:
-            bound = state.factor_norm * state.inverse_norm
+            bound = state.cond_bound
             assert semi[0] / semi[-1] <= bound * (1.0 + 1e-12)
 
 

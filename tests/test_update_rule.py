@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from ellipstream.ellipsoid import SPAN_RES, Ellipsoid, log_volume, membership
 from ellipstream.oracle import check_monotone_step
-from ellipstream.state import RoundingState
 from ellipstream.update_rule import (
+    RoundingState,
     UpdateError,
     compute_params,
     full_update_detailed,
