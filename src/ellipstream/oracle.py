@@ -10,7 +10,7 @@ scalar inequalities the update rule relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -18,7 +18,6 @@ import numpy as np
 from .ellipsoid import (
     SPAN_RES,
     Ellipsoid,
-    SpanSplit,
     _unit_directions,
     basis_split,
     containment_margin,
@@ -27,10 +26,14 @@ from .ellipsoid import (
 )
 # looked up here by perfbench/tracing.py
 from .ellipsoid import log_volume  # noqa: F401
-from .update_rule import RoundingState, Step, compute_params, solve_gamma
+from .update_rule import Frame, RoundingState, Step, compute_params, frame, solve_gamma
 
-# the min-norm-point stopping tolerance of both hull oracles
+# the min-norm-point stopping tolerance of both hull oracles: in units of
+# the members' spread for hull_membership, of x for union_hull_distance
 LP_TOL = 1e-9
+# union_hull_distance's floor on that stop, in spread units: the rounding
+# of the scaled atoms, whose entries lie in [-1, 1]
+_ATOM_RES = 64 * np.finfo(float).eps
 # check_monotone_step's default tolerance on a margin
 MONOTONE_TOL = 1e-7
 _DIR_SEED = 987654321
@@ -114,86 +117,95 @@ def _min_norm_point(lmo: Callable[[np.ndarray], np.ndarray],
     raise OracleError(f"min-norm point not reached in {max_iter} major cycles")
 
 
-def _query(x: np.ndarray, d: int) -> np.ndarray:
-    """x as a float vector; OracleError unless it has the members' dimension d."""
+def _rows(points: Sequence[np.ndarray], least: int) -> np.ndarray:
+    """A point set as finite (n, d) float rows, n >= least; OracleError
+    otherwise, naming the shape it got."""
+    try:
+        pts = np.asarray(points, dtype=float)
+    except ValueError:
+        shapes = sorted({np.shape(p) for p in points})
+        raise OracleError(f"points of shapes {shapes}, not (n, d) rows") from None
+    if pts.ndim != 2:
+        raise OracleError(f"points of shape {pts.shape}, not (n, d) rows")
+    if len(pts) < least:
+        raise OracleError(f"need at least {least} point(s), got {len(pts)}")
+    if not np.all(np.isfinite(pts)):
+        raise OracleError("non-finite inputs")
+    return pts
+
+
+def _hull_distance(points: np.ndarray, ellipsoids: Sequence[Ellipsoid], x: np.ndarray,
+                   tol: Callable[[float], float]) -> Tuple[float, float]:
+    """(dist / spread, spread) for the distance dist from x to conv(points
+    union ellipsoids), by Wolfe's method on the members shifted by -x and
+    divided by their spread about x, max |member - x|_inf, so that
+    translation and scale drop out. It starts at the nearest point (the
+    nearest ellipsoid center if there are none) and stops at tol(spread).
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape != (d,):
-        raise OracleError(f"query of shape {x.shape}, not a vector of dimension {d}")
-    return x
+    if x.shape != points.shape[1:]:
+        raise OracleError(f"query of shape {x.shape}, not a vector of dimension "
+                          f"{points.shape[1]}")
+    if not np.all(np.isfinite(x)):
+        raise OracleError("non-finite inputs")
+    atoms = points - x
+    ells = [(e.center - x, e.axes, e.semiaxes) for e in ellipsoids]
+    # a spread of 0, where every member is x, leaves the members as they are
+    spread = max([float(np.abs(atoms).max(initial=0.0))]
+                 + [float((np.abs(c) + row_norms(axes * s)).max()) for c, axes, s in ells]) or 1.0
+    atoms /= spread
+    ells = [(c / spread, axes, s / spread) for c, axes, s in ells]
+
+    def lmo(g: np.ndarray) -> np.ndarray:
+        best = atoms[int(np.argmin(atoms @ g))] if len(atoms) else None
+        for c, axes, s in ells:
+            # the ellipsoid's farthest point against g
+            coeff = s * (axes.T @ g)
+            cn = math.sqrt(coeff @ coeff)
+            cand = c - axes @ (s * coeff / cn) if cn > 0.0 else c
+            if best is None or cand @ g < best @ g:
+                best = cand
+        return best
+
+    starts = atoms if len(atoms) else np.array([c for c, _, _ in ells])
+    start = starts[int(np.argmin(np.einsum("ij,ij->i", starts, starts)))]
+    return _min_norm_point(lmo, start, tol(spread)), spread
 
 
 def hull_membership(points: Sequence[np.ndarray], x: np.ndarray) -> bool:
-    """Is x, a vector of the points' dimension, in their convex hull? Raises
+    """Is x within 10 LP_TOL spreads of the points' convex hull? Raises
     OracleError rather than guess when the solver does not settle."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise OracleError("need at least one point")
-    x = _query(x, pts.shape[1])
-    if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(x))):
-        raise OracleError("non-finite inputs")
-    # scale by the atoms' own spread, so translation and scale drop out
-    atoms = pts - x
-    scale = float(np.abs(atoms).max())
-    if scale == 0.0:
-        return True
-    atoms /= scale
-
-    def lmo(g: np.ndarray) -> np.ndarray:
-        return atoms[int(np.argmin(atoms @ g))]
-
-    start = atoms[int(np.argmin(np.einsum("ij,ij->i", atoms, atoms)))]
-    return _min_norm_point(lmo, start, LP_TOL) <= 10 * LP_TOL
-
-
-# ---------------------------------------------------------------------------
-# distance to the hull of a union
+    dist, _ = _hull_distance(_rows(points, 1), (), x, lambda spread: LP_TOL)
+    return dist <= 10 * LP_TOL
 
 
 @dataclass(frozen=True)
 class HullSpec:
-    """conv of a union of points and ellipsoids."""
+    """conv of a union of points and ellipsoids of one dimension; `points`
+    stacks point_list as (n, d) rows."""
 
     point_list: Tuple[np.ndarray, ...] = ()
     ellipsoid_list: Tuple[Ellipsoid, ...] = ()
+    points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.point_list and not self.ellipsoid_list:
+        if not (len(self.point_list) or len(self.ellipsoid_list)):
             raise OracleError("empty hull spec")
+        dims = {e.dim for e in self.ellipsoid_list}
+        pts = _rows(self.point_list, 0) if len(self.point_list) else np.zeros((0, min(dims)))
+        dims.add(pts.shape[1])
+        if len(dims) > 1:
+            raise OracleError(f"members of dimensions {sorted(dims)}")
+        object.__setattr__(self, "points", pts)
 
 
 def union_hull_distance(h: HullSpec, x: np.ndarray) -> float:
-    """Distance from x to conv(points union ellipsoids), by Wolfe's
-    min-norm-point method on the members shifted by -x.
-
-    Each major cycle asks every member for its farthest point against the
-    current gradient, which is trivial for both points and ellipsoids.
-    Raises OracleError, as hull_membership does, on a malformed query, on
-    non-finite inputs or when the solver does not settle the distance.
-    """
-    d = h.ellipsoid_list[0].dim if h.ellipsoid_list else len(h.point_list[0])
-    x = _query(x, d)
-    pts = (np.asarray(h.point_list, dtype=float) - x
-           if h.point_list else np.zeros((0, d)))
-    if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(x))):
-        raise OracleError("non-finite inputs")
-
-    def lmo(g):
-        best, val = None, math.inf
-        if pts.shape[0]:
-            i = int(np.argmin(pts @ g))
-            best, val = pts[i], float(pts[i] @ g)
-        for e in h.ellipsoid_list:
-            cand = e.center - x
-            coeff = e.semiaxes * (e.axes.T @ g)
-            cn = float(np.linalg.norm(coeff))
-            if cn > 0.0:
-                cand = cand - e.axes @ (e.semiaxes * coeff / cn)
-            v = float(cand @ g)
-            if v < val:
-                best, val = cand, v
-        return best
-
-    return _min_norm_point(lmo, lmo(-x), LP_TOL)
+    """Distance from x to conv(points union ellipsoids), by hull_membership's
+    routine; it stops at LP_TOL or at the rounding of the spread, whichever
+    is coarser. Raises OracleError as hull_membership does."""
+    dist, spread = _hull_distance(h.points, h.ellipsoid_list, x,
+                                  lambda spread: max(LP_TOL / spread, _ATOM_RES))
+    return spread * dist
 
 
 # ---------------------------------------------------------------------------
@@ -220,40 +232,6 @@ class StepCertificate:
         return "resolution_limited" if self.resolution_limited else "fail"
 
 
-class _Frame(NamedTuple):
-    """A step's normalized frame: a vector v taken from the previous center
-    has frame coordinates shear @ (basis.T @ v)."""
-
-    basis: np.ndarray   # d x kf: Q, or [Q, v] after a span raise
-    shear: np.ndarray   # kf x kf: M, or M bordered and sheared
-    z: np.ndarray       # the new point in the frame
-    raised: bool
-
-
-def _frame(prev: RoundingState, split: SpanSplit) -> _Frame:
-    """The frame in which the previous outer body is the unit ball, built
-    from the factors: M Q^T, given the kernel's split of the new point z
-    against prev. After a raise the frame is bordered by v =
-    residual/|residual| and sheared so that it fixes the old span and sends
-    z onto the new axis, at sqrt(1 + 2 alpha) as the kernel normalizes it:
-    the previous outer body is then the unit ball of the old coordinates,
-    and the raised body is a ball.
-    """
-    m = prev.inverse
-    if not split.off:
-        return _Frame(prev.basis, m, m @ split.coeffs, False)
-    k = prev.dim
-    root = math.sqrt(1.0 + 2.0 * prev.alpha)
-    shear = np.zeros((k + 1, k + 1))
-    shear[:k, :k] = m
-    shear[:k, k] = (m @ split.coeffs) / -split.rnorm
-    shear[k, k] = root / split.rnorm
-    z_frame = np.zeros(k + 1)
-    z_frame[k] = root
-    basis = np.hstack([prev.basis, (split.residual / split.rnorm)[:, None]])
-    return _Frame(basis, shear, z_frame, True)
-
-
 def _orthogonal(e1: np.ndarray) -> np.ndarray:
     """A unit vector orthogonal to the unit vector e1 (len(e1) >= 2)."""
     probe = np.zeros(len(e1))
@@ -263,7 +241,7 @@ def _orthogonal(e1: np.ndarray) -> np.ndarray:
 
 
 def _structured_margins(prev: RoundingState, next_: RoundingState,
-                        frame: _Frame, tol: float):
+                        frame: Frame, tol: float):
     """(outer, inner) in closed form from one k x k Gram, or
     None where that does not apply: the next body off the frame's span, or
     a bound on its asymmetry above tol/10.
@@ -347,7 +325,7 @@ def _structured_margins(prev: RoundingState, next_: RoundingState,
 
 
 def _sampled_margins(prev: RoundingState, next_: RoundingState, z: np.ndarray,
-                     frame: _Frame):
+                     frame: Frame):
     """(outer, inner) by brute force. The outer checks are the
     exact containment search and membership on the SVD views. The inner
     margin is taken over a 2-D slice through z's direction (exact for the
@@ -393,7 +371,7 @@ def check_monotone_step(step: Step, tol: float = MONOTONE_TOL) -> StepCertificat
     """Certify one monotone step of the kernel (not init or local): the
     previous outer body and z inside the next outer body, and the next inner
     body inside the hull of the previous inner body and z, each with margins
-    in the frame built from the step's split (see _frame).
+    in the step's `frame`, the kernel's own.
 
     The update rule grows bodies of revolution about z's direction, so
     _structured_margins certifies a step in closed form; where it does not
@@ -403,15 +381,15 @@ def check_monotone_step(step: Step, tol: float = MONOTONE_TOL) -> StepCertificat
     prev, next_, z, split = step.prev, step.state, step.z, step.split
     if split is None or not (prev.center.shape == next_.center.shape == z.shape):
         raise OracleError(f"{step.kind} step: no split to certify, or a span mismatch")
-    frame = _frame(prev, split)
-    margins = _structured_margins(prev, next_, frame, tol)
+    fr = frame(prev, split)
+    margins = _structured_margins(prev, next_, fr, tol)
     if margins is None:
-        margins = _sampled_margins(prev, next_, z, frame)
+        margins = _sampled_margins(prev, next_, z, fr)
     outer, inner = margins
     worst = min(outer, inner)
     limited = False
     if worst < -tol:
-        resolution = (SPAN_RES * float(np.linalg.norm(frame.shear))
+        resolution = (SPAN_RES * float(np.linalg.norm(fr.shear))
                       * (math.sqrt(prev.center @ prev.center)
                          + math.sqrt(split.delta @ split.delta)))
         limited = worst >= -resolution
@@ -449,9 +427,7 @@ def mvee_khachiyan(points: Sequence[np.ndarray], eps: float = 1e-4) -> Ellipsoid
     returned body. Raises OracleError when MVEE_MAX_ITER iterations do not
     reach the stop.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or len(pts) < 2:
-        raise OracleError("need at least two points")
+    pts = _rows(points, 2)
     if not (0.0 < eps < 0.5):
         raise OracleError("eps must lie in (0, 0.5)")
     mean = pts.mean(axis=0)

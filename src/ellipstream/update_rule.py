@@ -195,6 +195,35 @@ def is_off_span(state: RoundingState, z: np.ndarray) -> bool:
     return _split(state, z).off
 
 
+class Frame(NamedTuple):
+    """A step's normalized frame, where the previous outer body is the unit
+    ball: v taken from the previous center has coordinates shear @ (basis.T @ v)."""
+
+    basis: np.ndarray   # d x kf: Q, or [Q, v] after a span raise
+    shear: np.ndarray   # kf x kf: M, or M bordered and sheared
+    z: np.ndarray       # the new point in the frame
+    raised: bool
+
+
+def frame(state: RoundingState, split: SpanSplit) -> Frame:
+    """The frame M Q^T of a step from `state` on z, given z's split. A span
+    raise borders it by v = residual/|residual| and shears it to fix the old
+    span and send z to sqrt(1 + 2 alpha) e_k, where `_irregular` builds the
+    raised body as a ball."""
+    m = state.inverse
+    if not split.off:
+        return Frame(state.basis, m, m @ split.coeffs, False)
+    k = state.dim
+    root = math.sqrt(1.0 + 2.0 * state.alpha)
+    shear = np.zeros((k + 1, k + 1))
+    shear[:k, :k] = m
+    shear[:k, k] = (m @ split.coeffs) / -split.rnorm
+    shear[k, k] = root / split.rnorm
+    z = np.zeros(k + 1)
+    z[k] = root
+    return Frame(np.hstack([state.basis, (split.residual / split.rnorm)[:, None]]), shear, z, True)
+
+
 def _checked(state: RoundingState) -> RoundingState:
     """The state, kept as it is while its cond_bound stays within
     ALIGN_LIMIT; past it, a restart from the SVD of its factor, whose view
@@ -238,12 +267,12 @@ def _irregular(state: RoundingState, z: np.ndarray,
                split: SpanSplit) -> RoundingState:
     """The span raise toward an off-span point z, given its split.
 
-    In normalized coordinates the previous body is the unit ball of its
-    span and the shear that fixes the old span sends z to sqrt(1+2*alpha)
-    times the new basis vector; the new outer body is the ball of radius
-    (1+alpha)/sqrt(1+2*alpha) in the extended span, recentred a fraction
-    alpha/(1+2*alpha) of the way toward z. Undoing the shear borders the
-    factor and its inverse by one row and column. 1/alpha grows by one.
+    In the step's `frame` the previous body is the unit ball of its span
+    and z lies at sqrt(1+2*alpha) times the new basis vector; the new outer
+    body is the ball of radius (1+alpha)/sqrt(1+2*alpha) there, recentred a
+    fraction alpha/(1+2*alpha) of the way toward z. Its inverse is the
+    frame's shear over that radius; its factor borders the previous one by
+    one row and column. 1/alpha grows by one.
     """
     if not (0.0 < state.alpha <= 1.0):
         raise UpdateError("alpha must lie in (0, 1]")
@@ -258,22 +287,16 @@ def _irregular(state: RoundingState, z: np.ndarray,
                 Ellipsoid(body.center, body.axes[:, keep], body.semiaxes[keep]),
                 state.alpha)
             split = _split(state, z)
-    delta, coeffs, residual, rnorm, _ = split
+    delta, coeffs, _, rnorm, _ = split
+    fr = frame(state, split)
     alpha = state.alpha
     k = state.dim
-    root = math.sqrt(1.0 + 2.0 * alpha)
+    root = float(fr.z[k])
     scale = (1.0 + alpha) / root
-
-    # the new body is scale * the unit ball under the inverse shear, which
-    # sends root*e_k to [coeffs, rnorm]
-    bottom = np.zeros((1, k))
-    factor = np.block([[state.factor, coeffs[:, None] / root], [bottom, rnorm / root]])
-    inverse = np.block([[state.inverse, (state.inverse @ coeffs)[:, None] / -rnorm],
-                        [bottom, root / rnorm]])
+    factor = np.block([[state.factor, coeffs[:, None] / root], [np.zeros((1, k)), rnorm / root]])
     return _checked(RoundingState(
-        state.center + (alpha / (1.0 + 2.0 * alpha)) * delta,
-        np.hstack([state.basis, (residual / rnorm)[:, None]]),
-        scale * factor, inverse / scale, 1.0 / (1.0 / alpha + 1.0),
+        state.center + (alpha / (1.0 + 2.0 * alpha)) * delta, fr.basis,
+        scale * factor, fr.shear / scale, 1.0 / (1.0 / alpha + 1.0),
         state.log_volume + (k + 1) * math.log(scale) + math.log(rnorm / root)))
 
 

@@ -6,8 +6,9 @@ package namespace.
   `__init__.py` re-exports through `__all__`, and import lines marked
   `# noqa: F401`, which keep names that perfbench/tracing.py looks up on a
   module.
-- Every module-level function and class of src/ is named somewhere in
-  src/, perfbench/ or demos/ outside its own body.
+- Every module-level function, class and constant of src/ is named
+  somewhere in src/, perfbench/ or demos/ outside its own body or
+  assignment.
 - `ellipstream.__all__` is the namespace README.md documents.
 """
 
@@ -52,13 +53,25 @@ def test_no_unused_imports():
     assert found == []
 
 
+def defined(stmt: ast.stmt):
+    """The names a module-level statement defines: a def's or class's name,
+    or the names an assignment binds (dunders such as `__all__` aside)."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return {node.id for t in targets for node in ast.walk(t)
+            if isinstance(node, ast.Name) and not node.id.startswith("__")}
+
+
 def names_read(tree: ast.Module):
     """(owner, name) for each name a module reads, as a variable, an
     attribute, an imported name or an identifier string (a tracer target, an
-    `__all__` entry); owner is the module-level def or class it sits in."""
+    `__all__` entry); owner is the set of names the module-level statement
+    it sits in defines."""
     found = set()
     for stmt in tree.body:
-        owner = getattr(stmt, "name", None)
+        owner = frozenset(defined(stmt))
         for node in ast.walk(stmt):
             if isinstance(node, ast.Name):
                 found.add((owner, node.id))
@@ -73,17 +86,18 @@ def names_read(tree: ast.Module):
 
 
 def test_no_dead_definitions():
-    # a module-level function or class of src/ that nothing in src/,
-    # perfbench/ or demos/ names, outside its own body, is dead code
+    # a module-level function, class or constant of src/ that nothing in
+    # src/, perfbench/ or demos/ names, outside its own body or assignment,
+    # is dead code
     read = set()
     for folder in ("src", "perfbench", "demos"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             read |= names_read(ast.parse(path.read_text()))
-    dead = [f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
+    dead = [f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
             for path in sorted((ROOT / "src").rglob("*.py"))
             for node in ast.parse(path.read_text()).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not any(name == node.name and owner != node.name for owner, name in read)]
+            for name in sorted(defined(node))
+            if not any(n == name and name not in owner for owner, n in read)]
     assert dead == []
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from ellipstream.adversary import simplex_vertices
-from ellipstream import oracle
+from ellipstream import oracle, update_rule
 from ellipstream.ellipsoid import Ellipsoid, containment_margin, log_volume, membership
 from ellipstream.oracle import (
     HullSpec,
@@ -25,6 +25,9 @@ from ellipstream.update_rule import RoundingState, compute_params, step
 
 SQUARE = [np.array(p) for p in
           [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]]
+# queries about SQUARE, inside (or on its boundary) and outside
+SQUARE_INSIDE = [np.array(q) for q in [(0.2, 0.3), (1.0, 0.0), (-0.9, 0.9), (1.0, 1.0)]]
+SQUARE_OUTSIDE = [np.array(q) for q in [(2.0, 0.0), (2.0, 0.5), (3.0, 4.0), (-1.5, -1.2)]]
 
 
 def linprog_membership(points, x) -> bool:
@@ -65,6 +68,13 @@ class TestHullMembership:
         tiny = [p * 1e-9 for p in SQUARE]
         assert not hull_membership(tiny, np.array([5e-9, 5e-9]))
         assert hull_membership(tiny, np.array([5e-10, 5e-10]))
+        # a scaled and shifted copy gives the unit square's verdicts
+        for s in (1e-6, 1e6):
+            copy = [s * p + 1e3 * s for p in SQUARE]
+            for q in SQUARE_INSIDE:
+                assert hull_membership(copy, s * q + 1e3 * s)
+            for q in SQUARE_OUTSIDE:
+                assert not hull_membership(copy, s * q + 1e3 * s)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -110,6 +120,20 @@ class TestUnionHullDistance:
         assert union_hull_distance(h, np.array([3e6, 4e6])) == pytest.approx(
             math.hypot(3e6 - 1.0, 4e6 - 1.0), rel=1e-12)
         assert not hull_membership(SQUARE, np.array([1e4, 0.0]))
+        # the centroid of a cloud far from unit scale is in its hull
+        pts = np.random.default_rng(0).standard_normal((30, 3)) * 1e6
+        x = pts.mean(axis=0)
+        spread = np.abs(pts - x).max()
+        assert union_hull_distance(HullSpec(point_list=tuple(pts)), x) <= 1e-9 * spread
+        # a scaled and shifted copy gives s times the unit square's distances
+        h = HullSpec(point_list=tuple(SQUARE))
+        for s in (1e-6, 1e6):
+            copy = HullSpec(point_list=tuple(s * p + 1e3 * s for p in SQUARE))
+            for q in SQUARE_INSIDE:
+                assert union_hull_distance(copy, s * q + 1e3 * s) <= 1e-9 * s
+            for q in SQUARE_OUTSIDE:
+                assert union_hull_distance(copy, s * q + 1e3 * s) == pytest.approx(
+                    s * union_hull_distance(h, q), rel=1e-9)
 
     def test_unconverged_solve_raises(self, monkeypatch):
         # the nearest point lies on an edge, two major cycles away
@@ -135,9 +159,18 @@ class TestUnionHullDistance:
         h = HullSpec(point_list=tuple(SQUARE))
         with pytest.raises(OracleError, match="non-finite"):
             union_hull_distance(h, np.array([bad, 0.0]))
-        h = HullSpec(point_list=tuple(SQUARE) + (np.array([bad, 0.0]),))
+        # a spec checks its members once, when it is built
         with pytest.raises(OracleError, match="non-finite"):
-            union_hull_distance(h, np.zeros(2))
+            HullSpec(point_list=tuple(SQUARE) + (np.array([bad, 0.0]),))
+
+    def test_spec_refuses_mixed_dimensions(self):
+        # the members are stacked and checked once, when the spec is built
+        ball = Ellipsoid.ball(np.zeros(3), 1.0)
+        with pytest.raises(OracleError, match=r"dimensions \[2, 3\]"):
+            HullSpec(point_list=(np.zeros(2),), ellipsoid_list=(ball,))
+        h = HullSpec(point_list=(np.zeros(3), np.ones(3)), ellipsoid_list=(ball,))
+        assert h.points.shape == (2, 3)
+        assert union_hull_distance(h, np.ones(3)) <= 1e-9
 
     def test_agrees_with_lp_membership(self):
         rng = np.random.default_rng(52)
@@ -220,6 +253,26 @@ def test_hull_oracles_refuse_malformed_queries(oracle_name, query):
     ORACLES[oracle_name](np.zeros(3))  # the origin, a member of each hull
 
 
+POINT_SETS = {
+    "hull_membership": lambda pts: hull_membership(pts, np.zeros(3)),
+    "mvee_khachiyan": mvee_khachiyan,
+    "HullSpec": lambda pts: union_hull_distance(HullSpec(point_list=tuple(pts)), np.zeros(3)),
+}
+
+
+@pytest.mark.parametrize("oracle_name", sorted(POINT_SETS))
+def test_point_set_oracles_refuse_malformed_points(oracle_name):
+    # a point set is (n, d) rows of finite entries, whichever oracle reads it
+    with pytest.raises(OracleError, match=r"shape \(3,\), not \(n, d\) rows"):
+        POINT_SETS[oracle_name](np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(OracleError, match=r"shapes \[\(2,\), \(3,\)\]"):
+        POINT_SETS[oracle_name]([np.zeros(3), np.ones(2), np.ones(3)])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(OracleError, match="non-finite inputs"):
+            POINT_SETS[oracle_name](np.vstack([SIMPLEX, [bad, 0.0, 0.0]]))
+    POINT_SETS[oracle_name](SIMPLEX)
+
+
 class TestCheckMonotoneStep:
     def make_state(self, d=2, alpha=0.5):
         return RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(d), 1.0), alpha=alpha)
@@ -299,7 +352,7 @@ def frame_margin_reference(s, n_angles=100_001):
     ambient support functions; the outer ones from the exact containment
     search and membership."""
     prev, nxt, z = s.prev, s.state, s.z
-    frame = oracle._frame(prev, s.split)
+    frame = update_rule.frame(prev, s.split)
     f = frame.shear @ frame.basis.T
     k = f.shape[0]
     e1 = frame.z / np.linalg.norm(frame.z)
@@ -372,7 +425,7 @@ class TestStructuredCertificate:
         assert picked
         for s in picked:
             margins = oracle._structured_margins(s.prev, s.state,
-                                                 oracle._frame(s.prev, s.split), 1e-7)
+                                                 update_rule.frame(s.prev, s.split), 1e-7)
             assert margins is not None
             inner, outer = frame_margin_reference(s)
             assert margins[1] == pytest.approx(inner, abs=1e-10)
