@@ -325,14 +325,15 @@ def run(config: RunConfig) -> int:
     if config.gen == "lattice":
         denom = config.d * math.log(config.d * config.lattice_n)
         payload["constants"]["c_empirical"] = report.final_alpha_inv / denom
-    payload["constants"]["worst_final_margin"] = max_membership(
-        state.ellipsoid, points)
+    final_margin = max_membership(state.ellipsoid, points)
+    payload["constants"]["worst_final_margin"] = final_margin
     runs = [(r.t, n, r.step_kind, 1.0 / r.alpha, r.log_volume, r.gamma)
             for r, n in report.runs]
     _write_outputs(config, payload, runs)
 
     if config.mode == "verify":
-        return 2 if summary["failures"] else 0
+        # a step violation, or a final outer body that misses a point
+        return 2 if summary["failures"] or final_margin > oracle.MONOTONE_TOL else 0
     return 0
 
 

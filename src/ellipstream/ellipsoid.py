@@ -65,7 +65,7 @@ class NumericalLimitError(EllipsoidError):
         return NumericalLimitError(self.ratio, t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ellipsoid:
     """{center + sum_i t_i * semiaxes[i] * axes[:, i] : sum t_i^2 <= 1}.
 

@@ -46,9 +46,11 @@ _SLICE_ANGLES = np.linspace(0.0, 2.0 * math.pi, _N_SLICE, endpoint=False)
 _SLICE_COS, _SLICE_SIN = np.cos(_SLICE_ANGLES), np.sin(_SLICE_ANGLES)
 _FINE_OFFSETS = np.linspace(-2.0 * math.pi / _N_SLICE, 2.0 * math.pi / _N_SLICE, 64)
 # mvee_khachiyan's iteration budget; it recomputes inv(X) from scratch
-# every _MVEE_RESYNC iterations
+# every _MVEE_RESYNC iterations and deletes the points that cannot support
+# the optimum every _MVEE_ELIMINATE iterations
 MVEE_MAX_ITER = 100000
 _MVEE_RESYNC = 1000
+_MVEE_ELIMINATE = 25
 # points per axis of inequality_suite's (gamma, alpha) grid
 GRID_DENSITY = 100
 
@@ -179,14 +181,14 @@ def hull_membership(points: Sequence[np.ndarray], x: np.ndarray) -> bool:
     return dist <= 10 * LP_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HullSpec:
     """conv of a union of points and ellipsoids of one dimension; `points`
     stacks point_list as (n, d) rows."""
 
     point_list: Tuple[np.ndarray, ...] = ()
     ellipsoid_list: Tuple[Ellipsoid, ...] = ()
-    points: np.ndarray = field(init=False, repr=False, compare=False)
+    points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (len(self.point_list) or len(self.ellipsoid_list)):
@@ -407,6 +409,23 @@ def _lifted_inverse(q: np.ndarray, u: np.ndarray):
     return x_inv, np.einsum("in,in->n", q, x_inv @ q)
 
 
+def _support_floor(gap: float, r: int) -> float:
+    """Harman & Pronzato's (2007) floor on m_i at any point of the optimal
+    ellipsoid's boundary, under a design whose max m is (r+1) + gap.
+
+    With H = X^-1/2 X* X^-1/2, tr H <= (r+1) + gap and tr H^-1 <= r+1 (the
+    equivalence theorem for the current and the optimal design) give
+    lambda_min(H) >= s, the smaller root of s^2 - (2 + gap) s + 1 +
+    gap/(r+1); a point with m*_i = r+1 has m_i >= (r+1) s. This is
+    (r+1)[1 + gap/2 - sqrt(gap (4 + gap - 4/(r+1)))/2], written without
+    the cancellation. gap is absolute: the relative max m/(r+1) - 1 in its
+    place overshoots, e.g. m = (1.11, 20, 20) at the triangle's vertices
+    under weights (0.9, 0.05, 0.05) against a relative floor of 1.19.
+    """
+    m, gap = r + 1.0, max(gap, 0.0)
+    return (m + gap) / (1.0 + 0.5 * gap + 0.5 * math.sqrt(gap * (4.0 + gap - 4.0 / m)))
+
+
 def mvee_khachiyan(points: Sequence[np.ndarray], eps: float = 1e-4) -> Ellipsoid:
     """(1+eps)-approximate minimum-volume enclosing ellipsoid.
 
@@ -422,10 +441,21 @@ def mvee_khachiyan(points: Sequence[np.ndarray], eps: float = 1e-4) -> Ellipsoid
 
     inv(X) and m follow each step by a Sherman-Morrison update at
     O(n r) cost and are recomputed from scratch every _MVEE_RESYNC
-    iterations. The stop is confirmed from a fresh inverse, so every
-    point has membership at most sqrt(1 + eps (r+1)/r) - 1 in the
-    returned body. Raises OracleError when MVEE_MAX_ITER iterations do not
-    reach the stop.
+    iterations. Every _MVEE_ELIMINATE iterations, the points with m_i
+    below _support_floor(max m - (r+1), r) are deleted for good
+    (Harman & Pronzato 2007; Todd 2016, Minimum-Volume Ellipsoids): no
+    such point lies on the optimal ellipsoid's boundary, so none carries
+    weight at the optimum. The rest are renormalized and inv(X) is taken
+    afresh; most of the points of a full cloud go within a few hundred
+    iterations, and with them the away steps that would drop them one
+    by one.
+
+    The stop is confirmed from a fresh inverse over all n points, deleted
+    ones included. Should a deleted point fail it, every point comes back
+    (the deleted ones with weight 0) and the call goes on without
+    elimination, so every point has membership at most
+    sqrt(1 + eps (r+1)/r) - 1 in the returned body whatever was deleted.
+    Raises OracleError when MVEE_MAX_ITER iterations do not reach the stop.
     """
     pts = _rows(points, 2)
     if not (0.0 < eps < 0.5):
@@ -443,17 +473,23 @@ def mvee_khachiyan(points: Sequence[np.ndarray], eps: float = 1e-4) -> Ellipsoid
     n, r = p.shape
 
     q = np.hstack([p, np.ones((n, 1))]).T  # (r+1) x n
-    u = np.full(n, 1.0 / n)
-    x_inv, m = _lifted_inverse(q, u)
+    # the points still in play, their columns of q and their weights
+    live, q_live, u = np.arange(n), q, np.full(n, 1.0 / n)
+    eliminate = True
+    x_inv, m = _lifted_inverse(q_live, u)
     for it in range(1, MVEE_MAX_ITER + 1):
         j = int(np.argmax(m))
         i = int(np.argmin(np.where(u > 0.0, m, math.inf)))
         eps_plus = m[j] / (r + 1) - 1.0
         eps_minus = 1.0 - m[i] / (r + 1)
         if eps_plus <= eps and eps_minus <= eps:
-            x_inv, m = _lifted_inverse(q, u)
-            if m.max() <= (1.0 + eps) * (r + 1):
+            u_all = np.zeros(n)
+            u_all[live] = u
+            x_inv, m_all = _lifted_inverse(q, u_all)
+            if m_all.max() <= (1.0 + eps) * (r + 1):
+                u = u_all
                 break
+            live, q_live, u, m, eliminate = np.arange(n), q, u_all, m_all, False
             continue
         if eps_plus >= eps_minus:
             k, dropped = j, False
@@ -466,8 +502,8 @@ def mvee_khachiyan(points: Sequence[np.ndarray], eps: float = 1e-4) -> Ellipsoid
                     else (r + 1.0 - m[k]) / ((r + 1.0) * (m[k] - 1.0)))
             dropped = drop <= line
             tau = -min(line, drop)
-        w = x_inv @ q[:, k]
-        g = w @ q
+        w = x_inv @ q_live[:, k]
+        g = w @ q_live
         coef = tau / ((1.0 - tau) + tau * m[k])
         x_inv = (x_inv - coef * np.outer(w, w)) / (1.0 - tau)
         m = (m - coef * g * g) / (1.0 - tau)
@@ -476,7 +512,12 @@ def mvee_khachiyan(points: Sequence[np.ndarray], eps: float = 1e-4) -> Ellipsoid
         if dropped:
             u[k] = 0.0
         if it % _MVEE_RESYNC == 0:
-            x_inv, m = _lifted_inverse(q, u)
+            x_inv, m = _lifted_inverse(q_live, u)
+        if eliminate and it % _MVEE_ELIMINATE == 0:
+            keep = m >= _support_floor(m.max() - (r + 1.0), r)
+            if not keep.all():
+                live, q_live, u = live[keep], q_live[:, keep], u[keep] / u[keep].sum()
+                x_inv, m = _lifted_inverse(q_live, u)
     else:
         raise OracleError(f"enclosing ellipsoid not within eps={eps:g} "
                           f"after {MVEE_MAX_ITER} iterations")

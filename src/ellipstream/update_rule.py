@@ -34,7 +34,7 @@ class UpdateError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoundingState:
     """The sandwich center + alpha*E inside the hull inside center + E, with
     E = {basis @ factor @ x : |x| <= 1} on an orthonormal d x k basis of the
@@ -293,7 +293,10 @@ def _irregular(state: RoundingState, z: np.ndarray,
     k = state.dim
     root = float(fr.z[k])
     scale = (1.0 + alpha) / root
-    factor = np.block([[state.factor, coeffs[:, None] / root], [np.zeros((1, k)), rnorm / root]])
+    factor = np.zeros((k + 1, k + 1))
+    factor[:k, :k] = state.factor
+    factor[:k, k] = coeffs / root
+    factor[k, k] = rnorm / root
     return _checked(RoundingState(
         state.center + (alpha / (1.0 + 2.0 * alpha)) * delta, fr.basis,
         scale * factor, fr.shear / scale, 1.0 / (1.0 / alpha + 1.0),

@@ -450,6 +450,21 @@ def test_two_axis_drop_verifies(tmp_path, g):
     assert certs["failures"] == 0 and math.isfinite(certs["worst_margin"])
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_verify_exits_2_when_the_final_body_misses_a_point(tmp_path):
+    # scaled by 1e160 the span test's squares overflow, so every point after
+    # the first is taken for a skip: no step fails, but the final body, a
+    # single point, misses the rest of the stream
+    pts = np.random.default_rng(5).standard_normal((400, 5)) * 1e160
+    path = tmp_path / "huge.csv"
+    np.savetxt(path, pts, fmt="%.17g", delimiter=",")
+    assert cli.main(["--mode", "verify", "--input", str(path),
+                     "--out", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["certificates"]["failures"] == 0
+    assert report["constants"]["worst_final_margin"] > oracle.MONOTONE_TOL
+
+
 def test_verify_decomposes_only_on_fallback(tmp_path, monkeypatch):
     # the closed-form certificate needs no SVD view: a verify run makes at
     # most two per step the sampled path checks, plus the final margin's

@@ -49,6 +49,12 @@ class TestConstruction:
         with pytest.raises(EllipsoidError):
             Ellipsoid(np.zeros(2), axes, np.array([1.0, 1.0]))
 
+    def test_equality_is_identity_and_bodies_hash(self):
+        # numpy fields have no truth value, so == compares identity
+        a, b = Ellipsoid.ball(np.zeros(2), 1.0), Ellipsoid.ball(np.zeros(2), 1.0)
+        assert (a == b) is False and a == a
+        assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
     def test_scaled(self):
         e = Ellipsoid.ball(np.zeros(2), 1.0).scaled(3.0)
         assert np.allclose(e.semiaxes, 3.0)

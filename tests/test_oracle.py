@@ -273,6 +273,20 @@ def test_point_set_oracles_refuse_malformed_points(oracle_name):
     POINT_SETS[oracle_name](SIMPLEX)
 
 
+VALUE_RECORDS = {
+    "HullSpec": lambda: HullSpec(point_list=(np.zeros(2), np.ones(2))),
+    "RoundingState": lambda: RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(2), 1.0), 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_RECORDS))
+def test_records_of_arrays_compare_by_identity_and_hash(name):
+    # numpy fields have no truth value, so == compares identity
+    a, b = VALUE_RECORDS[name](), VALUE_RECORDS[name]()
+    assert (a == b) is False and a == a
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
+
 class TestCheckMonotoneStep:
     def make_state(self, d=2, alpha=0.5):
         return RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(d), 1.0), alpha=alpha)
@@ -550,6 +564,100 @@ class TestMvee:
         ref = mvee_khachiyan(pts, eps=1e-10)
         gap = 0.5 * r * math.log1p(eps * (r + 1) / r)
         assert abs(log_volume(e) - log_volume(ref)) <= gap + 1e-9
+
+    @staticmethod
+    def drifting_cloud(seed, n=600, d=6):
+        # unit gaussian directions whose norm grows by e^0.005 per point, as
+        # in perfbench's audit-file workload: a few dozen points support the
+        # optimum
+        g = np.random.default_rng(seed).standard_normal((n, d))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        return g * np.exp(0.005 * np.arange(1, n + 1))[:, None]
+
+    @staticmethod
+    def spy_live_sets(monkeypatch):
+        """Record, for every fresh inverse, the indices of the points it
+        spans, by their first lifted coordinate; the first call spans all."""
+        calls, lifted = [], oracle._lifted_inverse
+
+        def spy(q, u):
+            if not calls:
+                calls.append(q[0].copy())
+            calls.append(np.flatnonzero(np.isin(calls[0], q[0])))
+            return lifted(q, u)
+
+        monkeypatch.setattr(oracle, "_lifted_inverse", spy)
+        return calls
+
+    @staticmethod
+    def assert_covering_and_near_optimal(pts, eps, e):
+        r = e.rank
+        bound = math.sqrt(1.0 + eps * (r + 1) / r) - 1.0
+        assert max(membership(e, p) for p in pts) <= bound + 1e-12
+        ref = mvee_khachiyan(pts, eps=1e-10)
+        gap = 0.5 * r * math.log1p(eps * (r + 1) / r)
+        assert abs(log_volume(e) - log_volume(ref)) <= gap + 1e-9
+
+    def test_support_floor_is_sharp_and_absolute(self):
+        # lifted simplex vertices q_i support the optimum with equal weights,
+        # and under weights u they have m_i = 1/u_i: the floor is attained
+        # there, and holds for every u
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            r = int(rng.integers(1, 8))
+            m = 1.0 / rng.dirichlet(np.full(r + 1, rng.uniform(0.1, 3.0)))
+            assert m.min() >= oracle._support_floor(m.max() - (r + 1), r) * (1.0 - 1e-12)
+        m = 1.0 / np.array([0.9, 0.05, 0.05])
+        assert m.min() >= oracle._support_floor(m.max() - 3, 2)
+        # with the relative gap max m / (r+1) - 1 the floor would cut the
+        # triangle's heavy vertex
+        assert m.min() < oracle._support_floor(m.max() / 3 - 1, 2)
+        assert oracle._support_floor(0.0, 5) == 6.0
+
+    def test_elimination_keeps_a_tenth_and_covers(self, monkeypatch):
+        pts = self.drifting_cloud(1)
+        calls = self.spy_live_sets(monkeypatch)
+        eps = 1e-3
+        e = mvee_khachiyan(pts, eps=eps)
+        assert min(len(ids) for ids in calls[1:]) <= 60
+        self.assert_covering_and_near_optimal(pts, eps, e)
+
+    def test_deleted_support_points_are_restored(self, monkeypatch):
+        # a floor of 0.7 max m at the first elimination cuts into the
+        # optimum's support; the confirmation over every point must then
+        # bring the points back
+        pts = np.random.default_rng(3).uniform(-1.0, 1.0, (300, 4))
+        eps = 1e-6
+        ref = mvee_khachiyan(pts, eps=1e-10)
+        support = {i for i, p in enumerate(pts) if membership(ref, p) > -1e-6}
+        floors, floor = [], oracle._support_floor
+
+        def cutting(gap, r):
+            floors.append(gap)
+            return 0.7 * (r + 1.0 + gap) if len(floors) == 1 else floor(gap, r)
+
+        monkeypatch.setattr(oracle, "_support_floor", cutting)
+        calls = self.spy_live_sets(monkeypatch)
+        e = mvee_khachiyan(pts, eps=eps)
+        live = [set(ids.tolist()) for ids in calls[1:]]
+        cut = next(t for t, ids in enumerate(live) if len(ids) < len(pts))
+        assert support - live[cut]
+        assert sum(len(ids) == len(pts) for ids in live[cut:]) >= 2
+        monkeypatch.undo()
+        self.assert_covering_and_near_optimal(pts, eps, e)
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(100, 600),
+           st.sampled_from(["gaussian", "uniform", "drift"]))
+    def test_covering_and_near_optimal_at_scale(self, seed, d, n, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "drift":
+            pts = self.drifting_cloud(seed, n, d)
+        elif kind == "uniform":
+            pts = rng.uniform(-1.0, 1.0, (n, d))
+        else:
+            pts = rng.standard_normal((n, d))
+        self.assert_covering_and_near_optimal(pts, 1e-6, mvee_khachiyan(pts, eps=1e-6))
 
 
 class TestInequalitySuite:
