@@ -54,8 +54,12 @@ class RunConfig:
                 raise InputError("--c0 must be comma-separated numbers") from None
         if self.mode not in MODES:
             raise InputError(f"unknown mode {self.mode!r}")
-        if (self.input_path is None) == (self.gen is None) and \
-                self.mode not in ("adversary", "inequalities"):
+        if self.mode in ("adversary", "inequalities"):
+            for flag, value in (("--input", self.input_path), ("--gen", self.gen),
+                                ("--verify-every", self.verify_every)):
+                if value is not None:
+                    raise InputError(f"{self.mode} mode reads no stream; it takes no {flag}")
+        elif (self.input_path is None) == (self.gen is None):
             raise InputError("exactly one of --input and --gen is required")
         if self.d < 1 or self.n < 1 or self.lattice_n < 1:
             raise InputError("d, n, and N must be positive")

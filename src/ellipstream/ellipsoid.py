@@ -155,6 +155,8 @@ def basis_split(center: np.ndarray, basis: np.ndarray, s_max: float,
     joins coeffs: [coeffs, rnorm] spells delta in [basis, residual/rnorm].
     """
     x = np.asarray(x, dtype=float)
+    if x.shape != center.shape:
+        raise EllipsoidError(f"point of shape {x.shape} against a center of shape {center.shape}")
     delta = x - center
     coeffs = basis.T @ delta
     residual = delta - basis @ coeffs
@@ -188,6 +190,8 @@ def scan_rows(center: np.ndarray, basis: np.ndarray, scale_map: np.ndarray,
     gemv move the residual by a few ulps of |delta|; their rho agrees with
     the scalar one to scan_tolerance * max(1, rho).
     """
+    if xs.ndim != 2 or xs.shape[1:] != center.shape:
+        raise EllipsoidError(f"rows of shape {xs.shape} against a center of shape {center.shape}")
     delta = xs - center
     rho = row_norms(delta @ scale_map.T)
     if basis.shape[1] == basis.shape[0]:

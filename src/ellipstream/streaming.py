@@ -150,7 +150,8 @@ def fold(stream: Iterable[np.ndarray],
     each Step that changes the state. After two skips, the rows ahead that
     leading_skips certifies at `skip_limit(state)` (recomputed when the
     state changes) are recorded as skips without calling `advance`. A
-    NumericalLimitError is re-raised with the index of the step that hit it.
+    NumericalLimitError is re-raised with the index of the step that hit it;
+    a block of points not of the state's dimension raises ValueError.
     """
     report = RunReport()
     limit = 0.0 if state is None else skip_limit(state)
@@ -158,6 +159,9 @@ def fold(stream: Iterable[np.ndarray],
     skips, t = 0, 0
     try:
         for t0, block in chunks(stream):
+            if state is not None and block.shape[1] != len(state.center):
+                raise ValueError(f"point of dimension {block.shape[1]} at index {t0}, "
+                                 f"against a state of dimension {len(state.center)}")
             i, n = 0, len(block)
             while i < n:
                 if skips == 2:

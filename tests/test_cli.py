@@ -358,6 +358,30 @@ class TestRun:
         assert "--R must be finite" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("args, flag", [
+        (("--mode", "adversary", "--d", "3", "--R", "8", "--verify-every", "1"), "--verify-every"),
+        (("--mode", "adversary", "--d", "3", "--R", "8", "--gen", "ball"), "--gen"),
+        (("--mode", "adversary", "--d", "3", "--input", "points.csv"), "--input"),
+        (("--mode", "inequalities", "--verify-every", "2"), "--verify-every"),
+        (("--mode", "inequalities", "--gen", "ball"), "--gen"),
+    ], ids=["adversary-verify-every", "adversary-gen", "adversary-input",
+            "inequalities-verify-every", "inequalities-gen"])
+    def test_streamless_modes_refuse_stream_flags(self, tmp_path, capsys, args, flag):
+        assert self.run_cli(tmp_path, *args) == 1
+        assert capsys.readouterr().err == \
+            f"error: {args[1]} mode reads no stream; it takes no {flag}\n"
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (("--mode", "seeded", "--gen", "gaussian", "--d", "3", "--c0", "0,0", "--r0", "0.1"),
+         "--c0 dimension does not match the points"),
+        (("--mode", "online", "--gen", "gaussian", "--d", "0"), "d, n, and N must be positive"),
+    ], ids=["c0-dimension", "non-positive-d"])
+    def test_refusals_exit_1(self, tmp_path, capsys, args, message):
+        assert self.run_cli(tmp_path, *args) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "report.json").exists()
+
     def test_inequalities_mode(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

@@ -87,6 +87,11 @@ class TestMembership:
         e = Ellipsoid(np.zeros(3), np.eye(3)[:, :2], np.array([1.0, 1.0]))
         assert membership(e, np.array([0.5, 0.0, 0.0])) < 0
 
+    def test_scalar_point_is_refused_not_broadcast(self):
+        # 0.5 would otherwise score as (0.5, 0.5, 0.5)
+        with pytest.raises(EllipsoidError, match=r"shape \(\) against a center of shape \(3,\)"):
+            membership(Ellipsoid.ball(np.zeros(3), 1.0), 0.5)
+
 
 class TestMaxMembership:
     """The batched max equals the per-point max bit for bit."""
@@ -112,6 +117,23 @@ class TestMaxMembership:
         e = Ellipsoid.point(z)
         assert max_membership(e, np.array([z, z])) == 0.0
         assert max_membership(e, np.array([z, np.nextafter(z, 4.0)])) == math.inf
+
+    def test_rows_of_another_width_are_refused_not_broadcast(self):
+        with pytest.raises(EllipsoidError,
+                           match=r"rows of shape \(4, 1\) against a center of shape \(3,\)"):
+            max_membership(Ellipsoid.ball(np.zeros(3), 1.0), np.full((4, 1), 2.0))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Ellipsoid(np.zeros(3), np.eye(2), np.ones(2)), "axes must be d x k"),
+    (lambda: Ellipsoid(np.zeros(2), np.eye(2), np.ones(3)), "one semiaxis length per axis"),
+    (lambda: Ellipsoid(np.array([0.0, np.nan]), np.eye(2), np.ones(2)), "non-finite entries"),
+    (lambda: containment_margin(Ellipsoid.ball(np.zeros(3), 1.0),
+                                Ellipsoid.ball(np.zeros(2), 1.0)), "dimension mismatch"),
+], ids=["axes", "semiaxes", "non-finite", "containment"])
+def test_malformed_bodies_are_refused(make, message):
+    with pytest.raises(EllipsoidError, match=message):
+        make()
 
 
 class TestVolumeAndSupport:

@@ -273,6 +273,15 @@ def test_point_set_oracles_refuse_malformed_points(oracle_name):
     POINT_SETS[oracle_name](SIMPLEX)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: HullSpec(), "empty hull spec"),
+    (lambda: mvee_khachiyan(SQUARE, eps=0.5), r"eps must lie in \(0, 0.5\)"),
+], ids=["HullSpec", "mvee_khachiyan"])
+def test_refusals(make, message):
+    with pytest.raises(OracleError, match=message):
+        make()
+
+
 VALUE_RECORDS = {
     "HullSpec": lambda: HullSpec(point_list=(np.zeros(2), np.ones(2))),
     "RoundingState": lambda: RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(2), 1.0), 0.5),
@@ -575,21 +584,6 @@ class TestMvee:
         return g * np.exp(0.005 * np.arange(1, n + 1))[:, None]
 
     @staticmethod
-    def spy_live_sets(monkeypatch):
-        """Record, for every fresh inverse, the indices of the points it
-        spans, by their first lifted coordinate; the first call spans all."""
-        calls, lifted = [], oracle._lifted_inverse
-
-        def spy(q, u):
-            if not calls:
-                calls.append(q[0].copy())
-            calls.append(np.flatnonzero(np.isin(calls[0], q[0])))
-            return lifted(q, u)
-
-        monkeypatch.setattr(oracle, "_lifted_inverse", spy)
-        return calls
-
-    @staticmethod
     def assert_covering_and_near_optimal(pts, eps, e):
         r = e.rank
         bound = math.sqrt(1.0 + eps * (r + 1) / r) - 1.0
@@ -598,53 +592,35 @@ class TestMvee:
         gap = 0.5 * r * math.log1p(eps * (r + 1) / r)
         assert abs(log_volume(e) - log_volume(ref)) <= gap + 1e-9
 
-    def test_support_floor_is_sharp_and_absolute(self):
-        # lifted simplex vertices q_i support the optimum with equal weights,
-        # and under weights u they have m_i = 1/u_i: the floor is attained
-        # there, and holds for every u
-        rng = np.random.default_rng(7)
-        for _ in range(2000):
-            r = int(rng.integers(1, 8))
-            m = 1.0 / rng.dirichlet(np.full(r + 1, rng.uniform(0.1, 3.0)))
-            assert m.min() >= oracle._support_floor(m.max() - (r + 1), r) * (1.0 - 1e-12)
-        m = 1.0 / np.array([0.9, 0.05, 0.05])
-        assert m.min() >= oracle._support_floor(m.max() - 3, 2)
-        # with the relative gap max m / (r+1) - 1 the floor would cut the
-        # triangle's heavy vertex
-        assert m.min() < oracle._support_floor(m.max() / 3 - 1, 2)
-        assert oracle._support_floor(0.0, 5) == 6.0
+    def test_extreme_start_is_sparse_and_nonsingular(self):
+        rng = np.random.default_rng(8)
+        for r in range(1, 9):
+            for pts in (rng.standard_normal((40, r)), rng.uniform(-1.0, 1.0, (300, r)),
+                        self.drifting_cloud(r, 600, r), rng.standard_normal((r + 1, r))):
+                p = pts - pts.mean(axis=0)
+                u = oracle._extreme_start(p)
+                assert np.count_nonzero(u) <= 2 * r
+                assert u.min() >= 0.0
+                assert u.sum() == pytest.approx(1.0, abs=1e-15)
+                q = np.vstack([p.T, np.ones(len(p))])
+                assert np.linalg.matrix_rank(q @ (u[:, None] * q.T)) == r + 1
 
-    def test_elimination_keeps_a_tenth_and_covers(self, monkeypatch):
+    @pytest.mark.parametrize("d", [2, 3, 6, 8])
+    def test_extreme_start_on_a_simplex_is_every_vertex(self, d):
+        verts = simplex_vertices(d)
+        interior = np.random.default_rng(d).dirichlet(np.ones(d + 1), 200) @ verts
+        for pts in (verts, np.vstack([verts, interior])):
+            u = oracle._extreme_start(pts - pts.mean(axis=0))
+            assert np.array_equal(u[:d + 1], np.full(d + 1, 1.0 / (d + 1)))
+            assert not u[d + 1:].any()
+
+    def test_start_on_a_drifting_cloud_covers(self):
+        # a few dozen of the 600 points support the optimum: the iterations
+        # from the start must still reach every point
         pts = self.drifting_cloud(1)
-        calls = self.spy_live_sets(monkeypatch)
+        assert np.count_nonzero(oracle._extreme_start(pts - pts.mean(axis=0))) <= 12
         eps = 1e-3
-        e = mvee_khachiyan(pts, eps=eps)
-        assert min(len(ids) for ids in calls[1:]) <= 60
-        self.assert_covering_and_near_optimal(pts, eps, e)
-
-    def test_deleted_support_points_are_restored(self, monkeypatch):
-        # a floor of 0.7 max m at the first elimination cuts into the
-        # optimum's support; the confirmation over every point must then
-        # bring the points back
-        pts = np.random.default_rng(3).uniform(-1.0, 1.0, (300, 4))
-        eps = 1e-6
-        ref = mvee_khachiyan(pts, eps=1e-10)
-        support = {i for i, p in enumerate(pts) if membership(ref, p) > -1e-6}
-        floors, floor = [], oracle._support_floor
-
-        def cutting(gap, r):
-            floors.append(gap)
-            return 0.7 * (r + 1.0 + gap) if len(floors) == 1 else floor(gap, r)
-
-        monkeypatch.setattr(oracle, "_support_floor", cutting)
-        calls = self.spy_live_sets(monkeypatch)
-        e = mvee_khachiyan(pts, eps=eps)
-        live = [set(ids.tolist()) for ids in calls[1:]]
-        cut = next(t for t, ids in enumerate(live) if len(ids) < len(pts))
-        assert support - live[cut]
-        assert sum(len(ids) == len(pts) for ids in live[cut:]) >= 2
-        monkeypatch.undo()
-        self.assert_covering_and_near_optimal(pts, eps, e)
+        self.assert_covering_and_near_optimal(pts, eps, mvee_khachiyan(pts, eps=eps))
 
     @settings(max_examples=6, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(100, 600),

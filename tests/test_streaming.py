@@ -148,7 +148,33 @@ class TestAffineEquivariance:
             assert worst <= 1e-7
 
 
+@pytest.mark.parametrize("d, n, seed", [(3, 200, 2), (4, 300, 11), (6, 600, 5)])
+@pytest.mark.parametrize("c", [2, 4, 6])
+def test_affine_equivariance_up_to_condition_1e6(d, n, seed, c):
+    # A = Q diag(logspace(0, c, d)) has condition 10^c; the mapped run must
+    # replay the run on the gaussian stream
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n, d))
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    mapped = pts @ (q * np.logspace(0, c, d)).T + 3.0
+    _, base = run_fully_online(pts)
+    state, report = run_fully_online(mapped)
+    assert [r.step_kind for r in report.records] == [r.step_kind for r in base.records]
+    assert run_coreset(mapped)[0].selected == run_coreset(pts)[0].selected
+    inv = np.array([1.0 / r.alpha for r in report.records])
+    inv0 = np.array([1.0 / r.alpha for r in base.records])
+    assert np.max(np.abs(inv / inv0 - 1.0)) <= 1e-9
+    assert max_membership(state.ellipsoid, mapped) <= 1e-9
+
+
 class TestSeeded:
+    def test_points_of_another_dimension_are_refused(self):
+        # a (10, 1) stream against a 3-d seed ball would otherwise broadcast
+        # to a body centred on the diagonal
+        with pytest.raises(ValueError, match="point of dimension 1 at index 1, "
+                                             "against a state of dimension 3"):
+            run_seeded(np.linspace(0, 5, 10)[:, None], np.zeros(3), 0.5)
+
     def test_phase1_only(self):
         # all points inside the gate radius: both bodies stay balls
         rng = np.random.default_rng(23)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellipstream.ellipsoid import SPAN_RES, Ellipsoid, log_volume, membership
+from ellipstream import update_rule
+from ellipstream.ellipsoid import SPAN_RES, Ellipsoid, EllipsoidError, log_volume, membership
 from ellipstream.oracle import check_monotone_step
 from ellipstream.update_rule import (
     RoundingState,
@@ -80,6 +81,12 @@ class TestSolveGamma:
     def test_rho_must_exceed_one(self):
         with pytest.raises(UpdateError):
             solve_gamma(1.0, 0.5)
+
+    def test_no_iterations_do_not_converge(self, monkeypatch):
+        # a + c at the bracket's top end lies outside even the fallback window
+        monkeypatch.setattr(update_rule, "GAMMA_MAX_ITER", 0)
+        with pytest.raises(UpdateError, match="gamma solve did not converge"):
+            solve_gamma(2.0, 0.5)
 
 
 class TestFullUpdate:
@@ -275,3 +282,10 @@ class TestStep:
         st0 = RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(2), 1.0), alpha=0.5)
         with pytest.raises(UpdateError, match="non-finite"):
             step(st0, np.array([np.nan, 0.0]))
+
+    @pytest.mark.parametrize("z", [3.0, np.array([3.0])], ids=["scalar", "length-1"])
+    def test_point_of_another_dimension_is_refused_not_broadcast(self, z):
+        # either would otherwise step toward (3, 3, 3)
+        st0 = RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(3), 1.0), alpha=0.5)
+        with pytest.raises(EllipsoidError, match=r"against a center of shape \(3,\)"):
+            step(st0, z)
