@@ -113,7 +113,8 @@ def chunks(stream: Iterable[np.ndarray]) -> Iterator[Tuple[int, np.ndarray]]:
     """(t0, block): the stream as float blocks of up to CHUNK_ROWS rows, the
     first at stream index t0 (counting from 1); slices of an ndarray, islice
     of anything else. A non-finite row at index t raises ValueError naming
-    t, once the finite rows before it have been yielded.
+    t, once the finite rows before it have been yielded; so does a row of
+    anything else whose shape is not the first row's, before its block.
     """
     t0 = 1
     for block in _blocks(stream):
@@ -134,9 +135,20 @@ def _blocks(stream: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
         for i in range(0, len(pts), CHUNK_ROWS):
             yield pts[i:i + CHUNK_ROWS]
         return
-    it = iter(stream)
+    it, t0, shape = iter(stream), 1, None
     while rows := list(islice(it, CHUNK_ROWS)):
-        yield np.asarray(rows, dtype=float)
+        if shape is None:
+            shape = np.shape(rows[0])
+        try:
+            block = np.asarray(rows, dtype=float)
+        except ValueError:
+            bad = next((i for i, row in enumerate(rows) if np.shape(row) != shape), None)
+            if bad is None:
+                raise
+            raise ValueError(f"point of shape {np.shape(rows[bad])} at index {t0 + bad}, "
+                             f"against points of shape {shape}") from None
+        yield block
+        t0 += len(rows)
 
 
 def fold(stream: Iterable[np.ndarray],

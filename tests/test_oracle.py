@@ -41,6 +41,52 @@ def linprog_membership(points, x) -> bool:
     return res.status == 0
 
 
+def reference_min_norm_point(lmo, start, tol, dropped_first=None):
+    """Wolfe's method with each minor cycle's affine min-norm point solved
+    afresh by np.linalg.lstsq on the corral's atom differences, the
+    reference for the oracle's updated QR factor. Appends to
+    `dropped_first`, if given, whether each drop removed the first atom."""
+    max_iter = oracle._cycle_budget(len(start))
+    corral = start[None, :]
+    lam = np.ones(1)
+    y = start
+    for _ in range(max_iter):
+        dist = float(np.linalg.norm(y))
+        if dist <= tol:
+            return dist
+        s = lmo(y)
+        if float(y @ (y - s)) <= tol * dist:
+            return dist
+        corral = np.vstack([corral, s])
+        lam = np.append(lam, 0.0)
+        while True:
+            a0 = corral[0]
+            t = np.linalg.lstsq((corral[1:] - a0).T, -a0, rcond=None)[0]
+            mu = np.concatenate([[1.0 - t.sum()], t])
+            if mu.min() > 0.0:
+                lam = mu
+                break
+            neg = np.flatnonzero(mu <= 0.0)
+            ratios = lam[neg] / np.maximum(lam[neg] - mu[neg], 1e-300)
+            j = int(np.argmin(ratios))
+            lam = lam + ratios[j] * (mu - lam)
+            keep = lam > 0.0
+            keep[neg[j]] = False
+            if dropped_first is not None:
+                dropped_first.append(not keep[0])
+            corral, lam = corral[keep], lam[keep] / lam[keep].sum()
+        y = lam @ corral
+    raise OracleError(f"min-norm point not reached in {max_iter} major cycles")
+
+
+def on_reference(fn, *args, dropped_first=None):
+    """fn(*args) with reference_min_norm_point in place of the oracle's."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_min_norm_point", lambda lmo, start, tol: reference_min_norm_point(
+            lmo, start, tol, dropped_first))
+        return fn(*args)
+
+
 class TestHullMembership:
     def test_interior(self):
         assert hull_membership(SQUARE, np.array([0.3, -0.2]))
@@ -230,6 +276,108 @@ class TestUnionHullDistance:
         assert union_hull_distance(h, off) == pytest.approx(1e-3, abs=1e-9)
         assert union_hull_distance(h, np.full(3, 4.0)) == pytest.approx(
             math.sqrt(3.0), abs=1e-9)
+
+
+def cloud(kind, rng, n, d):
+    """n points in R^d: gaussian, gaussian with repeats, or on three
+    segments, whose corrals become affinely dependent."""
+    if kind == "gaussian":
+        return rng.standard_normal((n, d))
+    if kind == "repeated":
+        base = rng.standard_normal((max(2, n // 3), d))
+        return base[rng.integers(0, len(base), n)]
+    ends = rng.standard_normal((3, 2, d))
+    seg, t = rng.integers(0, 3, n), rng.random(n)
+    return ends[seg, 0] + t[:, None] * (ends[seg, 1] - ends[seg, 0])
+
+
+# the vertex nearest the origin starts the corral, but the hull's nearest
+# point lies on the opposite edge, at distance 1: a minor cycle drops it
+NEAREST_DROPPED = np.array([[0.5, 1.5], [-5.0, 1.0], [5.0, 1.0]])
+
+
+class TestAgainstReference:
+    """Both hull oracles on the updated QR factor against
+    reference_min_norm_point's least-squares minor cycle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["gaussian", "repeated", "collinear"]),
+           st.integers(2, 48), st.data())
+    def test_clouds_agree_with_reference(self, seed, kind, d, data):
+        n = data.draw(st.integers(d + 1, 2 * d + 8))
+        rng = np.random.default_rng(seed)
+        pts = cloud(kind, rng, n, d)
+        h = HullSpec(point_list=tuple(pts))
+        c = pts.mean(axis=0)
+        u = rng.standard_normal(d)
+        u /= np.linalg.norm(u)
+        v = pts[int(np.argmax(pts @ u))]
+        w = rng.random(n) + 0.05
+        # inside, beyond a vertex along the ray from the centroid, off a
+        # vertex along a direction it maximizes, and anywhere
+        for q in ((w / w.sum()) @ pts, c + 1.05 * (v - c), v + 0.1 * u, rng.standard_normal(d)):
+            assert hull_membership(pts, q) is on_reference(hull_membership, pts, q)
+            assert union_hull_distance(h, q) == pytest.approx(
+                on_reference(union_hull_distance, h, q), abs=1e-9)
+
+    @pytest.mark.parametrize("d", [2, 16, 48])
+    def test_drop_of_the_first_atom(self, d):
+        rng = np.random.default_rng(d)
+        basis = np.linalg.qr(rng.standard_normal((d, 2)))[0]
+        x = rng.standard_normal(d)
+        pts = NEAREST_DROPPED @ basis.T + x
+        h = HullSpec(point_list=tuple(pts))
+        dropped = []
+        ref = on_reference(union_hull_distance, h, x, dropped_first=dropped)
+        assert dropped[0]
+        assert ref == pytest.approx(1.0, abs=1e-12)
+        assert union_hull_distance(h, x) == pytest.approx(ref, abs=1e-12)
+        inside = x + basis @ np.array([0.0, 1.2])
+        for q, expected in ((x, False), (inside, True)):
+            assert hull_membership(pts, q) is on_reference(hull_membership, pts, q) is expected
+
+    def test_no_least_squares_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.lstsq called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        rng = np.random.default_rng(54)
+        pts = rng.standard_normal((40, 16))
+        h = HullSpec(point_list=tuple(pts), ellipsoid_list=(Ellipsoid.ball(np.ones(16), 0.5),))
+        for q in (pts.mean(axis=0), 3.0 * pts[0], rng.standard_normal(16)):
+            hull_membership(pts, q)
+            union_hull_distance(h, q)
+        tri = HullSpec(point_list=tuple(NEAREST_DROPPED))
+        assert union_hull_distance(tri, np.zeros(2)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_d64_agrees_with_linprog(self):
+        # CGS2's loss of orthogonality would show first in a corral of
+        # d + 1 atoms, which an interior query at high d needs
+        d, n = 64, 192
+        rng = np.random.default_rng(55)
+        pts = rng.standard_normal((n, d))
+        h = HullSpec(point_list=tuple(pts))
+        c = pts.mean(axis=0)
+        queries = []
+        for _ in range(2):
+            w = rng.random(n) + 0.05
+            queries.append(((w / w.sum()) @ pts, True))
+            u = rng.standard_normal(d)
+            u /= np.linalg.norm(u)
+            queries.append((c + 1.05 * (pts[int(np.argmax(pts @ u))] - c), False))
+            # where the ray c + t u leaves the hull: max t with
+            # pts^T lam - t u = c, sum lam = 1, lam >= 0
+            res = linprog(np.append(np.zeros(n), -1.0),
+                          A_eq=np.vstack([np.hstack([pts.T, -u[:, None]]),
+                                          np.append(np.ones(n), 0.0)]),
+                          b_eq=np.append(c, 1.0), bounds=(0.0, None), method="highs")
+            assert res.status == 0, res.message
+            queries += [(c + (1.0 - 1e-4) * res.x[-1] * u, True),
+                        (c + (1.0 + 1e-4) * res.x[-1] * u, False)]
+        for q, expected in queries:
+            assert linprog_membership(pts, q) is expected
+            assert hull_membership(pts, q) is expected
+            assert (union_hull_distance(h, q) <= 1e-7) is expected
 
 
 SIMPLEX = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])

@@ -712,6 +712,17 @@ class TestErrorOrdering:
         with pytest.raises(ValueError, match="index 138"):
             run_coreset(given(pts))
 
+    @pytest.mark.parametrize("rows, index", [
+        (lambda: [np.zeros(3), np.ones(2)], 2),
+        (lambda: iter([*np.random.default_rng(7).standard_normal((300, 3)), np.ones(2)]), 301),
+    ], ids=["list", "iterator"])
+    def test_ragged_rows_named_by_index(self, rows, index):
+        # numpy's own error on a ragged block names no row
+        for run in (run_fully_online, run_coreset, lambda pts: run_seeded(pts, np.zeros(3), 0.5)):
+            with pytest.raises(ValueError, match=rf"point of shape \(2,\) at index {index}, "
+                                                 r"against points of shape \(3,\)"):
+                run(rows())
+
     @pytest.mark.parametrize("driver", ["online", "seeded", "coreset"])
     def test_collapse_before_a_later_nan_still_wins(self, driver):
         run = {"online": run_fully_online,
