@@ -25,7 +25,7 @@ RANK_COLLAPSE_RATIO = 1e-10
 CONTAINMENT_TOL = 1e-8
 
 # a vector is off a body's span once its orthogonal residual exceeds this
-# fraction of the body's own scale; far above SVD noise
+# fraction of the body's span scale (basis_split); far above SVD noise
 SPAN_TOL = 1e-8
 # ... and this fraction of the coordinates' size, a few hundred ulps
 SPAN_RES = 256 * np.finfo(float).eps
@@ -130,6 +130,17 @@ class Ellipsoid:
         return Ellipsoid(self.center, self.axes, self.semiaxes * factor)
 
 
+def span_scale(a: np.ndarray, k: int) -> float:
+    """basis_split's body scale |a|_F / k^(1/4), 0 at rank 0, for a rank-k body's
+    semiaxes or k x k factor a: the geometric middle of [|a|_F / sqrt(k), |a|_F],
+    which holds s_max. Rescaled by max|a| where sum a^2 overflows or underflows to 0."""
+    sq = np.vdot(a, a)
+    if 0.0 < sq < math.inf or not a.any():
+        return math.sqrt(sq) / max(k, 1) ** 0.25
+    m = np.abs(a).max()
+    return float(m * math.sqrt(np.vdot(a / m, a / m)) / k ** 0.25)
+
+
 class SpanSplit(NamedTuple):
     delta: np.ndarray     # x - center
     coeffs: np.ndarray    # span coordinates of delta
@@ -139,20 +150,21 @@ class SpanSplit(NamedTuple):
 
 
 def span_split(e: Ellipsoid, x: np.ndarray) -> SpanSplit:
-    """basis_split against the body's axes and its largest semiaxis."""
-    return basis_split(e.center, e.axes, float(e.semiaxes[0]) if e.rank else 0.0, x)
+    """basis_split against the body's axes and its span scale."""
+    return basis_split(e.center, e.axes, span_scale(e.semiaxes, e.rank), x)
 
 
-def basis_split(center: np.ndarray, basis: np.ndarray, s_max: float,
+def basis_split(center: np.ndarray, basis: np.ndarray, scale: float,
                 x: np.ndarray) -> SpanSplit:
     """Split x - center into coordinates on the orthonormal `basis` and an
     orthogonal residual; the one off-span test every layer shares.
 
     x is off-span once the residual exceeds both SPAN_TOL * max(|delta|,
-    s_max), the body's own scale, and SPAN_RES * (|delta| + |center|), the
-    rounding of the coordinates; at rank 0 only the second applies. An
-    off-span residual gets a second Gram-Schmidt pass whose correction
-    joins coeffs: [coeffs, rnorm] spells delta in [basis, residual/rnorm].
+    scale), with `scale` the body's span_scale, and SPAN_RES * (|delta| +
+    |center|), the rounding of the coordinates; at rank 0 only the second
+    applies. An off-span residual gets a second Gram-Schmidt pass whose
+    correction joins coeffs: [coeffs, rnorm] spells delta in [basis,
+    residual/rnorm].
     """
     x = np.asarray(x, dtype=float)
     if x.shape != center.shape:
@@ -163,7 +175,7 @@ def basis_split(center: np.ndarray, basis: np.ndarray, s_max: float,
     rnorm = math.sqrt(residual @ residual)
     dnorm = math.sqrt(delta @ delta)
     # |center| is only needed once the first test passes, which is rare
-    off = (rnorm > SPAN_TOL * max(dnorm, s_max)
+    off = (rnorm > SPAN_TOL * max(dnorm, scale)
            and rnorm > SPAN_RES * (dnorm + math.sqrt(center @ center)))
     if off:
         extra = basis.T @ residual
@@ -180,15 +192,15 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def scan_rows(center: np.ndarray, basis: np.ndarray, scale_map: np.ndarray,
-              s_max: float, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+              scale: float, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Batched span split of the rows of xs against a rank-k body: (rho,
     inside). rho is |scale_map (x - center)|, the row's norm in the body's
     unit-ball coordinates (scale_map is k x d); `inside` marks the rows
-    whose residual off `basis` is at most SPAN_TOL/2 * max(|delta|, s_max),
-    half the off-span threshold, for s_max at most the largest semiaxis.
-    Those rows are in the span for basis_split too, since one gemm and a
-    gemv move the residual by a few ulps of |delta|; their rho agrees with
-    the scalar one to scan_tolerance * max(1, rho).
+    whose residual off `basis` is at most SPAN_TOL/2 * max(|delta|, scale),
+    half the off-span threshold for basis_split at the same scale. Those
+    rows are in the span for basis_split too, since one gemm and a gemv
+    move the residual by a few ulps of |delta|; their rho agrees with the
+    scalar one to scan_tolerance * max(1, rho).
     """
     if xs.ndim != 2 or xs.shape[1:] != center.shape:
         raise EllipsoidError(f"rows of shape {xs.shape} against a center of shape {center.shape}")
@@ -199,7 +211,7 @@ def scan_rows(center: np.ndarray, basis: np.ndarray, scale_map: np.ndarray,
         # ulps of |delta|
         return rho, np.ones(len(rho), dtype=bool)
     rnorm = row_norms(delta - (delta @ basis) @ basis.T)
-    inside = rnorm <= 0.5 * SPAN_TOL * np.maximum(row_norms(delta), s_max)
+    inside = rnorm <= 0.5 * SPAN_TOL * np.maximum(row_norms(delta), scale)
     return rho, inside
 
 
@@ -237,7 +249,7 @@ def max_membership(e: Ellipsoid, xs: np.ndarray) -> float:
     """
     xs = np.asarray(xs, dtype=float)
     s = e.semiaxes
-    rho, inside = scan_rows(e.center, e.axes, (e.axes / s).T, s[0] if e.rank else 0.0, xs)
+    rho, inside = scan_rows(e.center, e.axes, (e.axes / s).T, span_scale(s, e.rank), xs)
     rescore = ~inside
     if inside.any():
         top = float(rho[inside].max())

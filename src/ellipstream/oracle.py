@@ -317,7 +317,7 @@ def _structured_margins(prev: RoundingState, next_: RoundingState,
     if next_.dim != k or not (basis is frame.basis or np.array_equal(basis, frame.basis)):
         return None
     rho = math.sqrt(frame.z @ frame.z)
-    split_c = basis_split(next_.center, basis, next_.factor_norm, prev.center)
+    split_c = basis_split(next_.center, basis, next_.span_scale, prev.center)
     if rho == 0.0 or split_c.off:
         return None
     e1 = frame.z / rho

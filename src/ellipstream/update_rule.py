@@ -15,8 +15,8 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .ellipsoid import (SPAN_TOL, Ellipsoid, SpanSplit, basis_split, log_volume, scan_rows,
-                        scan_tolerance)
+from .ellipsoid import (SPAN_TOL, Ellipsoid, NumericalLimitError, SpanSplit, basis_split,
+                        log_volume, scan_rows, scan_tolerance, span_scale)
 
 GAMMA_MAX_ITER = 200
 GAMMA_REL_RESIDUAL = 1e-10
@@ -70,9 +70,9 @@ class RoundingState:
         return Ellipsoid(self.center, self.basis @ u, s)
 
     @cached_property
-    def factor_norm(self) -> float:
-        """|factor|_F, at least the largest semiaxis."""
-        return math.sqrt(np.vdot(self.factor, self.factor))
+    def span_scale(self) -> float:
+        """The view's span_scale, read off the factor without its SVD."""
+        return span_scale(self.factor, self.dim)
 
     @cached_property
     def inverse_norm(self) -> float:
@@ -82,7 +82,7 @@ class RoundingState:
     @property
     def cond_bound(self) -> float:
         """|factor|_F |inverse|_F, the running bound on s_max/s_min."""
-        return self.factor_norm * self.inverse_norm
+        return max(self.dim, 1) ** 0.25 * self.span_scale * self.inverse_norm
 
 
 @dataclass(frozen=True)
@@ -180,15 +180,8 @@ def _finite_point(z: np.ndarray) -> np.ndarray:
 
 
 def _split(state: RoundingState, z: np.ndarray) -> SpanSplit:
-    """basis_split of z against the state, with the bound |factor|_F on
-    s_max; only a residual between SPAN_TOL * |delta| and SPAN_TOL *
-    |factor|_F needs the exact s_max, from the view."""
-    bound = state.factor_norm
-    split = basis_split(state.center, state.basis, bound, z)
-    if (not split.off and split.rnorm <= SPAN_TOL * bound
-            and split.rnorm > SPAN_TOL * math.sqrt(split.delta @ split.delta)):
-        split = basis_split(state.center, state.basis, float(state.ellipsoid.semiaxes[0]), z)
-    return split
+    """basis_split of z against the state at its span scale."""
+    return basis_split(state.center, state.basis, state.span_scale, z)
 
 
 def is_off_span(state: RoundingState, z: np.ndarray) -> bool:
@@ -238,7 +231,7 @@ def _checked(state: RoundingState) -> RoundingState:
 def _regular(state: RoundingState,
              coeffs: np.ndarray) -> Tuple[RoundingState, Optional[UpdateParams]]:
     """The regular step on an in-span point given by its span coordinates;
-    (state, None) when the point is already covered.
+    (state, None) when covered; NumericalLimitError if rho overflows.
 
     With y the point's unit-ball coordinates, rho = |y| and w = y/rho, the
     factor becomes T' = T (b I + (a - b) w w^T) and its inverse, by Sherman
@@ -248,6 +241,8 @@ def _regular(state: RoundingState,
     rho = math.sqrt(y @ y)
     if rho <= 1.0:
         return state, None
+    if rho == math.inf:
+        raise NumericalLimitError(math.inf)
 
     # solve_gamma enforces alpha <= 1/2
     params = compute_params(solve_gamma(rho, state.alpha), state.alpha)
@@ -276,9 +271,9 @@ def _irregular(state: RoundingState, z: np.ndarray,
     """
     if not (0.0 < state.alpha <= 1.0):
         raise UpdateError("alpha must lie in (0, 1]")
-    # axes below SPAN_TOL/2 * rnorm (a near-duplicate's) are a point at z's
-    # scale, in the new body's span as its s_max >= 2/3 rnorm; kept, they
-    # collapse it. Unless s_min >= 1/|inverse|_F rules them out, drop them
+    # axes under SPAN_TOL/2 rnorm are a near-duplicate's: below 3/4 (k+1)^(1/4) SPAN_TOL times
+    # the raised span scale (|factor|_F >= 2/3 rnorm). Kept, they collapse it, as axes kept by a
+    # lower threshold do. Unless s_min >= 1/|inverse|_F rules them out, drop them
     if state.inverse_norm * 0.5 * SPAN_TOL * split.rnorm >= 1.0:
         body = state.ellipsoid
         keep = body.semiaxes > 0.5 * SPAN_TOL * split.rnorm
@@ -323,10 +318,9 @@ def leading_skips(state: RoundingState, zs: np.ndarray, limit: float = 1.0) -> i
     either threshold ends the run, and `step` re-decides it. A limit above 1
     also passes covered-by-limit rows, which only the coreset may drop.
     """
-    # P = inverse @ basis.T is built per scan, not kept on the state; and
-    # |factor|_F / sqrt(k) <= s_max keeps the span half-threshold a lower bound
+    # P = inverse @ basis.T is built per scan, not kept on the state
     rho, inside = scan_rows(state.center, state.basis, state.inverse @ state.basis.T,
-                            state.factor_norm / math.sqrt(max(state.dim, 1)), zs)
+                            state.span_scale, zs)
     tol = scan_tolerance(len(state.center), state.dim, state.cond_bound)
     ok = inside & (rho <= limit * (1.0 - SKIP_MARGIN - tol))
     j = int(ok.argmin())
@@ -340,15 +334,8 @@ def leading_skips(state: RoundingState, zs: np.ndarray, limit: float = 1.0) -> i
 def full_update_detailed(
     state: RoundingState, z: np.ndarray
 ) -> Tuple[RoundingState, Optional[UpdateParams]]:
-    """One regular step; returns the next state and the scalars used.
-
-    Returns (state, None) unchanged when the point is already covered.
-    """
+    """One regular step: (next state, its scalars), or (state, None) if covered."""
     z = _finite_point(z)
-    if state.alpha > 0.5 + 1e-12:
-        raise UpdateError("alpha must lie in (0, 1/2]")
-    if state.dim == 0:
-        raise UpdateError("irregular step required")
     split = _split(state, z)
     if split.off:
         raise UpdateError("irregular step required")

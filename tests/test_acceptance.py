@@ -19,7 +19,7 @@ from ellipstream.oracle import (
     union_hull_distance,
 )
 from ellipstream.streaming import run_fully_online, run_seeded
-from ellipstream.update_rule import RoundingState, full_update_detailed, irregular_update
+from ellipstream.update_rule import RoundingState, step
 
 MARGIN_TOL = 1e-7
 EVOLUTION_TOL = 1e-9
@@ -164,7 +164,9 @@ def test_criterion_5_irregular_exactness():
         state = RoundingState.from_ellipsoid(body, alpha=alpha)
         root = math.sqrt(1.0 + 2.0 * alpha)
         z = np.array([0.0, 0.0, root])
-        nxt = irregular_update(state, z)
+        s = step(state, z)
+        assert s.kind == "irregular"
+        nxt = s.state
         worst = max(
             worst,
             float(np.abs(nxt.ellipsoid.semiaxes - (1.0 + alpha) / root).max()),
@@ -271,10 +273,16 @@ def _bench_updates(d, n_updates=1000):
     zs = rng.standard_normal((n_updates, d))
     zs *= ((1.05 + 0.2 * rng.random(n_updates))
            / np.linalg.norm(zs, axis=1))[:, None]
+    kinds = set()
     t0 = time.perf_counter()
     for z in zs:
-        state, _ = full_update_detailed(state, z)
-    return (time.perf_counter() - t0) / n_updates
+        s = step(state, z)
+        state = s.state
+        kinds.add(s.kind)
+    elapsed = time.perf_counter() - t0
+    # full-rank bodies: every point is a regular step or a covered skip
+    assert kinds <= {"regular", "skip"}
+    return elapsed / n_updates
 
 
 def test_criterion_10_performance_scaling():

@@ -417,6 +417,13 @@ class TestRun:
         assert err.startswith("error: numerical limit at step t=")
         assert "s_max/s_min" in err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_rho_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "far.csv"
+        path.write_text("0,0\n1,0\n0,1\n1e200,1e200\n")
+        assert self.run_cli(tmp_path, "--mode", "online", "--input", str(path)) == 1
+        assert capsys.readouterr().err.startswith("error: numerical limit at step t=4:")
+
 
 class TestVerifyResolution:
     """A span raise toward a near-duplicate a few thousand ulps away is

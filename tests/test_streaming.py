@@ -261,6 +261,18 @@ class TestNumericalLimit:
         # t is the step that raised: the stream before it runs through
         run(pts[:err.t - 1])
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("driver", ["online", "seeded", "coreset"])
+    def test_overflowing_rho_names_the_step(self, driver):
+        # |y| of the last point overflows to inf: a typed limit at its
+        # index, not an error from the SVD of a NaN body
+        run = {"online": run_fully_online,
+               "seeded": lambda pts: run_seeded(pts, np.zeros(2), 0.5),
+               "coreset": run_coreset}[driver]
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1e200, 1e200]])
+        with pytest.raises(NumericalLimitError, match="numerical limit at step t=4:"):
+            run(pts)
+
 
 class TestRunReport:
     def test_records_strictly_ordered(self):
@@ -457,7 +469,7 @@ def at_rho(state, rhos, rng, residual=0.0):
             n = rng.standard_normal(len(state.center))
             n -= q @ (q.T @ n)
             n -= q @ (q.T @ n)
-            scale = SPAN_TOL * max(np.linalg.norm(delta), state.ellipsoid.semiaxes[0])
+            scale = SPAN_TOL * max(np.linalg.norm(delta), state.span_scale)
             delta = delta + n / np.linalg.norm(n) * residual * scale
         rows.append(state.center + delta)
     return np.array(rows)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellipstream import update_rule
-from ellipstream.ellipsoid import SPAN_RES, Ellipsoid, EllipsoidError, log_volume, membership
+from ellipstream.ellipsoid import (SPAN_RES, Ellipsoid, EllipsoidError, NumericalLimitError,
+                                  log_volume, membership, span_scale, span_split)
 from ellipstream.oracle import check_monotone_step
 from ellipstream.update_rule import (
     RoundingState,
@@ -277,6 +278,38 @@ class TestStep:
                     assert cert.outer_ok and cert.inner_ok
             assert state.dim == 3
             assert max(membership(state.ellipsoid, p) for p in pts) <= 1e-7
+
+    def test_span_decision_makes_no_svd(self, monkeypatch):
+        # the span test reads the span scale |factor|_F / k^(1/4), 3^(1/4)
+        # here, so a residual of 5e-9 at |delta| = 0.1 is in the span,
+        # decided without the factor's SVD
+        body = Ellipsoid(np.zeros(4), np.eye(4)[:, :3], np.ones(3))
+        st0 = RoundingState.from_ellipsoid(body, alpha=0.5)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        s = step(st0, np.array([0.1, 0.0, 0.0, 5e-9]))
+        assert s.kind == "skip" and s.state is st0
+
+    def test_span_scale_survives_an_overflowing_sum_of_squares(self):
+        # sum s_i^2 = 4e308 overflows while s_max = 1e154 does not; at the
+        # true scale a residual of 1e150 is off the span
+        body = Ellipsoid(np.zeros(5), np.eye(5)[:, :4], np.full(4, 1e154))
+        x = np.array([1e150, 0.0, 0.0, 0.0, 1e150])
+        assert span_split(body, x).off
+        st0 = RoundingState.from_ellipsoid(body, alpha=0.5)
+        assert st0.span_scale == pytest.approx(span_scale(body.semiaxes, 4))
+        assert step(st0, x).kind == "irregular"
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_rho_is_a_numerical_limit(self):
+        # rho = |y| overflows to inf; stepping on would build a NaN center
+        st0 = RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(2), 1.0), alpha=0.5)
+        with pytest.raises(NumericalLimitError) as info:
+            step(st0, np.array([1e200, 1e200]))
+        assert info.value.ratio == math.inf and info.value.t is None
 
     def test_non_finite_point_rejected(self):
         st0 = RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(2), 1.0), alpha=0.5)
