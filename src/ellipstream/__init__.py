@@ -32,6 +32,7 @@ from .oracle import (
     HullSpec,
     StepCertificate,
     check_monotone_step,
+    check_monotone_steps,
     hull_membership,
     inequality_suite,
     mvee_khachiyan,
@@ -67,6 +68,7 @@ __all__ = [
     "HullSpec",
     "StepCertificate",
     "check_monotone_step",
+    "check_monotone_steps",
     "hull_membership",
     "inequality_suite",
     "mvee_khachiyan",

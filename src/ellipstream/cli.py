@@ -20,6 +20,7 @@ import numpy as np
 
 from . import adversary, coreset, oracle, streaming
 from .ellipsoid import max_membership
+from .update_rule import Step
 # looked up here by perfbench/tracing.py
 from .ellipsoid import log_volume, membership  # noqa: F401
 
@@ -242,28 +243,44 @@ def _write_outputs(config: RunConfig, payload: Dict, runs: List[StepRun]) -> Non
 
 def _make_verifier(config: RunConfig):
     """A step observer that runs the monotone-step oracle on every k-th
-    step that carries a split and names each resolution-limited step on
-    stderr."""
+    step that carries a split, and its flush. The observer buffers the
+    steps and certifies them as a block once CHUNK_ROWS steps, or as many
+    factor and basis entries as a CHUNK_ROWS x CHUNK_ROWS block holds, are
+    pending; flush certifies the rest. Resolution-limited steps are named on
+    stderr in stream order."""
     every = config.effective_verify_every
     summary = {"checked": 0, "failures": 0, "resolution_limited": 0,
                "worst_margin": math.inf}
+    pending: List[Tuple[int, Step]] = []
+    held = 0  # entries of the pending steps' factors and bases
+
+    def flush():
+        nonlocal held
+        certs = oracle.check_monotone_steps([s for _, s in pending])
+        for (t, s), cert in zip(pending, certs):
+            summary["checked"] += 1
+            summary["worst_margin"] = min(summary["worst_margin"], cert.worst_margin)
+            verdict = cert.verdict
+            if verdict == "fail":
+                summary["failures"] += 1
+            elif verdict == "resolution_limited":
+                summary["resolution_limited"] += 1
+                print(f"step t={t} ({s.kind}): certificate resolution-limited, worst "
+                      f"margin {cert.worst_margin:.3e} is within float64's rounding "
+                      f"of the bodies", file=sys.stderr)
+        pending.clear()
+        held = 0
 
     def observer(t, step):
+        nonlocal held
         if every <= 0 or t % every or step.split is None:
             return
-        cert = oracle.check_monotone_step(step)
-        summary["checked"] += 1
-        summary["worst_margin"] = min(summary["worst_margin"], cert.worst_margin)
-        verdict = cert.verdict
-        if verdict == "fail":
-            summary["failures"] += 1
-        elif verdict == "resolution_limited":
-            summary["resolution_limited"] += 1
-            print(f"step t={t} ({step.kind}): certificate resolution-limited, worst "
-                  f"margin {cert.worst_margin:.3e} is within float64's rounding "
-                  f"of the bodies", file=sys.stderr)
+        pending.append((t, step))
+        held += step.state.factor.size + step.state.basis.size
+        if len(pending) == streaming.CHUNK_ROWS or held >= streaming.CHUNK_ROWS ** 2:
+            flush()
 
-    return observer, summary
+    return observer, summary, flush
 
 
 def run(config: RunConfig) -> int:
@@ -305,23 +322,27 @@ def run(config: RunConfig) -> int:
     points = _load_stream(config)
     payload["d"] = config.d
     payload["n"] = int(points.shape[0])
-    observer, summary = _make_verifier(config)
+    observer, summary, flush = _make_verifier(config)
 
-    if config.c0 is not None:
-        if config.c0.shape[0] != points.shape[1]:
-            raise InputError("--c0 dimension does not match the points")
-        state, report = streaming.run_seeded(points, config.c0, config.r0,
-                                             on_step=observer)
-    elif config.mode == "coreset":
-        trace, report = coreset.run_coreset(points, on_step=observer)
-        state = trace.driver
-        out = Path(config.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "selected.txt").write_text(
-            "".join(f"{i}\n" for i in trace.selected))
-        payload["constants"]["coreset_size"] = len(trace.selected)
-    else:
-        state, report = streaming.run_fully_online(points, on_step=observer)
+    # the steps still pending are certified, and named, also when the driver raises
+    try:
+        if config.c0 is not None:
+            if config.c0.shape[0] != points.shape[1]:
+                raise InputError("--c0 dimension does not match the points")
+            state, report = streaming.run_seeded(points, config.c0, config.r0,
+                                                 on_step=observer)
+        elif config.mode == "coreset":
+            trace, report = coreset.run_coreset(points, on_step=observer)
+            state = trace.driver
+            out = Path(config.out)
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "selected.txt").write_text(
+                "".join(f"{i}\n" for i in trace.selected))
+            payload["constants"]["coreset_size"] = len(trace.selected)
+        else:
+            state, report = streaming.run_fully_online(points, on_step=observer)
+    finally:
+        flush()
 
     payload["final_alpha_inv"] = report.final_alpha_inv
     worst = summary["worst_margin"] if summary["checked"] else 0.0

@@ -130,15 +130,21 @@ class Ellipsoid:
         return Ellipsoid(self.center, self.axes, self.semiaxes * factor)
 
 
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of a finite array's entries, sqrt(sum v^2), rescaled by
+    max|v| where the sum overflows, or underflows to 0 while v is not 0."""
+    sq = np.vdot(v, v)
+    if 0.0 < sq < math.inf or not np.count_nonzero(v):
+        return math.sqrt(sq)
+    m = np.abs(v).max()
+    return float(m * math.sqrt(np.vdot(v / m, v / m)))
+
+
 def span_scale(a: np.ndarray, k: int) -> float:
     """basis_split's body scale |a|_F / k^(1/4), 0 at rank 0, for a rank-k body's
     semiaxes or k x k factor a: the geometric middle of [|a|_F / sqrt(k), |a|_F],
-    which holds s_max. Rescaled by max|a| where sum a^2 overflows or underflows to 0."""
-    sq = np.vdot(a, a)
-    if 0.0 < sq < math.inf or not a.any():
-        return math.sqrt(sq) / max(k, 1) ** 0.25
-    m = np.abs(a).max()
-    return float(m * math.sqrt(np.vdot(a / m, a / m)) / k ** 0.25)
+    which holds s_max."""
+    return _norm(a) / max(k, 1) ** 0.25
 
 
 class SpanSplit(NamedTuple):
@@ -162,7 +168,8 @@ def basis_split(center: np.ndarray, basis: np.ndarray, scale: float,
     x is off-span once the residual exceeds both SPAN_TOL * max(|delta|,
     scale), with `scale` the body's span_scale, and SPAN_RES * (|delta| +
     |center|), the rounding of the coordinates; at rank 0 only the second
-    applies. An off-span residual gets a second Gram-Schmidt pass whose
+    applies. Each norm is _norm's, safe from overflow and underflow of the
+    squares. An off-span residual gets a second Gram-Schmidt pass whose
     correction joins coeffs: [coeffs, rnorm] spells delta in [basis,
     residual/rnorm].
     """
@@ -172,16 +179,16 @@ def basis_split(center: np.ndarray, basis: np.ndarray, scale: float,
     delta = x - center
     coeffs = basis.T @ delta
     residual = delta - basis @ coeffs
-    rnorm = math.sqrt(residual @ residual)
-    dnorm = math.sqrt(delta @ delta)
+    rnorm = _norm(residual)
+    dnorm = _norm(delta)
     # |center| is only needed once the first test passes, which is rare
     off = (rnorm > SPAN_TOL * max(dnorm, scale)
-           and rnorm > SPAN_RES * (dnorm + math.sqrt(center @ center)))
+           and rnorm > SPAN_RES * (dnorm + _norm(center)))
     if off:
         extra = basis.T @ residual
         residual = residual - basis @ extra
         coeffs = coeffs + extra
-        rnorm = float(np.linalg.norm(residual))
+        rnorm = _norm(residual)
     return SpanSplit(delta, coeffs, residual, rnorm, off)
 
 
@@ -189,6 +196,17 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a 2-D array; one einsum pass, about
     half the cost of np.linalg.norm(x, axis=1) on the certificates' arrays."""
     return np.sqrt(np.einsum("ij,ij->i", x, x))
+
+
+def safe_row_norms(x: np.ndarray) -> np.ndarray:
+    """row_norms of a finite 2-D array, with each row whose sum of squares
+    overflows, or underflows to 0 while the row is not 0, rescaled as by
+    _norm."""
+    norms = row_norms(x)
+    if len(norms) and not (norms.min() > 0.0 and norms.max() < math.inf):
+        for i in np.flatnonzero((norms == math.inf) | ((norms == 0.0) & x.any(axis=1))):
+            norms[i] = _norm(x[i])
+    return norms
 
 
 def scan_rows(center: np.ndarray, basis: np.ndarray, scale_map: np.ndarray,
@@ -205,13 +223,15 @@ def scan_rows(center: np.ndarray, basis: np.ndarray, scale_map: np.ndarray,
     if xs.ndim != 2 or xs.shape[1:] != center.shape:
         raise EllipsoidError(f"rows of shape {xs.shape} against a center of shape {center.shape}")
     delta = xs - center
+    # in unit-ball coordinates, a rho whose square overflows reads inf (no
+    # skip), and one that underflows reads 0 only below 1e-154 (a skip)
     rho = row_norms(delta @ scale_map.T)
     if basis.shape[1] == basis.shape[0]:
         # an orthonormal square basis leaves every residual below a few
         # ulps of |delta|
         return rho, np.ones(len(rho), dtype=bool)
-    rnorm = row_norms(delta - (delta @ basis) @ basis.T)
-    inside = rnorm <= 0.5 * SPAN_TOL * np.maximum(row_norms(delta), scale)
+    rnorm = safe_row_norms(delta - (delta @ basis) @ basis.T)
+    inside = rnorm <= 0.5 * SPAN_TOL * np.maximum(safe_row_norms(delta), scale)
     return rho, inside
 
 

@@ -17,12 +17,14 @@ import numpy as np
 
 from .ellipsoid import (
     SPAN_RES,
+    SPAN_TOL,
     Ellipsoid,
+    _norm,
     _unit_directions,
-    basis_split,
     containment_margin,
     membership,
     row_norms,
+    safe_row_norms,
 )
 # looked up here by perfbench/tracing.py
 from .ellipsoid import log_volume  # noqa: F401
@@ -289,11 +291,26 @@ def _orthogonal(e1: np.ndarray) -> np.ndarray:
     return e2 / math.sqrt(e2 @ e2)
 
 
-def _structured_margins(prev: RoundingState, next_: RoundingState,
-                        frame: Frame, tol: float):
-    """(outer, inner) in closed form from one k x k Gram, or
-    None where that does not apply: the next body off the frame's span, or
-    a bound on its asymmetry above tol/10.
+def _distinct(items: Sequence) -> Tuple[list, np.ndarray]:
+    """The distinct items by identity, in the order first seen, and each
+    item's index among them."""
+    seen = {}
+    rows = [seen.setdefault(id(item), len(seen)) for item in items]
+    return list({id(item): item for item in items}.values()), np.array(rows, dtype=np.intp)
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i . b_i for the rows of two (n, m) arrays, by the product a 1-D `@`
+    makes, so that each rounds as one step's dot product does."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _structured_margins(steps: Sequence[Step], frames: Sequence[Frame], tol: float):
+    """(outer, inner, ok) arrays over a block of steps whose frames share a
+    size k and the raised flag, each next body on its frame's basis, in
+    closed form from one k x k Gram per step; ok is False where that does
+    not apply: z at the previous center, the previous center off the next
+    span, or a bound on the next body's asymmetry above tol/10.
 
     In the frame the next outer body is c + N B with N = shear @ T'. With
     e1 = z/|z| = z/rho, split G = N N^T as p e1 e1^T + q (I - e1 e1^T) + dG
@@ -311,66 +328,122 @@ def _structured_margins(prev: RoundingState, next_: RoundingState,
     / (2 sqrt(min(p, q))) on the inner support, Weyl's bounds on |G^-1 -
     G0^-1| and on the smallest singular value of N for the reach, and
     |M T - I|_F for the rounding of the frame itself.
+
+    Each step is computed as its own k x k problem, stacked. The stacked
+    products and dot products (`_dots`) round as one step's do, and the
+    comparisons take Python's max and min order, so a NaN falls on the side
+    the per-step form puts it.
     """
-    k = len(frame.z)
-    basis = next_.basis
-    if next_.dim != k or not (basis is frame.basis or np.array_equal(basis, frame.basis)):
-        return None
-    rho = math.sqrt(frame.z @ frame.z)
-    split_c = basis_split(next_.center, basis, next_.span_scale, prev.center)
-    if rho == 0.0 or split_c.off:
-        return None
-    e1 = frame.z / rho
-    c = frame.shear @ -split_c.coeffs
-    n = frame.shear @ next_.factor
-    g = n @ n.T
-    p = float(e1 @ g @ e1)
-    q, dg = p, 0.0
-    if k > 1:
-        q = (float(np.trace(g)) - p) / (k - 1)
-        asym = g - np.outer((p - q) * e1, e1)
-        asym.flat[::k + 1] -= q
-        dg = math.sqrt(np.vdot(asym, asym))
-    c_par = float(c @ e1)
-    c_perp = c - c_par * e1
-    c_perp = math.sqrt(c_perp @ c_perp)
-    frame_err = prev.inverse @ prev.factor
-    frame_err.flat[::prev.dim + 1] -= 1.0
-    frame_err = math.sqrt(np.vdot(frame_err, frame_err))
-    low = min(p, q)
-    if not dg < low:
-        return None
-    alpha, alpha_n, raised = prev.alpha, next_.alpha, frame.raised
-
-    def inner_at(x: float) -> float:
-        h_prev = alpha * math.sqrt(1.0 - x * x) if raised else alpha
-        return (max(h_prev, rho * x) - c_par * x
-                - alpha_n * math.sqrt(low + (p - low) * x * x))
-
-    x_star = (alpha / math.hypot(alpha, rho)) if raised else min(alpha / rho, 1.0)
-    x_inner = min((-1.0, 1.0, x_star) if k > 1 else (-1.0, 1.0), key=inner_at)
-    inner_err = (c_perp + alpha_n * (dg + q - low) / (2.0 * math.sqrt(low))
-                 + alpha * frame_err)
-
+    n, k, raised = len(steps), len(frames[0].z), frames[0].raised
+    kp = k - raised  # the previous body's rank
+    prevs, nexts = [s.prev for s in steps], [s.state for s in steps]
     if raised:
-        reach2 = c_par * c_par / p + (1.0 / q if k > 1 else 0.0)
-        w2 = 1.0 + c_par * c_par
+        prev_states, prev_at = prevs, np.arange(n)
     else:
-        xs = [-1.0, 1.0]
-        if k > 1 and p > q:
-            # concave in x: the vertex may lie inside
-            xs.append(min(1.0, max(-1.0, c_par * q / (q - p))))
-        reach2 = max((x - c_par) ** 2 / p + ((1.0 - x * x) / q if k > 1 else 0.0)
-                     for x in xs)
-        w2 = (1.0 + abs(c_par)) ** 2
-    reach = (math.sqrt(reach2 + dg / (low * (low - dg)) * w2)
-             + (c_perp + frame_err) / math.sqrt(low - dg))
-    if max(inner_err, reach - math.sqrt(reach2)) > 0.1 * tol:
-        return None
-    reach_z = np.linalg.solve(n, frame.z - c)
-    reach_z = math.sqrt(reach_z @ reach_z)
+        # a chain of steps shares its states (step i's prev is step i-1's
+        # state), so each distinct state is stacked once
+        prev_states, at = _distinct(prevs + nexts)
+        prev_at, next_at = at[:n], at[n:]
+    centers = np.array([s.center for s in prev_states])
+    c_prev = centers[prev_at]
+    c_next = np.array([s.center for s in nexts]) if raised else centers[next_at]
+    alpha = np.array([s.alpha for s in prevs])
+    alpha_n = np.array([s.alpha for s in nexts])
+    scale = np.array([s.span_scale for s in nexts])
+    z = np.array([fr.z for fr in frames])
 
-    return 1.0 - max(reach, reach_z), inner_at(x_inner) - inner_err
+    # the previous center against the next body's span, as basis_split
+    # splits it, by one product per distinct basis
+    delta = c_prev - c_next
+    coeffs, residual = np.empty((n, k)), np.empty_like(delta)
+    bases, basis_at = _distinct([s.basis for s in nexts])
+    for j, basis in enumerate(bases):
+        rows = basis_at == j
+        coeffs[rows] = (basis.T @ delta[rows][:, :, None])[:, :, 0]
+        residual[rows] = delta[rows] - (basis @ coeffs[rows][:, :, None])[:, :, 0]
+    rnorm, dnorm, cnorm = safe_row_norms(np.concatenate([residual, delta, c_next])).reshape(3, n)
+    off = ((rnorm > SPAN_TOL * np.where(scale > dnorm, scale, dnorm))
+           & (rnorm > SPAN_RES * (dnorm + cnorm)))
+
+    # |M T - I|_F of each distinct previous state. The k x k stacks are
+    # dropped once read: at high k they are most of a block's memory
+    p_fac = np.array([s.factor for s in prev_states])
+    p_inv = np.array([s.inverse for s in prev_states])
+    frame_err = (p_inv @ p_fac).reshape(len(prev_states), kp * kp)
+    frame_err[:, ::kp + 1] -= 1.0
+    frame_err = np.sqrt(_dots(frame_err, frame_err))[prev_at]
+    if raised:
+        shear, n_fac = np.array([fr.shear for fr in frames]), np.array([s.factor for s in nexts])
+    else:
+        shear, n_fac = p_inv[prev_at], p_fac[next_at]
+    del p_fac, p_inv
+    c = (shear @ -coeffs[:, :, None])[:, :, 0]
+    nn = shear @ n_fac
+    del shear, n_fac
+
+    with np.errstate(all="ignore"):
+        rho = np.sqrt(_dots(z, z))
+        e1 = z / rho[:, None]
+        g = nn @ nn.transpose(0, 2, 1)
+        p = _dots((e1[:, None, :] @ g)[:, 0], e1)
+        q, dg = p, 0.0
+        if k > 1:
+            q = (g.trace(axis1=1, axis2=2) - p) / (k - 1)
+            # g becomes the asymmetric part dG
+            g -= ((p - q)[:, None] * e1)[:, :, None] * e1[:, None, :]
+            g = g.reshape(n, k * k)
+            g[:, ::k + 1] -= q[:, None]
+            dg = np.sqrt(_dots(g, g))
+        del g
+        c_par = _dots(c, e1)
+        c_perp = c - c_par[:, None] * e1
+        c_perp = np.sqrt(_dots(c_perp, c_perp))
+        low = np.where(q < p, q, p)
+
+        # the inner margin at x = -1, 1 and, for k > 1, the switch point x*
+        if raised:
+            x_star = alpha / np.hypot(alpha, rho)
+        else:
+            x_star = alpha / rho
+            x_star = np.where(1.0 < x_star, 1.0, x_star)
+        ones = np.ones(n)
+        xs = np.array([-ones, ones, x_star] if k > 1 else [-ones, ones])
+        h_prev = alpha * np.sqrt(1.0 - xs * xs) if raised else alpha
+        support = rho * xs
+        at_x = (np.where(support > h_prev, support, h_prev) - c_par * xs
+                - alpha_n * np.sqrt(low + (p - low) * xs * xs))
+        inner = at_x[0]
+        for v in at_x[1:]:
+            inner = np.where(v < inner, v, inner)
+        inner_err = (c_perp + alpha_n * (dg + q - low) / (2.0 * np.sqrt(low))
+                     + alpha * frame_err)
+
+        if raised:
+            reach2 = c_par * c_par / p + (1.0 / q if k > 1 else 0.0)
+            w2 = 1.0 + c_par * c_par
+        else:
+            def reach2_at(x):
+                return (x - c_par) ** 2 / p + ((1.0 - x * x) / q if k > 1 else 0.0)
+
+            reach2, at_x = reach2_at(-1.0), reach2_at(1.0)
+            reach2 = np.where(at_x > reach2, at_x, reach2)
+            if k > 1:
+                # concave in x where p > q: the vertex may lie inside
+                x = c_par * q / (q - p)
+                x = np.where(x > -1.0, x, -1.0)
+                at_x = reach2_at(np.where(x < 1.0, x, 1.0))
+                reach2 = np.where((p > q) & (at_x > reach2), at_x, reach2)
+            w2 = (1.0 + np.abs(c_par)) ** 2
+        reach = (np.sqrt(reach2 + dg / (low * (low - dg)) * w2)
+                 + (c_perp + frame_err) / np.sqrt(low - dg))
+        err = reach - np.sqrt(reach2)
+        err = np.where(err > inner_err, err, inner_err)
+        ok = ~((rho == 0.0) | off | ~(dg < low) | (err > 0.1 * tol))
+        reach_z = np.zeros(n)
+        if ok.any():
+            solved = np.linalg.solve(nn[ok], (z - c)[ok][:, :, None])[:, :, 0]
+            reach_z[ok] = np.sqrt(_dots(solved, solved))
+    return 1.0 - np.where(reach_z > reach, reach_z, reach), inner - inner_err, ok
 
 
 def _sampled_margins(prev: RoundingState, next_: RoundingState, z: np.ndarray,
@@ -416,34 +489,55 @@ def _sampled_margins(prev: RoundingState, next_: RoundingState, z: np.ndarray,
                       float(margin_for(falsifier).min()))
 
 
-def check_monotone_step(step: Step, tol: float = MONOTONE_TOL) -> StepCertificate:
-    """Certify one monotone step of the kernel (not init or local): the
-    previous outer body and z inside the next outer body, and the next inner
-    body inside the hull of the previous inner body and z, each with margins
-    in the step's `frame`, the kernel's own.
+def check_monotone_steps(steps: Sequence[Step],
+                         tol: float = MONOTONE_TOL) -> List[StepCertificate]:
+    """Certify monotone steps of the kernel (not init or local), one
+    certificate per step in order: the previous outer body and z inside the
+    next outer body, and the next inner body inside the hull of the previous
+    inner body and z, each with margins in the step's `frame`, the kernel's
+    own.
 
     The update rule grows bodies of revolution about z's direction, so
-    _structured_margins certifies a step in closed form; where it does not
-    apply, _sampled_margins checks the step by brute force. The tests take
+    _structured_margins certifies the steps in closed form, one pass per
+    group of steps with the same frame size and raised flag; where it does
+    not apply, _sampled_margins checks a step by brute force. The tests take
     the sampled path as the reference.
     """
-    prev, next_, z, split = step.prev, step.state, step.z, step.split
-    if split is None or not (prev.center.shape == next_.center.shape == z.shape):
-        raise OracleError(f"{step.kind} step: no split to certify, or a span mismatch")
-    fr = frame(prev, split)
-    margins = _structured_margins(prev, next_, fr, tol)
-    if margins is None:
-        margins = _sampled_margins(prev, next_, z, fr)
-    outer, inner = margins
-    worst = min(outer, inner)
-    limited = False
-    if worst < -tol:
-        resolution = (SPAN_RES * float(np.linalg.norm(fr.shear))
-                      * (math.sqrt(prev.center @ prev.center)
-                         + math.sqrt(split.delta @ split.delta)))
-        limited = worst >= -resolution
-    return StepCertificate(outer_ok=outer >= -tol, inner_ok=inner >= -tol,
-                           worst_margin=worst, resolution_limited=limited)
+    frames, groups = [], {}
+    for i, s in enumerate(steps):
+        prev, next_, split = s.prev, s.state, s.split
+        if split is None or not (prev.center.shape == next_.center.shape == s.z.shape):
+            raise OracleError(f"{s.kind} step: no split to certify, or a span mismatch")
+        fr = frame(prev, split)
+        frames.append(fr)
+        k = len(fr.z)
+        # the closed form needs the next body on the frame's basis
+        if next_.dim == k and (next_.basis is fr.basis or np.array_equal(next_.basis, fr.basis)):
+            groups.setdefault((k, fr.raised), []).append(i)
+    margins = [None] * len(steps)
+    for idx in groups.values():
+        outer, inner, ok = _structured_margins([steps[i] for i in idx],
+                                               [frames[i] for i in idx], tol)
+        for i, o, n, good in zip(idx, outer.tolist(), inner.tolist(), ok.tolist()):
+            if good:
+                margins[i] = o, n
+    certs = []
+    for s, fr, pair in zip(steps, frames, margins):
+        outer, inner = pair or _sampled_margins(s.prev, s.state, s.z, fr)
+        worst = min(outer, inner)
+        limited = False
+        if worst < -tol:
+            resolution = (SPAN_RES * _norm(fr.shear)
+                          * (_norm(s.prev.center) + _norm(s.split.delta)))
+            limited = worst >= -resolution
+        certs.append(StepCertificate(outer_ok=outer >= -tol, inner_ok=inner >= -tol,
+                                     worst_margin=worst, resolution_limited=limited))
+    return certs
+
+
+def check_monotone_step(step: Step, tol: float = MONOTONE_TOL) -> StepCertificate:
+    """check_monotone_steps on one step."""
+    return check_monotone_steps([step], tol)[0]
 
 
 # ---------------------------------------------------------------------------

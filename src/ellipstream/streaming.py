@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tup
 
 import numpy as np
 
-from .ellipsoid import Ellipsoid, NumericalLimitError
+from .ellipsoid import Ellipsoid, NumericalLimitError, _norm
 from .update_rule import RoundingState, Step, leading_skips, step
 # looked up here by perfbench/tracing.py
 from .ellipsoid import log_volume  # noqa: F401
@@ -228,7 +228,7 @@ def run_seeded(
     def advance(state, z):
         nonlocal local
         if local:
-            dist = float(np.linalg.norm(z - c0))
+            dist = _norm(z - c0)
             if dist <= gate:
                 # a phase-I state is a ball: its factor is radius * I
                 if dist > state.factor[0, 0]:

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .ellipsoid import (SPAN_TOL, Ellipsoid, NumericalLimitError, SpanSplit, basis_split,
+from .ellipsoid import (SPAN_TOL, Ellipsoid, NumericalLimitError, SpanSplit, _norm, basis_split,
                         log_volume, scan_rows, scan_tolerance, span_scale)
 
 GAMMA_MAX_ITER = 200
@@ -32,6 +31,20 @@ ALIGN_LIMIT = 1e6
 
 class UpdateError(ValueError):
     pass
+
+
+class _cached:
+    """functools.cached_property without the lock Python 3.11 takes on each
+    first read (3.12 dropped it): every new state reads two of these."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,22 +75,22 @@ class RoundingState:
     def alpha_inv(self) -> float:
         return 1.0 / self.alpha
 
-    @cached_property
+    @_cached
     def ellipsoid(self) -> Ellipsoid:
         """The outer body as an Ellipsoid, from the SVD of the factor; its
         constructor raises NumericalLimitError on a collapsed body."""
         u, s, _ = np.linalg.svd(self.factor)
         return Ellipsoid(self.center, self.basis @ u, s)
 
-    @cached_property
+    @_cached
     def span_scale(self) -> float:
         """The view's span_scale, read off the factor without its SVD."""
         return span_scale(self.factor, self.dim)
 
-    @cached_property
+    @_cached
     def inverse_norm(self) -> float:
         """|inverse|_F, at least 1 / the smallest semiaxis."""
-        return math.sqrt(np.vdot(self.inverse, self.inverse))
+        return _norm(self.inverse)
 
     @property
     def cond_bound(self) -> float:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellipstream import cli, oracle, update_rule
+from ellipstream import cli, oracle, streaming, update_rule
 from ellipstream.update_rule import RoundingState
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -481,19 +481,124 @@ def test_two_axis_drop_verifies(tmp_path, g):
     assert certs["failures"] == 0 and math.isfinite(certs["worst_margin"])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_verify_exits_2_when_the_final_body_misses_a_point(tmp_path):
-    # scaled by 1e160 the span test's squares overflow, so every point after
-    # the first is taken for a skip: no step fails, but the final body, a
-    # single point, misses the rest of the stream
-    pts = np.random.default_rng(5).standard_normal((400, 5)) * 1e160
-    path = tmp_path / "huge.csv"
+    # 2e-8 noise in 8 of 32 coordinates: a point whose residual passes the
+    # span test as in-span is projected, and a later raise in its direction
+    # builds an axis too thin to cover it (the kernel fault recorded with
+    # ROADMAP item 6). No step fails, but the final body misses that point
+    rng = np.random.default_rng(0)
+    pts = np.hstack([rng.standard_normal((300, 24)), 2e-8 * rng.standard_normal((300, 8))])
+    path = tmp_path / "noise.csv"
     np.savetxt(path, pts, fmt="%.17g", delimiter=",")
-    assert cli.main(["--mode", "verify", "--input", str(path),
+    assert cli.main(["--mode", "verify", "--input", str(path), "--verify-every", "1",
                      "--out", str(tmp_path)]) == 2
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["certificates"]["failures"] == 0
     assert report["constants"]["worst_final_margin"] > oracle.MONOTONE_TOL
+
+
+def test_verify_covers_a_point_whose_squares_overflow(tmp_path):
+    # |delta|^2 of the third point overflows; read as in-span, it left the
+    # final body the unit segment on the first axis
+    path = tmp_path / "far.csv"
+    path.write_text("0,0\n1,0\n0,1e200\n")
+    assert cli.main(["--mode", "verify", "--input", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["final_alpha_inv"] == 3.0
+    assert report["certificates"]["checked"] == 2 and report["certificates"]["failures"] == 0
+    assert report["constants"]["worst_final_margin"] <= oracle.MONOTONE_TOL
+
+
+def write_csv(path, pts):
+    np.savetxt(path, pts, fmt="%.17g", delimiter=",")
+    return str(path)
+
+
+def drift_file(path):
+    """600 points at d = 6 drifting out by e^3: every step after the first
+    few is regular, and verify certifies more than CHUNK_ROWS of them."""
+    g = np.random.default_rng(8).standard_normal((600, 6))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    return write_csv(path, g * np.exp(0.005 * np.arange(1, 601))[:, None])
+
+
+def shifted_file(path, shift):
+    return write_csv(path, np.random.default_rng(5).standard_normal((400, 5)) + shift)
+
+
+class TestVerifyBlocks:
+    """verify certifies its steps in blocks; what it reports and prints is
+    what certifying each step as it comes, by the scalar closed form, gives."""
+
+    @staticmethod
+    def expected(path):
+        """(certificates, stderr) of verify on the file, one step at a time."""
+        from test_oracle import reference_certificates
+
+        certified = []
+        streaming.run_fully_online(cli.parse_points(path),
+                                   on_step=lambda t, s: s.split and certified.append((t, s)))
+        certs, _ = reference_certificates([s for _, s in certified])
+        lines = [f"step t={t} ({s.kind}): certificate resolution-limited, worst margin "
+                 f"{c.worst_margin:.3e} is within float64's rounding of the bodies\n"
+                 for (t, s), c in zip(certified, certs) if c.verdict == "resolution_limited"]
+        summary = {"checked": len(certs), "failures": sum(c.verdict == "fail" for c in certs),
+                   "resolution_limited": len(lines),
+                   "worst_margin": min(c.worst_margin for c in certs)}
+        return summary, "".join(lines)
+
+    # the 1e12 shift's final margin, 6.8e-6, lies within its coordinates' rounding
+    @pytest.mark.parametrize("make, limited, code", [
+        (lambda path: shifted_file(path, 1e10), 15, 0),
+        (lambda path: shifted_file(path, 1e12), 20, 2),
+        (drift_file, 0, 0)])
+    def test_blocks_report_what_single_steps_do(self, tmp_path, capsys, make, limited, code):
+        path = make(tmp_path / "points.csv")
+        summary, err = self.expected(path)
+        capsys.readouterr()
+        assert cli.main(["--mode", "verify", "--input", path, "--out", str(tmp_path)]) == code
+        assert capsys.readouterr().err == err
+        certs = json.loads((tmp_path / "report.json").read_text())["certificates"]
+        assert certs["resolution_limited"] == limited
+        assert certs["checked"] > (streaming.CHUNK_ROWS if not limited else 0)
+        worst = certs.pop("worst_margin")
+        assert worst == pytest.approx(summary.pop("worst_margin"), abs=1e-13)
+        assert certs == summary
+
+    def test_pending_steps_are_named_before_a_numerical_limit(self, tmp_path, capsys):
+        # the raise toward the near-duplicate at t = 2 is resolution-limited;
+        # rho of the point at t = 5 overflows
+        z0 = np.array([1.0, 2.0])
+        path = write_csv(tmp_path / "limit.csv",
+                         np.vstack([z0, z0 + 3e-13 * np.eye(2)[0], z0 + np.eye(2)[1],
+                                    z0 + np.eye(2)[0], np.full(2, 1e200)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # rho's overflow
+            assert cli.main(["--mode", "verify", "--input", path, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in err] == ["step t=2 (irregular)", "error"]
+        assert err[1].startswith("error: numerical limit at step t=5:")
+
+    @pytest.mark.parametrize("make", [
+        drift_file,
+        # at d = 32, CHUNK_ROWS steps would hold 2 CHUNK_ROWS k^2 entries and more
+        lambda path: write_csv(path, np.random.default_rng(2).standard_normal((200, 32)))])
+    def test_blocks_are_bounded(self, tmp_path, monkeypatch, make):
+        blocks, certify = [], oracle.check_monotone_steps
+
+        def recorded(steps, *args):
+            blocks.append([s.state.factor.size + s.state.basis.size for s in steps])
+            return certify(steps, *args)
+
+        monkeypatch.setattr(oracle, "check_monotone_steps", recorded)
+        path = make(tmp_path / "points.csv")
+        assert cli.main(["--mode", "verify", "--input", path, "--verify-every", "1",
+                         "--out", str(tmp_path)]) == 0
+        checked = json.loads((tmp_path / "report.json").read_text())["certificates"]["checked"]
+        assert sum(map(len, blocks)) == checked and len(blocks) > 1
+        # a block is certified at the step that reaches either bound
+        assert all(len(b) <= streaming.CHUNK_ROWS for b in blocks)
+        assert all(sum(b[:-1]) < streaming.CHUNK_ROWS ** 2 for b in blocks)
 
 
 def test_verify_decomposes_only_on_fallback(tmp_path, monkeypatch):

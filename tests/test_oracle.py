@@ -10,18 +10,21 @@ from scipy.optimize import linprog
 
 from ellipstream.adversary import simplex_vertices
 from ellipstream import oracle, update_rule
-from ellipstream.ellipsoid import Ellipsoid, containment_margin, log_volume, membership
+from ellipstream.ellipsoid import (SPAN_RES, Ellipsoid, _norm, basis_split, containment_margin,
+                                  log_volume, membership)
 from ellipstream.oracle import (
     HullSpec,
     OracleError,
     union_hull_distance,
     check_monotone_step,
+    check_monotone_steps,
     hull_membership,
     inequality_suite,
     mvee_khachiyan,
 )
-from ellipstream.streaming import run_fully_online
-from ellipstream.update_rule import RoundingState, compute_params, step
+from ellipstream.coreset import run_coreset
+from ellipstream.streaming import run_fully_online, run_seeded
+from ellipstream.update_rule import Frame, RoundingState, compute_params, step
 
 SQUARE = [np.array(p) for p in
           [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]]
@@ -500,8 +503,96 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 def sampled_certificate(s, tol=1e-7):
     """check_monotone_step on its sampled path alone, the reference."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_structured_margins", lambda *args: None)
+        mp.setattr(oracle, "_structured_margins", lambda steps, frames, tol: (
+            np.zeros(len(steps)), np.zeros(len(steps)), np.zeros(len(steps), bool)))
         return check_monotone_step(s, tol)
+
+
+def reference_structured_margins(prev: RoundingState, next_: RoundingState,
+                                 frame: Frame, tol: float):
+    """The per-step closed form that oracle._structured_margins vectorizes
+    (see its docstring), kept as the reference: (outer, inner), or None
+    where it does not apply."""
+    k = len(frame.z)
+    basis = next_.basis
+    if next_.dim != k or not (basis is frame.basis or np.array_equal(basis, frame.basis)):
+        return None
+    rho = math.sqrt(frame.z @ frame.z)
+    split_c = basis_split(next_.center, basis, next_.span_scale, prev.center)
+    if rho == 0.0 or split_c.off:
+        return None
+    e1 = frame.z / rho
+    c = frame.shear @ -split_c.coeffs
+    n = frame.shear @ next_.factor
+    g = n @ n.T
+    p = float(e1 @ g @ e1)
+    q, dg = p, 0.0
+    if k > 1:
+        q = (float(np.trace(g)) - p) / (k - 1)
+        asym = g - np.outer((p - q) * e1, e1)
+        asym.flat[::k + 1] -= q
+        dg = math.sqrt(np.vdot(asym, asym))
+    c_par = float(c @ e1)
+    c_perp = c - c_par * e1
+    c_perp = math.sqrt(c_perp @ c_perp)
+    frame_err = prev.inverse @ prev.factor
+    frame_err.flat[::prev.dim + 1] -= 1.0
+    frame_err = math.sqrt(np.vdot(frame_err, frame_err))
+    low = min(p, q)
+    if not dg < low:
+        return None
+    alpha, alpha_n, raised = prev.alpha, next_.alpha, frame.raised
+
+    def inner_at(x: float) -> float:
+        h_prev = alpha * math.sqrt(1.0 - x * x) if raised else alpha
+        return (max(h_prev, rho * x) - c_par * x
+                - alpha_n * math.sqrt(low + (p - low) * x * x))
+
+    x_star = (alpha / math.hypot(alpha, rho)) if raised else min(alpha / rho, 1.0)
+    x_inner = min((-1.0, 1.0, x_star) if k > 1 else (-1.0, 1.0), key=inner_at)
+    inner_err = (c_perp + alpha_n * (dg + q - low) / (2.0 * math.sqrt(low))
+                 + alpha * frame_err)
+
+    if raised:
+        reach2 = c_par * c_par / p + (1.0 / q if k > 1 else 0.0)
+        w2 = 1.0 + c_par * c_par
+    else:
+        xs = [-1.0, 1.0]
+        if k > 1 and p > q:
+            # concave in x: the vertex may lie inside
+            xs.append(min(1.0, max(-1.0, c_par * q / (q - p))))
+        reach2 = max((x - c_par) ** 2 / p + ((1.0 - x * x) / q if k > 1 else 0.0)
+                     for x in xs)
+        w2 = (1.0 + abs(c_par)) ** 2
+    reach = (math.sqrt(reach2 + dg / (low * (low - dg)) * w2)
+             + (c_perp + frame_err) / math.sqrt(low - dg))
+    if max(inner_err, reach - math.sqrt(reach2)) > 0.1 * tol:
+        return None
+    reach_z = np.linalg.solve(n, frame.z - c)
+    reach_z = math.sqrt(reach_z @ reach_z)
+
+    return 1.0 - max(reach, reach_z), inner_at(x_inner) - inner_err
+
+
+def reference_certificates(steps, tol=oracle.MONOTONE_TOL):
+    """check_monotone_steps one step at a time, by the scalar closed form:
+    (the certificates, the indices of the steps that fall back)."""
+    certs, fallbacks = [], []
+    for i, s in enumerate(steps):
+        fr = update_rule.frame(s.prev, s.split)
+        margins = reference_structured_margins(s.prev, s.state, fr, tol)
+        if margins is None:
+            fallbacks.append(i)
+            margins = oracle._sampled_margins(s.prev, s.state, s.z, fr)
+        outer, inner = margins
+        worst = min(outer, inner)
+        limited = False
+        if worst < -tol:
+            resolution = (SPAN_RES * _norm(fr.shear)
+                          * (_norm(s.prev.center) + _norm(s.split.delta)))
+            limited = worst >= -resolution
+        certs.append(oracle.StepCertificate(outer >= -tol, inner >= -tol, worst, limited))
+    return certs, fallbacks
 
 
 def certified_steps(pts, every=1):
@@ -546,6 +637,9 @@ def frame_margin_reference(s, n_angles=100_001):
     return float(inner.min()), outer
 
 
+MUTATIONS = ["b+", "b-", "off-axis center", "shear"]
+
+
 class TestStructuredCertificate:
     """The closed-form path of check_monotone_step against the sampled one
     and against a dense 1-D reference."""
@@ -565,15 +659,15 @@ class TestStructuredCertificate:
         fallbacks = []
 
         def counted(*args):
-            margins = structured(*args)
-            fallbacks.append(margins is None)
-            return margins
+            outer, inner, ok = structured(*args)
+            fallbacks.extend(~ok)
+            return outer, inner, ok
 
         monkeypatch.setattr(oracle, "_structured_margins", counted)
         n = 0
         for pts in streams:
-            for s in certified_steps(pts, w.verify_every):
-                fast = check_monotone_step(s, tol=1e-7)
+            steps = certified_steps(pts, w.verify_every)
+            for s, fast in zip(steps, check_monotone_steps(steps, tol=1e-7)):
                 ref = sampled_certificate(s)
                 assert fast.verdict == ref.verdict == "pass"
                 assert fast.worst_margin <= ref.worst_margin + 1e-12
@@ -595,9 +689,10 @@ class TestStructuredCertificate:
         }[case]
         assert picked
         for s in picked:
-            margins = oracle._structured_margins(s.prev, s.state,
-                                                 update_rule.frame(s.prev, s.split), 1e-7)
-            assert margins is not None
+            outer, inner, ok = oracle._structured_margins(
+                [s], [update_rule.frame(s.prev, s.split)], 1e-7)
+            assert ok[0]
+            margins = outer[0], inner[0]
             inner, outer = frame_margin_reference(s)
             assert margins[1] == pytest.approx(inner, abs=1e-10)
             assert margins[0] == pytest.approx(outer, abs=1e-10)
@@ -612,10 +707,10 @@ class TestStructuredCertificate:
         # a and b as the kernel's regular step formed them
         return s, w, compute_params(s.gamma, prev.alpha)
 
-    @pytest.mark.parametrize("alpha", [0.5, 0.1])
-    @pytest.mark.parametrize("mutation", ["b+", "b-", "off-axis center", "shear"])
-    def test_mutated_steps_flagged(self, alpha, mutation):
-        s, w, params = self.small_step(alpha)
+    @classmethod
+    def mutated_step(cls, alpha, mutation):
+        """small_step, and a copy whose next body is mutated by 1e-3."""
+        s, w, params = cls.small_step(alpha)
         nxt = s.state
         u2 = np.array([0.8, -0.6, 0.0])
         factor, center = nxt.factor, nxt.center
@@ -626,10 +721,15 @@ class TestStructuredCertificate:
             center = center + 1e-3 * u2
         else:
             factor = factor @ (np.eye(3) + 1e-3 * np.outer(w, u2))
-        bad = RoundingState(center, nxt.basis, factor, np.linalg.inv(factor),
-                            nxt.alpha, nxt.log_volume)
-        fast = check_monotone_step(s._replace(state=bad))
-        ref = sampled_certificate(s._replace(state=bad))
+        return s, s._replace(state=RoundingState(center, nxt.basis, factor, np.linalg.inv(factor),
+                                                 nxt.alpha, nxt.log_volume))
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.1])
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    def test_mutated_steps_flagged(self, alpha, mutation):
+        s, bad = self.mutated_step(alpha, mutation)
+        fast = check_monotone_step(bad)
+        ref = sampled_certificate(bad)
         assert fast.verdict == ref.verdict == "fail"
         assert fast.worst_margin <= ref.worst_margin + 1e-12
         assert check_monotone_step(s).verdict == "pass"
@@ -647,6 +747,113 @@ class TestStructuredCertificate:
                      for r in (s.prev, s.state))
         assert check_monotone_step(s._replace(prev=prev, state=nxt)).verdict == "pass"
         assert calls == []
+
+
+def unit_drift(rng, n, d):
+    """n points in R^d drifting out from 3: gaussian directions at radii e^(0.02 t)."""
+    g = rng.standard_normal((n, d))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    return 3.0 + g * np.exp(0.02 * np.arange(1, n + 1))[:, None]
+
+
+def two_axis_drop(rng, n, d=4):
+    # the raise toward z0 + e3 drops the two near-duplicate axes
+    z0, e = np.arange(1.0, d + 1), np.eye(d)
+    g = rng.choice([1e-12, 1e-11, 1e-10])
+    return np.vstack([z0, z0 + g * e[0], z0 + g * e[1], z0 + e[2],
+                      rng.standard_normal((n, d))])
+
+
+def mapped(rng, n, d=6):
+    # cond 1e6: the factor's cond_bound passes ALIGN_LIMIT, and restarts follow
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return rng.standard_normal((n, d)) @ (q * np.logspace(0, 6, d)).T + 3.0
+
+
+def scaled(rng, n, d=5):
+    # squares of the coordinates overflow or underflow
+    f = rng.choice([1e154, 1e300, 2.0 ** 600, 2.0 ** -600, 1e-170, 1e-200])
+    return rng.standard_normal((n, d)) * f
+
+
+CHAINS = {"drift": lambda rng: unit_drift(rng, 50, int(rng.integers(1, 7))),
+          "two-axis drop": lambda rng: two_axis_drop(rng, 30),
+          "mapped": lambda rng: mapped(rng, 40),
+          "scaled": lambda rng: scaled(rng, 50)}
+
+
+def chain_steps(pts, driver):
+    """The steps a driver certifies on pts; the seeded driver's seed ball is
+    the points' mean at a tenth of their spread."""
+    steps = []
+
+    def observer(t, s):
+        if s.split is not None:
+            steps.append(s)
+
+    if driver == "seeded":
+        c0 = pts.mean(axis=0)
+        run_seeded(pts, c0, 0.1 * np.abs(pts - c0).max(), on_step=observer)
+    else:
+        {"online": run_fully_online, "coreset": run_coreset}[driver](pts, on_step=observer)
+    return steps
+
+
+class TestBlockCertificate:
+    """check_monotone_steps against reference_certificates, the per-step
+    closed form it vectorizes."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(CHAINS)), st.sampled_from(["online", "seeded", "coreset"]),
+           st.integers(0, 2**32 - 1), st.sampled_from(MUTATIONS), st.booleans())
+    def test_blocks_match_the_scalar_reference(self, chain, driver, seed, mutation, shuffle):
+        rng = np.random.default_rng(seed)
+        pts = CHAINS[chain](rng)
+        # the seeded driver needs d >= 2
+        steps = chain_steps(pts, "online" if pts.shape[1] == 1 else driver)
+        # a mutated step and its sound original among the chain's steps
+        steps += TestStructuredCertificate.mutated_step(rng.choice([0.5, 0.1]), mutation)
+        if shuffle:
+            steps = [steps[i] for i in rng.permutation(len(steps))]
+        structured, closed = oracle._structured_margins, {}
+
+        def recorded(block, frames, tol):
+            outer, inner, ok = structured(block, frames, tol)
+            closed.update((id(s), m) for s, *m, good in zip(block, outer, inner, ok) if good)
+            return outer, inner, ok
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_structured_margins", recorded)
+            certs = check_monotone_steps(steps)
+        refs, fallbacks = reference_certificates(steps)
+        assert [i for i, s in enumerate(steps) if id(s) not in closed] == fallbacks
+        for s, cert, ref in zip(steps, certs, refs):
+            assert (cert.outer_ok, cert.inner_ok, cert.resolution_limited) == \
+                (ref.outer_ok, ref.inner_ok, ref.resolution_limited)
+            assert cert.worst_margin == pytest.approx(ref.worst_margin, abs=1e-13)
+            if id(s) in closed:
+                fr = update_rule.frame(s.prev, s.split)
+                assert closed[id(s)] == pytest.approx(
+                    reference_structured_margins(s.prev, s.state, fr, 1e-7), abs=1e-13)
+        assert len(certs) == len(steps)
+
+    @pytest.mark.parametrize("shift", [-0.3, -0.02, 0.0, 0.02, 0.3])
+    def test_a_moved_center_at_rank_1(self, shift):
+        # the previous body's reach at rank 1 is the larger of x = -1 and x = 1,
+        # whichever side of the previous center the next one lies; with z
+        # inside the previous body, z's own reach does not cover for it
+        prev = RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(1), 1.0), 0.5)
+        s = step(prev, np.array([0.5]))
+        s = s._replace(state=RoundingState(prev.center + shift, prev.basis, prev.factor,
+                                           prev.inverse, prev.alpha, prev.log_volume))
+        fr = update_rule.frame(s.prev, s.split)
+        outer, inner, ok = oracle._structured_margins([s], [fr], 1e-7)
+        assert ok[0]
+        assert (outer[0], inner[0]) == pytest.approx(
+            reference_structured_margins(s.prev, s.state, fr, 1e-7), abs=1e-13)
+
+    def test_no_steps(self):
+        assert check_monotone_steps([]) == []
 
 
 class TestMvee:

@@ -17,7 +17,7 @@ from ellipstream.ellipsoid import (
     membership,
     span_split,
 )
-from ellipstream.oracle import check_monotone_step
+from ellipstream.oracle import check_monotone_step, check_monotone_steps
 from ellipstream.streaming import CHUNK_ROWS, RunReport, run_fully_online, run_seeded
 from ellipstream.update_rule import RoundingState, compute_params, leading_skips, solve_gamma, step
 
@@ -165,6 +165,33 @@ def test_affine_equivariance_up_to_condition_1e6(d, n, seed, c):
     inv0 = np.array([1.0 / r.alpha for r in base.records])
     assert np.max(np.abs(inv / inv0 - 1.0)) <= 1e-9
     assert max_membership(state.ellipsoid, mapped) <= 1e-9
+
+
+@pytest.mark.parametrize("factor", [1e154, 1e300, 2.0 ** 600, 2.0 ** -600, 1e-170, 1e-200])
+def test_scaled_past_the_range_of_squares_replays_the_run(factor):
+    # the squares of these coordinates overflow, or underflow to 0; every
+    # norm of the span test is rescaled, so the run replays the unscaled one
+    pts = np.random.default_rng(5).standard_normal((400, 5))
+    _, base = run_fully_online(pts)
+    steps = []
+    _, report = run_fully_online(pts * factor, on_step=lambda t, s: s.split and steps.append(s))
+    assert [r.step_kind for r in report.records] == [r.step_kind for r in base.records]
+    assert report.final_alpha_inv == pytest.approx(base.final_alpha_inv, rel=1e-15)
+    assert len(steps) == 27
+    assert all(c.verdict == "pass" for c in check_monotone_steps(steps))
+
+
+@pytest.mark.parametrize("factor", [1e-200, 1e200])
+def test_scan_sees_off_span_rows_past_the_range_of_squares(factor):
+    # a plane, then from t = 201 on rows off it, after runs of skips: with
+    # its squares out of range, leading_skips must not take them for skips
+    rng = np.random.default_rng(1)
+    pts = np.hstack([0.3 * rng.standard_normal((300, 2)), np.zeros((300, 1))])
+    pts[:5, :2] *= 10.0
+    pts[200:, 2] = rng.standard_normal(100)
+    state, _ = run_fully_online(pts * factor)
+    assert state.dim == 3
+    assert max_membership(state.ellipsoid, pts * factor) <= 1e-7
 
 
 class TestSeeded:
