@@ -245,14 +245,14 @@ def _make_verifier(config: RunConfig):
     """A step observer that runs the monotone-step oracle on every k-th
     step that carries a split, and its flush. The observer buffers the
     steps and certifies them as a block once CHUNK_ROWS steps, or as many
-    factor and basis entries as a CHUNK_ROWS x CHUNK_ROWS block holds, are
-    pending; flush certifies the rest. Resolution-limited steps are named on
-    stderr in stream order."""
+    entries of their states' inverse factors and bases as a CHUNK_ROWS x
+    CHUNK_ROWS block holds, are pending; flush certifies the rest.
+    Resolution-limited steps are named on stderr in stream order."""
     every = config.effective_verify_every
     summary = {"checked": 0, "failures": 0, "resolution_limited": 0,
                "worst_margin": math.inf}
     pending: List[Tuple[int, Step]] = []
-    held = 0  # entries of the pending steps' factors and bases
+    held = 0  # entries of the pending steps' inverse factors and bases
 
     def flush():
         nonlocal held
@@ -276,7 +276,7 @@ def _make_verifier(config: RunConfig):
         if every <= 0 or t % every or step.split is None:
             return
         pending.append((t, step))
-        held += step.state.factor.size + step.state.basis.size
+        held += step.state.inverse.size + step.state.basis.size
         if len(pending) == streaming.CHUNK_ROWS or held >= streaming.CHUNK_ROWS ** 2:
             flush()
 

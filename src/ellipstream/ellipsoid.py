@@ -141,9 +141,9 @@ def _norm(v: np.ndarray) -> float:
 
 
 def span_scale(a: np.ndarray, k: int) -> float:
-    """basis_split's body scale |a|_F / k^(1/4), 0 at rank 0, for a rank-k body's
-    semiaxes or k x k factor a: the geometric middle of [|a|_F / sqrt(k), |a|_F],
-    which holds s_max."""
+    """basis_split's body scale |a|_2 / k^(1/4), 0 at rank 0, for a rank-k body's
+    semiaxes a: the geometric middle of [|a|_2 / sqrt(k), |a|_2], which holds
+    s_max."""
     return _norm(a) / max(k, 1) ** 0.25
 
 

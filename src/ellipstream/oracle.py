@@ -312,7 +312,10 @@ def _structured_margins(steps: Sequence[Step], frames: Sequence[Frame], tol: flo
     not apply: z at the previous center, the previous center off the next
     span, or a bound on the next body's asymmetry above tol/10.
 
-    In the frame the next outer body is c + N B with N = shear @ T'. With
+    In the frame the previous outer body is the unit ball B. The next state
+    keeps only the inverse M' of its factor: with T' = inv(M') by LU and its
+    residual R = M' T' - I, the next outer body is c + N (I + R)^-1 B for N
+    = shear @ T'. The closed form measures c + N B, then widens. With
     e1 = z/|z| = z/rho, split G = N N^T as p e1 e1^T + q (I - e1 e1^T) + dG
     and c as c_par e1 + c_perp. For the symmetric part each margin is a
     function of x = <u, e1> alone:
@@ -326,8 +329,13 @@ def _structured_margins(steps: Sequence[Step], frames: Sequence[Frame], tol: flo
       to e1). The reach of z is |N^-1 (z - c)|, by one solve.
     The asymmetric parts enter by rigorous bounds: |c_perp|, alpha' |dG|_F
     / (2 sqrt(min(p, q))) on the inner support, Weyl's bounds on |G^-1 -
-    G0^-1| and on the smallest singular value of N for the reach, and
-    |M T - I|_F for the rounding of the frame itself.
+    G0^-1| and on the smallest singular value of N for the reach, and r =
+    |R|_F for the rebuilt T'. For r < 1, |(I + R)^-1 v| lies in |v| / (1
+    -+ r), so the body lies between c + N B / (1 + r) and c + N B / (1 - r):
+    the reach of a point, |(I + R) N^-1 (x - c)|, is at most (1 + r) times
+    N's, and the inner support alpha' |(I + R)^-T N^T u| in a unit
+    direction u at most alpha' |N^T u| r / (1 - r) above N's, with |N^T u|^2
+    <= max(p, q) + |dG|_F. An r of 1 or more falls back.
 
     Each step is computed as its own k x k problem, stacked. The stacked
     products and dot products (`_dots`) round as one step's do, and the
@@ -335,7 +343,6 @@ def _structured_margins(steps: Sequence[Step], frames: Sequence[Frame], tol: flo
     the per-step form puts it.
     """
     n, k, raised = len(steps), len(frames[0].z), frames[0].raised
-    kp = k - raised  # the previous body's rank
     prevs, nexts = [s.prev for s in steps], [s.state for s in steps]
     if raised:
         prev_states, prev_at = prevs, np.arange(n)
@@ -365,18 +372,23 @@ def _structured_margins(steps: Sequence[Step], frames: Sequence[Frame], tol: flo
     off = ((rnorm > SPAN_TOL * np.where(scale > dnorm, scale, dnorm))
            & (rnorm > SPAN_RES * (dnorm + cnorm)))
 
-    # |M T - I|_F of each distinct previous state. The k x k stacks are
-    # dropped once read: at high k they are most of a block's memory
-    p_fac = np.array([s.factor for s in prev_states])
-    p_inv = np.array([s.inverse for s in prev_states])
-    frame_err = (p_inv @ p_fac).reshape(len(prev_states), kp * kp)
-    frame_err[:, ::kp + 1] -= 1.0
-    frame_err = np.sqrt(_dots(frame_err, frame_err))[prev_at]
+    # T' = inv(M') by one batched LU per distinct next state, and r = |M' T'
+    # - I|_F. The k x k stacks are dropped once read: at high k they are
+    # most of a block's memory
     if raised:
-        shear, n_fac = np.array([fr.shear for fr in frames]), np.array([s.factor for s in nexts])
+        shear, n_inv = np.array([fr.shear for fr in frames]), np.array([s.inverse for s in nexts])
+        used_at = np.arange(n)
     else:
-        shear, n_fac = p_inv[prev_at], p_fac[next_at]
-    del p_fac, p_inv
+        p_inv = np.array([s.inverse for s in prev_states])
+        used, used_at = np.unique(next_at, return_inverse=True)
+        shear, n_inv = p_inv[prev_at], p_inv[used]
+        del p_inv
+    n_fac = np.linalg.inv(n_inv)
+    r = (n_inv @ n_fac).reshape(len(n_inv), k * k)
+    r[:, ::k + 1] -= 1.0
+    r = np.sqrt(_dots(r, r))[used_at]
+    n_fac = n_fac[used_at]
+    del n_inv
     c = (shear @ -coeffs[:, :, None])[:, :, 0]
     nn = shear @ n_fac
     del shear, n_fac
@@ -399,6 +411,8 @@ def _structured_margins(steps: Sequence[Step], frames: Sequence[Frame], tol: flo
         c_perp = c - c_par[:, None] * e1
         c_perp = np.sqrt(_dots(c_perp, c_perp))
         low = np.where(q < p, q, p)
+        high = np.where(q > p, q, p)
+        r_in = np.where(r < 1.0, r / (1.0 - r), np.inf)
 
         # the inner margin at x = -1, 1 and, for k > 1, the switch point x*
         if raised:
@@ -416,7 +430,7 @@ def _structured_margins(steps: Sequence[Step], frames: Sequence[Frame], tol: flo
         for v in at_x[1:]:
             inner = np.where(v < inner, v, inner)
         inner_err = (c_perp + alpha_n * (dg + q - low) / (2.0 * np.sqrt(low))
-                     + alpha * frame_err)
+                     + alpha_n * np.sqrt(high + dg) * r_in)
 
         if raised:
             reach2 = c_par * c_par / p + (1.0 / q if k > 1 else 0.0)
@@ -435,14 +449,14 @@ def _structured_margins(steps: Sequence[Step], frames: Sequence[Frame], tol: flo
                 reach2 = np.where((p > q) & (at_x > reach2), at_x, reach2)
             w2 = (1.0 + np.abs(c_par)) ** 2
         reach = (np.sqrt(reach2 + dg / (low * (low - dg)) * w2)
-                 + (c_perp + frame_err) / np.sqrt(low - dg))
+                 + c_perp / np.sqrt(low - dg)) * (1.0 + r)
         err = reach - np.sqrt(reach2)
         err = np.where(err > inner_err, err, inner_err)
         ok = ~((rho == 0.0) | off | ~(dg < low) | (err > 0.1 * tol))
         reach_z = np.zeros(n)
         if ok.any():
             solved = np.linalg.solve(nn[ok], (z - c)[ok][:, :, None])[:, :, 0]
-            reach_z[ok] = np.sqrt(_dots(solved, solved))
+            reach_z[ok] = np.sqrt(_dots(solved, solved)) * (1.0 + r[ok])
     return 1.0 - np.where(reach_z > reach, reach_z, reach), inner - inner_err, ok
 
 
@@ -462,7 +476,7 @@ def _sampled_margins(prev: RoundingState, next_: RoundingState, z: np.ndarray,
 
     k = len(frame.z)
     c_in = project(next_.center - prev.center)
-    m_in = next_.alpha * project(next_.basis @ next_.factor)
+    m_in = next_.alpha * project(next_e.axes * next_e.semiaxes)
     prev_a, z_n, raised = prev.alpha, frame.z, frame.raised
 
     def margin_for(dirs: np.ndarray) -> np.ndarray:

@@ -224,14 +224,15 @@ def run_seeded(
     gate = r0 * d * math.log(d)
 
     local = True  # phase I: both bodies are balls around c0
+    radius = r0  # the phase-I outer ball's
 
     def advance(state, z):
-        nonlocal local
+        nonlocal local, radius
         if local:
             dist = _norm(z - c0)
             if dist <= gate:
-                # a phase-I state is a ball: its factor is radius * I
-                if dist > state.factor[0, 0]:
+                if dist > radius:
+                    radius = dist
                     return Step(state, RoundingState.from_ellipsoid(
                         Ellipsoid.ball(c0, dist), r0 / dist), z, "local", 0.0, None)
                 return Step(state, state, z, "skip", 0.0, None)

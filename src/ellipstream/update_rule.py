@@ -1,9 +1,10 @@
 """The monotone sandwich update on the `RoundingState`: per-step scalars,
 the gamma solve, the regular and the dimension-raising irregular step, each
-an update of the state's factor and its inverse in O(d k + k^2) (Golub &
-Van Loan 6.5), `step`, the per-point kernel, which decides between skip,
-regular step and span raise and returns a `Step`, and `leading_skips`,
-which finds a run of certain skips in a block of points with one mat-mul.
+an update of the state's inverse factor in O(d k + k^2) (Golub & Van Loan
+6.5) and of the factor's norm by a scalar recurrence, `step`, the per-point
+kernel, which decides between skip, regular step and span raise and
+returns a `Step`, and `leading_skips`, which finds a run of certain skips in
+a block of points with one mat-mul.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .ellipsoid import (SPAN_TOL, Ellipsoid, NumericalLimitError, SpanSplit, _norm, basis_split,
-                        log_volume, scan_rows, scan_tolerance, span_scale)
+                        log_volume, scan_rows, scan_tolerance)
 
 GAMMA_MAX_ITER = 200
 GAMMA_REL_RESIDUAL = 1e-10
@@ -24,8 +25,9 @@ GAMMA_FALLBACK_RESIDUAL = 1e-8  # accepted once GAMMA_MAX_ITER steps are spent
 # inside its limit, on top of scan_tolerance; 100x GAMMA_REL_RESIDUAL, so a
 # gamma solved anywhere in its window stays below the coreset's threshold
 SKIP_MARGIN = 1e-8
-# a factor updated in place is accurate to about eps * s_max/s_min of its
-# thin axes; past this bound on that ratio, each step restarts from an SVD
+# an inverse factor updated in place is accurate to about eps * s_max/s_min
+# along the body's long axes, its own thin ones; past this bound on that
+# ratio, each step restarts from an SVD
 ALIGN_LIMIT = 1e6
 
 
@@ -35,7 +37,7 @@ class UpdateError(ValueError):
 
 class _cached:
     """functools.cached_property without the lock Python 3.11 takes on each
-    first read (3.12 dropped it): every new state reads two of these."""
+    first read (3.12 dropped it): every new state reads inverse_norm."""
 
     def __init__(self, fn):
         self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
@@ -50,22 +52,24 @@ class _cached:
 @dataclass(frozen=True, eq=False)
 class RoundingState:
     """The sandwich center + alpha*E inside the hull inside center + E, with
-    E = {basis @ factor @ x : |x| <= 1} on an orthonormal d x k basis of the
-    span (k = dim) and the factor's `inverse`, so a step needs no
-    decomposition (see ALIGN_LIMIT). `log_volume` = log |det factor| is E's
+    E = {basis @ T @ x : |x| <= 1} on an orthonormal d x k basis of the span
+    (k = dim). The state keeps T's `inverse` M, the map to E's unit-ball
+    coordinates, which a step updates with no decomposition (see
+    ALIGN_LIMIT), and `factor_norm` = |T|_F, which it updates by a
+    recurrence; T itself is never formed. `log_volume` = log |det T| is E's
     log volume over the unit k-ball's; `ellipsoid` is a validated view."""
 
     center: np.ndarray
     basis: np.ndarray
-    factor: np.ndarray
     inverse: np.ndarray
+    factor_norm: float
     alpha: float
     log_volume: float
 
     @staticmethod
     def from_ellipsoid(e: Ellipsoid, alpha: float) -> "RoundingState":
-        return RoundingState(e.center, e.axes, np.diag(e.semiaxes),
-                             np.diag(1.0 / e.semiaxes), alpha, log_volume(e))
+        return RoundingState(e.center, e.axes, np.diag(1.0 / e.semiaxes), _norm(e.semiaxes),
+                             alpha, log_volume(e))
 
     @property
     def dim(self) -> int:
@@ -77,15 +81,19 @@ class RoundingState:
 
     @_cached
     def ellipsoid(self) -> Ellipsoid:
-        """The outer body as an Ellipsoid, from the SVD of the factor; its
-        constructor raises NumericalLimitError on a collapsed body."""
-        u, s, _ = np.linalg.svd(self.factor)
+        """The outer body as an Ellipsoid, from the SVD of T = inv(M) by LU.
+        A collapsed body raises NumericalLimitError: from the constructor on
+        its semiaxis ratio, or here where LU finds M singular."""
+        try:
+            u, s, _ = np.linalg.svd(np.linalg.inv(self.inverse))
+        except np.linalg.LinAlgError:
+            raise NumericalLimitError(math.inf) from None
         return Ellipsoid(self.center, self.basis @ u, s)
 
-    @_cached
+    @property
     def span_scale(self) -> float:
-        """The view's span_scale, read off the factor without its SVD."""
-        return span_scale(self.factor, self.dim)
+        """The view's span_scale |T|_F / k^(1/4), read off factor_norm."""
+        return self.factor_norm / max(self.dim, 1) ** 0.25
 
     @_cached
     def inverse_norm(self) -> float:
@@ -94,8 +102,8 @@ class RoundingState:
 
     @property
     def cond_bound(self) -> float:
-        """|factor|_F |inverse|_F, the running bound on s_max/s_min."""
-        return max(self.dim, 1) ** 0.25 * self.span_scale * self.inverse_norm
+        """|T|_F |M|_F, the running bound on s_max/s_min."""
+        return self.factor_norm * self.inverse_norm
 
 
 @dataclass(frozen=True)
@@ -187,7 +195,7 @@ def solve_gamma(rho: float, alpha: float) -> float:
 
 def _finite_point(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise UpdateError("non-finite point")
     return z
 
@@ -232,41 +240,56 @@ def frame(state: RoundingState, split: SpanSplit) -> Frame:
 
 def _checked(state: RoundingState) -> RoundingState:
     """The state, kept as it is while its cond_bound stays within
-    ALIGN_LIMIT; past it, a restart from the SVD of its factor, whose view
-    raises NumericalLimitError on the exact ratio of a collapsed body."""
+    ALIGN_LIMIT; past it, a restart from its `ellipsoid` view, which raises
+    NumericalLimitError on a collapsed body."""
     if state.cond_bound <= ALIGN_LIMIT:
         return state
     e = state.ellipsoid
-    return RoundingState(state.center, e.axes, np.diag(e.semiaxes), np.diag(1.0 / e.semiaxes),
+    return RoundingState(state.center, e.axes, np.diag(1.0 / e.semiaxes), _norm(e.semiaxes),
                          state.alpha, state.log_volume)
 
 
 def _regular(state: RoundingState,
              coeffs: np.ndarray) -> Tuple[RoundingState, Optional[UpdateParams]]:
     """The regular step on an in-span point given by its span coordinates;
-    (state, None) when covered; NumericalLimitError if rho overflows.
+    (state, None) when covered. NumericalLimitError where rho is not
+    finite, or at rank k >= 2 where its square overflows: then a/b > 1e153,
+    so s_max/s_min of the new body, at least (a/b) / that of the previous
+    one, is far past 1/RANK_COLLAPSE_RATIO.
 
-    With y the point's unit-ball coordinates, rho = |y| and w = y/rho, the
-    factor becomes T' = T (b I + (a - b) w w^T) and its inverse, by Sherman
-    & Morrison (1950), M' = (I - (1 - b/a) w w^T) M / b; both are O(k^2).
+    With y = M coeffs the point's unit-ball coordinates, rho = |y| and w =
+    y/rho, the factor becomes T' = T (b I + (a - b) w w^T), so its inverse
+    is, by Sherman & Morrison (1950), M' = (I - (1 - b/a) w w^T) M / b: one
+    O(k^2) update. T w = coeffs/rho needs no T, and |T'|_F^2 = b^2 |T|_F^2
+    + (2 b (a - b) + (a - b)^2) |T w|^2 = b^2 |T|_F^2 + (a^2 - b^2) |T w|^2.
     """
     y = state.inverse @ coeffs
-    rho = math.sqrt(y @ y)
+    rho = _norm(y)
     if rho <= 1.0:
         return state, None
-    if rho == math.inf:
+    if not (rho < math.inf and (state.dim == 1 or rho * rho < math.inf)):
         raise NumericalLimitError(math.inf)
 
     # solve_gamma enforces alpha <= 1/2
     params = compute_params(solve_gamma(rho, state.alpha), state.alpha)
     a, b = params.a, params.b
     w = y / rho
-    tw = state.factor @ w
-    factor = b * state.factor + np.outer((a - b) * tw, w)
-    inverse = (state.inverse - np.outer((1.0 - b / a) * w, w @ state.inverse)) / b
+    tw = coeffs / rho
+    r = b / a
+    if state.dim == 1:
+        # w = -+1 and M' = M / a, which the rank-one form cancels to 0 once b/a < eps/2
+        inverse = state.inverse / a
+    else:
+        # M' by broadcasting, rounding as (M - outer((1 - b/a) w, w M)) / b
+        inverse = ((1.0 - r) * w)[:, None] * (w @ state.inverse)
+        np.subtract(state.inverse, inverse, out=inverse)
+        inverse /= b
+    # sqrt(a^2 - b^2) = a sqrt((1 - b/a)(1 + b/a)); a > b, and no square overflows
+    factor_norm = math.hypot(b * state.factor_norm,
+                             a * math.sqrt((1.0 - r) * (1.0 + r)) * _norm(tw))
     # the center moves along the pre-image of w; log a = gamma
     return _checked(RoundingState(
-        state.center + state.basis @ (params.c * tw), state.basis, factor, inverse,
+        state.center + state.basis @ (params.c * tw), state.basis, inverse, factor_norm,
         params.alpha_next,
         state.log_volume + params.gamma + (state.dim - 1) * math.log(b))), params
 
@@ -279,13 +302,15 @@ def _irregular(state: RoundingState, z: np.ndarray,
     and z lies at sqrt(1+2*alpha) times the new basis vector; the new outer
     body is the ball of radius (1+alpha)/sqrt(1+2*alpha) there, recentred a
     fraction alpha/(1+2*alpha) of the way toward z. Its inverse is the
-    frame's shear over that radius; its factor borders the previous one by
-    one row and column. 1/alpha grows by one.
+    frame's shear over that radius. Its factor, scale [[T, coeffs], [0,
+    rnorm]] / root, borders the previous one by one row and column, so
+    |T'|_F^2 = scale^2 (|T|_F^2 + (|coeffs|^2 + rnorm^2) / root^2). 1/alpha
+    grows by one.
     """
     if not (0.0 < state.alpha <= 1.0):
         raise UpdateError("alpha must lie in (0, 1]")
     # axes under SPAN_TOL/2 rnorm are a near-duplicate's: below 3/4 (k+1)^(1/4) SPAN_TOL times
-    # the raised span scale (|factor|_F >= 2/3 rnorm). Kept, they collapse it, as axes kept by a
+    # the raised span scale (|T'|_F >= 2/3 rnorm). Kept, they collapse it, as axes kept by a
     # lower threshold do. Unless s_min >= 1/|inverse|_F rules them out, drop them
     if state.inverse_norm * 0.5 * SPAN_TOL * split.rnorm >= 1.0:
         body = state.ellipsoid
@@ -301,13 +326,10 @@ def _irregular(state: RoundingState, z: np.ndarray,
     k = state.dim
     root = float(fr.z[k])
     scale = (1.0 + alpha) / root
-    factor = np.zeros((k + 1, k + 1))
-    factor[:k, :k] = state.factor
-    factor[:k, k] = coeffs / root
-    factor[k, k] = rnorm / root
+    factor_norm = scale * math.hypot(state.factor_norm, _norm(coeffs) / root, rnorm / root)
     return _checked(RoundingState(
         state.center + (alpha / (1.0 + 2.0 * alpha)) * delta, fr.basis,
-        scale * factor, fr.shear / scale, 1.0 / (1.0 / alpha + 1.0),
+        fr.shear / scale, factor_norm, 1.0 / (1.0 / alpha + 1.0),
         state.log_volume + (k + 1) * math.log(scale) + math.log(rnorm / root)))
 
 

@@ -455,7 +455,7 @@ class TestVerifyResolution:
             new = raise_(state, z, split)
             if state.dim:
                 return new
-            return RoundingState(new.center + 1e-6, new.basis, new.factor, new.inverse,
+            return RoundingState(new.center + 1e-6, new.basis, new.inverse, new.factor_norm,
                                  new.alpha, new.log_volume)
 
         monkeypatch.setattr(update_rule, "_irregular", shifted)
@@ -587,7 +587,7 @@ class TestVerifyBlocks:
         blocks, certify = [], oracle.check_monotone_steps
 
         def recorded(steps, *args):
-            blocks.append([s.state.factor.size + s.state.basis.size for s in steps])
+            blocks.append([s.state.inverse.size + s.state.basis.size for s in steps])
             return certify(steps, *args)
 
         monkeypatch.setattr(oracle, "check_monotone_steps", recorded)

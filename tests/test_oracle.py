@@ -523,7 +523,8 @@ def reference_structured_margins(prev: RoundingState, next_: RoundingState,
         return None
     e1 = frame.z / rho
     c = frame.shear @ -split_c.coeffs
-    n = frame.shear @ next_.factor
+    factor = np.linalg.inv(next_.inverse)
+    n = frame.shear @ factor
     g = n @ n.T
     p = float(e1 @ g @ e1)
     q, dg = p, 0.0
@@ -535,10 +536,10 @@ def reference_structured_margins(prev: RoundingState, next_: RoundingState,
     c_par = float(c @ e1)
     c_perp = c - c_par * e1
     c_perp = math.sqrt(c_perp @ c_perp)
-    frame_err = prev.inverse @ prev.factor
-    frame_err.flat[::prev.dim + 1] -= 1.0
-    frame_err = math.sqrt(np.vdot(frame_err, frame_err))
-    low = min(p, q)
+    r = next_.inverse @ factor
+    r.flat[::k + 1] -= 1.0
+    r = math.sqrt(np.vdot(r, r))
+    low, high = min(p, q), max(p, q)
     if not dg < low:
         return None
     alpha, alpha_n, raised = prev.alpha, next_.alpha, frame.raised
@@ -550,8 +551,9 @@ def reference_structured_margins(prev: RoundingState, next_: RoundingState,
 
     x_star = (alpha / math.hypot(alpha, rho)) if raised else min(alpha / rho, 1.0)
     x_inner = min((-1.0, 1.0, x_star) if k > 1 else (-1.0, 1.0), key=inner_at)
+    r_in = r / (1.0 - r) if r < 1.0 else math.inf
     inner_err = (c_perp + alpha_n * (dg + q - low) / (2.0 * math.sqrt(low))
-                 + alpha * frame_err)
+                 + alpha_n * math.sqrt(high + dg) * r_in)
 
     if raised:
         reach2 = c_par * c_par / p + (1.0 / q if k > 1 else 0.0)
@@ -565,11 +567,11 @@ def reference_structured_margins(prev: RoundingState, next_: RoundingState,
                      for x in xs)
         w2 = (1.0 + abs(c_par)) ** 2
     reach = (math.sqrt(reach2 + dg / (low * (low - dg)) * w2)
-             + (c_perp + frame_err) / math.sqrt(low - dg))
+             + c_perp / math.sqrt(low - dg)) * (1.0 + r)
     if max(inner_err, reach - math.sqrt(reach2)) > 0.1 * tol:
         return None
     reach_z = np.linalg.solve(n, frame.z - c)
-    reach_z = math.sqrt(reach_z @ reach_z)
+    reach_z = math.sqrt(reach_z @ reach_z) * (1.0 + r)
 
     return 1.0 - max(reach, reach_z), inner_at(x_inner) - inner_err
 
@@ -713,7 +715,7 @@ class TestStructuredCertificate:
         s, w, params = cls.small_step(alpha)
         nxt = s.state
         u2 = np.array([0.8, -0.6, 0.0])
-        factor, center = nxt.factor, nxt.center
+        factor, center = np.linalg.inv(nxt.inverse), nxt.center
         if mutation in ("b+", "b-"):
             b = params.b + (1e-3 if mutation == "b+" else -1e-3)
             factor = b * np.eye(3) + (params.a - b) * np.outer(w, w)
@@ -721,8 +723,8 @@ class TestStructuredCertificate:
             center = center + 1e-3 * u2
         else:
             factor = factor @ (np.eye(3) + 1e-3 * np.outer(w, u2))
-        return s, s._replace(state=RoundingState(center, nxt.basis, factor, np.linalg.inv(factor),
-                                                 nxt.alpha, nxt.log_volume))
+        return s, s._replace(state=RoundingState(center, nxt.basis, np.linalg.inv(factor),
+                                                 _norm(factor), nxt.alpha, nxt.log_volume))
 
     @pytest.mark.parametrize("alpha", [0.5, 0.1])
     @pytest.mark.parametrize("mutation", MUTATIONS)
@@ -743,7 +745,8 @@ class TestStructuredCertificate:
             monkeypatch.setattr(owner, name,
                                 lambda *a, _fn=fn, _name=name, **kw: calls.append(_name) or _fn(*a, **kw))
         # fresh states, so that no cached view hides a decomposition
-        prev, nxt = (RoundingState(r.center, r.basis, r.factor, r.inverse, r.alpha, r.log_volume)
+        prev, nxt = (RoundingState(r.center, r.basis, r.inverse, r.factor_norm, r.alpha,
+                                   r.log_volume)
                      for r in (s.prev, s.state))
         assert check_monotone_step(s._replace(prev=prev, state=nxt)).verdict == "pass"
         assert calls == []
@@ -844,8 +847,8 @@ class TestBlockCertificate:
         # inside the previous body, z's own reach does not cover for it
         prev = RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(1), 1.0), 0.5)
         s = step(prev, np.array([0.5]))
-        s = s._replace(state=RoundingState(prev.center + shift, prev.basis, prev.factor,
-                                           prev.inverse, prev.alpha, prev.log_volume))
+        s = s._replace(state=RoundingState(prev.center + shift, prev.basis, prev.inverse,
+                                           prev.factor_norm, prev.alpha, prev.log_volume))
         fr = update_rule.frame(s.prev, s.split)
         outer, inner, ok = oracle._structured_margins([s], [fr], 1e-7)
         assert ok[0]

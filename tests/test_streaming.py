@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from ellipstream.ellipsoid import (
     SPAN_TOL,
     Ellipsoid,
     NumericalLimitError,
+    _norm,
     max_membership,
     membership,
     span_split,
@@ -451,8 +454,7 @@ def assert_matches_reference(pts):
     """Fold `step` over pts and take every step again with reference_step
     from the same body. The kinds agree, apart from rows within 1e-12 of
     rho = 1, which either kernel may skip; 1/alpha and the semiaxes agree
-    to 1e-9. Every state keeps |inverse @ factor - I| below 1e-10, and its
-    Frobenius bound at least s_max/s_min."""
+    to 1e-9. Every state keeps its Frobenius bound at least s_max/s_min."""
     state = RoundingState.from_ellipsoid(Ellipsoid.point(pts[0]), 1.0)
     for z in pts[1:]:
         body = state.ellipsoid
@@ -466,7 +468,6 @@ def assert_matches_reference(pts):
             continue
         assert 1.0 / state.alpha == pytest.approx(1.0 / ref_alpha, rel=1e-9)
         assert state.ellipsoid.semiaxes == pytest.approx(ref_body.semiaxes, rel=1e-9)
-        assert np.linalg.norm(state.inverse @ state.factor - np.eye(state.dim)) < 1e-10
         semi = state.ellipsoid.semiaxes
         if state.dim:
             bound = state.cond_bound
@@ -488,7 +489,7 @@ def at_rho(state, rhos, rng, residual=0.0):
     rows = []
     for rho in rhos:
         u = rng.standard_normal(state.dim)
-        delta = q @ (state.factor @ u) * (rho / np.linalg.norm(u))
+        delta = q @ np.linalg.solve(state.inverse, u) * (rho / np.linalg.norm(u))
         for _ in range(3):
             got = np.linalg.norm(state.inverse @ (q.T @ (state.center + delta - state.center)))
             delta = delta * (rho / got)
@@ -696,6 +697,58 @@ class TestFactoredState:
         assert max_membership(state.ellipsoid, pts) <= 1e-9
 
 
+def online_states(pts):
+    """Every state the online driver builds on pts."""
+    states = []
+    run_fully_online(pts, on_step=lambda t, s: states.append(s.state))
+    return states
+
+
+def assert_factor_norm_recurrence(states):
+    """Each state's factor_norm, carried by the steps' recurrence, is finite
+    and within 1e-12 of |T|_F for the factor T = inv(inverse)."""
+    for s in states:
+        assert math.isfinite(s.factor_norm)
+        assert s.factor_norm == pytest.approx(_norm(np.linalg.inv(s.inverse)), rel=1e-12)
+
+
+class TestFactorNorm:
+    @pytest.mark.parametrize("name", ["audit-file", "regular-highd"])
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_follows_the_factor_on_perfbench_drift_streams(self, name, seed, tmp_path):
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+        try:
+            import workloads
+        finally:
+            sys.path.pop(0)
+        w = workloads.WORKLOADS[name]
+        for pts in workloads.make_inputs(w, seed, tmp_path).streams:
+            assert_factor_norm_recurrence(online_states(pts))
+
+    @pytest.mark.parametrize("factor", [1e154, 1e300, 2.0 ** 600, 2.0 ** -600, 1e-170, 1e-200])
+    def test_past_the_range_of_squares(self, factor):
+        pts = np.random.default_rng(5).standard_normal((400, 5))
+        assert_factor_norm_recurrence(online_states(pts * factor))
+
+    def test_a_regular_point_at_rho_1e200(self):
+        # on a line, so that the step builds no collapsed body; a^2 and
+        # |T'|_F^2 both overflow
+        u = np.array([0.6, 0.0, -0.8])
+        pts = 1.0 + np.outer([0.0, 1.0, -0.5, 1e200, 0.3, -1e200], u)
+        states, kinds = [], []
+
+        def observer(t, s):
+            states.append(s.state)
+            kinds.append(s.kind)
+
+        state, _ = run_fully_online(pts, on_step=observer)
+        assert kinds == ["init", "irregular", "regular", "regular", "regular"]
+        jump = states[3]
+        assert jump.factor_norm > 1e199 and jump.span_scale > 1e199
+        assert_factor_norm_recurrence(states)
+        assert max_membership(state.ellipsoid, pts) <= 1e-9
+
+
 class TestLeadingSkips:
     """Every row leading_skips passes is a skip of the scalar kernel."""
 
@@ -851,7 +904,7 @@ class TestStepRecord:
         else:
             # the trigger steps from the grown ball, not from the phase-I state
             assert trigger.kind != "local" and trigger.prev is not steps[i - 1].state
-        assert np.array_equal(trigger.prev.factor, gate * np.eye(d))
+        assert np.array_equal(trigger.prev.inverse, np.eye(d) / gate)
         assert all(s.split is not None for s in steps[i + 1:])
         self.assert_split_of_prev(steps)
 

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellipstream import update_rule
-from ellipstream.ellipsoid import (SPAN_RES, Ellipsoid, EllipsoidError, NumericalLimitError,
-                                  log_volume, membership, span_scale, span_split)
+from ellipstream.ellipsoid import (RANK_COLLAPSE_RATIO, SPAN_RES, Ellipsoid, EllipsoidError,
+                                  NumericalLimitError, log_volume, membership, span_scale,
+                                  span_split)
 from ellipstream.oracle import check_monotone_step
 from ellipstream.update_rule import (
     RoundingState,
@@ -310,6 +311,14 @@ class TestStep:
         with pytest.raises(NumericalLimitError) as info:
             step(st0, np.array([1e200, 1e200]))
         assert info.value.ratio == math.inf and info.value.t is None
+
+    def test_singular_inverse_is_a_numerical_limit(self):
+        # at rho = 1e100, 1 - b/a rounds to 1: M' loses its row along w, LU
+        # finds it singular, and the body's view names the collapse
+        st0 = RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(2), 1.0), alpha=0.5)
+        with pytest.raises(NumericalLimitError) as info:
+            step(st0, np.array([1e100, 0.0]))
+        assert info.value.ratio > 1.0 / RANK_COLLAPSE_RATIO
 
     def test_non_finite_point_rejected(self):
         st0 = RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(2), 1.0), alpha=0.5)
