@@ -31,7 +31,7 @@ import numpy as np
 
 from .ellipsoid import RANK_COLLAPSE_RATIO
 from .streaming import RunReport, StepObserver, fold
-from .update_rule import RoundingState, Step, compute_params, step
+from .update_rule import RoundingState, Step, _step, compute_params, step
 # looked up here by perfbench/tracing.py
 from .ellipsoid import log_volume  # noqa: F401
 from .update_rule import full_update_detailed, irregular_update, is_off_span  # noqa: F401
@@ -55,10 +55,12 @@ REASONS = {"init": "dim_growth", "irregular": "dim_growth", "regular": "volume_j
 def coreset_step(state: RoundingState, z: np.ndarray) -> Step:
     """`step`, keeping only span raises and volume-jumping regular steps; a
     dropped regular step becomes a skip that keeps its split."""
-    s = step(state, z)
-    jump = s.state.log_volume - state.log_volume
-    if s.kind == "regular" and jump < VOLUME_JUMP_LOG - TIE_TOL:
-        return Step(state, state, s.z, "skip", 0.0, s.split)
+    return _kept(step(state, z))
+
+
+def _kept(s: Step) -> Step:
+    if s.kind == "regular" and s.state.log_volume - s.prev.log_volume < VOLUME_JUMP_LOG - TIE_TOL:
+        return Step(s.prev, s.prev, s.z, "skip", 0.0, s.split)
     return s
 
 
@@ -66,7 +68,7 @@ def run_coreset(stream: Iterable[np.ndarray],
                 on_step: Optional[StepObserver] = None,
                 ) -> Tuple[CoresetTrace, RunReport]:
     """Fold coreset_step over a stream; `on_step` sees each kept step."""
-    state, report = fold(stream, coreset_step, on_step=on_step,
+    state, report = fold(stream, lambda state, z: _kept(_step(state, z)), on_step=on_step,
                          skip_limit=drop_limit)
     kept = [(rec.t + i, REASONS[rec.step_kind]) for rec, n in report.runs
             if rec.step_kind != "skip" for i in range(n)]
@@ -75,9 +77,9 @@ def run_coreset(stream: Iterable[np.ndarray],
 
 
 def drop_limit(state: RoundingState) -> float:
-    """rho* of the state: coreset_step drops every in-span point with rho
-    below it (see the module docstring). 1 at rank 0, and near the collapse
-    guard, where a tentative step could raise NumericalLimitError.
+    """rho* = a + c at gamma* (from below, `_drop_gamma`): coreset_step drops
+    every in-span point with rho below it (see the module docstring). 1 at
+    rank 0, and near the collapse guard, where a tentative step could raise.
     """
     k = state.dim
     if k == 0:
@@ -87,22 +89,34 @@ def drop_limit(state: RoundingState) -> float:
     # state's cond_bound stands in for the ratio
     if state.cond_bound * math.e > 0.5 / RANK_COLLAPSE_RATIO:
         return 1.0
-    alpha = state.alpha
+    p = compute_params(_drop_gamma(k, state.alpha), state.alpha)
+    return p.a + p.c
+
+
+def _drop_gamma(k: int, alpha: float) -> float:
+    """gamma* from below: growth(gamma) = gamma + (k-1) log b < VOLUME_JUMP_LOG - TIE_TOL.
+    growth is increasing and concave (d log b/dgamma = alpha'^2/b), so Newton from 0
+    stays below gamma*, until rounding stalls its steps or puts an iterate on or past
+    gamma* (at k = 1 the first lands on it); that one backs off by Newton's correction,
+    at least an ulp and twice its last back-off."""
     target = VOLUME_JUMP_LOG - TIE_TOL
 
-    def growth(gamma: float) -> float:
-        # gamma + (k-1) log b, with b as compute_params forms it
+    def growth(gamma: float) -> Tuple[float, float]:
+        # and its slope, with b as compute_params forms it
         alpha_next = 1.0 / (1.0 / alpha + 2.0 * gamma)
-        return gamma + (k - 1) * math.log(1.0 + (alpha - alpha_next) / 2.0)
+        b = 1.0 + (alpha - alpha_next) / 2.0
+        return gamma + (k - 1) * math.log(b), 1.0 + (k - 1) * alpha_next * alpha_next / b
 
-    # growth(gamma) >= gamma, so gamma* lies in [0, target]; lo stays below
-    # it, and 1e-12 is far inside SKIP_MARGIN
-    lo, hi = 0.0, target
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if growth(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    p = compute_params(lo, alpha)
-    return p.a + p.c
+    gamma, (g, slope), last = 0.0, growth(0.0), math.inf
+    while True:
+        rise = (target - g) / slope
+        g_nxt, slope_nxt = growth(gamma + rise)
+        if g_nxt >= target or not 2.0 * rise < last:
+            break
+        gamma, g, slope, last = gamma + rise, g_nxt, slope_nxt, rise
+    nxt, back = gamma + rise, 0.0
+    while g_nxt >= target and nxt > gamma:
+        back = max(2.0 * back, (g_nxt - target) / slope_nxt, nxt - math.nextafter(nxt, 0.0))
+        nxt -= back
+        g_nxt, slope_nxt = growth(nxt)
+    return max(gamma, nxt)

@@ -150,7 +150,7 @@ def span_scale(a: np.ndarray, k: int) -> float:
 class SpanSplit(NamedTuple):
     delta: np.ndarray     # x - center
     coeffs: np.ndarray    # span coordinates of delta
-    residual: np.ndarray  # part of delta orthogonal to the span
+    residual: np.ndarray  # part of delta orthogonal to the span; exactly 0 at full rank
     rnorm: float
     off: bool             # the residual counts as off-span
 
@@ -171,18 +171,20 @@ def basis_split(center: np.ndarray, basis: np.ndarray, scale: float,
     applies. Each norm is _norm's, safe from overflow and underflow of the
     squares. An off-span residual gets a second Gram-Schmidt pass whose
     correction joins coeffs: [coeffs, rnorm] spells delta in [basis,
-    residual/rnorm].
+    residual/rnorm]. At k = d the residual is exactly 0: |B B^T - I| = |B^T B - I|
+    <= ORTHO_TOL keeps the computed one far below SPAN_TOL |delta| (see scan_rows).
     """
     x = np.asarray(x, dtype=float)
     if x.shape != center.shape:
         raise EllipsoidError(f"point of shape {x.shape} against a center of shape {center.shape}")
     delta = x - center
     coeffs = basis.T @ delta
+    if basis.shape[1] == len(delta):
+        return SpanSplit(delta, coeffs, np.zeros(len(delta)), 0.0, False)
     residual = delta - basis @ coeffs
     rnorm = _norm(residual)
-    dnorm = _norm(delta)
-    # |center| is only needed once the first test passes, which is rare
-    off = (rnorm > SPAN_TOL * max(dnorm, scale)
+    # |delta| and |center| are only needed once the body-scale test passes
+    off = (rnorm > SPAN_TOL * scale and rnorm > SPAN_TOL * (dnorm := _norm(delta))
            and rnorm > SPAN_RES * (dnorm + _norm(center)))
     if off:
         extra = basis.T @ residual

@@ -1,22 +1,22 @@
 """End-to-end drivers: seeded two-phase rounding and fully-online rounding,
 and `fold`, the loop all drivers share.
 
-Every driver folds a per-point step over a finite iterable of points,
-producing the final sandwich state plus a per-step report. `fold` owns the
-step protocol: from no state, the first point makes a rank-0 state; the
-observer sees each state change, and skips show only in the report. A skip
-leaves the state unchanged, so `fold` ingests points in bulk: `chunks`
-cuts the stream into blocks of CHUNK_ROWS rows, and once the last two rows
-were skips, `update_rule.leading_skips` scans the rows ahead with one
-mat-mul and records the run of certain skips at once. A row is a certain
-skip when its residual is at most half the off-span threshold and its rho
-lies inside the limit by SKIP_MARGIN plus scan_tolerance, the most a gemm
-and the scalar step can disagree; any row nearer a threshold goes through
-the scalar step, so the outputs equal the scalar fold's bit for bit. A scan
-runs to the end of the block; a run that reaches it carries into the next
-block, and the row that ends a run goes to the scalar step, as does the row
-after a lone skip, where a scan would mostly read the block to pass no row.
-Skip runs are stored run-length encoded.
+Every driver folds `update_rule._step` over a finite iterable of points into
+the final sandwich state and a per-step report; not `step`, as `chunks` checks
+each row finite and `fold` each block's dimension. `fold` owns the step
+protocol: from no state, the first point makes a rank-0 state; the observer
+sees each state change, and skips show only in the report. A skip leaves the
+state unchanged, so `fold` ingests points in bulk: `chunks` cuts the stream
+into blocks of CHUNK_ROWS rows, and once the last two rows were skips,
+`update_rule.leading_skips` scans the rows ahead with one mat-mul and records
+the run of certain skips at once. A row is a certain skip when its residual is
+at most half the off-span threshold and its rho lies inside the limit by
+SKIP_MARGIN plus scan_tolerance, the most a gemm and the scalar step can
+disagree; any row nearer a threshold goes through the scalar step, so the
+outputs equal the scalar fold's bit for bit. A scan runs to the end of the
+block; a run that reaches it carries into the next block, and the row that
+ends a run goes to the scalar step, as does the row after a lone skip (a scan
+would mostly read the block to pass no row). Skip runs are run-length encoded.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tup
 import numpy as np
 
 from .ellipsoid import Ellipsoid, NumericalLimitError, _norm
-from .update_rule import RoundingState, Step, leading_skips, step
+from .update_rule import RoundingState, Step, _step, leading_skips
 # looked up here by perfbench/tracing.py
 from .ellipsoid import log_volume  # noqa: F401
 from .update_rule import full_update_detailed, irregular_update, is_off_span  # noqa: F401
@@ -241,11 +241,11 @@ def run_seeded(
             alpha0 = min(0.5, 1.0 / (d * math.log(d)))
             grown = RoundingState.from_ellipsoid(Ellipsoid.ball(c0, gate), alpha0)
             local = False
-            stepped = step(grown, z)
+            stepped = _step(grown, z)
             # the grown ball may cover a point within ulps of the gate; the
             # growth is then the step, as a skip never changes the state
             return Step(state, grown, z, "local", 0.0, None) if stepped.kind == "skip" else stepped
-        return step(state, z)
+        return _step(state, z)
 
     return fold(stream, advance,
                 RoundingState.from_ellipsoid(Ellipsoid.ball(c0, r0), 1.0), on_step)
@@ -258,7 +258,7 @@ def run_fully_online(
     """Online rounding with no seed: the first point initializes a rank-0
     state and every span-raising point triggers an irregular step.
     """
-    state, report = fold(stream, step, on_step=on_step)
+    state, report = fold(stream, _step, on_step=on_step)
     if state is None:
         raise ValueError("empty stream")
     return state, report

@@ -1,10 +1,10 @@
 """The monotone sandwich update on the `RoundingState`: per-step scalars,
 the gamma solve, the regular and the dimension-raising irregular step, each
 an update of the state's inverse factor in O(d k + k^2) (Golub & Van Loan
-6.5) and of the factor's norm by a scalar recurrence, `step`, the per-point
-kernel, which decides between skip, regular step and span raise and
-returns a `Step`, and `leading_skips`, which finds a run of certain skips in
-a block of points with one mat-mul.
+6.5) and of the factor's norm by a scalar recurrence; `step`, the per-point
+kernel (skip, regular step or span raise, as a `Step`), which refuses a
+non-finite point, and `_step`, the same kernel that the drivers fold on rows
+already checked; and `leading_skips`, a run of certain skips by one mat-mul.
 """
 
 from __future__ import annotations
@@ -106,8 +106,7 @@ class RoundingState:
         return self.factor_norm * self.inverse_norm
 
 
-@dataclass(frozen=True)
-class UpdateParams:
+class UpdateParams(NamedTuple):
     """Scalars (gamma, a, b, c, alpha') of one regular update step."""
 
     gamma: float
@@ -145,7 +144,7 @@ def compute_params(gamma: float, alpha: float) -> UpdateParams:
     alpha_next = 1.0 / (1.0 / alpha + 2.0 * gamma)
     b = 1.0 + (alpha - alpha_next) / 2.0
     c = -alpha + alpha_next * a
-    return UpdateParams(gamma=gamma, a=a, b=b, c=c, alpha_next=alpha_next)
+    return UpdateParams(gamma, a, b, c, alpha_next)
 
 
 def _a_plus_c(gamma: float, alpha: float) -> float:
@@ -254,8 +253,9 @@ def _regular(state: RoundingState,
     """The regular step on an in-span point given by its span coordinates;
     (state, None) when covered. NumericalLimitError where rho is not
     finite, or at rank k >= 2 where its square overflows: then a/b > 1e153,
-    so s_max/s_min of the new body, at least (a/b) / that of the previous
-    one, is far past 1/RANK_COLLAPSE_RATIO.
+    so s_max/s_min of the new body, at least (a/b) / the previous cond_bound
+    (s_max' >= a s_min, s_min' <= b s_max), is far past 1/RANK_COLLAPSE_RATIO.
+    A collapse reports that bound where it exceeds the view's ratio.
 
     With y = M coeffs the point's unit-ball coordinates, rho = |y| and w =
     y/rho, the factor becomes T' = T (b I + (a - b) w w^T), so its inverse
@@ -288,10 +288,14 @@ def _regular(state: RoundingState,
     factor_norm = math.hypot(b * state.factor_norm,
                              a * math.sqrt((1.0 - r) * (1.0 + r)) * _norm(tw))
     # the center moves along the pre-image of w; log a = gamma
-    return _checked(RoundingState(
-        state.center + state.basis @ (params.c * tw), state.basis, inverse, factor_norm,
-        params.alpha_next,
-        state.log_volume + params.gamma + (state.dim - 1) * math.log(b))), params
+    try:
+        return _checked(RoundingState(
+            state.center + state.basis @ (params.c * tw), state.basis, inverse, factor_norm,
+            params.alpha_next,
+            state.log_volume + params.gamma + (state.dim - 1) * math.log(b))), params
+    except NumericalLimitError as exc:
+        # the view of a rounded M' may read its rounding floor (see above)
+        raise NumericalLimitError(max(exc.ratio, a / b / state.cond_bound)) from None
 
 
 def _irregular(state: RoundingState, z: np.ndarray,
@@ -334,9 +338,14 @@ def _irregular(state: RoundingState, z: np.ndarray,
 
 
 def step(state: RoundingState, z: np.ndarray) -> Step:
-    """The per-point kernel every driver folds: a skip, regular or
-    irregular Step from `state`, carrying the split that decided it."""
-    z = _finite_point(z)
+    """The per-point kernel: a skip, regular or irregular Step from
+    `state`, carrying the split that decided it. Refuses a non-finite z."""
+    return _step(state, _finite_point(z))
+
+
+def _step(state: RoundingState, z: np.ndarray) -> Step:
+    """`step` on a finite float z, the kernel every driver's fold runs:
+    `streaming.chunks` has checked each row's finiteness, once."""
     split = _split(state, z)
     if split.off:
         return Step(state, _irregular(state, z, split), z, "irregular", 0.0, split)

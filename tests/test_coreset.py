@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ellipstream.coreset import coreset_step, run_coreset
+from ellipstream.coreset import TIE_TOL, VOLUME_JUMP_LOG, _drop_gamma, coreset_step, run_coreset
 from ellipstream.ellipsoid import membership
 
 OUTER_FACTOR = 2.0 * math.e + 1.0
@@ -117,3 +119,32 @@ def test_report_kinds_align_with_reasons():
             assert rec.step_kind in ("init", "regular", "irregular")
         else:
             assert rec.step_kind == "skip"
+
+
+def _growth(k, alpha, gamma):
+    # gamma + (k-1) log b(gamma), with b as compute_params forms it
+    alpha_next = 1.0 / (1.0 / alpha + 2.0 * gamma)
+    return gamma + (k - 1) * math.log(1.0 + (alpha - alpha_next) / 2.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 64), st.floats(0.0, 0.5, exclude_min=True))
+def test_drop_gamma_is_just_below_gamma_star(k, alpha):
+    # gamma* by bisection down to adjacent floats; drop_limit's gamma must
+    # stay below the jump and within 1e-12 of gamma*
+    target = VOLUME_JUMP_LOG - TIE_TOL
+    lo, hi = 0.0, 2.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if _growth(k, alpha, mid) < target else (lo, mid)
+    gamma = _drop_gamma(k, alpha)
+    assert _growth(k, alpha, gamma) < target
+    assert gamma == pytest.approx(lo, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 6, 64])
+@pytest.mark.parametrize("alpha", [0.5, 0.1, 1e-3, 1e-9])
+def test_drop_gamma_at_the_edges(k, alpha):
+    # at k = 1 growth is gamma itself, and Newton's first iterate is the root
+    gamma = _drop_gamma(k, alpha)
+    assert _growth(k, alpha, gamma) < VOLUME_JUMP_LOG - TIE_TOL
+    assert _growth(k, alpha, gamma) == pytest.approx(VOLUME_JUMP_LOG - TIE_TOL, rel=1e-14)

@@ -7,9 +7,13 @@ from hypothesis import strategies as st
 
 from ellipstream.ellipsoid import (
     CONTAINMENT_TOL,
+    ORTHO_TOL,
+    SPAN_TOL,
     Ellipsoid,
     EllipsoidError,
     _max_norm_over_ellipsoid,
+    _norm,
+    basis_split,
     containment_margin,
     log_volume,
     max_membership,
@@ -281,3 +285,31 @@ class TestExactSearch:
             ref = self.assert_matches_reference(*normalized(next_, prev))
             assert containment_margin(next_, prev) == pytest.approx(
                 ref - 1.0, abs=1e-12 * max(1.0, ref))
+
+
+class TestFullRankSplit:
+    """basis_split returns at once at k = d. Its premise: for a square basis
+    with |B^T B - I|_F <= ORTHO_TOL, as Ellipsoid enforces, the residual
+    delta - B B^T delta never passes SPAN_TOL |delta|, at any scale."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 32), st.floats(0.0, 1.0),
+           st.floats(-18.0, -6.0), st.floats(-150.0, 150.0))
+    def test_residual_stays_below_the_span_threshold(self, seed, d, sym, log_rot, log_delta):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        # B = Q (I + S + A): S symmetric moves B^T B - I to first order, A
+        # antisymmetric only to second
+        s = rng.standard_normal((d, d))
+        s = sym * 0.49 * ORTHO_TOL * (s + s.T) / max(np.linalg.norm(s + s.T), 1e-300)
+        a = rng.standard_normal((d, d))
+        a = 10.0 ** log_rot * (a - a.T) / max(np.linalg.norm(a - a.T), 1e-300)
+        basis = q @ (np.eye(d) + s + a)
+        assert np.linalg.norm(basis.T @ basis - np.eye(d)) <= ORTHO_TOL
+        delta = rng.standard_normal(d) * 10.0 ** log_delta
+        residual = delta - basis @ (basis.T @ delta)
+        assert _norm(residual) <= SPAN_TOL * _norm(delta)
+        center = rng.standard_normal(d)
+        split = basis_split(center, basis, 1.0, center + delta)
+        assert not split.off and split.rnorm == 0.0 and not split.residual.any()
+        assert np.array_equal(split.coeffs, basis.T @ (center + delta - center))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellipstream import coreset, streaming, update_rule
+from ellipstream import cli, coreset, streaming, update_rule
 from ellipstream.coreset import coreset_step, drop_limit, run_coreset
 from ellipstream.ellipsoid import (
     RANK_COLLAPSE_RATIO,
@@ -22,7 +22,8 @@ from ellipstream.ellipsoid import (
 )
 from ellipstream.oracle import check_monotone_step, check_monotone_steps
 from ellipstream.streaming import CHUNK_ROWS, RunReport, run_fully_online, run_seeded
-from ellipstream.update_rule import RoundingState, compute_params, leading_skips, solve_gamma, step
+from ellipstream.update_rule import (ALIGN_LIMIT, RoundingState, compute_params, leading_skips,
+                                     solve_gamma, step)
 
 
 class TestFullyOnline:
@@ -302,6 +303,31 @@ class TestNumericalLimit:
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1e200, 1e200]])
         with pytest.raises(NumericalLimitError, match="numerical limit at step t=4:"):
             run(pts)
+
+    @pytest.mark.parametrize("driver, far, ratio", [
+        ("online", 1e100, 9.320e99), ("online", 1e20, 9.277e19),
+        ("coreset", 1e100, 9.320e99), ("coreset", 1e20, 9.277e19), ("seeded", 1e100, 6.179e99)])
+    def test_one_long_regular_step_reports_its_own_ratio(self, driver, far, ratio):
+        # M' rounds away its row along w, and its view reads a rounding floor
+        # near 1e16; (a/b) / the previous cond_bound reads the step
+        run = {"online": run_fully_online,
+               "seeded": lambda pts: run_seeded(pts, np.zeros(2), 0.5),
+               "coreset": run_coreset}[driver]
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [far, far]])
+        with pytest.raises(NumericalLimitError) as info:
+            run(pts)
+        assert info.value.t == 4
+        assert info.value.ratio == pytest.approx(ratio, rel=1e-3)
+
+    def test_collapse_bound_is_a_lower_bound(self):
+        # a long step whose body stays inside float64: the reported bound
+        # never exceeds the exact ratio of the view
+        st0 = RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(2), 1.0), alpha=0.5)
+        for far in (1e3, 1e6, 1e9):
+            s = step(st0, np.array([far, far]))
+            a, b = math.exp(s.gamma), compute_params(s.gamma, 0.5).b
+            semi = s.state.ellipsoid.semiaxes
+            assert a / b / st0.cond_bound <= semi[0] / semi[-1]
 
 
 class TestRunReport:
@@ -804,6 +830,56 @@ class TestErrorOrdering:
         with pytest.raises(ValueError, match="index 138"):
             run_coreset(given(pts))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("given", [np.asarray, as_list, as_generator])
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_non_finite_row_named_in_each_driver(self, phase, given, bad):
+        # phase 1: every row inside the seeded gate; phase 2: the gate is
+        # passed at t = 2. The drivers fold the kernel without step's own
+        # check, so chunks alone must name the row
+        rng = np.random.default_rng(70)
+        pts = 0.05 * rng.standard_normal((400, 3))
+        if phase == 2:
+            pts[1:] *= 400.0
+        pts[299, 0] = bad
+        drivers = (run_fully_online, run_coreset, lambda p: run_seeded(p, np.zeros(3), 0.5))
+        for run in drivers:
+            with pytest.raises(ValueError, match="^non-finite point at index 300$"):
+                run(given(pts))
+        _, report = run_seeded(pts[:299], np.zeros(3), 0.5)
+        kinds = {r.step_kind for r in report.records}
+        assert kinds <= {"skip", "local"} if phase == 1 else "regular" in kinds
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_the_public_kernels_refuse_a_non_finite_point(self, bad):
+        st0 = RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(2), 1.0), alpha=0.5)
+        for kernel in (step, coreset_step):
+            with pytest.raises(update_rule.UpdateError, match="non-finite"):
+                kernel(st0, np.array([bad, 0.0]))
+
+    def test_the_drivers_check_each_row_once(self, tmp_path):
+        # chunks checks every row; the folds skip step's second check
+        code, calls = update_rule._finite_point.__code__, []
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                calls.append(1)
+
+        g = np.random.default_rng(71).standard_normal((300, 4))
+        path = tmp_path / "pts.csv"
+        np.savetxt(path, g, fmt="%.17g", delimiter=",")
+        old = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            run_fully_online(g)
+            run_seeded(g, np.zeros(4), 0.1)
+            run_coreset(list(g))
+            assert cli.run(cli.RunConfig(mode="verify", input_path=str(path),
+                                         out=str(tmp_path / "out"))) == 0
+        finally:
+            sys.setprofile(old)
+        assert not calls
+
     @pytest.mark.parametrize("rows, index", [
         (lambda: [np.zeros(3), np.ones(2)], 2),
         (lambda: iter([*np.random.default_rng(7).standard_normal((300, 3)), np.ones(2)]), 301),
@@ -916,3 +992,57 @@ class TestStepRecord:
         assert dropped and all(s.state is s.prev for s in dropped)
         assert [s.kind for s in steps if s.split is None] == ["init"]
         self.assert_split_of_prev(steps)
+
+
+def kernel_streams():
+    """Full-rank drift streams, a 3-plane in R^6, and a stream mapped past
+    ALIGN_LIMIT (condition 1e6), where every state change restarts."""
+    rng = np.random.default_rng(72)
+    out = {}
+    for d, n, rate in ((6, 600, 0.005), (16, 300, 0.002)):
+        g = rng.standard_normal((n, d))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        out[f"drift{d}"] = g * np.exp(rate * np.arange(1, n + 1))[:, None]
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    out["plane3_in_6"] = rng.standard_normal((400, 3)) @ q[:, :3].T + 1.0
+    out["mapped_c6"] = rng.standard_normal((600, 6)) @ (q * np.logspace(0, 6, 6)).T + 3.0
+    return out
+
+
+KERNEL_STREAMS = kernel_streams()
+STATE_FIELDS = ("center", "basis", "inverse", "factor_norm", "alpha", "log_volume")
+
+
+class TestFoldIsThePerPointKernel:
+    """Each driver's fold, with its scans and its unchecked kernel, against
+    the public step or coreset_step folded point by point."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_STREAMS))
+    @pytest.mark.parametrize("driver", ["online", "seeded", "coreset"])
+    def test_states_kinds_and_gammas(self, driver, name):
+        pts = KERNEL_STREAMS[name]
+        d = pts.shape[1]
+        # the seeded gate at the median distance from c0 = 0: both phases run
+        r0 = float(np.median(np.linalg.norm(pts, axis=1))) / (d * math.log(d))
+        run = {"online": run_fully_online,
+               "seeded": lambda p, **kw: run_seeded(p, np.zeros(d), r0, **kw),
+               "coreset": run_coreset}[driver]
+        reference = {"online": reference_online, "seeded": lambda p: reference_seeded(p, r0),
+                     "coreset": reference_coreset}[driver]
+        ref_state, ref_records, ref_selected = reference(pts)
+        seen = []
+        out, report = run(pts, on_step=lambda t, s: seen.append(s.state))
+        state = out.driver if driver == "coreset" else out
+        assert [tuple(r) for r in report.records] == ref_records
+        for field in STATE_FIELDS:
+            assert np.array_equal(getattr(state, field), getattr(ref_state, field)), field
+        if driver == "coreset":
+            assert (out.selected, out.reasons) == ref_selected
+        kinds = {r[3] for r in ref_records}
+        assert "regular" in kinds and "skip" in kinds
+        if driver == "seeded":
+            assert "local" in kinds
+        elif name == "mapped_c6":
+            assert max(s.cond_bound for s in seen) > ALIGN_LIMIT
+        if name == "plane3_in_6" and driver != "seeded":
+            assert state.dim == 3
