@@ -13,12 +13,19 @@ The tentative step multiplies the factor by b I + (a - b) w w^T, whose
 determinant is a b^(k-1), so on a rank-k body the recorded log volume grows
 by log a + (k-1) log b = gamma + (k-1) log b(gamma), in closed form. That
 is increasing in gamma, and gamma in rho, so the point is dropped for every
-rho below rho*, where gamma* solves gamma + (k-1) log b(gamma) =
-VOLUME_JUMP_LOG - TIE_TOL and rho* = a(gamma*) + c(gamma*). The scan passes
-rows with rho <= rho* (1 - SKIP_MARGIN - scan_tolerance): the margin covers
-the gamma solve's 1e-10 window and the rounding of the difference of two
-recorded log volumes, a few ulps of their size. A state whose tentative
-step could trip the collapse guard scans with limit 1.
+rho below rho* = a + c at gamma*, where gamma* solves
+growth(gamma) = gamma + (k-1) log b(gamma) = T = VOLUME_JUMP_LOG - TIE_TOL.
+The scan needs only a lower bound on rho*, and `drop_limit` takes one in
+closed form. Since b - 1 = gamma alpha^2 / (1 + 2 gamma alpha) and log b <=
+b - 1, growth <= u(gamma) = gamma + (k-1) gamma alpha^2 / (1 + 2 gamma alpha);
+u is increasing, so its root gamma^ in T has growth(gamma^) <= T, and gamma^
+<= gamma*. For the alpha <= 1/(k+1) a coreset reaches, a + c at gamma^ is
+at least (1 - 2e-3) rho*. The scan passes rows with
+rho <= limit (1 - SKIP_MARGIN - scan_tolerance): the margin covers the gamma
+solve's 1e-10 window, the rounding of the difference of two recorded log
+volumes, a few ulps of their size, and the rounding of gamma^, which puts it
+at most a few ulps above gamma* where the bound is tight (alpha -> 0). A
+state whose tentative step could trip the collapse guard scans with limit 1.
 """
 
 from __future__ import annotations
@@ -77,8 +84,11 @@ def run_coreset(stream: Iterable[np.ndarray],
 
 
 def drop_limit(state: RoundingState) -> float:
-    """rho* = a + c at gamma* (from below, `_drop_gamma`): coreset_step drops
-    every in-span point with rho below it (see the module docstring). 1 at
+    """A lower bound on rho*, below which coreset_step drops every in-span
+    point (see the module docstring): a + c at the root gamma^ <= gamma* of
+    gamma + (k-1) gamma alpha^2 / (1 + 2 gamma alpha) = T, that is of
+    2 alpha gamma^2 + 2 h gamma - T = 0, h = (1 + (k-1) alpha^2 - 2 alpha T)/2,
+    written without cancellation (h > 0 as alpha <= 1/2 and T < 1). 1 at
     rank 0, and near the collapse guard, where a tentative step could raise.
     """
     k = state.dim
@@ -89,34 +99,7 @@ def drop_limit(state: RoundingState) -> float:
     # state's cond_bound stands in for the ratio
     if state.cond_bound * math.e > 0.5 / RANK_COLLAPSE_RATIO:
         return 1.0
-    p = compute_params(_drop_gamma(k, state.alpha), state.alpha)
+    alpha, target = state.alpha, VOLUME_JUMP_LOG - TIE_TOL
+    h = 0.5 * (1.0 + (k - 1) * alpha * alpha - 2.0 * alpha * target)
+    p = compute_params(target / (h + math.sqrt(h * h + 2.0 * alpha * target)), alpha)
     return p.a + p.c
-
-
-def _drop_gamma(k: int, alpha: float) -> float:
-    """gamma* from below: growth(gamma) = gamma + (k-1) log b < VOLUME_JUMP_LOG - TIE_TOL.
-    growth is increasing and concave (d log b/dgamma = alpha'^2/b), so Newton from 0
-    stays below gamma*, until rounding stalls its steps or puts an iterate on or past
-    gamma* (at k = 1 the first lands on it); that one backs off by Newton's correction,
-    at least an ulp and twice its last back-off."""
-    target = VOLUME_JUMP_LOG - TIE_TOL
-
-    def growth(gamma: float) -> Tuple[float, float]:
-        # and its slope, with b as compute_params forms it
-        alpha_next = 1.0 / (1.0 / alpha + 2.0 * gamma)
-        b = 1.0 + (alpha - alpha_next) / 2.0
-        return gamma + (k - 1) * math.log(b), 1.0 + (k - 1) * alpha_next * alpha_next / b
-
-    gamma, (g, slope), last = 0.0, growth(0.0), math.inf
-    while True:
-        rise = (target - g) / slope
-        g_nxt, slope_nxt = growth(gamma + rise)
-        if g_nxt >= target or not 2.0 * rise < last:
-            break
-        gamma, g, slope, last = gamma + rise, g_nxt, slope_nxt, rise
-    nxt, back = gamma + rise, 0.0
-    while g_nxt >= target and nxt > gamma:
-        back = max(2.0 * back, (g_nxt - target) / slope_nxt, nxt - math.nextafter(nxt, 0.0))
-        nxt -= back
-        g_nxt, slope_nxt = growth(nxt)
-    return max(gamma, nxt)

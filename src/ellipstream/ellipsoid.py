@@ -30,6 +30,9 @@ SPAN_TOL = 1e-8
 # ... and this fraction of the coordinates' size, a few hundred ulps
 SPAN_RES = 256 * np.finfo(float).eps
 _EPS = float(np.finfo(float).eps)
+# the smallest normal float64, 2^-1022: a sum of squares below it is subnormal
+_TINY = float(np.finfo(float).tiny)
+_ROOT_TINY = math.sqrt(_TINY)
 
 # eigenvalues of m.T m closer to the top than this fraction of it are one
 # repeated value to _max_norm_over_ellipsoid: a few ulps of eigh's rounding
@@ -132,9 +135,10 @@ class Ellipsoid:
 
 def _norm(v: np.ndarray) -> float:
     """The 2-norm of a finite array's entries, sqrt(sum v^2), rescaled by
-    max|v| where the sum overflows, or underflows to 0 while v is not 0."""
+    max|v| where the sum overflows, or falls below _TINY (a subnormal with
+    few significant bits, or 0) while v is not 0."""
     sq = np.vdot(v, v)
-    if 0.0 < sq < math.inf or not np.count_nonzero(v):
+    if _TINY <= sq < math.inf or not np.count_nonzero(v):
         return math.sqrt(sq)
     m = np.abs(v).max()
     return float(m * math.sqrt(np.vdot(v / m, v / m)))
@@ -202,11 +206,12 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 
 def safe_row_norms(x: np.ndarray) -> np.ndarray:
     """row_norms of a finite 2-D array, with each row whose sum of squares
-    overflows, or underflows to 0 while the row is not 0, rescaled as by
-    _norm."""
+    overflows, or falls below _TINY while the row is not 0, rescaled as by
+    _norm. sqrt is monotone and correctly rounded, and sqrt(_TINY) = 2^-511
+    exactly, so a norm reads below it just when its sum is below _TINY."""
     norms = row_norms(x)
-    if len(norms) and not (norms.min() > 0.0 and norms.max() < math.inf):
-        for i in np.flatnonzero((norms == math.inf) | ((norms == 0.0) & x.any(axis=1))):
+    if len(norms) and not (norms.min() >= _ROOT_TINY and norms.max() < math.inf):
+        for i in np.flatnonzero((norms == math.inf) | ((norms < _ROOT_TINY) & x.any(axis=1))):
             norms[i] = _norm(x[i])
     return norms
 

@@ -200,8 +200,9 @@ def _finite_point(z: np.ndarray) -> np.ndarray:
 
 
 def _split(state: RoundingState, z: np.ndarray) -> SpanSplit:
-    """basis_split of z against the state at its span scale."""
-    return basis_split(state.center, state.basis, state.span_scale, z)
+    """basis_split of z at the state's span scale, formed only below full rank, where it is read."""
+    d, k = state.basis.shape
+    return basis_split(state.center, state.basis, state.span_scale if k < d else 0.0, z)
 
 
 def is_off_span(state: RoundingState, z: np.ndarray) -> bool:
@@ -255,7 +256,8 @@ def _regular(state: RoundingState,
     finite, or at rank k >= 2 where its square overflows: then a/b > 1e153,
     so s_max/s_min of the new body, at least (a/b) / the previous cond_bound
     (s_max' >= a s_min, s_min' <= b s_max), is far past 1/RANK_COLLAPSE_RATIO.
-    A collapse reports that bound where it exceeds the view's ratio.
+    A collapse reports that bound where it exceeds the view's ratio, or
+    where LU finds M' singular.
 
     With y = M coeffs the point's unit-ball coordinates, rho = |y| and w =
     y/rho, the factor becomes T' = T (b I + (a - b) w w^T), so its inverse
@@ -294,8 +296,11 @@ def _regular(state: RoundingState,
             params.alpha_next,
             state.log_volume + params.gamma + (state.dim - 1) * math.log(b))), params
     except NumericalLimitError as exc:
-        # the view of a rounded M' may read its rounding floor (see above)
-        raise NumericalLimitError(max(exc.ratio, a / b / state.cond_bound)) from None
+        # the view of a rounded M' may read its rounding floor (see above),
+        # or inf where LU finds it singular; the bound is then all we know
+        bound = a / b / state.cond_bound
+        ratio = bound if exc.ratio == math.inf else max(exc.ratio, bound)
+        raise NumericalLimitError(ratio) from None
 
 
 def _irregular(state: RoundingState, z: np.ndarray,

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ellipstream.coreset import TIE_TOL, VOLUME_JUMP_LOG, _drop_gamma, coreset_step, run_coreset
-from ellipstream.ellipsoid import membership
+from ellipstream.coreset import TIE_TOL, VOLUME_JUMP_LOG, coreset_step, drop_limit, run_coreset
+from ellipstream.ellipsoid import Ellipsoid, membership
+from ellipstream.update_rule import RoundingState, compute_params
 
 OUTER_FACTOR = 2.0 * math.e + 1.0
 
@@ -127,24 +128,39 @@ def _growth(k, alpha, gamma):
     return gamma + (k - 1) * math.log(1.0 + (alpha - alpha_next) / 2.0)
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.integers(1, 64), st.floats(0.0, 0.5, exclude_min=True))
-def test_drop_gamma_is_just_below_gamma_star(k, alpha):
-    # gamma* by bisection down to adjacent floats; drop_limit's gamma must
-    # stay below the jump and within 1e-12 of gamma*
-    target = VOLUME_JUMP_LOG - TIE_TOL
+def exact_drop_limit(state):
+    """rho* = a + c at gamma*, from a bisection of the growth down to adjacent floats."""
+    k, alpha = state.dim, state.alpha
     lo, hi = 0.0, 2.0
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        lo, hi = (mid, hi) if _growth(k, alpha, mid) < target else (lo, mid)
-    gamma = _drop_gamma(k, alpha)
-    assert _growth(k, alpha, gamma) < target
-    assert gamma == pytest.approx(lo, rel=1e-12)
+        lo, hi = (mid, hi) if _growth(k, alpha, mid) < VOLUME_JUMP_LOG - TIE_TOL else (lo, mid)
+    p = compute_params(lo, alpha)
+    return p.a + p.c
+
+
+def assert_tight_lower_bound(k, alpha):
+    # never above rho* by more than rounding; within 2e-3 of it for the
+    # alpha <= 1/(k+1) a rank-k coreset state has
+    state = RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(k), 1.0), alpha)
+    limit, exact = drop_limit(state), exact_drop_limit(state)
+    assert limit <= exact * (1.0 + 1e-12)
+    if alpha <= 1.0 / (k + 1):
+        assert limit >= exact * (1.0 - 2e-3)
+    return limit, exact
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 64), st.floats(0.0, 0.5, exclude_min=True))
+@example(2, 1.0 / 3.0)  # the loosest case a coreset reaches
+@example(64, 1e-300)
+def test_drop_limit_is_a_tight_lower_bound(k, alpha):
+    assert_tight_lower_bound(k, alpha)
 
 
 @pytest.mark.parametrize("k", [1, 2, 6, 64])
 @pytest.mark.parametrize("alpha", [0.5, 0.1, 1e-3, 1e-9])
-def test_drop_gamma_at_the_edges(k, alpha):
-    # at k = 1 growth is gamma itself, and Newton's first iterate is the root
-    gamma = _drop_gamma(k, alpha)
-    assert _growth(k, alpha, gamma) < VOLUME_JUMP_LOG - TIE_TOL
-    assert _growth(k, alpha, gamma) == pytest.approx(VOLUME_JUMP_LOG - TIE_TOL, rel=1e-14)
+def test_drop_limit_at_the_edges(k, alpha):
+    limit, exact = assert_tight_lower_bound(k, alpha)
+    if k == 1:
+        # growth is gamma itself, and the bound's root is gamma* = T
+        assert limit == pytest.approx(exact, rel=1e-14)

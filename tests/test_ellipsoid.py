@@ -18,6 +18,8 @@ from ellipstream.ellipsoid import (
     log_volume,
     max_membership,
     membership,
+    row_norms,
+    safe_row_norms,
 )
 from ellipstream.streaming import run_fully_online
 
@@ -313,3 +315,16 @@ class TestFullRankSplit:
         split = basis_split(center, basis, 1.0, center + delta)
         assert not split.off and split.rnorm == 0.0 and not split.residual.any()
         assert np.array_equal(split.coeffs, basis.T @ (center + delta - center))
+
+
+@pytest.mark.parametrize("log2_scale", [-515, -530, -535, -600])
+def test_norms_whose_sums_of_squares_are_subnormal(log2_scale):
+    # a sum of squares below the smallest normal float keeps few significant
+    # bits, or none once it underflows to 0; both norms rescale it, and
+    # match the unscaled norms scaled by the power of two
+    rows = np.random.default_rng(7).standard_normal((6, 5))
+    scale = 2.0 ** log2_scale
+    expected = row_norms(rows) * scale
+    assert np.allclose(safe_row_norms(rows * scale), expected, rtol=4 * np.finfo(float).eps, atol=0)
+    for row, norm in zip(rows * scale, expected):
+        assert _norm(row) == pytest.approx(norm, rel=4 * np.finfo(float).eps)

@@ -24,6 +24,7 @@ from ellipstream.oracle import check_monotone_step, check_monotone_steps
 from ellipstream.streaming import CHUNK_ROWS, RunReport, run_fully_online, run_seeded
 from ellipstream.update_rule import (ALIGN_LIMIT, RoundingState, compute_params, leading_skips,
                                      solve_gamma, step)
+from test_coreset import exact_drop_limit
 
 
 class TestFullyOnline:
@@ -171,16 +172,19 @@ def test_affine_equivariance_up_to_condition_1e6(d, n, seed, c):
     assert max_membership(state.ellipsoid, mapped) <= 1e-9
 
 
-@pytest.mark.parametrize("factor", [1e154, 1e300, 2.0 ** 600, 2.0 ** -600, 1e-170, 1e-200])
+@pytest.mark.parametrize("factor", [1e154, 1e300, 2.0 ** 600, 2.0 ** -600, 1e-158, 1e-160,
+                                    2.0 ** -530, 1e-170, 1e-200])
 def test_scaled_past_the_range_of_squares_replays_the_run(factor):
-    # the squares of these coordinates overflow, or underflow to 0; every
-    # norm of the span test is rescaled, so the run replays the unscaled one
+    # the squares of these coordinates overflow, or underflow to subnormals
+    # or to 0; every norm of the span test is rescaled, so the run replays
+    # the unscaled one
     pts = np.random.default_rng(5).standard_normal((400, 5))
     _, base = run_fully_online(pts)
     steps = []
     _, report = run_fully_online(pts * factor, on_step=lambda t, s: s.split and steps.append(s))
     assert [r.step_kind for r in report.records] == [r.step_kind for r in base.records]
     assert report.final_alpha_inv == pytest.approx(base.final_alpha_inv, rel=1e-15)
+    assert run_coreset(pts * factor)[0].selected == run_coreset(pts)[0].selected
     assert len(steps) == 27
     assert all(c.verdict == "pass" for c in check_monotone_steps(steps))
 
@@ -306,10 +310,12 @@ class TestNumericalLimit:
 
     @pytest.mark.parametrize("driver, far, ratio", [
         ("online", 1e100, 9.320e99), ("online", 1e20, 9.277e19),
-        ("coreset", 1e100, 9.320e99), ("coreset", 1e20, 9.277e19), ("seeded", 1e100, 6.179e99)])
+        ("coreset", 1e100, 9.320e99), ("coreset", 1e20, 9.277e19), ("seeded", 1e100, 6.179e99),
+        ("seeded", 1e20, 6.150e19)])
     def test_one_long_regular_step_reports_its_own_ratio(self, driver, far, ratio):
         # M' rounds away its row along w, and its view reads a rounding floor
-        # near 1e16; (a/b) / the previous cond_bound reads the step
+        # near 1e16, or inf where LU finds M' singular (seeded, 1e20);
+        # (a/b) / the previous cond_bound reads the step
         run = {"online": run_fully_online,
                "seeded": lambda pts: run_seeded(pts, np.zeros(2), 0.5),
                "coreset": run_coreset}[driver]
@@ -556,14 +562,15 @@ def span_rows(state, rng):
 
 
 def drop_rows(state, rng):
-    # the coreset's drop limit rho*: either side by 1e-9, and just inside
-    # the scan margin
-    limit = drop_limit(state)
+    # the coreset's exact drop threshold rho*, where the scalar keep-rule
+    # decides, and the scan's limit below it: each either side by 1e-9, and
+    # just inside the scan margin
     factors = [1 - 1e-9, 1 + 1e-9, 1 - 2e-8, 1 - 1e-7, 1 - 1e-3]
     rows = [at_rho(state, rng.uniform(0.1, 0.9, 20), rng)]
-    for f in factors:
-        rows.append(at_rho(state, [limit * f], rng))
-        rows.append(at_rho(state, rng.uniform(0.1, 0.9, 10), rng))
+    for limit in (exact_drop_limit(state), drop_limit(state)):
+        for f in factors:
+            rows.append(at_rho(state, [limit * f], rng))
+            rows.append(at_rho(state, rng.uniform(0.1, 0.9, 10), rng))
     return np.vstack(rows)
 
 
@@ -795,11 +802,15 @@ class TestLeadingSkips:
         self.assert_passes_only(state, rows, scalar_skip)
 
     def test_rows_at_the_drop_limit(self):
+        # rows about rho*, where the scalar keep-rule decides, and about the
+        # scan's limit below it, which the scan decides
         rng = np.random.default_rng(44)
         trace = run_coreset(rng.standard_normal((200, 4)))[0]
         limit = drop_limit(trace.driver)
         assert limit > 1.0
-        rows = at_rho(trace.driver, limit * (1.0 + rng.uniform(-3e-8, 1e-8, 300)), rng)
+        rhos = np.concatenate([rho * (1.0 + rng.uniform(-3e-8, 1e-8, 300))
+                               for rho in (exact_drop_limit(trace.driver), limit)])
+        rows = at_rho(trace.driver, rhos, rng)
         scalar_skip = np.array([coreset_step(trace.driver, z).kind == "skip" for z in rows])
         self.assert_passes_only(trace.driver, rows, scalar_skip, limit)
 
