@@ -33,8 +33,8 @@ from .update_rule import Frame, RoundingState, Step, compute_params, frame, solv
 # the min-norm-point stopping tolerance of both hull oracles: in units of
 # the members' spread for hull_membership, of x for union_hull_distance
 LP_TOL = 1e-9
-# union_hull_distance's floor on that stop, in spread units: the rounding
-# of the scaled atoms, whose entries lie in [-1, 1]
+# the floor on that stop, in spread units: the rounding of the shifted
+# atoms, _ATOM_RES (1 + 2 |x|_inf / spread)
 _ATOM_RES = 64 * np.finfo(float).eps
 # _min_norm_point trusts a Gram-Schmidt column when the second pass keeps
 # this much of the first's residual (Daniel, Gragg, Kaufman & Stewart 1976)
@@ -186,12 +186,15 @@ def _rows(points: Sequence[np.ndarray], least: int) -> np.ndarray:
 
 
 def _hull_distance(points: np.ndarray, ellipsoids: Sequence[Ellipsoid], x: np.ndarray,
-                   tol: Callable[[float], float]) -> Tuple[float, float]:
-    """(dist / spread, spread) for the distance dist from x to conv(points
-    union ellipsoids), by Wolfe's method on the members shifted by -x and
-    divided by their spread about x, max |member - x|_inf, so that
-    translation and scale drop out. It starts at the nearest point (the
-    nearest ellipsoid center if there are none) and stops at tol(spread).
+                   tol: Callable[[float], float]) -> Tuple[float, float, float]:
+    """(dist / spread, spread, stop) for the distance dist from x to
+    conv(points union ellipsoids), by Wolfe's method on the members shifted
+    by -x and divided by their spread about x, max |member - x|_inf, so
+    that translation and scale drop out. It starts at the nearest point (the
+    nearest ellipsoid center if there are none) and stops, in spread units,
+    at tol(spread) or, where coarser, at the atoms' rounding: an atom
+    carries about eps (|x|_inf + |member|_inf) / spread, and |member|_inf
+    <= |x|_inf + spread, so the floor is _ATOM_RES (1 + 2 |x|_inf / spread).
     """
     x = np.asarray(x, dtype=float)
     if x.shape != points.shape[1:]:
@@ -220,14 +223,17 @@ def _hull_distance(points: np.ndarray, ellipsoids: Sequence[Ellipsoid], x: np.nd
 
     starts = atoms if len(atoms) else np.array([c for c, _, _ in ells])
     start = starts[int(np.argmin(np.einsum("ij,ij->i", starts, starts)))]
-    return _min_norm_point(lmo, start, tol(spread)), spread
+    stop = max(tol(spread), _ATOM_RES * (1.0 + 2.0 * float(np.abs(x).max(initial=0.0)) / spread))
+    return _min_norm_point(lmo, start, stop), spread, stop
 
 
 def hull_membership(points: Sequence[np.ndarray], x: np.ndarray) -> bool:
-    """Is x within 10 LP_TOL spreads of the points' convex hull? Raises
-    OracleError rather than guess when the solver does not settle."""
-    dist, _ = _hull_distance(_rows(points, 1), (), x, lambda spread: LP_TOL)
-    return dist <= 10 * LP_TOL
+    """Is x within 10 stops of the points' convex hull, where the stop is
+    LP_TOL spreads or the rounding of the shifted points, whichever is
+    coarser (see _hull_distance)? Raises OracleError rather than guess when
+    the solver does not settle."""
+    dist, _, stop = _hull_distance(_rows(points, 1), (), x, lambda spread: LP_TOL)
+    return dist <= 10 * stop
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,10 +258,10 @@ class HullSpec:
 
 def union_hull_distance(h: HullSpec, x: np.ndarray) -> float:
     """Distance from x to conv(points union ellipsoids), by hull_membership's
-    routine; it stops at LP_TOL or at the rounding of the spread, whichever
-    is coarser. Raises OracleError as hull_membership does."""
-    dist, spread = _hull_distance(h.points, h.ellipsoid_list, x,
-                                  lambda spread: max(LP_TOL / spread, _ATOM_RES))
+    routine; it stops at LP_TOL in x's units or at the rounding of the
+    shifted members, whichever is coarser. Raises OracleError as
+    hull_membership does."""
+    dist, spread, _ = _hull_distance(h.points, h.ellipsoid_list, x, lambda spread: LP_TOL / spread)
     return spread * dist
 
 
@@ -289,14 +295,6 @@ def _orthogonal(e1: np.ndarray) -> np.ndarray:
     probe[int(np.argmin(np.abs(e1)))] = 1.0
     e2 = probe - e1 * (e1 @ probe)
     return e2 / math.sqrt(e2 @ e2)
-
-
-def _distinct(items: Sequence) -> Tuple[list, np.ndarray]:
-    """The distinct items by identity, in the order first seen, and each
-    item's index among them."""
-    seen = {}
-    rows = [seen.setdefault(id(item), len(seen)) for item in items]
-    return list({id(item): item for item in items}.values()), np.array(rows, dtype=np.intp)
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -337,57 +335,42 @@ def _structured_margins(steps: Sequence[Step], frames: Sequence[Frame], tol: flo
     direction u at most alpha' |N^T u| r / (1 - r) above N's, with |N^T u|^2
     <= max(p, q) + |dG|_F. An r of 1 or more falls back.
 
-    Each step is computed as its own k x k problem, stacked. The stacked
-    products and dot products (`_dots`) round as one step's do, and the
-    comparisons take Python's max and min order, so a NaN falls on the side
-    the per-step form puts it.
+    Each step is computed as its own k x k problem, stacked from the step's
+    own arrays: its states' centers, its frame's shear (after a regular step
+    the previous inverse M) and its next state's basis and inverse, so a
+    state two steps share is stacked twice. The stacked products and dot
+    products (`_dots`) round as one step's do, and the comparisons take
+    Python's max and min order, so a NaN falls on the side the per-step form
+    puts it.
     """
     n, k, raised = len(steps), len(frames[0].z), frames[0].raised
     prevs, nexts = [s.prev for s in steps], [s.state for s in steps]
-    if raised:
-        prev_states, prev_at = prevs, np.arange(n)
-    else:
-        # a chain of steps shares its states (step i's prev is step i-1's
-        # state), so each distinct state is stacked once
-        prev_states, at = _distinct(prevs + nexts)
-        prev_at, next_at = at[:n], at[n:]
-    centers = np.array([s.center for s in prev_states])
-    c_prev = centers[prev_at]
-    c_next = np.array([s.center for s in nexts]) if raised else centers[next_at]
+    c_prev = np.array([s.center for s in prevs])
+    c_next = np.array([s.center for s in nexts])
     alpha = np.array([s.alpha for s in prevs])
     alpha_n = np.array([s.alpha for s in nexts])
     scale = np.array([s.span_scale for s in nexts])
     z = np.array([fr.z for fr in frames])
 
     # the previous center against the next body's span, as basis_split
-    # splits it, by one product per distinct basis
+    # splits it
     delta = c_prev - c_next
-    coeffs, residual = np.empty((n, k)), np.empty_like(delta)
-    bases, basis_at = _distinct([s.basis for s in nexts])
-    for j, basis in enumerate(bases):
-        rows = basis_at == j
-        coeffs[rows] = (basis.T @ delta[rows][:, :, None])[:, :, 0]
-        residual[rows] = delta[rows] - (basis @ coeffs[rows][:, :, None])[:, :, 0]
+    bases = np.array([s.basis for s in nexts])
+    coeffs = (bases.transpose(0, 2, 1) @ delta[:, :, None])[:, :, 0]
+    residual = delta - (bases @ coeffs[:, :, None])[:, :, 0]
+    del bases
     rnorm, dnorm, cnorm = safe_row_norms(np.concatenate([residual, delta, c_next])).reshape(3, n)
     off = ((rnorm > SPAN_TOL * np.where(scale > dnorm, scale, dnorm))
            & (rnorm > SPAN_RES * (dnorm + cnorm)))
 
-    # T' = inv(M') by one batched LU per distinct next state, and r = |M' T'
-    # - I|_F. The k x k stacks are dropped once read: at high k they are
-    # most of a block's memory
-    if raised:
-        shear, n_inv = np.array([fr.shear for fr in frames]), np.array([s.inverse for s in nexts])
-        used_at = np.arange(n)
-    else:
-        p_inv = np.array([s.inverse for s in prev_states])
-        used, used_at = np.unique(next_at, return_inverse=True)
-        shear, n_inv = p_inv[prev_at], p_inv[used]
-        del p_inv
+    # T' = inv(M') by one batched LU per step, and r = |M' T' - I|_F. The
+    # k x k stacks are dropped once read: at high k they are most of a
+    # block's memory
+    shear, n_inv = np.array([fr.shear for fr in frames]), np.array([s.inverse for s in nexts])
     n_fac = np.linalg.inv(n_inv)
-    r = (n_inv @ n_fac).reshape(len(n_inv), k * k)
+    r = (n_inv @ n_fac).reshape(n, k * k)
     r[:, ::k + 1] -= 1.0
-    r = np.sqrt(_dots(r, r))[used_at]
-    n_fac = n_fac[used_at]
+    r = np.sqrt(_dots(r, r))
     del n_inv
     c = (shear @ -coeffs[:, :, None])[:, :, 0]
     nn = shear @ n_fac
@@ -513,9 +496,11 @@ def check_monotone_steps(steps: Sequence[Step],
 
     The update rule grows bodies of revolution about z's direction, so
     _structured_margins certifies the steps in closed form, one pass per
-    group of steps with the same frame size and raised flag; where it does
-    not apply, _sampled_margins checks a step by brute force. The tests take
-    the sampled path as the reference.
+    group of steps with the same frame size and raised flag, each step from
+    its own arrays; where it does not apply, _sampled_margins checks a step
+    by brute force. The tests take the sampled path as the reference. A
+    block's peak memory is about four k x k stacks per step of its largest
+    group.
     """
     frames, groups = [], {}
     for i, s in enumerate(steps):

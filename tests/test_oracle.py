@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,8 @@ class TestHullMembership:
     def test_single_point_hull(self):
         assert hull_membership([np.array([2.0, 3.0])], np.array([2.0, 3.0]))
         assert not hull_membership([np.array([2.0, 3.0])], np.array([2.0, 3.1]))
+        # and in R^0, where the query has no entries to set the stop
+        assert hull_membership(np.zeros((1, 0)), np.zeros(0))
 
     def test_large_coordinates(self):
         pts = [p * 1e6 for p in SQUARE]
@@ -124,6 +127,28 @@ class TestHullMembership:
                 assert hull_membership(copy, s * q + 1e3 * s)
             for q in SQUARE_OUTSIDE:
                 assert not hull_membership(copy, s * q + 1e3 * s)
+
+    def test_thin_clouds_far_from_the_origin(self):
+        # three segments in R^48 at 1e7 spreads from the origin: the shifted
+        # points' rounding, not LP_TOL, sets the stop of both oracles
+        rng = np.random.default_rng(0)
+        for _ in range(6):
+            ends = rng.standard_normal((3, 2, 48))
+            t = rng.random((3, 20, 1))
+            pts = (ends[:, :1] + t * (ends[:, 1:] - ends[:, :1])).reshape(60, 48)
+            pts = pts * 2.5e-5 - 610.0
+            h = HullSpec(point_list=tuple(pts))
+            c = pts.mean(axis=0)
+            spread = np.abs(pts - c).max()
+            for q in (c, pts[:20].mean(axis=0)):
+                assert hull_membership(pts, q)
+                assert union_hull_distance(h, q) <= 1e-6 * spread
+            # a point a hundredth of the spread beyond a supporting plane
+            u = rng.standard_normal(48)
+            u /= np.linalg.norm(u)
+            off = pts[int(np.argmax(pts @ u))] + 0.01 * spread * u
+            assert not hull_membership(pts, off)
+            assert union_hull_distance(h, off) >= 0.0099 * spread
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -808,14 +833,18 @@ class TestBlockCertificate:
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(sorted(CHAINS)), st.sampled_from(["online", "seeded", "coreset"]),
-           st.integers(0, 2**32 - 1), st.sampled_from(MUTATIONS), st.booleans())
-    def test_blocks_match_the_scalar_reference(self, chain, driver, seed, mutation, shuffle):
+           st.integers(0, 2**32 - 1), st.sampled_from(MUTATIONS), st.booleans(), st.booleans())
+    def test_blocks_match_the_scalar_reference(self, chain, driver, seed, mutation, repeat,
+                                               shuffle):
         rng = np.random.default_rng(seed)
         pts = CHAINS[chain](rng)
         # the seeded driver needs d >= 2
         steps = chain_steps(pts, "online" if pts.shape[1] == 1 else driver)
         # a mutated step and its sound original among the chain's steps
         steps += TestStructuredCertificate.mutated_step(rng.choice([0.5, 0.1]), mutation)
+        if repeat:
+            # some steps twice in one block, their states with them
+            steps += [steps[i] for i in rng.integers(0, len(steps), len(steps) // 2 + 1)]
         if shuffle:
             steps = [steps[i] for i in rng.permutation(len(steps))]
         structured, closed = oracle._structured_margins, {}
@@ -857,6 +886,23 @@ class TestBlockCertificate:
 
     def test_no_steps(self):
         assert check_monotone_steps([]) == []
+
+    def test_peak_memory_of_a_block(self):
+        # one call over a drifting d = 64 stream holds at most four k x k
+        # stacks per step at a time
+        d = 64
+        g = np.random.default_rng(3).standard_normal((3 * d, d))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        pts = g * np.exp(0.002 * np.arange(3 * d))[:, None]
+        steps = certified_steps(pts)
+        assert len(steps) == 190
+        tracemalloc.start()
+        try:
+            assert {c.verdict for c in check_monotone_steps(steps)} == {"pass"}
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * len(steps) * d * d
 
 
 class TestMvee:
