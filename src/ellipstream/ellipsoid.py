@@ -144,11 +144,11 @@ def _norm(v: np.ndarray) -> float:
     return float(m * math.sqrt(np.vdot(v / m, v / m)))
 
 
-def span_scale(a: np.ndarray, k: int) -> float:
-    """basis_split's body scale |a|_2 / k^(1/4), 0 at rank 0, for a rank-k body's
-    semiaxes a: the geometric middle of [|a|_2 / sqrt(k), |a|_2], which holds
-    s_max."""
-    return _norm(a) / max(k, 1) ** 0.25
+def span_scale(norm: float, k: int) -> float:
+    """basis_split's body scale norm / k^(1/4), 0 at rank 0, for a rank-k body
+    whose semiaxes have 2-norm `norm`: the geometric middle of [norm /
+    sqrt(k), norm], which holds s_max. The one copy of the formula."""
+    return norm / max(k, 1) ** 0.25
 
 
 class SpanSplit(NamedTuple):
@@ -161,7 +161,7 @@ class SpanSplit(NamedTuple):
 
 def span_split(e: Ellipsoid, x: np.ndarray) -> SpanSplit:
     """basis_split against the body's axes and its span scale."""
-    return basis_split(e.center, e.axes, span_scale(e.semiaxes, e.rank), x)
+    return basis_split(e.center, e.axes, span_scale(_norm(e.semiaxes), e.rank), x)
 
 
 def basis_split(center: np.ndarray, basis: np.ndarray, scale: float,
@@ -276,7 +276,7 @@ def max_membership(e: Ellipsoid, xs: np.ndarray) -> float:
     """
     xs = np.asarray(xs, dtype=float)
     s = e.semiaxes
-    rho, inside = scan_rows(e.center, e.axes, (e.axes / s).T, span_scale(s, e.rank), xs)
+    rho, inside = scan_rows(e.center, e.axes, (e.axes / s).T, span_scale(_norm(s), e.rank), xs)
     rescore = ~inside
     if inside.any():
         top = float(rho[inside].max())

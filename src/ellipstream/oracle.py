@@ -664,15 +664,11 @@ class SlackReport(NamedTuple):
 
 
 def _grid_params():
+    """(gamma, alpha, a, b, c, alpha') on the grid, the kernel's compute_params at each point."""
     gammas = np.geomspace(1e-6, 10.0, GRID_DENSITY)
     alphas = np.linspace(1e-4, 0.5, GRID_DENSITY)
-    g, al = np.meshgrid(gammas, alphas, indexing="ij")
-    g = g.ravel()
-    al = al.ravel()
-    a = np.exp(g)
-    alp = 1.0 / (1.0 / al + 2.0 * g)
-    b = 1.0 + (al - alp) / 2.0
-    c = -al + alp * a
+    g, al = (m.ravel() for m in np.meshgrid(gammas, alphas, indexing="ij"))
+    _, a, b, c, alp = np.array([compute_params(*p) for p in zip(g.tolist(), al.tolist())]).T
     return g, al, a, b, c, alp
 
 

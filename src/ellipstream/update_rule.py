@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .ellipsoid import (SPAN_TOL, Ellipsoid, NumericalLimitError, SpanSplit, _norm, basis_split,
-                        log_volume, scan_rows, scan_tolerance)
+                        log_volume, scan_rows, scan_tolerance, span_scale)
 
 GAMMA_MAX_ITER = 200
 GAMMA_REL_RESIDUAL = 1e-10
@@ -92,8 +92,8 @@ class RoundingState:
 
     @property
     def span_scale(self) -> float:
-        """The view's span_scale |T|_F / k^(1/4), read off factor_norm."""
-        return self.factor_norm / max(self.dim, 1) ** 0.25
+        """The view's span_scale, read off factor_norm = |T|_F."""
+        return span_scale(self.factor_norm, self.dim)
 
     @_cached
     def inverse_norm(self) -> float:
@@ -147,9 +147,11 @@ def compute_params(gamma: float, alpha: float) -> UpdateParams:
     return UpdateParams(gamma, a, b, c, alpha_next)
 
 
-def _a_plus_c(gamma: float, alpha: float) -> float:
+def _a_plus_c(gamma: float, alpha: float) -> Tuple[float, float]:
+    """a + c at gamma and its slope d(a + c)/dgamma = a (1 + alpha' - 2 alpha'^2)."""
     alpha_next = 1.0 / (1.0 / alpha + 2.0 * gamma)
-    return math.exp(gamma) * (1.0 + alpha_next) - alpha
+    a = math.exp(gamma)
+    return a * (1.0 + alpha_next) - alpha, a * (1.0 + alpha_next * (1.0 - 2.0 * alpha_next))
 
 
 def solve_gamma(rho: float, alpha: float) -> float:
@@ -167,7 +169,7 @@ def solve_gamma(rho: float, alpha: float) -> float:
     if not (0.0 < alpha <= 0.5):
         raise UpdateError("alpha must lie in (0, 1/2]")
     lo, hi = 0.0, math.log(rho) + 1.0
-    f_hi = _a_plus_c(hi, alpha)
+    f_hi, slope = _a_plus_c(hi, alpha)
     if f_hi < rho:
         raise UpdateError("bisection bracket failed")
     target_hi = rho * (1.0 + GAMMA_REL_RESIDUAL)
@@ -175,16 +177,10 @@ def solve_gamma(rho: float, alpha: float) -> float:
     for _ in range(GAMMA_MAX_ITER):
         if f_hi <= target_hi:
             return hi
-        if newton:
-            # d(a + c)/dgamma = a (1 + alpha' - 2 alpha'^2)
-            alpha_next = 1.0 / (1.0 / alpha + 2.0 * hi)
-            slope = math.exp(hi) * (1.0 + alpha_next * (1.0 - 2.0 * alpha_next))
-            mid = hi - (f_hi - rho) / slope
-        else:
-            mid = 0.5 * (lo + hi)
-        f_mid = _a_plus_c(mid, alpha)
+        mid = hi - (f_hi - rho) / slope if newton else 0.5 * (lo + hi)
+        f_mid, slope_mid = _a_plus_c(mid, alpha)
         if f_mid >= rho:
-            hi, f_hi = mid, f_mid
+            hi, f_hi, slope = mid, f_mid, slope_mid
         else:
             lo, newton = mid, False
     if f_hi <= rho * (1.0 + GAMMA_FALLBACK_RESIDUAL):
@@ -360,7 +356,7 @@ def _step(state: RoundingState, z: np.ndarray) -> Step:
     return Step(state, new, z, "regular", params.gamma, split)
 
 
-def leading_skips(state: RoundingState, zs: np.ndarray, limit: float = 1.0) -> int:
+def leading_skips(state: RoundingState, zs: np.ndarray, limit: float) -> int:
     """How many leading rows of zs are certain skips at `state`: in the span
     by half its threshold (see scan_rows) and with rho <= limit * (1 -
     SKIP_MARGIN - scan_tolerance). `step` skips each of them; a row nearer

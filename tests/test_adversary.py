@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ellipstream import adversary
 from ellipstream.adversary import (
     AdversaryError,
     library_rule,
@@ -139,6 +141,20 @@ class TestRunAdversary:
 
         with pytest.raises(AdversaryError, match="non-monotone"):
             run_adversary(rule, 3, 32.0)
+
+    def test_shell_out_of_reach_stops_the_run(self):
+        def drifting_rule(state, z):
+            # keeps the body and moves its center beyond R of every shell point
+            return replace(state, center=state.center + 100.0)
+
+        trace = run_adversary(drifting_rule, 3, 8.0)
+        assert trace.stop_reason == "shell_empty"
+        assert trace.step_kinds == ["simplex"] * 4
+
+    def test_no_steps_left_raises(self, monkeypatch):
+        monkeypatch.setattr(adversary, "ADVERSARY_MAX_STEPS", 0)
+        with pytest.raises(AdversaryError, match="did not terminate"):
+            run_adversary(library_rule, 3, 8.0)
 
     def test_parameter_guards(self):
         with pytest.raises(AdversaryError):

@@ -378,6 +378,31 @@ class TestAgainstReference:
         tri = HullSpec(point_list=tuple(NEAREST_DROPPED))
         assert union_hull_distance(tri, np.zeros(2)) == pytest.approx(1.0, abs=1e-12)
 
+    @staticmethod
+    def argmin_lmo(atoms):
+        return lambda g: atoms[int(np.argmin(atoms @ g))]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stops_once_the_corral_spans_the_space(self, seed):
+        # the origin inside a triangle: at tol = 0 the min-norm point is rounding, and the
+        # next atom finds Q already spanning R^2 (the reference, with no such exit, needs a tol)
+        atoms = np.random.default_rng(seed).standard_normal((3, 2))
+        atoms -= atoms.mean(axis=0)
+        dist = oracle._min_norm_point(self.argmin_lmo(atoms), atoms[0], 0.0)
+        ref = reference_min_norm_point(self.argmin_lmo(atoms), atoms[0], 1e-14)
+        assert 0.0 < dist < 1e-14 and ref < 1e-14
+
+    @pytest.mark.parametrize("d", [2, 5, 16])
+    def test_untrusted_columns_are_refactored(self, d, monkeypatch):
+        # no Gram-Schmidt column is trusted, so every atom added refactors D by Householder QR
+        monkeypatch.setattr(oracle, "_TWICE_ENOUGH", math.inf)
+        rng = np.random.default_rng(d)
+        for shift in (0.0, 0.5, 3.0):
+            atoms = rng.standard_normal((2 * d + 3, d)) + shift * rng.standard_normal(d)
+            dist = oracle._min_norm_point(self.argmin_lmo(atoms), atoms[0], 1e-12)
+            ref = reference_min_norm_point(self.argmin_lmo(atoms), atoms[0], 1e-12)
+            assert dist == pytest.approx(ref, abs=1e-12)
+
     def test_d64_agrees_with_linprog(self):
         # CGS2's loss of orthogonality would show first in a corral of
         # d + 1 atoms, which an interior query at high d needs
@@ -920,6 +945,28 @@ class TestMvee:
         with pytest.raises(OracleError, match="coincide"):
             mvee_khachiyan([np.array([0.1, 0.2, 0.3])] * 3)
 
+    def test_one_point_is_refused(self):
+        with pytest.raises(OracleError, match=r"need at least 2 point\(s\), got 1"):
+            mvee_khachiyan([np.array([0.1, 0.2])])
+
+    def test_a_stop_the_fresh_inverse_refutes_goes_on(self, monkeypatch):
+        # the first inverse reads every m_i = r + 1, a stop at once; the fresh
+        # inverse refutes it, and the iterations go on to the stop's bound
+        exact = oracle._lifted_inverse
+        calls = []
+
+        def first_reads_optimal(q, u):
+            x_inv, m = exact(q, u)
+            calls.append(1)
+            return (x_inv, np.full_like(m, len(q))) if len(calls) == 1 else (x_inv, m)
+
+        monkeypatch.setattr(oracle, "_lifted_inverse", first_reads_optimal)
+        pts = np.random.default_rng(56).standard_normal((60, 3))
+        eps = 1e-6
+        e = mvee_khachiyan(pts, eps=eps)
+        assert len(calls) >= 2
+        self.assert_covering_and_near_optimal(pts, eps, e)
+
     def test_all_points_covered(self):
         rng = np.random.default_rng(50)
         pts = [rng.standard_normal(4) for _ in range(40)]
@@ -1050,3 +1097,10 @@ class TestInequalitySuite:
         assert "exp_lower_linear" in ids
         assert "inner_main_bound" in ids
         assert "gamma_ratio_bound" in ids
+
+    def test_grid_reads_the_kernels_params(self, monkeypatch):
+        # the grid claims test the floats compute_params gives, not a copy of its formulas
+        exact = oracle.compute_params
+        monkeypatch.setattr(oracle, "compute_params", lambda g, a: exact(g, a)._replace(b=0.5))
+        slack = {r.claim_id: r.worst_slack for r in inequality_suite()}
+        assert slack["params_pad_floor"] == -0.5

@@ -902,6 +902,12 @@ class TestErrorOrdering:
                                                  r"against points of shape \(3,\)"):
                 run(rows())
 
+    def test_rows_that_are_not_numbers_keep_numpys_error(self):
+        # every row has one shape, so the block's ValueError is not a ragged row's
+        for run in (run_fully_online, run_coreset, lambda pts: run_seeded(pts, np.zeros(3), 0.5)):
+            with pytest.raises(ValueError, match="could not convert string to float"):
+                run(iter(["1,2,3", "a,b,c"]))
+
     @pytest.mark.parametrize("driver", ["online", "seeded", "coreset"])
     def test_collapse_before_a_later_nan_still_wins(self, driver):
         run = {"online": run_fully_online,

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from ellipstream import update_rule
 from ellipstream.ellipsoid import (RANK_COLLAPSE_RATIO, SPAN_RES, Ellipsoid, EllipsoidError,
-                                  NumericalLimitError, log_volume, membership, span_scale,
-                                  span_split)
+                                  NumericalLimitError, _norm, log_volume, membership,
+                                  span_scale, span_split)
 from ellipstream.oracle import check_monotone_step
 from ellipstream.update_rule import (
     RoundingState,
@@ -89,6 +89,45 @@ class TestSolveGamma:
         monkeypatch.setattr(update_rule, "GAMMA_MAX_ITER", 0)
         with pytest.raises(UpdateError, match="gamma solve did not converge"):
             solve_gamma(2.0, 0.5)
+
+    @pytest.mark.parametrize("rho, alpha, bits", [
+        (1.0 + 1e-15, 0.5, "0x1.557bbdcc20000p-34"),
+        (1.0 + 1e-15, 1e-12, "0x1.58a068bf00000p-40"),
+        (1.5, 0.25, "0x1.78e22c777118bp-2"),
+        (2.0, 1e-12, "0x1.62e42fefa5362p-1"),
+        (10.0, 0.5, "0x1.1a6d7882eb906p+1"),
+        (1e6, 0.01, "0x1.b9d8b84b722bcp+3"),
+        (1e300, 0.5, "0x1.59632cd29d802p+9"),
+        (1e300, 1e-12, "0x1.5963447f87fb7p+9"),
+    ])
+    def test_pinned_bits(self, rho, alpha, bits):
+        # the Newton slope carried from _a_plus_c's pair, not re-derived, steps the same floats
+        assert solve_gamma(rho, alpha).hex() == bits
+
+    @pytest.mark.parametrize("rho, alpha", [(2.0, 0.25), (1.0 + 1e-6, 0.5), (1e12, 1e-3)])
+    def test_rounding_below_rho_falls_back_to_bisection(self, rho, alpha, monkeypatch):
+        # half Newton steps (a doubled slope) pass through every residual decade; the first
+        # iterate whose a + c is 1e-10 to 1e-8 relative above rho reads just below it, as
+        # rounding might make it. Bisection then never meets GAMMA_REL_RESIDUAL, and the
+        # fallback window accepts the upper end
+        exact = update_rule._a_plus_c
+        calls, faked = [], []
+
+        def rounded(gamma, a):
+            value, slope = exact(gamma, a)
+            calls.append(gamma)
+            if not faked and 1e-10 < value / rho - 1.0 <= 1e-8:
+                faked.append(len(calls) - 1)
+                value = math.nextafter(rho, 0.0)
+            return value, 2.0 * slope
+
+        monkeypatch.setattr(update_rule, "_a_plus_c", rounded)
+        g = solve_gamma(rho, alpha)
+        i = faked[0]
+        assert calls[i + 1] == 0.5 * (calls[i - 1] + calls[i])
+        reach = exact(g, alpha)[0]
+        assert rho * (1.0 + update_rule.GAMMA_REL_RESIDUAL) < reach
+        assert reach <= rho * (1.0 + update_rule.GAMMA_FALLBACK_RESIDUAL)
 
 
 class TestFullUpdate:
@@ -301,7 +340,7 @@ class TestStep:
         x = np.array([1e150, 0.0, 0.0, 0.0, 1e150])
         assert span_split(body, x).off
         st0 = RoundingState.from_ellipsoid(body, alpha=0.5)
-        assert st0.span_scale == pytest.approx(span_scale(body.semiaxes, 4))
+        assert st0.span_scale == pytest.approx(span_scale(_norm(body.semiaxes), 4))
         assert step(st0, x).kind == "irregular"
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
