@@ -164,6 +164,12 @@ def span_split(e: Ellipsoid, x: np.ndarray) -> SpanSplit:
     return basis_split(e.center, e.axes, span_scale(_norm(e.semiaxes), e.rank), x)
 
 
+def check_shape(x: np.ndarray, center: np.ndarray) -> None:
+    """EllipsoidError unless the point x has the center's shape: numpy would broadcast it."""
+    if x.shape != center.shape:
+        raise EllipsoidError(f"point of shape {x.shape} against a center of shape {center.shape}")
+
+
 def basis_split(center: np.ndarray, basis: np.ndarray, scale: float,
                 x: np.ndarray) -> SpanSplit:
     """Split x - center into coordinates on the orthonormal `basis` and an
@@ -179,8 +185,7 @@ def basis_split(center: np.ndarray, basis: np.ndarray, scale: float,
     <= ORTHO_TOL keeps the computed one far below SPAN_TOL |delta| (see scan_rows).
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != center.shape:
-        raise EllipsoidError(f"point of shape {x.shape} against a center of shape {center.shape}")
+    check_shape(x, center)
     delta = x - center
     coeffs = basis.T @ delta
     if basis.shape[1] == len(delta):

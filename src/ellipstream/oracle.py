@@ -34,7 +34,8 @@ from .update_rule import Frame, RoundingState, Step, compute_params, frame, solv
 # the members' spread for hull_membership, of x for union_hull_distance
 LP_TOL = 1e-9
 # the floor on that stop, in spread units: the rounding of the shifted
-# atoms, _ATOM_RES (1 + 2 |x|_inf / spread)
+# atoms, _ATOM_RES (1 + 2 |x|_inf / spread); _min_norm_point floors any
+# tol at _ATOM_RES max |atom|_inf once it refactors
 _ATOM_RES = 64 * np.finfo(float).eps
 # _min_norm_point trusts a Gram-Schmidt column when the second pass keeps
 # this much of the first's residual (Daniel, Gragg, Kaufman & Stewart 1976)
@@ -84,6 +85,14 @@ def _min_norm_point(lmo: Callable[[np.ndarray], np.ndarray],
     y to the affine min-norm point of the corral, dropping one atom per
     cycle whenever that point leaves the hull. Stops once |y| <= tol or
     Wolfe's gap <y, y - s> <= tol*|y|, which bounds |y| - dist by tol.
+    From the first refactor on (see below), tol is floored at the atoms'
+    rounding, _ATOM_RES max |atom|_inf over the corrals factored so far.
+    An atom the LMO returns while it is in the corral has a gap of
+    rounding, about eps |s|, which can pass tol*|y| on every cycle; its
+    column is rounding too, so it is not trusted or it is dropped again
+    (or it fills Q, the m = d exit), and either way it reaches a refactor,
+    after which the floor stops the routine. Refactors are rare, so the
+    floor costs no scan per cycle.
     Raises OracleError when neither holds within _cycle_budget(d) major
     cycles.
 
@@ -108,15 +117,16 @@ def _min_norm_point(lmo: Callable[[np.ndarray], np.ndarray],
     corral = start[None, :]
     lam = np.ones(1)
     y = start
+    stop = tol
     # D = Q R, with Q and R^-1 in the leading m columns; at most d atom
     # differences are independent
     q_buf, r_inv, m = np.zeros((d, d)), np.zeros((d, d)), 0
     for _ in range(max_iter):
         dist = float(np.linalg.norm(y))
-        if dist <= tol:
+        if dist <= stop:
             return dist
         s = lmo(y)
-        if float(y @ (y - s)) <= tol * dist:
+        if float(y @ (y - s)) <= stop * dist:
             return dist
         q = q_buf[:, :m]
         v = s - corral[0]
@@ -126,7 +136,7 @@ def _min_norm_point(lmo: Callable[[np.ndarray], np.ndarray],
         w = w1 - q @ h2
         rnn = math.sqrt(w @ w)
         # once Q spans R^d, w is rounding too
-        if rnn <= tol or m == d:
+        if rnn <= stop or m == d:
             return dist
         corral = np.vstack([corral, s])
         lam = np.append(lam, 0.0)
@@ -137,7 +147,8 @@ def _min_norm_point(lmo: Callable[[np.ndarray], np.ndarray],
             r_inv[m, m] = 1.0 / rnn
             m += 1
         else:
-            m = _factor(corral, q_buf, r_inv)
+            m, top = _factor(corral, q_buf, r_inv)
+            stop = max(stop, _ATOM_RES * top)
         while True:
             t = r_inv[:m, :m] @ -(corral[0] @ q_buf[:, :m])
             mu = np.concatenate([[1.0 - t.sum()], t])
@@ -153,19 +164,20 @@ def _min_norm_point(lmo: Callable[[np.ndarray], np.ndarray],
             keep = lam > 0.0
             keep[neg[j]] = False
             corral, lam = corral[keep], lam[keep] / lam[keep].sum()
-            m = _factor(corral, q_buf, r_inv)
+            m, top = _factor(corral, q_buf, r_inv)
+            stop = max(stop, _ATOM_RES * top)
         y = lam @ corral
     raise OracleError(f"min-norm point not reached in {max_iter} major cycles")
 
 
-def _factor(corral: np.ndarray, q_buf: np.ndarray, r_inv: np.ndarray) -> int:
+def _factor(corral: np.ndarray, q_buf: np.ndarray, r_inv: np.ndarray) -> Tuple[int, float]:
     """Householder QR of the corral's atom differences: Q into the leading
     columns of q_buf, R^-1 into the leading block of r_inv; returns their
-    count."""
+    count and the atoms' largest |entry|, the scale of their rounding."""
     q, r = np.linalg.qr((corral[1:] - corral[0]).T)
     m = len(r)
     q_buf[:, :m], r_inv[:m, :m] = q, np.linalg.inv(r)
-    return m
+    return m, float(np.abs(corral).max())
 
 
 def _rows(points: Sequence[np.ndarray], least: int) -> np.ndarray:
@@ -337,8 +349,8 @@ def _structured_margins(steps: Sequence[Step], frames: Sequence[Frame], tol: flo
 
     Each step is computed as its own k x k problem, stacked from the step's
     own arrays: its states' centers, its frame's shear (after a regular step
-    the previous inverse M) and its next state's basis and inverse, so a
-    state two steps share is stacked twice. The stacked products and dot
+    the previous inverse M) and its next state's inverse and, below full
+    rank, its basis, so a state two steps share is stacked twice. The stacked products and dot
     products (`_dots`) round as one step's do, and the comparisons take
     Python's max and min order, so a NaN falls on the side the per-step form
     puts it.
@@ -349,19 +361,24 @@ def _structured_margins(steps: Sequence[Step], frames: Sequence[Frame], tol: flo
     c_next = np.array([s.center for s in nexts])
     alpha = np.array([s.alpha for s in prevs])
     alpha_n = np.array([s.alpha for s in nexts])
-    scale = np.array([s.span_scale for s in nexts])
     z = np.array([fr.z for fr in frames])
 
     # the previous center against the next body's span, as basis_split
-    # splits it
+    # splits it; a full-rank next body is ambient (its basis is I), so there
+    # the coordinates are delta itself and nothing is off-span
     delta = c_prev - c_next
-    bases = np.array([s.basis for s in nexts])
-    coeffs = (bases.transpose(0, 2, 1) @ delta[:, :, None])[:, :, 0]
-    residual = delta - (bases @ coeffs[:, :, None])[:, :, 0]
-    del bases
-    rnorm, dnorm, cnorm = safe_row_norms(np.concatenate([residual, delta, c_next])).reshape(3, n)
-    off = ((rnorm > SPAN_TOL * np.where(scale > dnorm, scale, dnorm))
-           & (rnorm > SPAN_RES * (dnorm + cnorm)))
+    if k == delta.shape[1]:
+        coeffs, off = delta, np.zeros(n, dtype=bool)
+    else:
+        scale = np.array([s.span_scale for s in nexts])
+        bases = np.array([s.basis for s in nexts])
+        coeffs = (bases.transpose(0, 2, 1) @ delta[:, :, None])[:, :, 0]
+        residual = delta - (bases @ coeffs[:, :, None])[:, :, 0]
+        del bases
+        rnorm, dnorm, cnorm = safe_row_norms(
+            np.concatenate([residual, delta, c_next])).reshape(3, n)
+        off = ((rnorm > SPAN_TOL * np.where(scale > dnorm, scale, dnorm))
+               & (rnorm > SPAN_RES * (dnorm + cnorm)))
 
     # T' = inv(M') by one batched LU per step, and r = |M' T' - I|_F. The
     # k x k stacks are dropped once read: at high k they are most of a

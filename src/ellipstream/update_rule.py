@@ -1,7 +1,8 @@
 """The monotone sandwich update on the `RoundingState`: per-step scalars,
 the gamma solve, the regular and the dimension-raising irregular step, each
 an update of the state's inverse factor in O(d k + k^2) (Golub & Van Loan
-6.5) and of the factor's norm by a scalar recurrence; `step`, the per-point
+6.5) and of the factor's norm by a scalar recurrence; a full-rank state is
+kept in ambient coordinates, where a step reads no basis; `step`, the per-point
 kernel (skip, regular step or span raise, as a `Step`), which refuses a
 non-finite point, and `_step`, the same kernel that the drivers fold on rows
 already checked; and `leading_skips`, a run of certain skips by one mat-mul.
@@ -9,6 +10,7 @@ already checked; and `leading_skips`, a run of certain skips by one mat-mul.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
@@ -16,7 +18,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .ellipsoid import (SPAN_TOL, Ellipsoid, NumericalLimitError, SpanSplit, _norm, basis_split,
-                        log_volume, scan_rows, scan_tolerance, span_scale)
+                        check_shape, log_volume, scan_rows, scan_tolerance, span_scale)
 
 GAMMA_MAX_ITER = 200
 GAMMA_REL_RESIDUAL = 1e-10
@@ -49,7 +51,15 @@ class _cached:
         return value
 
 
-@dataclass(frozen=True, eq=False)
+@functools.lru_cache(maxsize=8)
+def _identity(d: int) -> np.ndarray:
+    """The read-only d x d identity, the basis every full-rank state in R^d shares."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class RoundingState:
     """The sandwich center + alpha*E inside the hull inside center + E, with
     E = {basis @ T @ x : |x| <= 1} on an orthonormal d x k basis of the span
@@ -57,7 +67,13 @@ class RoundingState:
     coordinates, which a step updates with no decomposition (see
     ALIGN_LIMIT), and `factor_norm` = |T|_F, which it updates by a
     recurrence; T itself is never formed. `log_volume` = log |det T| is E's
-    log volume over the unit k-ball's; `ellipsoid` is a validated view."""
+    log volume over the unit k-ball's; `ellipsoid` is a validated view.
+
+    A full-rank state (k = d) is in ambient coordinates: its basis is the
+    shared read-only identity, so M maps x - center straight to unit-ball
+    coordinates and the kernel reads no basis. `from_ellipsoid`, the
+    restart and a raise to rank d build full-rank states so; a state
+    built directly at k = d must be given that identity."""
 
     center: np.ndarray
     basis: np.ndarray
@@ -66,10 +82,16 @@ class RoundingState:
     alpha: float
     log_volume: float
 
+    def __init__(self, center: np.ndarray, basis: np.ndarray, inverse: np.ndarray,
+                 factor_norm: float, alpha: float, log_volume: float):
+        # the generated __init__ of a frozen dataclass pays object.__setattr__ per field
+        v = self.__dict__
+        v["center"], v["basis"], v["inverse"] = center, basis, inverse
+        v["factor_norm"], v["alpha"], v["log_volume"] = factor_norm, alpha, log_volume
+
     @staticmethod
     def from_ellipsoid(e: Ellipsoid, alpha: float) -> "RoundingState":
-        return RoundingState(e.center, e.axes, np.diag(1.0 / e.semiaxes), _norm(e.semiaxes),
-                             alpha, log_volume(e))
+        return _on_axes(e.center, e.axes, e.semiaxes, alpha, log_volume(e))
 
     @property
     def dim(self) -> int:
@@ -88,7 +110,8 @@ class RoundingState:
             u, s, _ = np.linalg.svd(np.linalg.inv(self.inverse))
         except np.linalg.LinAlgError:
             raise NumericalLimitError(math.inf) from None
-        return Ellipsoid(self.center, self.basis @ u, s)
+        d, k = self.basis.shape
+        return Ellipsoid(self.center, u if k == d else self.basis @ u, s)
 
     @property
     def span_scale(self) -> float:
@@ -104,6 +127,21 @@ class RoundingState:
     def cond_bound(self) -> float:
         """|T|_F |M|_F, the running bound on s_max/s_min."""
         return self.factor_norm * self.inverse_norm
+
+
+def _on_axes(center: np.ndarray, axes: np.ndarray, semiaxes: np.ndarray, alpha: float,
+             log_volume: float) -> RoundingState:
+    """The state of the body center + axes diag(semiaxes) B_k: on the basis
+    `axes` with M = diag(1/semiaxes), or at full rank in ambient
+    coordinates, with M = diag(1/semiaxes) axes^T."""
+    d, k = axes.shape
+    inv_s = 1.0 / semiaxes
+    if k == d:
+        # C order, as every other inverse: a product's rounding follows the layout
+        basis, inverse = _identity(d), np.multiply(inv_s[:, None], axes.T, order="C")
+    else:
+        basis, inverse = axes, np.diag(inv_s)
+    return RoundingState(center, basis, inverse, _norm(semiaxes), alpha, log_volume)
 
 
 class UpdateParams(NamedTuple):
@@ -196,9 +234,15 @@ def _finite_point(z: np.ndarray) -> np.ndarray:
 
 
 def _split(state: RoundingState, z: np.ndarray) -> SpanSplit:
-    """basis_split of z at the state's span scale, formed only below full rank, where it is read."""
+    """basis_split of z at the state's span scale; at full rank, where the
+    state is ambient, what it returns on the identity basis with no product:
+    coeffs = delta and a residual of 0."""
     d, k = state.basis.shape
-    return basis_split(state.center, state.basis, state.span_scale if k < d else 0.0, z)
+    if k < d:
+        return basis_split(state.center, state.basis, state.span_scale, z)
+    check_shape(z, state.center)
+    delta = z - state.center
+    return SpanSplit(delta, delta, np.zeros(d), 0.0, False)
 
 
 def is_off_span(state: RoundingState, z: np.ndarray) -> bool:
@@ -209,8 +253,8 @@ class Frame(NamedTuple):
     """A step's normalized frame, where the previous outer body is the unit
     ball: v taken from the previous center has coordinates shear @ (basis.T @ v)."""
 
-    basis: np.ndarray   # d x kf: Q, or [Q, v] after a span raise
-    shear: np.ndarray   # kf x kf: M, or M bordered and sheared
+    basis: np.ndarray   # d x kf: Q, or [Q, v] after a span raise; I once kf = d
+    shear: np.ndarray   # kf x kf: M, or M bordered and sheared (times [Q, v]^T once kf = d)
     z: np.ndarray       # the new point in the frame
     raised: bool
 
@@ -219,7 +263,8 @@ def frame(state: RoundingState, split: SpanSplit) -> Frame:
     """The frame M Q^T of a step from `state` on z, given z's split. A span
     raise borders it by v = residual/|residual| and shears it to fix the old
     span and send z to sqrt(1 + 2 alpha) e_k, where `_irregular` builds the
-    raised body as a ball."""
+    raised body as a ball. A raise to rank d gives the frame in ambient
+    coordinates, basis I and shear @ [Q, v]^T, as the raised state keeps it."""
     m = state.inverse
     if not split.off:
         return Frame(state.basis, m, m @ split.coeffs, False)
@@ -231,18 +276,21 @@ def frame(state: RoundingState, split: SpanSplit) -> Frame:
     shear[k, k] = root / split.rnorm
     z = np.zeros(k + 1)
     z[k] = root
-    return Frame(np.hstack([state.basis, (split.residual / split.rnorm)[:, None]]), shear, z, True)
+    basis = np.hstack([state.basis, (split.residual / split.rnorm)[:, None]])
+    if k + 1 == len(basis):
+        return Frame(_identity(k + 1), shear @ basis.T, z, True)
+    return Frame(basis, shear, z, True)
 
 
 def _checked(state: RoundingState) -> RoundingState:
     """The state, kept as it is while its cond_bound stays within
     ALIGN_LIMIT; past it, a restart from its `ellipsoid` view, which raises
-    NumericalLimitError on a collapsed body."""
+    NumericalLimitError on a collapsed body. A full-rank restart stays in
+    ambient coordinates, so it keeps the frame's basis (see _on_axes)."""
     if state.cond_bound <= ALIGN_LIMIT:
         return state
     e = state.ellipsoid
-    return RoundingState(state.center, e.axes, np.diag(1.0 / e.semiaxes), _norm(e.semiaxes),
-                         state.alpha, state.log_volume)
+    return _on_axes(state.center, e.axes, e.semiaxes, state.alpha, state.log_volume)
 
 
 def _regular(state: RoundingState,
@@ -265,7 +313,8 @@ def _regular(state: RoundingState,
     rho = _norm(y)
     if rho <= 1.0:
         return state, None
-    if not (rho < math.inf and (state.dim == 1 or rho * rho < math.inf)):
+    d, k = state.basis.shape
+    if not (rho < math.inf and (k == 1 or rho * rho < math.inf)):
         raise NumericalLimitError(math.inf)
 
     # solve_gamma enforces alpha <= 1/2
@@ -274,7 +323,7 @@ def _regular(state: RoundingState,
     w = y / rho
     tw = coeffs / rho
     r = b / a
-    if state.dim == 1:
+    if k == 1:
         # w = -+1 and M' = M / a, which the rank-one form cancels to 0 once b/a < eps/2
         inverse = state.inverse / a
     else:
@@ -285,12 +334,14 @@ def _regular(state: RoundingState,
     # sqrt(a^2 - b^2) = a sqrt((1 - b/a)(1 + b/a)); a > b, and no square overflows
     factor_norm = math.hypot(b * state.factor_norm,
                              a * math.sqrt((1.0 - r) * (1.0 + r)) * _norm(tw))
-    # the center moves along the pre-image of w; log a = gamma
+    # the center moves along the pre-image of w, in span coordinates below
+    # full rank; log a = gamma
+    move = params.c * tw
     try:
         return _checked(RoundingState(
-            state.center + state.basis @ (params.c * tw), state.basis, inverse, factor_norm,
-            params.alpha_next,
-            state.log_volume + params.gamma + (state.dim - 1) * math.log(b))), params
+            state.center + (move if k == d else state.basis @ move), state.basis, inverse,
+            factor_norm, params.alpha_next,
+            state.log_volume + params.gamma + (k - 1) * math.log(b))), params
     except NumericalLimitError as exc:
         # the view of a rounded M' may read its rounding floor (see above),
         # or inf where LU finds it singular; the bound is then all we know
@@ -363,8 +414,11 @@ def leading_skips(state: RoundingState, zs: np.ndarray, limit: float) -> int:
     either threshold ends the run, and `step` re-decides it. A limit above 1
     also passes covered-by-limit rows, which only the coreset may drop.
     """
-    # P = inverse @ basis.T is built per scan, not kept on the state
-    rho, inside = scan_rows(state.center, state.basis, state.inverse @ state.basis.T,
+    # the map to unit-ball coordinates: a full-rank state's inverse itself,
+    # else inverse @ basis.T, formed per scan and not kept on the state
+    d, k = state.basis.shape
+    rho, inside = scan_rows(state.center, state.basis,
+                            state.inverse if k == d else state.inverse @ state.basis.T,
                             state.span_scale, zs)
     tol = scan_tolerance(len(state.center), state.dim, state.cond_bound)
     ok = inside & (rho <= limit * (1.0 - SKIP_MARGIN - tol))

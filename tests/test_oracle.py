@@ -392,6 +392,18 @@ class TestAgainstReference:
         ref = reference_min_norm_point(self.argmin_lmo(atoms), atoms[0], 1e-14)
         assert 0.0 < dist < 1e-14 and ref < 1e-14
 
+    def test_stops_at_its_atoms_rounding(self):
+        # once |y| is 1, the LMO returns the 1e9 atom, already in the corral, on
+        # every cycle: its gap <y, y - s> is rounding, about eps |s|, far above
+        # tol |y|, and without a floor at the atoms' rounding it is added again
+        # until the cycle budget runs out
+        q, _ = np.linalg.qr(np.random.default_rng(10).standard_normal((3, 3)))
+        atoms = np.array([[-1.0, 0.0, 1.0], [1e9, 0.0, 1.0], [5e8, 1e-9, 1.0 - 1e-9]]) @ q.T
+        dist = oracle._min_norm_point(self.argmin_lmo(atoms), atoms[0], 1e-12)
+        ref = reference_min_norm_point(self.argmin_lmo(atoms), atoms[0], 1e-12)
+        assert ref == pytest.approx(1.0, abs=1e-12)
+        assert dist == pytest.approx(ref, abs=oracle._ATOM_RES * np.abs(atoms).max())
+
     @pytest.mark.parametrize("d", [2, 5, 16])
     def test_untrusted_columns_are_refactored(self, d, monkeypatch):
         # no Gram-Schmidt column is trusted, so every atom added refactors D by Householder QR

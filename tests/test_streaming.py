@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellipstream import cli, coreset, streaming, update_rule
+from ellipstream import cli, coreset, oracle, streaming, update_rule
 from ellipstream.coreset import coreset_step, drop_limit, run_coreset
 from ellipstream.ellipsoid import (
     RANK_COLLAPSE_RATIO,
@@ -728,6 +728,62 @@ class TestFactoredState:
         state, _ = run_fully_online(pts, on_step=certify)
         assert all(c.outer_ok and c.inner_ok for c in certs)
         assert max_membership(state.ellipsoid, pts) <= 1e-9
+
+
+def mapped_gaussian(d, n, c, seed=5):
+    """n gaussian points mapped by A x + 3, A = Q diag(logspace(0, c, d)),
+    the recipe of test_affine_equivariance_up_to_condition_1e6."""
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n, d))
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return pts @ (q * np.logspace(0, c, d)).T + 3.0
+
+
+def up_to_the_collapse(pts):
+    """pts up to the step at which the online driver raises NumericalLimitError."""
+    with pytest.raises(NumericalLimitError) as info:
+        run_fully_online(pts)
+    return pts[:info.value.t - 1]
+
+
+class TestAmbientFullRank:
+    """A full-rank state is in ambient coordinates: its basis is the shared
+    identity, and an ALIGN_LIMIT restart keeps it."""
+
+    @pytest.mark.parametrize("name", ["mapped", "one-axis-2", "one-axis-3", "one-axis-6"])
+    def test_restarts_certify_in_closed_form(self, name, monkeypatch):
+        # a restart leaves the next body on its frame's basis, so no step
+        # falls back to the sampled certificate
+        pts = (mapped_gaussian(6, 600, 6) if name == "mapped"
+               else up_to_the_collapse(one_axis_growth(int(name[-1]))))
+        # a restart reads the SVD view, the one SVD these runs make
+        svd, restarts = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: restarts.append(1) or svd(*a, **kw))
+        steps = []
+        run_fully_online(pts, on_step=lambda t, s: s.split is not None and steps.append(s))
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert len(restarts) >= 10
+        sampled, fallbacks = oracle._sampled_margins, []
+        monkeypatch.setattr(oracle, "_sampled_margins",
+                            lambda *args: fallbacks.append(1) or sampled(*args))
+        certs = check_monotone_steps(steps)
+        assert fallbacks == []
+        assert all(c.verdict == "pass" for c in certs)
+
+    @pytest.mark.parametrize("driver", ["online", "seeded", "coreset"])
+    def test_full_rank_states_share_the_identity(self, driver):
+        d = 6
+        pts = mapped_gaussian(d, 600, 6)
+        states = []
+        run = {"online": run_fully_online, "coreset": run_coreset,
+               "seeded": lambda pts, on_step: run_seeded(pts, np.full(d, 3.0), 0.5, on_step)}
+        run[driver](pts, on_step=lambda t, s: states.append(s.state))
+        full = [s for s in states if s.dim == d]
+        assert full
+        assert all(np.array_equal(s.basis, np.eye(d)) for s in full)
+        # one shared, read-only array
+        assert len({id(s.basis) for s in full}) == 1
+        assert not full[0].basis.flags.writeable
 
 
 def online_states(pts):

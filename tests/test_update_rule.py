@@ -237,6 +237,59 @@ class TestIrregularUpdate:
             irregular_update(st0, np.array([2.0, 0.0]))
 
 
+class TestAmbientFullRank:
+    """A full-rank state is kept in ambient coordinates, on the shared identity."""
+
+    def test_from_a_rotated_full_rank_body(self):
+        rng = np.random.default_rng(4)
+        d = 5
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        body = Ellipsoid(rng.standard_normal(d), q, np.array([5.0, 3.0, 2.0, 1.0, 0.5]))
+        st0 = RoundingState.from_ellipsoid(body, alpha=0.3)
+        assert np.array_equal(st0.basis, np.eye(d)) and not st0.basis.flags.writeable
+        assert st0.basis is RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(d), 1.0), 0.5).basis
+        # the view is the body, its axes up to sign, within rounding
+        view = st0.ellipsoid
+        assert np.array_equal(view.center, body.center)
+        assert view.semiaxes == pytest.approx(body.semiaxes, rel=1e-14)
+        assert np.abs(view.axes.T @ body.axes) == pytest.approx(np.eye(d), abs=1e-14)
+        for x in body.center + 3.0 * rng.standard_normal((20, d)):
+            assert membership(view, x) == pytest.approx(membership(body, x), abs=1e-13)
+        # below full rank, the body's axes are the basis
+        flat = Ellipsoid(body.center, q[:, :3], body.semiaxes[:3])
+        assert RoundingState.from_ellipsoid(flat, alpha=0.3).basis is flat.axes
+
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    def test_a_raise_to_full_rank_is_framed_in_ambient_coordinates(self, d):
+        rng = np.random.default_rng(d)
+        pts = rng.standard_normal((d + 1, d))
+        state = RoundingState.from_ellipsoid(Ellipsoid.point(pts[0]), alpha=1.0)
+        for z in pts[1:d]:
+            state = step(state, z).state
+        z = pts[d]
+        s = step(state, z)
+        assert state.dim == d - 1 and s.kind == "irregular" and s.state.dim == d
+        fr = update_rule.frame(state, s.split)
+        assert fr.raised and fr.basis is s.state.basis
+        assert np.array_equal(fr.basis, np.eye(d))
+        # the bordered, sheared M of the raise, times [Q, v]^T
+        k, split = d - 1, s.split
+        root = math.sqrt(1.0 + 2.0 * state.alpha)
+        bordered = np.zeros((d, d))
+        bordered[:k, :k] = state.inverse
+        bordered[:k, k] = state.inverse @ split.coeffs / -split.rnorm
+        bordered[k, k] = root / split.rnorm
+        qv = np.hstack([state.basis, (split.residual / split.rnorm)[:, None]])
+        scale = np.abs(bordered).max()
+        assert fr.shear == pytest.approx(bordered @ qv.T, abs=1e-14 * scale)
+        # z lies at sqrt(1 + 2 alpha) on the new axis, and the raised
+        # inverse is the frame's shear over the new radius
+        assert fr.z == pytest.approx(np.eye(d)[k] * root, abs=1e-15)
+        assert fr.shear @ (z - state.center) == pytest.approx(fr.z, abs=1e-12 * root)
+        assert s.state.inverse == pytest.approx(fr.shear * root / (1.0 + state.alpha),
+                                                rel=1e-15)
+
+
 def test_is_off_span():
     body = Ellipsoid(np.zeros(3), np.eye(3)[:, :2], np.array([1.0, 1.0]))
     st0 = RoundingState.from_ellipsoid(body, alpha=0.5)
