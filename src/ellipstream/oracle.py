@@ -15,17 +15,8 @@ from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .ellipsoid import (
-    SPAN_RES,
-    SPAN_TOL,
-    Ellipsoid,
-    _norm,
-    _unit_directions,
-    containment_margin,
-    membership,
-    row_norms,
-    safe_row_norms,
-)
+from .ellipsoid import (SPAN_RES, SPAN_TOL, Ellipsoid, _norm, _unit_directions, containment_margin,
+                        membership, row_norms, safe_row_norms)
 # looked up here by perfbench/tracing.py
 from .ellipsoid import log_volume  # noqa: F401
 from .update_rule import Frame, RoundingState, Step, compute_params, frame, solve_gamma
@@ -514,10 +505,11 @@ def check_monotone_steps(steps: Sequence[Step],
     The update rule grows bodies of revolution about z's direction, so
     _structured_margins certifies the steps in closed form, one pass per
     group of steps with the same frame size and raised flag, each step from
-    its own arrays; where it does not apply, _sampled_margins checks a step
-    by brute force. The tests take the sampled path as the reference. A
-    block's peak memory is about four k x k stacks per step of its largest
-    group.
+    its own arrays. _sampled_margins checks by brute force a near-duplicate
+    drop, a step the kernel did not build (its next body off the frame's
+    basis) and a step whose rounding bounds pass tol/10 (cond_bound ~1e8 and
+    up). The tests take the sampled path as the reference. A block's peak
+    memory is about four k x k stacks per step of its largest group.
     """
     frames, groups = [], {}
     for i, s in enumerate(steps):

@@ -17,8 +17,9 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .ellipsoid import (SPAN_TOL, Ellipsoid, NumericalLimitError, SpanSplit, _norm, basis_split,
-                        check_shape, log_volume, scan_rows, scan_tolerance, span_scale)
+from .ellipsoid import (RANK_COLLAPSE_RATIO, SPAN_TOL, Ellipsoid, NumericalLimitError, SpanSplit,
+                        _norm, basis_split, check_shape, log_volume, scan_rows, scan_tolerance,
+                        span_scale)
 
 GAMMA_MAX_ITER = 200
 GAMMA_REL_RESIDUAL = 1e-10
@@ -29,7 +30,7 @@ GAMMA_FALLBACK_RESIDUAL = 1e-8  # accepted once GAMMA_MAX_ITER steps are spent
 SKIP_MARGIN = 1e-8
 # an inverse factor updated in place is accurate to about eps * s_max/s_min
 # along the body's long axes, its own thin ones; past this bound on that
-# ratio, each step restarts from an SVD
+# ratio, each step restarts M from its factor's SVD, on the same basis
 ALIGN_LIMIT = 1e6
 
 
@@ -70,10 +71,10 @@ class RoundingState:
     log volume over the unit k-ball's; `ellipsoid` is a validated view.
 
     A full-rank state (k = d) is in ambient coordinates: its basis is the
-    shared read-only identity, so M maps x - center straight to unit-ball
-    coordinates and the kernel reads no basis. `from_ellipsoid`, the
-    restart and a raise to rank d build full-rank states so; a state
-    built directly at k = d must be given that identity."""
+    identity, so M maps x - center straight to unit-ball coordinates and
+    the kernel reads no basis. `from_ellipsoid` and a raise to rank d give
+    it the shared read-only identity, and a restart keeps any state's
+    basis; `step` refuses a full-rank state built directly on another."""
 
     center: np.ndarray
     basis: np.ndarray
@@ -91,7 +92,15 @@ class RoundingState:
 
     @staticmethod
     def from_ellipsoid(e: Ellipsoid, alpha: float) -> "RoundingState":
-        return _on_axes(e.center, e.axes, e.semiaxes, alpha, log_volume(e))
+        """e's state: M = diag(1/semiaxes) on the basis e.axes, or at full rank times axes^T."""
+        d, k = e.axes.shape
+        inv_s = 1.0 / e.semiaxes
+        if k == d:
+            # C order, as every other inverse: a product's rounding follows the layout
+            basis, inverse = _identity(d), np.multiply(inv_s[:, None], e.axes.T, order="C")
+        else:
+            basis, inverse = e.axes, np.diag(inv_s)
+        return RoundingState(e.center, basis, inverse, _norm(e.semiaxes), alpha, log_volume(e))
 
     @property
     def dim(self) -> int:
@@ -103,15 +112,10 @@ class RoundingState:
 
     @_cached
     def ellipsoid(self) -> Ellipsoid:
-        """The outer body as an Ellipsoid, from the SVD of T = inv(M) by LU.
-        A collapsed body raises NumericalLimitError: from the constructor on
-        its semiaxis ratio, or here where LU finds M singular."""
-        try:
-            u, s, _ = np.linalg.svd(np.linalg.inv(self.inverse))
-        except np.linalg.LinAlgError:
-            raise NumericalLimitError(math.inf) from None
-        d, k = self.basis.shape
-        return Ellipsoid(self.center, u if k == d else self.basis @ u, s)
+        """The outer body as an Ellipsoid on the axes and semiaxes of
+        `_factor_svd`, which raises NumericalLimitError on a collapsed body."""
+        u, s = _factor_svd(self.inverse)
+        return Ellipsoid(self.center, u if self.dim == len(self.center) else self.basis @ u, s)
 
     @property
     def span_scale(self) -> float:
@@ -129,19 +133,17 @@ class RoundingState:
         return self.factor_norm * self.inverse_norm
 
 
-def _on_axes(center: np.ndarray, axes: np.ndarray, semiaxes: np.ndarray, alpha: float,
-             log_volume: float) -> RoundingState:
-    """The state of the body center + axes diag(semiaxes) B_k: on the basis
-    `axes` with M = diag(1/semiaxes), or at full rank in ambient
-    coordinates, with M = diag(1/semiaxes) axes^T."""
-    d, k = axes.shape
-    inv_s = 1.0 / semiaxes
-    if k == d:
-        # C order, as every other inverse: a product's rounding follows the layout
-        basis, inverse = _identity(d), np.multiply(inv_s[:, None], axes.T, order="C")
-    else:
-        basis, inverse = axes, np.diag(inv_s)
-    return RoundingState(center, basis, inverse, _norm(semiaxes), alpha, log_volume)
+def _factor_svd(inverse: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(U, S), S descending, of the SVD T = U S V^T of T = inv(inverse), by one
+    LU and one SVD. NumericalLimitError(s_max/s_min) past 1/RANK_COLLAPSE_RATIO
+    (a NaN too), inf where S holds a 0 or LU finds the inverse singular."""
+    try:
+        u, s, _ = np.linalg.svd(np.linalg.inv(inverse))
+    except np.linalg.LinAlgError:
+        raise NumericalLimitError(math.inf) from None
+    if len(s) and not s[-1] >= RANK_COLLAPSE_RATIO * s[0]:
+        raise NumericalLimitError(float(s[0] / s[-1]) if s[-1] else math.inf)
+    return u, s
 
 
 class UpdateParams(NamedTuple):
@@ -284,13 +286,14 @@ def frame(state: RoundingState, split: SpanSplit) -> Frame:
 
 def _checked(state: RoundingState) -> RoundingState:
     """The state, kept as it is while its cond_bound stays within
-    ALIGN_LIMIT; past it, a restart from its `ellipsoid` view, which raises
-    NumericalLimitError on a collapsed body. A full-rank restart stays in
-    ambient coordinates, so it keeps the frame's basis (see _on_axes)."""
+    ALIGN_LIMIT; past it, restarted on its own basis from its factor's SVD
+    T = U S V^T (`_factor_svd`, which raises on a collapsed body): M = S^-1
+    U^T and |T|_F = |S|. So a basis changes only with the span."""
     if state.cond_bound <= ALIGN_LIMIT:
         return state
-    e = state.ellipsoid
-    return _on_axes(state.center, e.axes, e.semiaxes, state.alpha, state.log_volume)
+    u, s = _factor_svd(state.inverse)
+    return RoundingState(state.center, state.basis, np.multiply((1.0 / s)[:, None], u.T, order="C"),
+                         _norm(s), state.alpha, state.log_volume)
 
 
 def _regular(state: RoundingState,
@@ -343,8 +346,8 @@ def _regular(state: RoundingState,
             factor_norm, params.alpha_next,
             state.log_volume + params.gamma + (k - 1) * math.log(b))), params
     except NumericalLimitError as exc:
-        # the view of a rounded M' may read its rounding floor (see above),
-        # or inf where LU finds it singular; the bound is then all we know
+        # the restart's SVD of a rounded M' may read its rounding floor (see
+        # above), or inf where LU finds it singular; the bound is then all we know
         bound = a / b / state.cond_bound
         ratio = bound if exc.ratio == math.inf else max(exc.ratio, bound)
         raise NumericalLimitError(ratio) from None
@@ -391,7 +394,11 @@ def _irregular(state: RoundingState, z: np.ndarray,
 
 def step(state: RoundingState, z: np.ndarray) -> Step:
     """The per-point kernel: a skip, regular or irregular Step from
-    `state`, carrying the split that decided it. Refuses a non-finite z."""
+    `state`, carrying the split that decided it. Refuses a non-finite z and
+    a full-rank state whose basis is not the identity (the kernel reads none)."""
+    d, k = state.basis.shape
+    if k == d and not (state.basis is _identity(d) or np.array_equal(state.basis, _identity(d))):
+        raise UpdateError("a full-rank basis must be I (see RoundingState.from_ellipsoid)")
     return _step(state, _finite_point(z))
 
 

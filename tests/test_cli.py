@@ -522,6 +522,14 @@ def drift_file(path):
     return write_csv(path, g * np.exp(0.005 * np.arange(1, 601))[:, None])
 
 
+def drift64_file(path):
+    """192 unit-gaussian directions at d = 64 drifting out by e^(0.002 t):
+    verify certifies its full-rank steps in blocks of CHUNK_ROWS^2 / d^2 = 16."""
+    g = np.random.default_rng(3).standard_normal((192, 64))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    return write_csv(path, g * np.exp(0.002 * np.arange(192))[:, None])
+
+
 def shifted_file(path, shift):
     return write_csv(path, np.random.default_rng(5).standard_normal((400, 5)) + shift)
 
@@ -582,12 +590,17 @@ class TestVerifyBlocks:
     @pytest.mark.parametrize("make", [
         drift_file,
         # at d = 32, CHUNK_ROWS steps would hold 2 CHUNK_ROWS k^2 entries and more
-        lambda path: write_csv(path, np.random.default_rng(2).standard_normal((200, 32)))])
+        lambda path: write_csv(path, np.random.default_rng(2).standard_normal((200, 32))),
+        drift64_file])
     def test_blocks_are_bounded(self, tmp_path, monkeypatch, make):
         blocks, certify = [], oracle.check_monotone_steps
 
         def recorded(steps, *args):
-            blocks.append([s.state.inverse.size + s.state.basis.size for s in steps])
+            # the entries a block stacks: each next inverse, and its basis
+            # below full rank (a full-rank basis is the shared identity)
+            blocks.append([s.state.inverse.size
+                           + (s.state.basis.size if s.state.dim < len(s.state.center) else 0)
+                           for s in steps])
             return certify(steps, *args)
 
         monkeypatch.setattr(oracle, "check_monotone_steps", recorded)
@@ -599,6 +612,9 @@ class TestVerifyBlocks:
         # a block is certified at the step that reaches either bound
         assert all(len(b) <= streaming.CHUNK_ROWS for b in blocks)
         assert all(sum(b[:-1]) < streaming.CHUNK_ROWS ** 2 for b in blocks)
+        # and not before
+        assert all(len(b) == streaming.CHUNK_ROWS or sum(b) >= streaming.CHUNK_ROWS ** 2
+                   for b in blocks[:-1])
 
 
 def test_verify_decomposes_only_on_fallback(tmp_path, monkeypatch):

@@ -746,23 +746,37 @@ def up_to_the_collapse(pts):
     return pts[:info.value.t - 1]
 
 
+def embedded(k, d, n, c):
+    """mapped_gaussian(k, n, c) in a k-dimensional subspace of R^d."""
+    e, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((d, k)))
+    return mapped_gaussian(k, n, c) @ e.T
+
+
 class TestAmbientFullRank:
     """A full-rank state is in ambient coordinates: its basis is the shared
-    identity, and an ALIGN_LIMIT restart keeps it."""
+    identity, and an ALIGN_LIMIT restart keeps it, as it keeps any basis."""
 
-    @pytest.mark.parametrize("name", ["mapped", "one-axis-2", "one-axis-3", "one-axis-6"])
+    @pytest.mark.parametrize("name", ["mapped", "one-axis-2", "one-axis-3", "one-axis-6",
+                                      "embedded-4-6", "embedded-8-16"])
     def test_restarts_certify_in_closed_form(self, name, monkeypatch):
-        # a restart leaves the next body on its frame's basis, so no step
-        # falls back to the sampled certificate
-        pts = (mapped_gaussian(6, 600, 6) if name == "mapped"
-               else up_to_the_collapse(one_axis_growth(int(name[-1]))))
-        # a restart reads the SVD view, the one SVD these runs make
+        # a restart leaves the next body on its frame's basis, at full rank
+        # and below it, so no step falls back to the sampled certificate
+        if name == "mapped":
+            pts = mapped_gaussian(6, 600, 6)
+        elif name.startswith("one-axis"):
+            pts = up_to_the_collapse(one_axis_growth(int(name[-1])))
+        else:
+            # rank 4 in R^6 and rank 8 in R^16: every restart is below full rank
+            pts = embedded(4, 6, 400, 6) if name == "embedded-4-6" else embedded(8, 16, 200, 6)
+        # a restart takes its factor's SVD, the one SVD these runs make
         svd, restarts = np.linalg.svd, []
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: restarts.append(1) or svd(*a, **kw))
         steps = []
         run_fully_online(pts, on_step=lambda t, s: s.split is not None and steps.append(s))
         monkeypatch.setattr(np.linalg, "svd", svd)
         assert len(restarts) >= 10
+        # a basis changes only with the span
+        assert all(s.state.basis is s.prev.basis for s in steps if s.kind == "regular")
         sampled, fallbacks = oracle._sampled_margins, []
         monkeypatch.setattr(oracle, "_sampled_margins",
                             lambda *args: fallbacks.append(1) or sampled(*args))

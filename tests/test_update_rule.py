@@ -259,6 +259,23 @@ class TestAmbientFullRank:
         flat = Ellipsoid(body.center, q[:, :3], body.semiaxes[:3])
         assert RoundingState.from_ellipsoid(flat, alpha=0.3).basis is flat.axes
 
+    def test_step_refuses_a_full_rank_state_off_the_identity(self):
+        # a rotated basis with a diagonal inverse, the convention before
+        # ambient coordinates: the kernel would read the basis as I
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))
+        s = np.array([3.0, 1.0, 0.2])
+        z = q @ np.array([0.0, 0.0, 0.5])
+        body = RoundingState.from_ellipsoid(Ellipsoid(np.zeros(3), q, s), alpha=0.5)
+        assert step(body, z).kind == "regular"
+        direct = RoundingState(np.zeros(3), q, np.diag(1.0 / s), _norm(s), 0.5,
+                               float(np.log(s).sum()))
+        with pytest.raises(UpdateError, match="RoundingState.from_ellipsoid"):
+            step(direct, z)
+        # an identity compares by value, shared or not
+        own = RoundingState(np.zeros(3), np.eye(3), np.diag(1.0 / s), _norm(s), 0.5,
+                            float(np.log(s).sum()))
+        assert step(own, np.array([0.0, 0.0, 0.5])).kind == "regular"
+
     @pytest.mark.parametrize("d", [1, 3, 6])
     def test_a_raise_to_full_rank_is_framed_in_ambient_coordinates(self, d):
         rng = np.random.default_rng(d)
