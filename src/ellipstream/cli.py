@@ -243,15 +243,15 @@ def _make_verifier(config: RunConfig):
     """A step observer that runs the monotone-step oracle on every k-th
     step that carries a split, and its flush. The observer buffers the
     steps and certifies them as a block once CHUNK_ROWS steps, or as many
-    entries of the inverse factors and bases the certificate stacks (no
-    basis at full rank) as a CHUNK_ROWS x CHUNK_ROWS block holds, are
-    pending; flush certifies the rest.
+    entries of the k x k inverse factors the certificate stacks as a
+    CHUNK_ROWS x CHUNK_ROWS block holds, are pending; flush certifies the
+    rest.
     Resolution-limited steps are named on stderr in stream order."""
     every = config.effective_verify_every
     summary = {"checked": 0, "failures": 0, "resolution_limited": 0,
                "worst_margin": math.inf}
     pending: List[Tuple[int, Step]] = []
-    held = 0  # entries of the pending steps' inverse factors and stacked bases
+    held = 0  # entries of the pending steps' inverse factors
 
     def flush():
         nonlocal held
@@ -275,8 +275,7 @@ def _make_verifier(config: RunConfig):
         if every <= 0 or t % every or step.split is None:
             return
         pending.append((t, step))
-        d, k = step.state.basis.shape
-        held += k * k + (d * k if k < d else 0)
+        held += step.state.inverse.size
         if len(pending) == streaming.CHUNK_ROWS or held >= streaming.CHUNK_ROWS ** 2:
             flush()
 

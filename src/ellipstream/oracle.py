@@ -15,8 +15,8 @@ from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .ellipsoid import (SPAN_RES, SPAN_TOL, Ellipsoid, _norm, _unit_directions, containment_margin,
-                        membership, row_norms, safe_row_norms)
+from .ellipsoid import (SPAN_RES, Ellipsoid, _norm, _unit_directions, basis_split,
+                        containment_margin, membership, row_norms)
 # looked up here by perfbench/tracing.py
 from .ellipsoid import log_volume  # noqa: F401
 from .update_rule import Frame, RoundingState, Step, compute_params, frame, solve_gamma
@@ -339,37 +339,31 @@ def _structured_margins(steps: Sequence[Step], frames: Sequence[Frame], tol: flo
     <= max(p, q) + |dG|_F. An r of 1 or more falls back.
 
     Each step is computed as its own k x k problem, stacked from the step's
-    own arrays: its states' centers, its frame's shear (after a regular step
-    the previous inverse M) and its next state's inverse and, below full
-    rank, its basis, so a state two steps share is stacked twice. The stacked products and dot
-    products (`_dots`) round as one step's do, and the comparisons take
-    Python's max and min order, so a NaN falls on the side the per-step form
-    puts it.
+    own arrays: its frame's shear (after a regular step the previous inverse
+    M), its next state's inverse and the previous center's coordinates in
+    the next span, delta at full rank and basis_split's below it; so only
+    k x k arrays are stacked, and a state two steps share is stacked twice.
+    The stacked products and dot products (`_dots`) round as one step's do,
+    and the comparisons take Python's max and min order, so a NaN falls on
+    the side the per-step form puts it.
     """
     n, k, raised = len(steps), len(frames[0].z), frames[0].raised
     prevs, nexts = [s.prev for s in steps], [s.state for s in steps]
-    c_prev = np.array([s.center for s in prevs])
-    c_next = np.array([s.center for s in nexts])
     alpha = np.array([s.alpha for s in prevs])
     alpha_n = np.array([s.alpha for s in nexts])
     z = np.array([fr.z for fr in frames])
 
-    # the previous center against the next body's span, as basis_split
-    # splits it; a full-rank next body is ambient (its basis is I), so there
-    # the coordinates are delta itself and nothing is off-span
-    delta = c_prev - c_next
-    if k == delta.shape[1]:
-        coeffs, off = delta, np.zeros(n, dtype=bool)
+    # the previous center against the next body's span, by basis_split; a
+    # full-rank next body is ambient (its basis is I), so there the
+    # coordinates are delta itself and nothing is off-span
+    if k == len(prevs[0].center):
+        coeffs = np.array([s.center for s in prevs]) - np.array([s.center for s in nexts])
+        off = np.zeros(n, dtype=bool)
     else:
-        scale = np.array([s.span_scale for s in nexts])
-        bases = np.array([s.basis for s in nexts])
-        coeffs = (bases.transpose(0, 2, 1) @ delta[:, :, None])[:, :, 0]
-        residual = delta - (bases @ coeffs[:, :, None])[:, :, 0]
-        del bases
-        rnorm, dnorm, cnorm = safe_row_norms(
-            np.concatenate([residual, delta, c_next])).reshape(3, n)
-        off = ((rnorm > SPAN_TOL * np.where(scale > dnorm, scale, dnorm))
-               & (rnorm > SPAN_RES * (dnorm + cnorm)))
+        splits = [basis_split(s.center, s.basis, s.span_scale, p.center)
+                  for p, s in zip(prevs, nexts)]
+        coeffs = np.array([sp.coeffs for sp in splits])
+        off = np.array([sp.off for sp in splits])
 
     # T' = inv(M') by one batched LU per step, and r = |M' T' - I|_F. The
     # k x k stacks are dropped once read: at high k they are most of a
@@ -509,7 +503,8 @@ def check_monotone_steps(steps: Sequence[Step],
     drop, a step the kernel did not build (its next body off the frame's
     basis) and a step whose rounding bounds pass tol/10 (cond_bound ~1e8 and
     up). The tests take the sampled path as the reference. A block's peak
-    memory is about four k x k stacks per step of its largest group.
+    memory is about four k x k stacks per step of its largest group, at
+    every rank: no basis is stacked.
     """
     frames, groups = [], {}
     for i, s in enumerate(steps):

@@ -219,8 +219,10 @@ def run_seeded(
     d = c0.shape[0]
     if d < 2:
         raise ValueError("seeded mode needs dimension >= 2")
-    if not (r0 > 0):
-        raise ValueError("seed radius must be positive")
+    if not np.isfinite(c0).all():
+        raise ValueError("seed center c0 must be finite")
+    if not 0 < r0 < math.inf:
+        raise ValueError("seed radius r0 must be positive and finite")
     gate = r0 * d * math.log(d)
 
     local = True  # phase I: both bodies are balls around c0

@@ -38,20 +38,6 @@ class UpdateError(ValueError):
     pass
 
 
-class _cached:
-    """functools.cached_property without the lock Python 3.11 takes on each
-    first read (3.12 dropped it): every new state reads inverse_norm."""
-
-    def __init__(self, fn):
-        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 @functools.lru_cache(maxsize=8)
 def _identity(d: int) -> np.ndarray:
     """The read-only d x d identity, the basis every full-rank state in R^d shares."""
@@ -89,6 +75,8 @@ class RoundingState:
         v = self.__dict__
         v["center"], v["basis"], v["inverse"] = center, basis, inverse
         v["factor_norm"], v["alpha"], v["log_volume"] = factor_norm, alpha, log_volume
+        # |inverse|_F, at least 1 / the smallest semiaxis: every kernel state reads it
+        v["inverse_norm"] = _norm(inverse)
 
     @staticmethod
     def from_ellipsoid(e: Ellipsoid, alpha: float) -> "RoundingState":
@@ -110,7 +98,7 @@ class RoundingState:
     def alpha_inv(self) -> float:
         return 1.0 / self.alpha
 
-    @_cached
+    @functools.cached_property
     def ellipsoid(self) -> Ellipsoid:
         """The outer body as an Ellipsoid on the axes and semiaxes of
         `_factor_svd`, which raises NumericalLimitError on a collapsed body."""
@@ -121,11 +109,6 @@ class RoundingState:
     def span_scale(self) -> float:
         """The view's span_scale, read off factor_norm = |T|_F."""
         return span_scale(self.factor_norm, self.dim)
-
-    @_cached
-    def inverse_norm(self) -> float:
-        """|inverse|_F, at least 1 / the smallest semiaxis."""
-        return _norm(self.inverse)
 
     @property
     def cond_bound(self) -> float:
@@ -178,8 +161,8 @@ def compute_params(gamma: float, alpha: float) -> UpdateParams:
     """
     if not (0.0 < alpha <= 0.5):
         raise UpdateError("alpha must lie in (0, 1/2]")
-    if gamma < 0.0:
-        raise UpdateError("gamma must be nonnegative")
+    if not 0.0 <= gamma < math.inf:
+        raise UpdateError("gamma must be finite and nonnegative")
     a = math.exp(gamma)
     alpha_next = 1.0 / (1.0 / alpha + 2.0 * gamma)
     b = 1.0 + (alpha - alpha_next) / 2.0
@@ -204,8 +187,8 @@ def solve_gamma(rho: float, alpha: float) -> float:
     of the residual window is returned deliberately: overshooting keeps
     the new point covered.
     """
-    if not (rho > 1.0):
-        raise UpdateError("rho must exceed 1")
+    if not 1.0 < rho < math.inf:
+        raise UpdateError("rho must be finite and exceed 1")
     if not (0.0 < alpha <= 0.5):
         raise UpdateError("alpha must lie in (0, 1/2]")
     lo, hi = 0.0, math.log(rho) + 1.0

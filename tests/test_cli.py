@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from ellipstream import cli, oracle, streaming, update_rule
 from ellipstream.update_rule import RoundingState
+from test_streaming import embedded
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -376,7 +377,11 @@ class TestRun:
         (("--mode", "seeded", "--gen", "gaussian", "--d", "3", "--c0", "0,0", "--r0", "0.1"),
          "--c0 dimension does not match the points"),
         (("--mode", "online", "--gen", "gaussian", "--d", "0"), "d, n, and N must be positive"),
-    ], ids=["c0-dimension", "non-positive-d"])
+        (("--mode", "seeded", "--gen", "gaussian", "--d", "2", "--c0", "0,0", "--r0", "inf"),
+         "seed radius r0 must be positive and finite"),
+        (("--mode", "seeded", "--gen", "gaussian", "--d", "2", "--c0", "nan,0", "--r0", "0.1"),
+         "seed center c0 must be finite"),
+    ], ids=["c0-dimension", "non-positive-d", "infinite-r0", "nan-c0"])
     def test_refusals_exit_1(self, tmp_path, capsys, args, message):
         assert self.run_cli(tmp_path, *args) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -530,6 +535,12 @@ def drift64_file(path):
     return write_csv(path, g * np.exp(0.002 * np.arange(192))[:, None])
 
 
+def embedded64_file(path):
+    """200 points of rank 32 in R^64 (`embedded`): every step is below full
+    rank, where the certificate stacks no basis either."""
+    return write_csv(path, embedded(32, 64, 200, 6))
+
+
 def shifted_file(path, shift):
     return write_csv(path, np.random.default_rng(5).standard_normal((400, 5)) + shift)
 
@@ -591,16 +602,14 @@ class TestVerifyBlocks:
         drift_file,
         # at d = 32, CHUNK_ROWS steps would hold 2 CHUNK_ROWS k^2 entries and more
         lambda path: write_csv(path, np.random.default_rng(2).standard_normal((200, 32))),
-        drift64_file])
+        drift64_file,
+        embedded64_file])
     def test_blocks_are_bounded(self, tmp_path, monkeypatch, make):
         blocks, certify = [], oracle.check_monotone_steps
 
         def recorded(steps, *args):
-            # the entries a block stacks: each next inverse, and its basis
-            # below full rank (a full-rank basis is the shared identity)
-            blocks.append([s.state.inverse.size
-                           + (s.state.basis.size if s.state.dim < len(s.state.center) else 0)
-                           for s in steps])
+            # the entries a block stacks: each next inverse, k x k at every rank
+            blocks.append([s.state.inverse.size for s in steps])
             return certify(steps, *args)
 
         monkeypatch.setattr(oracle, "check_monotone_steps", recorded)

@@ -5,7 +5,8 @@ package namespace.
   demos/. The scan skips `from __future__` imports, the names a package's
   `__init__.py` re-exports through `__all__`, and import lines marked
   `# noqa: F401`, which keep names that perfbench/tracing.py looks up on a
-  module.
+  module; in src/, each name such a line imports is one that
+  `tracing.TARGETS` looks up on that same module.
 - Every module-level function, class and constant of src/ is named
   somewhere in src/, perfbench/ or demos/ outside its own body or
   assignment.
@@ -14,9 +15,15 @@ package namespace.
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def marked(node: ast.stmt, lines) -> bool:
+    """Whether an import statement carries `# noqa: F401` on any of its lines."""
+    return any("# noqa: F401" in lines[i - 1] for i in range(node.lineno, node.end_lineno + 1))
 
 
 def unused_imports(path: Path):
@@ -28,9 +35,7 @@ def unused_imports(path: Path):
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
-        if not isinstance(node, (ast.Import, ast.ImportFrom)):
-            continue
-        if any("# noqa: F401" in lines[i - 1] for i in range(node.lineno, node.end_lineno + 1)):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or marked(node, lines):
             continue
         for alias in node.names:
             name = alias.asname or alias.name.split(".")[0]
@@ -51,6 +56,30 @@ def test_no_unused_imports():
              for path in sorted((ROOT / folder).rglob("*.py"))
              for line, name in unused_imports(path)]
     assert found == []
+
+
+def test_marked_imports_are_tracer_targets():
+    # `# noqa: F401` in src/ keeps only a name the tracer wraps on the
+    # importing module, so it cannot hide a real unused import
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import tracing
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    targets = {(getattr(owner, "__name__", None), attr) for owner, attr, _ in tracing.TARGETS}
+    stray, seen = [], 0
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+        source = path.read_text()
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and marked(node, lines):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    seen += 1
+                    if (module, name) not in targets:
+                        stray.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
+    assert seen and stray == []
 
 
 def defined(stmt: ast.stmt):

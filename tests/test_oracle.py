@@ -798,6 +798,24 @@ class TestStructuredCertificate:
         assert fast.worst_margin <= ref.worst_margin + 1e-12
         assert check_monotone_step(s).verdict == "pass"
 
+    def test_a_next_center_off_the_next_span_falls_back(self, monkeypatch):
+        # below full rank the closed form needs the previous center in the
+        # next body's span: a foreign step whose next center leaves a plane
+        # of R^3 by 1e-3 goes to the sampled path, which refutes it
+        prev = RoundingState.from_ellipsoid(Ellipsoid(np.zeros(3), np.eye(3)[:, :2], np.ones(2)),
+                                            0.5)
+        s = step(prev, np.array([0.6, 0.8, 0.0]) * 1.5)
+        assert s.kind == "regular" and s.state.dim == 2
+        nxt = s.state
+        bad = s._replace(state=RoundingState(nxt.center + 1e-3 * np.eye(3)[2], nxt.basis,
+                                             nxt.inverse, nxt.factor_norm, nxt.alpha,
+                                             nxt.log_volume))
+        sampled, calls = oracle._sampled_margins, []
+        monkeypatch.setattr(oracle, "_sampled_margins",
+                            lambda *args: calls.append(args) or sampled(*args))
+        assert check_monotone_step(s).verdict == "pass" and calls == []
+        assert check_monotone_step(bad).verdict == "fail" and len(calls) == 1
+
     def test_structured_step_needs_no_decomposition(self, monkeypatch):
         s, _, _ = self.small_step(0.5)
         calls = []

@@ -261,6 +261,13 @@ class TestSeeded:
         with pytest.raises(ValueError):
             run_seeded([np.zeros(2)], np.zeros(2), 0.0)
 
+    @pytest.mark.parametrize("c0, r0, name", [
+        ([0.0, math.nan], 1.0, "c0"), ([math.inf, 0.0], 1.0, "c0"),
+        ([0.0, 0.0], math.inf, "r0")], ids=["nan-c0", "inf-c0", "inf-r0"])
+    def test_non_finite_seed_ball_refused(self, c0, r0, name):
+        with pytest.raises(ValueError, match=f"seed .* {name} must be"):
+            run_seeded([np.zeros(2)], np.array(c0), r0)
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 5))
     def test_final_sandwich_random(self, seed, d):

@@ -63,6 +63,12 @@ class TestComputeParams:
         with pytest.raises(UpdateError):
             compute_params(-0.1, 0.25)
 
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_non_finite_gamma_refused(self, gamma):
+        # a = e^inf would give c = -alpha + 0 * inf = nan
+        with pytest.raises(UpdateError, match="gamma must be finite"):
+            compute_params(gamma, 0.5)
+
 
 class TestSolveGamma:
     def test_frozen_value(self):
@@ -83,6 +89,12 @@ class TestSolveGamma:
     def test_rho_must_exceed_one(self):
         with pytest.raises(UpdateError):
             solve_gamma(1.0, 0.5)
+
+    @pytest.mark.parametrize("rho", [math.inf, math.nan])
+    def test_non_finite_rho_refused(self, rho):
+        # the bracket's top end log(inf) + 1 would be returned as gamma
+        with pytest.raises(UpdateError, match="rho must be finite"):
+            solve_gamma(rho, 0.25)
 
     def test_no_iterations_do_not_converge(self, monkeypatch):
         # a + c at the bracket's top end lies outside even the fallback window
