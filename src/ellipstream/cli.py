@@ -258,7 +258,9 @@ def _make_verifier(config: RunConfig):
         certs = oracle.check_monotone_steps([s for _, s in pending])
         for (t, s), cert in zip(pending, certs):
             summary["checked"] += 1
-            summary["worst_margin"] = min(summary["worst_margin"], cert.worst_margin)
+            # a NaN margin stays, as Python's min keeps a NaN in first place only
+            w = cert.worst_margin
+            summary["worst_margin"] = w if w != w else min(summary["worst_margin"], w)
             verdict = cert.verdict
             if verdict == "fail":
                 summary["failures"] += 1

@@ -134,14 +134,15 @@ class Ellipsoid:
 
 
 def _norm(v: np.ndarray) -> float:
-    """The 2-norm of a finite array's entries, sqrt(sum v^2), rescaled by
-    max|v| where the sum overflows, or falls below _TINY (a subnormal with
-    few significant bits, or 0) while v is not 0."""
+    """The 2-norm of an array's entries, sqrt(sum v^2), rescaled by max|v|
+    where the sum overflows, or falls below _TINY (a subnormal with few
+    significant bits, or 0) while v is not 0; a max|v| of inf (or NaN) is
+    returned as it is."""
     sq = np.vdot(v, v)
     if _TINY <= sq < math.inf or not np.count_nonzero(v):
         return math.sqrt(sq)
     m = np.abs(v).max()
-    return float(m * math.sqrt(np.vdot(v / m, v / m)))
+    return float(m * math.sqrt(np.vdot(v / m, v / m))) if m < math.inf else float(m)
 
 
 def span_scale(norm: float, k: int) -> float:

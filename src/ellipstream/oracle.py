@@ -454,7 +454,7 @@ def _sampled_margins(prev: RoundingState, next_: RoundingState, z: np.ndarray,
     worst angle, and over random directions of the whole frame, which act
     as a falsifier."""
     prev_e, next_e = prev.ellipsoid, next_.ellipsoid
-    outer = min(-containment_margin(next_e, prev_e), -membership(next_e, z))
+    outer = _least(-containment_margin(next_e, prev_e), -membership(next_e, z))
 
     def project(vecs: np.ndarray) -> np.ndarray:
         return frame.shear @ (frame.basis.T @ vecs)
@@ -484,8 +484,13 @@ def _sampled_margins(prev: RoundingState, next_: RoundingState, z: np.ndarray,
     else:
         dirs = np.array([[1.0], [-1.0]]) * e1[None, :]
     falsifier = _unit_directions(_N_SAMPLE_DIRS, k, _DIR_SEED)
-    return outer, min(inner, float(margin_for(dirs).min()),
-                      float(margin_for(falsifier).min()))
+    return outer, _least(inner, float(margin_for(dirs).min()),
+                         float(margin_for(falsifier).min()))
+
+
+def _least(*values: float) -> float:
+    """The least of the values, NaN if any is NaN (Python's min keeps a NaN only in first place)."""
+    return math.nan if any(v != v for v in values) else min(values)
 
 
 def check_monotone_steps(steps: Sequence[Step],
@@ -505,37 +510,41 @@ def check_monotone_steps(steps: Sequence[Step],
     up). The tests take the sampled path as the reference. A block's peak
     memory is about four k x k stacks per step of its largest group, at
     every rank: no basis is stacked.
+    A margin past float64's range reads -inf or NaN, fails, and is the
+    step's worst_margin; numpy's floating-point warnings are off throughout.
     """
-    frames, groups = [], {}
-    for i, s in enumerate(steps):
-        prev, next_, split = s.prev, s.state, s.split
-        if split is None or not (prev.center.shape == next_.center.shape == s.z.shape):
-            raise OracleError(f"{s.kind} step: no split to certify, or a span mismatch")
-        fr = frame(prev, split)
-        frames.append(fr)
-        k = len(fr.z)
-        # the closed form needs the next body on the frame's basis
-        if next_.dim == k and (next_.basis is fr.basis or np.array_equal(next_.basis, fr.basis)):
-            groups.setdefault((k, fr.raised), []).append(i)
-    margins = [None] * len(steps)
-    for idx in groups.values():
-        outer, inner, ok = _structured_margins([steps[i] for i in idx],
-                                               [frames[i] for i in idx], tol)
-        for i, o, n, good in zip(idx, outer.tolist(), inner.tolist(), ok.tolist()):
-            if good:
-                margins[i] = o, n
-    certs = []
-    for s, fr, pair in zip(steps, frames, margins):
-        outer, inner = pair or _sampled_margins(s.prev, s.state, s.z, fr)
-        worst = min(outer, inner)
-        limited = False
-        if worst < -tol:
-            resolution = (SPAN_RES * _norm(fr.shear)
-                          * (_norm(s.prev.center) + _norm(s.split.delta)))
-            limited = worst >= -resolution
-        certs.append(StepCertificate(outer_ok=outer >= -tol, inner_ok=inner >= -tol,
-                                     worst_margin=worst, resolution_limited=limited))
-    return certs
+    with np.errstate(all="ignore"):
+        frames, groups = [], {}
+        for i, s in enumerate(steps):
+            prev, next_, split = s.prev, s.state, s.split
+            if split is None or not (prev.center.shape == next_.center.shape == s.z.shape):
+                raise OracleError(f"{s.kind} step: no split to certify, or a span mismatch")
+            fr = frame(prev, split)
+            frames.append(fr)
+            k = len(fr.z)
+            # the closed form needs the next body on the frame's basis
+            if next_.dim == k and (next_.basis is fr.basis
+                                   or np.array_equal(next_.basis, fr.basis)):
+                groups.setdefault((k, fr.raised), []).append(i)
+        margins = [None] * len(steps)
+        for idx in groups.values():
+            outer, inner, ok = _structured_margins([steps[i] for i in idx],
+                                                   [frames[i] for i in idx], tol)
+            for i, o, n, good in zip(idx, outer.tolist(), inner.tolist(), ok.tolist()):
+                if good:
+                    margins[i] = o, n
+        certs = []
+        for s, fr, pair in zip(steps, frames, margins):
+            outer, inner = pair or _sampled_margins(s.prev, s.state, s.z, fr)
+            worst = _least(outer, inner)
+            limited = False
+            if worst < -tol:
+                resolution = (SPAN_RES * _norm(fr.shear)
+                              * (_norm(s.prev.center) + _norm(s.split.delta)))
+                limited = worst >= -resolution
+            certs.append(StepCertificate(outer_ok=outer >= -tol, inner_ok=inner >= -tol,
+                                         worst_margin=worst, resolution_limited=limited))
+        return certs
 
 
 def check_monotone_step(step: Step, tol: float = MONOTONE_TOL) -> StepCertificate:

@@ -22,6 +22,10 @@ from .ellipsoid import (RANK_COLLAPSE_RATIO, SPAN_TOL, Ellipsoid, NumericalLimit
                         span_scale)
 
 GAMMA_MAX_ITER = 200
+# a = e^gamma and a (1 + alpha') stay finite (alpha' < 1/1419 there); RHO_MAX, about
+# DBL_MAX/e, is the largest rho whose bracket top log(rho) + 1 this holds
+GAMMA_MAX = 709.78
+RHO_MAX = math.exp(GAMMA_MAX - 1.0)
 GAMMA_REL_RESIDUAL = 1e-10
 GAMMA_FALLBACK_RESIDUAL = 1e-8  # accepted once GAMMA_MAX_ITER steps are spent
 # leading_skips takes a row as a certain skip only this far (relative)
@@ -119,12 +123,13 @@ class RoundingState:
 def _factor_svd(inverse: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(U, S), S descending, of the SVD T = U S V^T of T = inv(inverse), by one
     LU and one SVD. NumericalLimitError(s_max/s_min) past 1/RANK_COLLAPSE_RATIO
-    (a NaN too), inf where S holds a 0 or LU finds the inverse singular."""
+    (a NaN too), inf where S holds a 0, its largest value too (the inverse
+    is infinite), or LU finds the inverse singular."""
     try:
         u, s, _ = np.linalg.svd(np.linalg.inv(inverse))
     except np.linalg.LinAlgError:
         raise NumericalLimitError(math.inf) from None
-    if len(s) and not s[-1] >= RANK_COLLAPSE_RATIO * s[0]:
+    if len(s) and not (s[-1] >= RANK_COLLAPSE_RATIO * s[0] and s[0] > 0.0):
         raise NumericalLimitError(float(s[0] / s[-1]) if s[-1] else math.inf)
     return u, s
 
@@ -161,8 +166,8 @@ def compute_params(gamma: float, alpha: float) -> UpdateParams:
     """
     if not (0.0 < alpha <= 0.5):
         raise UpdateError("alpha must lie in (0, 1/2]")
-    if not 0.0 <= gamma < math.inf:
-        raise UpdateError("gamma must be finite and nonnegative")
+    if not 0.0 <= gamma <= GAMMA_MAX:
+        raise UpdateError("gamma must be finite, nonnegative and at most GAMMA_MAX")
     a = math.exp(gamma)
     alpha_next = 1.0 / (1.0 / alpha + 2.0 * gamma)
     b = 1.0 + (alpha - alpha_next) / 2.0
@@ -187,8 +192,8 @@ def solve_gamma(rho: float, alpha: float) -> float:
     of the residual window is returned deliberately: overshooting keeps
     the new point covered.
     """
-    if not 1.0 < rho < math.inf:
-        raise UpdateError("rho must be finite and exceed 1")
+    if not 1.0 < rho <= RHO_MAX:
+        raise UpdateError("rho must be finite, exceed 1 and be at most RHO_MAX")
     if not (0.0 < alpha <= 0.5):
         raise UpdateError("alpha must lie in (0, 1/2]")
     lo, hi = 0.0, math.log(rho) + 1.0
@@ -228,10 +233,6 @@ def _split(state: RoundingState, z: np.ndarray) -> SpanSplit:
     check_shape(z, state.center)
     delta = z - state.center
     return SpanSplit(delta, delta, np.zeros(d), 0.0, False)
-
-
-def is_off_span(state: RoundingState, z: np.ndarray) -> bool:
-    return _split(state, z).off
 
 
 class Frame(NamedTuple):
@@ -282,12 +283,12 @@ def _checked(state: RoundingState) -> RoundingState:
 def _regular(state: RoundingState,
              coeffs: np.ndarray) -> Tuple[RoundingState, Optional[UpdateParams]]:
     """The regular step on an in-span point given by its span coordinates;
-    (state, None) when covered. NumericalLimitError where rho is not
-    finite, or at rank k >= 2 where its square overflows: then a/b > 1e153,
-    so s_max/s_min of the new body, at least (a/b) / the previous cond_bound
-    (s_max' >= a s_min, s_min' <= b s_max), is far past 1/RANK_COLLAPSE_RATIO.
-    A collapse reports that bound where it exceeds the view's ratio, or
-    where LU finds M' singular.
+    (state, None) when covered. NumericalLimitError at rank 1 where rho
+    passes RHO_MAX, and at rank k >= 2 where its square overflows: then a/b
+    > 1e153, so s_max/s_min of the new body, at least (a/b) / the previous
+    cond_bound (s_max' >= a s_min, s_min' <= b s_max), is far past
+    1/RANK_COLLAPSE_RATIO. A collapse reports that bound where it exceeds
+    the view's ratio, or where LU finds M' singular.
 
     With y = M coeffs the point's unit-ball coordinates, rho = |y| and w =
     y/rho, the factor becomes T' = T (b I + (a - b) w w^T), so its inverse
@@ -295,18 +296,21 @@ def _regular(state: RoundingState,
     O(k^2) update. T w = coeffs/rho needs no T, and |T'|_F^2 = b^2 |T|_F^2
     + (2 b (a - b) + (a - b)^2) |T w|^2 = b^2 |T|_F^2 + (a^2 - b^2) |T w|^2.
     """
-    y = state.inverse @ coeffs
-    rho = _norm(y)
+    d, k = state.basis.shape
+    if k == 1:
+        # |M c| in Python floats, which pass float64's range as inf with no warning
+        rho = abs(state.inverse_norm * float(coeffs[0]))
+    else:
+        y = state.inverse @ coeffs
+        rho = _norm(y)
     if rho <= 1.0:
         return state, None
-    d, k = state.basis.shape
-    if not (rho < math.inf and (k == 1 or rho * rho < math.inf)):
+    if not (rho <= RHO_MAX if k == 1 else rho * rho < math.inf):
         raise NumericalLimitError(math.inf)
 
     # solve_gamma enforces alpha <= 1/2
     params = compute_params(solve_gamma(rho, state.alpha), state.alpha)
     a, b = params.a, params.b
-    w = y / rho
     tw = coeffs / rho
     r = b / a
     if k == 1:
@@ -314,6 +318,7 @@ def _regular(state: RoundingState,
         inverse = state.inverse / a
     else:
         # M' by broadcasting, rounding as (M - outer((1 - b/a) w, w M)) / b
+        w = y / rho
         inverse = ((1.0 - r) * w)[:, None] * (w @ state.inverse)
         np.subtract(state.inverse, inverse, out=inverse)
         inverse /= b
@@ -416,25 +421,4 @@ def leading_skips(state: RoundingState, zs: np.ndarray, limit: float) -> int:
     return len(ok) if ok[j] else j
 
 
-# full_update_detailed, irregular_update and is_off_span re-run step's split;
-# out of the package API, they stay only for perfbench/tracing.py to wrap.
-
-
-def full_update_detailed(
-    state: RoundingState, z: np.ndarray
-) -> Tuple[RoundingState, Optional[UpdateParams]]:
-    """One regular step: (next state, its scalars), or (state, None) if covered."""
-    z = _finite_point(z)
-    split = _split(state, z)
-    if split.off:
-        raise UpdateError("irregular step required")
-    return _regular(state, split.coeffs)
-
-
-def irregular_update(state: RoundingState, z: np.ndarray) -> RoundingState:
-    """Dimension-raising step: extend the span toward z (see _irregular)."""
-    z = _finite_point(z)
-    split = _split(state, z)
-    if not split.off:
-        raise UpdateError("regular step required")
-    return _irregular(state, z, split)
+full_update_detailed = irregular_update = is_off_span = None  # for perfbench/tracing.py only

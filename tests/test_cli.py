@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from ellipstream import cli, oracle, streaming, update_rule
 from ellipstream.update_rule import RoundingState
+from test_oracle import FAR_TWO_AXIS_DROP
 from test_streaming import embedded
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -422,12 +423,17 @@ class TestRun:
         assert err.startswith("error: numerical limit at step t=")
         assert "s_max/s_min" in err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_rho_exit_code(self, tmp_path, capsys):
+        # a far point, a rank-1 jump past RHO_MAX (a math range error in each
+        # mode before), and a raise toward a point at subnormal distance: exit
+        # 1 naming the step, and no warning on stderr
         path = tmp_path / "far.csv"
-        path.write_text("0,0\n1,0\n0,1\n1e200,1e200\n")
-        assert self.run_cli(tmp_path, "--mode", "online", "--input", str(path)) == 1
-        assert capsys.readouterr().err.startswith("error: numerical limit at step t=4:")
+        for text, t in [("0,0\n1,0\n0,1\n1e200,1e200\n", 4), ("0,0\n2,0\n1e308,0\n", 3),
+                        ("0\n2\n1e308\n", 3), ("0\n1\n1.7e308\n", 3), ("0\n1e-310\n", 2)]:
+            path.write_text(text)
+            for mode in ("online", "coreset", "verify"):
+                assert self.run_cli(tmp_path, "--mode", mode, "--input", str(path)) == 1
+                assert capsys.readouterr().err.startswith(f"error: numerical limit at step t={t}:")
 
 
 class TestVerifyResolution:
@@ -512,6 +518,15 @@ def test_verify_covers_a_point_whose_squares_overflow(tmp_path):
     assert report["final_alpha_inv"] == 3.0
     assert report["certificates"]["checked"] == 2 and report["certificates"]["failures"] == 0
     assert report["constants"]["worst_final_margin"] <= oracle.MONOTONE_TOL
+
+
+def test_verify_keeps_a_nan_margin(tmp_path):
+    # one step fails with a NaN margin; min() dropped it behind the finite ones
+    path = write_csv(tmp_path / "drop.csv", FAR_TWO_AXIS_DROP)
+    assert cli.main(["--mode", "verify", "--input", path, "--out", str(tmp_path)]) == 2
+    certs = json.loads((tmp_path / "report.json").read_text())["certificates"]
+    assert certs["checked"] == 3 and certs["failures"] == 1
+    assert math.isnan(certs["worst_margin"])
 
 
 def write_csv(path, pts):

@@ -11,6 +11,7 @@ from ellipstream.ellipsoid import (
     SPAN_TOL,
     Ellipsoid,
     EllipsoidError,
+    NumericalLimitError,
     _max_norm_over_ellipsoid,
     _norm,
     basis_split,
@@ -49,6 +50,11 @@ class TestConstruction:
     def test_nonpositive_semiaxis_rejected(self):
         with pytest.raises(EllipsoidError):
             Ellipsoid(np.zeros(2), np.eye(2), np.array([1.0, 0.0]))
+
+    def test_collapsed_semiaxes_refused(self):
+        with pytest.raises(NumericalLimitError) as info:
+            Ellipsoid(np.zeros(2), np.eye(2), [1.0, 1e-11])
+        assert info.value.ratio == pytest.approx(1e11)
 
     def test_skew_axes_rejected(self):
         axes = np.array([[1.0, 0.9], [0.0, 0.1]])
@@ -328,3 +334,9 @@ def test_norms_whose_sums_of_squares_are_subnormal(log2_scale):
     assert np.allclose(safe_row_norms(rows * scale), expected, rtol=4 * np.finfo(float).eps, atol=0)
     for row, norm in zip(rows * scale, expected):
         assert _norm(row) == pytest.approx(norm, rel=4 * np.finfo(float).eps)
+
+
+def test_norm_of_an_infinite_entry_is_inf():
+    # the rescaling by max|v| would divide inf by inf
+    assert _norm(np.array([[math.inf]])) == math.inf
+    assert _norm(np.array([1.0, -math.inf, 2.0])) == math.inf

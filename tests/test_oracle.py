@@ -33,6 +33,12 @@ SQUARE = [np.array(p) for p in
 SQUARE_INSIDE = [np.array(q) for q in [(0.2, 0.3), (1.0, 0.0), (-0.9, 0.9), (1.0, 1.0)]]
 SQUARE_OUTSIDE = [np.array(q) for q in [(2.0, 0.0), (2.0, 0.5), (3.0, 4.0), (-1.5, -1.2)]]
 
+# d = 4: two near-duplicate axes at 1e-300, then a raise 1e150 away that drops both
+FAR_TWO_AXIS_DROP = np.array([[-1.3e-301, 6.4e-301, 1e-301, -5.4e-301],
+                              [3.6e-301, 1.3e-300, 9.5e-301, -7e-301],
+                              [-1.3e-300, -6.2e-301, 4e-302, -2.3e-300],
+                              [-2.2e149, -1.2e150, -7.3e149, -5.4e149]])
+
 
 def linprog_membership(points, x) -> bool:
     """Independent reference: is {lam >= 0, sum lam = 1, lam @ points = x}
@@ -557,6 +563,18 @@ class TestCheckMonotoneStep:
         cert = check_monotone_step(s._replace(state=bad))
         assert not cert.inner_ok
         assert cert.worst_margin < 0
+
+    def test_a_nan_margin_is_the_worst(self):
+        # the raise at t = 4 drops both near-duplicate axes (rank 2 -> 1);
+        # the sampled path's projection overflows at these scales, and its
+        # NaN inner margin, which fails the step, is the worst margin
+        steps = []
+        run_fully_online(FAR_TWO_AXIS_DROP, on_step=lambda t, s: steps.append(s))
+        s = steps[-1]
+        assert s.kind == "irregular" and (s.prev.dim, s.state.dim) == (2, 1)
+        cert = check_monotone_step(s)
+        assert cert.outer_ok and not cert.inner_ok and cert.verdict == "fail"
+        assert math.isnan(cert.worst_margin)
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

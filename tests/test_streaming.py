@@ -303,17 +303,23 @@ class TestNumericalLimit:
         # t is the step that raised: the stream before it runs through
         run(pts[:err.t - 1])
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("driver", ["online", "seeded", "coreset"])
     def test_overflowing_rho_names_the_step(self, driver):
-        # |y| of the last point overflows to inf: a typed limit at its
-        # index, not an error from the SVD of a NaN body
+        # |y| of the last point overflows to inf, or at rank 1 passes
+        # RHO_MAX, where the gamma bracket overflows; a raise toward a point
+        # at subnormal distance has an infinite inverse. Each is a typed
+        # limit at its index, with no warning, not an error from the SVD of
+        # a NaN body or a math range error; seeded mode needs d >= 2
         run = {"online": run_fully_online,
-               "seeded": lambda pts: run_seeded(pts, np.zeros(2), 0.5),
+               "seeded": lambda pts: run_seeded(pts, np.zeros(pts.shape[1]), 0.5),
                "coreset": run_coreset}[driver]
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1e200, 1e200]])
-        with pytest.raises(NumericalLimitError, match="numerical limit at step t=4:"):
-            run(pts)
+        streams = [([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1e200, 1e200]], 4),
+                   ([[0.0, 0.0], [2.0, 0.0], [1e308, 0.0]], 3),
+                   ([[0.0], [2.0], [1e308]], 3), ([[0.0], [1.0], [1.7e308]], 3),
+                   ([[0.0], [1e-310]], 2)]
+        for pts, t in streams[:2] if driver == "seeded" else streams:
+            with pytest.raises(NumericalLimitError, match=f"numerical limit at step t={t}:"):
+                run(np.array(pts))
 
     @pytest.mark.parametrize("driver, far, ratio", [
         ("online", 1e100, 9.320e99), ("online", 1e20, 9.277e19),

@@ -10,16 +10,7 @@ from ellipstream.ellipsoid import (RANK_COLLAPSE_RATIO, SPAN_RES, Ellipsoid, Ell
                                   NumericalLimitError, _norm, log_volume, membership,
                                   span_scale, span_split)
 from ellipstream.oracle import check_monotone_step
-from ellipstream.update_rule import (
-    RoundingState,
-    UpdateError,
-    compute_params,
-    full_update_detailed,
-    irregular_update,
-    is_off_span,
-    solve_gamma,
-    step,
-)
+from ellipstream.update_rule import RoundingState, UpdateError, compute_params, solve_gamma, step
 
 alphas = st.floats(1e-3, 0.5)
 gammas = st.floats(0.0, 5.0)
@@ -63,9 +54,10 @@ class TestComputeParams:
         with pytest.raises(UpdateError):
             compute_params(-0.1, 0.25)
 
-    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan, 710.0])
     def test_non_finite_gamma_refused(self, gamma):
-        # a = e^inf would give c = -alpha + 0 * inf = nan
+        # a = e^inf would give c = -alpha + 0 * inf = nan; e^710 overflows,
+        # where math.exp raised OverflowError, which is no ValueError
         with pytest.raises(UpdateError, match="gamma must be finite"):
             compute_params(gamma, 0.5)
 
@@ -90,11 +82,18 @@ class TestSolveGamma:
         with pytest.raises(UpdateError):
             solve_gamma(1.0, 0.5)
 
-    @pytest.mark.parametrize("rho", [math.inf, math.nan])
+    @pytest.mark.parametrize("rho", [math.inf, math.nan, 1e308])
     def test_non_finite_rho_refused(self, rho):
-        # the bracket's top end log(inf) + 1 would be returned as gamma
+        # the bracket's top end log(inf) + 1 would be returned as gamma, and
+        # e^(log(1e308) + 1) overflowed in math.exp
         with pytest.raises(UpdateError, match="rho must be finite"):
             solve_gamma(rho, 0.25)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1e-12])
+    def test_largest_rho_solves_within_range(self, alpha):
+        g = solve_gamma(update_rule.RHO_MAX, alpha)
+        p = compute_params(g, alpha)
+        assert update_rule.RHO_MAX <= p.a + p.c < math.inf
 
     def test_no_iterations_do_not_converge(self, monkeypatch):
         # a + c at the bracket's top end lies outside even the fallback window
@@ -146,16 +145,23 @@ class TestFullUpdate:
     def unit_state(self, d=2, alpha=0.5):
         return RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(d), 1.0), alpha=alpha)
 
+    @staticmethod
+    def regular(state, z):
+        """`step`'s regular update from state to z: the next state and its scalars."""
+        s = step(state, z)
+        assert s.kind == "regular"
+        return s.state, compute_params(s.gamma, state.alpha)
+
     def test_interior_point_is_skipped(self):
         st0 = self.unit_state()
-        nxt, params = full_update_detailed(st0, np.array([0.3, 0.1]))
-        assert params is None
-        assert nxt is st0
+        s = step(st0, np.array([0.3, 0.1]))
+        assert s.kind == "skip"
+        assert s.state is st0
 
     def test_frozen_axis_point(self):
         # unit ball, alpha=1/2, z=(2,0): the stretch axis becomes a, the
         # orthogonal axis b, and the center moves by c along the axis
-        nxt, p = full_update_detailed(self.unit_state(), np.array([2.0, 0.0]))
+        nxt, p = self.regular(self.unit_state(), np.array([2.0, 0.0]))
         assert p.gamma == pytest.approx(0.6518600851835027, abs=1e-12)
         assert np.sort(nxt.ellipsoid.semiaxes) == pytest.approx(
             [1.0986554628673482, 1.9191072139899827], abs=1e-12)
@@ -167,31 +173,27 @@ class TestFullUpdate:
         st0 = self.unit_state(4)
         for _ in range(30):
             z = rng.standard_normal(4) * 3.0
-            st0, _ = full_update_detailed(st0, z)
+            s = step(st0, z)
+            assert s.kind in ("skip", "regular")
+            st0 = s.state
             assert membership(st0.ellipsoid, z) <= 1e-9
 
     def test_volume_growth_matches_gamma(self):
         st0 = self.unit_state(3)
         z = np.array([0.0, 2.5, 0.0])
-        nxt, p = full_update_detailed(st0, z)
+        nxt, p = self.regular(st0, z)
         dv = log_volume(nxt.ellipsoid) - log_volume(st0.ellipsoid)
         assert dv == pytest.approx(p.gamma + 2 * math.log(p.b), rel=1e-10)
         assert dv >= p.gamma - 1e-12
 
     def test_alpha_bookkeeping(self):
-        nxt, p = full_update_detailed(self.unit_state(), np.array([0.0, 3.0]))
+        nxt, p = self.regular(self.unit_state(), np.array([0.0, 3.0]))
         assert 1.0 / nxt.alpha - 2.0 == pytest.approx(2.0 * p.gamma, rel=1e-12)
 
     def test_alpha_precondition(self):
         bad = RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(2), 1.0), alpha=0.9)
         with pytest.raises(UpdateError, match="alpha"):
-            full_update_detailed(bad, np.array([3.0, 0.0]))
-
-    def test_off_span_point_rejected(self):
-        body = Ellipsoid(np.zeros(3), np.eye(3)[:, :2], np.array([1.0, 1.0]))
-        st0 = RoundingState.from_ellipsoid(body, alpha=0.5)
-        with pytest.raises(UpdateError, match="irregular"):
-            full_update_detailed(st0, np.array([0.0, 0.0, 2.0]))
+            step(bad, np.array([3.0, 0.0]))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 5))
@@ -199,15 +201,24 @@ class TestFullUpdate:
         rng = np.random.default_rng(seed)
         st0 = self.unit_state(d, alpha=float(rng.uniform(0.05, 0.5)))
         z = rng.standard_normal(d) * float(rng.uniform(0.5, 5.0))
-        nxt, p = full_update_detailed(st0, z)
+        s = step(st0, z)
+        assert s.kind in ("skip", "regular")
+        nxt = s.state
         assert log_volume(nxt.ellipsoid) >= log_volume(st0.ellipsoid) - 1e-12
         assert nxt.alpha <= st0.alpha + 1e-15
 
 
 class TestIrregularUpdate:
+    @staticmethod
+    def raised(state, z):
+        """`step`'s span raise from state toward z: the next state."""
+        s = step(state, z)
+        assert s.kind == "irregular"
+        return s.state
+
     def test_rank_zero_to_segment(self):
         st0 = RoundingState.from_ellipsoid(Ellipsoid.point(np.array([1.0, 1.0])), alpha=1.0)
-        nxt = irregular_update(st0, np.array([4.0, 1.0]))
+        nxt = self.raised(st0, np.array([4.0, 1.0]))
         # hand-checkable: the outer segment spans [-1, 5] x {1}
         assert nxt.center == pytest.approx([2.0, 1.0])
         assert nxt.ellipsoid.semiaxes == pytest.approx([2.0])
@@ -222,7 +233,7 @@ class TestIrregularUpdate:
         body = Ellipsoid(np.zeros(3), np.eye(3)[:, :2], np.array([1.0, 1.0]))
         st0 = RoundingState.from_ellipsoid(body, alpha=alpha)
         z = np.array([0.0, 0.0, math.sqrt(1.0 + 2.0 * alpha)])
-        nxt = irregular_update(st0, z)
+        nxt = self.raised(st0, z)
         root = math.sqrt(1.0 + 2.0 * alpha)
         assert np.allclose(nxt.ellipsoid.semiaxes, (1.0 + alpha) / root,
                            atol=1e-12)
@@ -235,7 +246,7 @@ class TestIrregularUpdate:
         body = Ellipsoid(np.zeros(3), np.eye(3)[:, :2], np.array([2.0, 0.7]))
         st0 = RoundingState.from_ellipsoid(body, alpha=0.4)
         z = np.array([0.5, -0.3, 1.8])
-        nxt = irregular_update(st0, z)
+        nxt = self.raised(st0, z)
         assert membership(nxt.ellipsoid, z) <= 1e-10
         for _ in range(100):
             u = rng.standard_normal(2)
@@ -243,10 +254,12 @@ class TestIrregularUpdate:
             p = body.center + (body.axes * body.semiaxes) @ u
             assert membership(nxt.ellipsoid, p) <= 1e-9
 
-    def test_in_span_point_rejected(self):
-        st0 = RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(2), 1.0), alpha=0.5)
-        with pytest.raises(UpdateError, match="regular"):
-            irregular_update(st0, np.array([2.0, 0.0]))
+    def test_alpha_above_one_refused(self):
+        # no driver builds such a state: only the raise's own guard refuses it
+        segment = Ellipsoid(np.zeros(2), np.eye(2)[:, :1], np.array([1.0]))
+        st0 = RoundingState.from_ellipsoid(segment, alpha=1.5)
+        with pytest.raises(UpdateError, match=r"alpha must lie in \(0, 1\]"):
+            step(st0, np.array([0.0, 3.0]))
 
 
 class TestAmbientFullRank:
@@ -322,8 +335,8 @@ class TestAmbientFullRank:
 def test_is_off_span():
     body = Ellipsoid(np.zeros(3), np.eye(3)[:, :2], np.array([1.0, 1.0]))
     st0 = RoundingState.from_ellipsoid(body, alpha=0.5)
-    assert is_off_span(st0, np.array([0.0, 0.0, 1.0]))
-    assert not is_off_span(st0, np.array([5.0, 5.0, 0.0]))
+    assert step(st0, np.array([0.0, 0.0, 1.0])).split.off
+    assert not step(st0, np.array([5.0, 5.0, 0.0])).split.off
 
 
 class TestStep:
@@ -345,12 +358,13 @@ class TestStep:
             s = step(state, z)
             nxt, kind = s.state, s.kind
             params = compute_params(s.gamma, state.alpha) if kind == "regular" else None
-            if is_off_span(state, z):
-                ref, ref_kind, ref_params = irregular_update(state, z), "irregular", None
-            elif state.dim == 0:
-                ref, ref_kind, ref_params = state, "skip", None
+            # the dispatch spelled out: the split, then the raise or the regular step
+            split = update_rule._split(state, z)
+            if split.off:
+                ref, ref_kind = update_rule._irregular(state, z, split), "irregular"
+                ref_params = None
             else:
-                ref, ref_params = full_update_detailed(state, z)
+                ref, ref_params = update_rule._regular(state, split.coeffs)
                 ref_kind = "skip" if ref_params is None else "regular"
             assert kind == ref_kind
             assert params == ref_params
@@ -425,13 +439,28 @@ class TestStep:
         assert st0.span_scale == pytest.approx(span_scale(_norm(body.semiaxes), 4))
         assert step(st0, x).kind == "irregular"
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_rho_is_a_numerical_limit(self):
-        # rho = |y| overflows to inf; stepping on would build a NaN center
-        st0 = RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(2), 1.0), alpha=0.5)
-        with pytest.raises(NumericalLimitError) as info:
-            step(st0, np.array([1e200, 1e200]))
-        assert info.value.ratio == math.inf and info.value.t is None
+        # rho = |y| overflows to inf, or its square does; stepping on would
+        # build a NaN center. At rank 1 rho may not pass RHO_MAX, where the
+        # gamma bracket overflows, and a raise toward a point at subnormal
+        # distance has an infinite inverse. Each raises with no warning
+        def walked(*pts):
+            state = RoundingState.from_ellipsoid(Ellipsoid.point(np.array(pts[0])), alpha=1.0)
+            for z in pts[1:]:
+                state = step(state, np.array(z)).state
+            return state
+
+        ball = RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(2), 1.0), alpha=0.5)
+        cases = [(ball, [1e200, 1e200]),
+                 (walked([0.0], [1.0]), [1.7e308]), (walked([0.0], [2.0]), [1e308]),
+                 (walked([0.0, 0.0], [2.0, 0.0]), [1e308, 0.0]), (walked([0.0]), [1e-310])]
+        for st0, z in cases:
+            with pytest.raises(NumericalLimitError) as info:
+                step(st0, np.array(z))
+            assert info.value.ratio == math.inf and info.value.t is None
+        # below RHO_MAX a rank-1 jump steps on
+        s = step(walked([0.0], [2.0]), np.array([3e307]))
+        assert s.kind == "regular" and s.state.alpha_inv == 1417.4076970016686
 
     def test_singular_inverse_is_a_numerical_limit(self):
         # at rho = 1e100, 1 - b/a rounds to 1: M' loses its row along w, LU
