@@ -51,8 +51,9 @@ class EllipsoidError(ValueError):
 
 class NumericalLimitError(EllipsoidError):
     """float64 can no longer hold the body: its semiaxis ratio s_max/s_min
-    passed 1/RANK_COLLAPSE_RATIO. `t` is the stream index of the step that
-    built it, once a driver has attached it."""
+    passed 1/RANK_COLLAPSE_RATIO; a ratio that is not finite says float64's
+    range ran out. `t` is the stream index of the step that built it, once
+    a driver has attached it."""
 
     def __init__(self, ratio: float, t: Optional[int] = None):
         super().__init__(ratio, t)
@@ -61,6 +62,8 @@ class NumericalLimitError(EllipsoidError):
 
     def __str__(self) -> str:
         where = "" if self.t is None else f" at step t={self.t}"
+        if not math.isfinite(self.ratio):
+            return f"numerical limit{where}: float64's range runs out"
         return (f"numerical limit{where}: semiaxis ratio s_max/s_min = {self.ratio:.3e} "
                 f"exceeds 1/RANK_COLLAPSE_RATIO = {1.0 / RANK_COLLAPSE_RATIO:.0e}")
 

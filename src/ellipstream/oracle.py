@@ -16,7 +16,7 @@ from typing import Callable, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .ellipsoid import (SPAN_RES, Ellipsoid, _norm, _unit_directions, basis_split,
-                        containment_margin, membership, row_norms)
+                        containment_margin, membership, row_norms, safe_row_norms)
 # looked up here by perfbench/tracing.py
 from .ellipsoid import log_volume  # noqa: F401
 from .update_rule import Frame, RoundingState, Step, compute_params, frame, solve_gamma
@@ -466,11 +466,11 @@ def _sampled_margins(prev: RoundingState, next_: RoundingState, z: np.ndarray,
 
     def margin_for(dirs: np.ndarray) -> np.ndarray:
         # dirs: (n, k) unit directions in the frame
-        h_next = dirs @ c_in + row_norms(dirs @ m_in)
-        h_prev = prev_a * row_norms(dirs[:, :k - 1]) if raised else prev_a
+        h_next = dirs @ c_in + safe_row_norms(dirs @ m_in)
+        h_prev = prev_a * safe_row_norms(dirs[:, :k - 1]) if raised else prev_a
         return np.maximum(h_prev, dirs @ z_n) - h_next
 
-    zn = math.sqrt(z_n @ z_n)
+    zn = _norm(z_n)
     e1 = z_n / zn if zn > 1e-12 else np.eye(k)[:, 0]
     inner = math.inf
     if k >= 2:

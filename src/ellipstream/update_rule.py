@@ -32,10 +32,6 @@ GAMMA_FALLBACK_RESIDUAL = 1e-8  # accepted once GAMMA_MAX_ITER steps are spent
 # inside its limit, on top of scan_tolerance; 100x GAMMA_REL_RESIDUAL, so a
 # gamma solved anywhere in its window stays below the coreset's threshold
 SKIP_MARGIN = 1e-8
-# an inverse factor updated in place is accurate to about eps * s_max/s_min
-# along the body's long axes, its own thin ones; past this bound on that
-# ratio, each step restarts M from its factor's SVD, on the same basis
-ALIGN_LIMIT = 1e6
 
 
 class UpdateError(ValueError):
@@ -55,15 +51,15 @@ class RoundingState:
     """The sandwich center + alpha*E inside the hull inside center + E, with
     E = {basis @ T @ x : |x| <= 1} on an orthonormal d x k basis of the span
     (k = dim). The state keeps T's `inverse` M, the map to E's unit-ball
-    coordinates, which a step updates with no decomposition (see
-    ALIGN_LIMIT), and `factor_norm` = |T|_F, which it updates by a
+    coordinates, which only a step's own rank-one update or raise changes,
+    with no decomposition, and `factor_norm` = |T|_F, which it updates by a
     recurrence; T itself is never formed. `log_volume` = log |det T| is E's
     log volume over the unit k-ball's; `ellipsoid` is a validated view.
 
     A full-rank state (k = d) is in ambient coordinates: its basis is the
     identity, so M maps x - center straight to unit-ball coordinates and
     the kernel reads no basis. `from_ellipsoid` and a raise to rank d give
-    it the shared read-only identity, and a restart keeps any state's
+    it the shared read-only identity, and a regular step keeps any state's
     basis; `step` refuses a full-rank state built directly on another."""
 
     center: np.ndarray
@@ -190,7 +186,8 @@ def solve_gamma(rho: float, alpha: float) -> float:
     monotonically onto the root from above; should rounding push an
     iterate below it, bisection of the bracket takes over. The upper end
     of the residual window is returned deliberately: overshooting keeps
-    the new point covered.
+    the new point covered. The bracket holds: at log(rho) + 1, a + c >=
+    e rho - 1/2 > rho, as alpha <= 1/2 and rho > 1.
     """
     if not 1.0 < rho <= RHO_MAX:
         raise UpdateError("rho must be finite, exceed 1 and be at most RHO_MAX")
@@ -198,8 +195,6 @@ def solve_gamma(rho: float, alpha: float) -> float:
         raise UpdateError("alpha must lie in (0, 1/2]")
     lo, hi = 0.0, math.log(rho) + 1.0
     f_hi, slope = _a_plus_c(hi, alpha)
-    if f_hi < rho:
-        raise UpdateError("bisection bracket failed")
     target_hi = rho * (1.0 + GAMMA_REL_RESIDUAL)
     newton = True
     for _ in range(GAMMA_MAX_ITER):
@@ -269,15 +264,13 @@ def frame(state: RoundingState, split: SpanSplit) -> Frame:
 
 
 def _checked(state: RoundingState) -> RoundingState:
-    """The state, kept as it is while its cond_bound stays within
-    ALIGN_LIMIT; past it, restarted on its own basis from its factor's SVD
-    T = U S V^T (`_factor_svd`, which raises on a collapsed body): M = S^-1
-    U^T and |T|_F = |S|. So a basis changes only with the span."""
-    if state.cond_bound <= ALIGN_LIMIT:
-        return state
-    u, s = _factor_svd(state.inverse)
-    return RoundingState(state.center, state.basis, np.multiply((1.0 / s)[:, None], u.T, order="C"),
-                         _norm(s), state.alpha, state.log_volume)
+    """The state as it is, once the collapse guard has passed it: where its
+    cond_bound >= s_max/s_min passes 0.5/RANK_COLLAPSE_RATIO (0.5 for the
+    rounding of factor_norm's recurrence, as in coreset.drop_limit), or is
+    NaN, `_factor_svd` reads the exact ratio and raises on a collapsed body."""
+    if not state.cond_bound * RANK_COLLAPSE_RATIO <= 0.5:
+        _factor_svd(state.inverse)
+    return state
 
 
 def _regular(state: RoundingState,
@@ -334,7 +327,7 @@ def _regular(state: RoundingState,
             factor_norm, params.alpha_next,
             state.log_volume + params.gamma + (k - 1) * math.log(b))), params
     except NumericalLimitError as exc:
-        # the restart's SVD of a rounded M' may read its rounding floor (see
+        # the guard's SVD of a rounded M' may read its rounding floor (see
         # above), or inf where LU finds it singular; the bound is then all we know
         bound = a / b / state.cond_bound
         ratio = bound if exc.ratio == math.inf else max(exc.ratio, bound)

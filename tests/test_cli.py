@@ -419,9 +419,15 @@ class TestRun:
         np.savetxt(path, z, fmt="%.17g", delimiter=",")
         code = self.run_cli(tmp_path, "--mode", "online", "--input", str(path))
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: numerical limit at step t=")
-        assert "s_max/s_min" in err
+        assert capsys.readouterr().err == (
+            "error: numerical limit at step t=3224: semiaxis ratio s_max/s_min = 1.041e+10 "
+            "exceeds 1/RANK_COLLAPSE_RATIO = 1e+10\n")
+        # a body with one semiaxis has no ratio: there float64's range runs out
+        for text, t in [("0\n2\n1e308\n", 3), ("0\n1e-310\n", 2)]:
+            path.write_text(text)
+            assert self.run_cli(tmp_path, "--mode", "online", "--input", str(path)) == 1
+            assert capsys.readouterr().err == (
+                f"error: numerical limit at step t={t}: float64's range runs out\n")
 
     def test_overflowing_rho_exit_code(self, tmp_path, capsys):
         # a far point, a rank-1 jump past RHO_MAX (a math range error in each
@@ -518,6 +524,18 @@ def test_verify_covers_a_point_whose_squares_overflow(tmp_path):
     assert report["final_alpha_inv"] == 3.0
     assert report["certificates"]["checked"] == 2 and report["certificates"]["failures"] == 0
     assert report["constants"]["worst_final_margin"] <= oracle.MONOTONE_TOL
+
+
+@pytest.mark.parametrize("far", ["1e200", "3e307"])
+def test_verify_certifies_a_regular_step_whose_squares_overflow(tmp_path, far):
+    # the regular step at t = 3 falls back to the sampled certificate, where
+    # the squares of |z| and of the next body's reach overflowed: inner margin -inf
+    path = tmp_path / "far.csv"
+    path.write_text(f"0\n2\n{far}\n")
+    assert cli.main(["--mode", "verify", "--input", str(path), "--out", str(tmp_path)]) == 0
+    certs = json.loads((tmp_path / "report.json").read_text())["certificates"]
+    assert certs["checked"] == 2 and certs["failures"] == 0
+    assert abs(certs["worst_margin"]) <= oracle.MONOTONE_TOL
 
 
 def test_verify_keeps_a_nan_margin(tmp_path):

@@ -866,7 +866,7 @@ def two_axis_drop(rng, n, d=4):
 
 
 def mapped(rng, n, d=6):
-    # cond 1e6: the factor's cond_bound passes ALIGN_LIMIT, and restarts follow
+    # cond 1e6: the factor's cond_bound passes 1e6, and the kernel keeps its own M
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     return rng.standard_normal((n, d)) @ (q * np.logspace(0, 6, d)).T + 3.0
 
