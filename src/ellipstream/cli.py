@@ -348,7 +348,7 @@ def run(config: RunConfig) -> int:
     payload["final_alpha_inv"] = report.final_alpha_inv
     worst = summary["worst_margin"] if summary["checked"] else 0.0
     payload["certificates"] = dict(summary, worst_margin=worst)
-    if config.gen == "lattice":
+    if config.gen == "lattice" and config.d * config.lattice_n > 1:  # d log(d N) is 0 at d N = 1
         denom = config.d * math.log(config.d * config.lattice_n)
         payload["constants"]["c_empirical"] = report.final_alpha_inv / denom
     final_margin = max_membership(state.ellipsoid, points)

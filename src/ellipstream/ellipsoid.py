@@ -179,14 +179,14 @@ def basis_split(center: np.ndarray, basis: np.ndarray, scale: float,
     """Split x - center into coordinates on the orthonormal `basis` and an
     orthogonal residual; the one off-span test every layer shares.
 
-    x is off-span once the residual exceeds both SPAN_TOL * max(|delta|,
-    scale), with `scale` the body's span_scale, and SPAN_RES * (|delta| +
-    |center|), the rounding of the coordinates; at rank 0 only the second
-    applies. Each norm is _norm's, safe from overflow and underflow of the
-    squares. An off-span residual gets a second Gram-Schmidt pass whose
-    correction joins coeffs: [coeffs, rnorm] spells delta in [basis,
-    residual/rnorm]. At k = d the residual is exactly 0: |B B^T - I| = |B^T B - I|
-    <= ORTHO_TOL keeps the computed one far below SPAN_TOL |delta| (see scan_rows).
+    x is off-span once the residual exceeds both SPAN_TOL * max(|delta|, scale), with
+    `scale` the body's span_scale, and SPAN_RES * (|delta| + |center|), the rounding of
+    the coordinates, summed as SPAN_RES * |delta| + SPAN_RES * |center| so that it does
+    not overflow; at rank 0 only the second applies. Each norm is _norm's, safe from
+    overflow and underflow of the squares. An off-span residual gets a second
+    Gram-Schmidt pass whose correction joins coeffs: [coeffs, rnorm] spells delta in
+    [basis, residual/rnorm]. At k = d the residual is exactly 0: |B B^T - I| =
+    |B^T B - I| <= ORTHO_TOL keeps the computed one far below SPAN_TOL |delta| (see scan_rows).
     """
     x = np.asarray(x, dtype=float)
     check_shape(x, center)
@@ -198,7 +198,7 @@ def basis_split(center: np.ndarray, basis: np.ndarray, scale: float,
     rnorm = _norm(residual)
     # |delta| and |center| are only needed once the body-scale test passes
     off = (rnorm > SPAN_TOL * scale and rnorm > SPAN_TOL * (dnorm := _norm(delta))
-           and rnorm > SPAN_RES * (dnorm + _norm(center)))
+           and rnorm > SPAN_RES * dnorm + SPAN_RES * _norm(center))
     if off:
         extra = basis.T @ residual
         residual = residual - basis @ extra

@@ -100,8 +100,8 @@ class RoundingState:
 
     @functools.cached_property
     def ellipsoid(self) -> Ellipsoid:
-        """The outer body as an Ellipsoid on the axes and semiaxes of
-        `_factor_svd`, which raises NumericalLimitError on a collapsed body."""
+        """The outer body as an Ellipsoid on the axes and semiaxes `_factor_svd` reads
+        off M's SVD; NumericalLimitError on a collapsed body or a non-finite M."""
         u, s = _factor_svd(self.inverse)
         return Ellipsoid(self.center, u if self.dim == len(self.center) else self.basis @ u, s)
 
@@ -117,17 +117,20 @@ class RoundingState:
 
 
 def _factor_svd(inverse: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(U, S), S descending, of the SVD T = U S V^T of T = inv(inverse), by one
-    LU and one SVD. NumericalLimitError(s_max/s_min) past 1/RANK_COLLAPSE_RATIO
-    (a NaN too), inf where S holds a 0, its largest value too (the inverse
-    is infinite), or LU finds the inverse singular."""
+    """(U, S), S descending, of the SVD T = U S V^T of T = inv(inverse), read off
+    the one SVD inverse = U' S' V'^T: T = V' S'^-1 U'^T, so U is V' and S is 1/S',
+    both reversed. NumericalLimitError(s_max/s_min = s'_max/s'_min) past
+    1/RANK_COLLAPSE_RATIO, inf where S' holds a 0 or the inverse is not finite,
+    which is refused first: LAPACK's SVD can loop on inf entries."""
+    if not np.isfinite(inverse).all():
+        raise NumericalLimitError(math.inf)
     try:
-        u, s, _ = np.linalg.svd(np.linalg.inv(inverse))
+        _, s, vt = np.linalg.svd(inverse)
     except np.linalg.LinAlgError:
         raise NumericalLimitError(math.inf) from None
     if len(s) and not (s[-1] >= RANK_COLLAPSE_RATIO * s[0] and s[0] > 0.0):
         raise NumericalLimitError(float(s[0] / s[-1]) if s[-1] else math.inf)
-    return u, s
+    return vt[::-1].T, 1.0 / s[::-1]
 
 
 class UpdateParams(NamedTuple):
@@ -267,8 +270,11 @@ def _checked(state: RoundingState) -> RoundingState:
     """The state as it is, once the collapse guard has passed it: where its
     cond_bound >= s_max/s_min passes 0.5/RANK_COLLAPSE_RATIO (0.5 for the
     rounding of factor_norm's recurrence, as in coreset.drop_limit), or is
-    NaN, `_factor_svd` reads the exact ratio and raises on a collapsed body."""
+    NaN, `_factor_svd` reads the exact ratio off M's SVD and raises on a collapsed body;
+    so does a factor_norm past float64's range, whose span_scale reads every point in-span."""
     if not state.cond_bound * RANK_COLLAPSE_RATIO <= 0.5:
+        if not state.factor_norm < math.inf:
+            raise NumericalLimitError(math.inf)
         _factor_svd(state.inverse)
     return state
 
@@ -281,7 +287,7 @@ def _regular(state: RoundingState,
     > 1e153, so s_max/s_min of the new body, at least (a/b) / the previous
     cond_bound (s_max' >= a s_min, s_min' <= b s_max), is far past
     1/RANK_COLLAPSE_RATIO. A collapse reports that bound where it exceeds
-    the view's ratio, or where LU finds M' singular.
+    the ratio of the guard's SVD.
 
     With y = M coeffs the point's unit-ball coordinates, rho = |y| and w =
     y/rho, the factor becomes T' = T (b I + (a - b) w w^T), so its inverse
@@ -327,11 +333,8 @@ def _regular(state: RoundingState,
             factor_norm, params.alpha_next,
             state.log_volume + params.gamma + (k - 1) * math.log(b))), params
     except NumericalLimitError as exc:
-        # the guard's SVD of a rounded M' may read its rounding floor (see
-        # above), or inf where LU finds it singular; the bound is then all we know
-        bound = a / b / state.cond_bound
-        ratio = bound if exc.ratio == math.inf else max(exc.ratio, bound)
-        raise NumericalLimitError(ratio) from None
+        # the guard's SVD of a rounded M' may read its rounding floor (see above)
+        raise NumericalLimitError(max(exc.ratio, a / b / state.cond_bound)) from None
 
 
 def _irregular(state: RoundingState, z: np.ndarray,

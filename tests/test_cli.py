@@ -276,6 +276,14 @@ class TestRun:
         assert c == pytest.approx(
             report["final_alpha_inv"] / (2 * math.log(20)))
 
+    @pytest.mark.parametrize("mode", ["online", "coreset", "verify"])
+    def test_one_cell_lattice_has_no_empirical_constant(self, tmp_path, mode):
+        # c_empirical divides by d log(d N), which is 0 at d = N = 1
+        assert self.run_cli(tmp_path, "--mode", mode, "--gen", "lattice",
+                            "--d", "1", "--N", "1") == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert "c_empirical" not in report["constants"]
+
     def test_seeded_requires_seed_ball(self, tmp_path):
         code = self.run_cli(tmp_path, "--mode", "seeded", "--gen", "ball",
                             "--d", "2", "--n", "10")
@@ -431,11 +439,15 @@ class TestRun:
 
     def test_overflowing_rho_exit_code(self, tmp_path, capsys):
         # a far point, a rank-1 jump past RHO_MAX (a math range error in each
-        # mode before), and a raise toward a point at subnormal distance: exit
-        # 1 naming the step, and no warning on stderr
+        # mode before), a raise toward a point at subnormal distance, and the
+        # unit square, or the square and e3 in R^3, times 1.5e308, whose span
+        # test's SPAN_RES (|delta| + |center|) and later |T|_F overflowed (a
+        # silent rank-1 body before): exit 1 naming the step, and no warning
         path = tmp_path / "far.csv"
         for text, t in [("0,0\n1,0\n0,1\n1e200,1e200\n", 4), ("0,0\n2,0\n1e308,0\n", 3),
-                        ("0\n2\n1e308\n", 3), ("0\n1\n1.7e308\n", 3), ("0\n1e-310\n", 2)]:
+                        ("0\n2\n1e308\n", 3), ("0\n1\n1.7e308\n", 3), ("0\n1e-310\n", 2),
+                        ("0,0\n1.5e308,0\n0,1.5e308\n1.5e308,1.5e308\n", 4),
+                        ("0,0,0\n1.5e308,0,0\n0,1.5e308,0\n1.5e308,1.5e308,0\n0,0,1.5e308\n", 4)]:
             path.write_text(text)
             for mode in ("online", "coreset", "verify"):
                 assert self.run_cli(tmp_path, "--mode", mode, "--input", str(path)) == 1
@@ -545,6 +557,60 @@ def test_verify_keeps_a_nan_margin(tmp_path):
     certs = json.loads((tmp_path / "report.json").read_text())["certificates"]
     assert certs["checked"] == 3 and certs["failures"] == 1
     assert math.isnan(certs["worst_margin"])
+
+
+def top_of_range_file(tmp_path, name):
+    """Streams whose inverse factor M is subnormal: the unit square times
+    1.2e308, or 40 gaussian points in R^3 times 10^307.5. LU's inv(M)
+    misread both bodies, where the SVD of M reads them as it does unscaled."""
+    if name == "square":
+        pts = 1.2e308 * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    else:
+        pts = np.random.default_rng(5).standard_normal((40, 3)) * 10 ** 307.5
+    return write_csv(tmp_path / f"{name}.csv", pts)
+
+
+@pytest.mark.parametrize("name", ["square", "gaussian"])
+def test_top_of_range_view_covers_the_stream(tmp_path, name):
+    # verify exited 2 (square, final margin +0.106) or 1 (gaussian, an
+    # infinite inv(M)); the coreset run read the gaussian view as well
+    path = top_of_range_file(tmp_path, name)
+    for mode in ("coreset", "verify"):
+        assert cli.main(["--mode", mode, "--input", path, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["certificates"]["checked"] > 0 and report["certificates"]["failures"] == 0
+    assert report["constants"]["worst_final_margin"] <= 0.0
+
+
+@pytest.mark.parametrize("name", ["square", "gaussian"])
+def test_top_of_range_online_view_returns(tmp_path, name):
+    # LAPACK's SVD looped on the gaussian stream's inv(M), which held inf
+    # entries, so the run is a subprocess with a timeout
+    path = top_of_range_file(tmp_path, name)
+    subprocess.run([sys.executable, "-m", "ellipstream.cli", "--mode", "online", "--input", path,
+                    "--verify-every", "0", "--out", str(tmp_path)],
+                   env=dict(os.environ, PYTHONPATH=str(SRC)), check=True, timeout=30)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["constants"]["worst_final_margin"] <= 0.0
+
+
+@pytest.mark.parametrize("args", [
+    ["--mode", "online", "--gen", "ball", "--d", "128", "--n", "500", "--seed", "3"],
+    ["--mode", "coreset", "--gen", "ball", "--d", "256", "--n", "900", "--seed", "3"],
+], ids=["online-d128", "coreset-d256"])
+def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, args):
+    # an LU (inv) gives other bits at 1 and 2 threads from k = 128 on, which
+    # moved worst_final_margin while the view read T off inv(M)
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(SRC),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "ellipstream.cli", *args,
+                        "--out", str(tmp_path / threads)], env=env, check=True, timeout=300)
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
+    assert "report.json" in names and "trace.csv" in names
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
 def write_csv(path, pts):

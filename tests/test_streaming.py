@@ -326,9 +326,8 @@ class TestNumericalLimit:
         ("coreset", 1e100, 9.320e99), ("coreset", 1e20, 9.277e19), ("seeded", 1e100, 6.179e99),
         ("seeded", 1e20, 6.150e19)])
     def test_one_long_regular_step_reports_its_own_ratio(self, driver, far, ratio):
-        # M' rounds away its row along w, and its view reads a rounding floor
-        # near 1e16, or inf where LU finds M' singular (seeded, 1e20);
-        # (a/b) / the previous cond_bound reads the step
+        # M' rounds away its row along w, and the SVD of M' reads a rounding
+        # floor near 1e16; (a/b) / the previous cond_bound reads the step
         run = {"online": run_fully_online,
                "seeded": lambda pts: run_seeded(pts, np.zeros(2), 0.5),
                "coreset": run_coreset}[driver]

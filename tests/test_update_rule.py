@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellipstream import update_rule
-from ellipstream.ellipsoid import (RANK_COLLAPSE_RATIO, SPAN_RES, Ellipsoid, EllipsoidError,
+from ellipstream.ellipsoid import (SPAN_RES, Ellipsoid, EllipsoidError,
                                   NumericalLimitError, _norm, log_volume, membership,
                                   span_scale, span_split)
 from ellipstream.oracle import check_monotone_step
@@ -463,12 +463,20 @@ class TestStep:
         assert s.kind == "regular" and s.state.alpha_inv == 1417.4076970016686
 
     def test_singular_inverse_is_a_numerical_limit(self):
-        # at rho = 1e100, 1 - b/a rounds to 1: M' loses its row along w, LU
-        # finds it singular, and the body's view names the collapse
+        # at rho = 1e100, 1 - b/a rounds to 1: M' loses its row along w, its
+        # SVD reads a singular value of 0, and the guard names the collapse
         st0 = RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(2), 1.0), alpha=0.5)
         with pytest.raises(NumericalLimitError) as info:
             step(st0, np.array([1e100, 0.0]))
-        assert info.value.ratio > 1.0 / RANK_COLLAPSE_RATIO
+        assert info.value.ratio == math.inf
+
+    @pytest.mark.parametrize("inverse", [np.diag([np.inf, 1.0, 1.0]), np.array([[np.nan]])],
+                             ids=["inf-3x3", "nan-1x1"])
+    def test_non_finite_inverse_is_refused_before_its_svd(self, inverse):
+        # LAPACK's SVD of diag(inf, 1, 1) does not return (OpenBLAS 0.3.31)
+        with pytest.raises(NumericalLimitError) as info:
+            update_rule._factor_svd(inverse)
+        assert info.value.ratio == math.inf
 
     def test_non_finite_point_rejected(self):
         st0 = RoundingState.from_ellipsoid(Ellipsoid.ball(np.zeros(2), 1.0), alpha=0.5)
