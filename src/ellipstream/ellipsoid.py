@@ -140,12 +140,12 @@ def _norm(v: np.ndarray) -> float:
     """The 2-norm of an array's entries, sqrt(sum v^2), rescaled by max|v|
     where the sum overflows, or falls below _TINY (a subnormal with few
     significant bits, or 0) while v is not 0; a max|v| of inf (or NaN) is
-    returned as it is."""
+    returned as it is, and a norm past float64's range reads inf with no warning."""
     sq = np.vdot(v, v)
     if _TINY <= sq < math.inf or not np.count_nonzero(v):
         return math.sqrt(sq)
     m = np.abs(v).max()
-    return float(m * math.sqrt(np.vdot(v / m, v / m))) if m < math.inf else float(m)
+    return float(m) * math.sqrt(np.vdot(v / m, v / m)) if m < math.inf else float(m)
 
 
 def span_scale(norm: float, k: int) -> float:
@@ -183,10 +183,11 @@ def basis_split(center: np.ndarray, basis: np.ndarray, scale: float,
     `scale` the body's span_scale, and SPAN_RES * (|delta| + |center|), the rounding of
     the coordinates, summed as SPAN_RES * |delta| + SPAN_RES * |center| so that it does
     not overflow; at rank 0 only the second applies. Each norm is _norm's, safe from
-    overflow and underflow of the squares. An off-span residual gets a second
-    Gram-Schmidt pass whose correction joins coeffs: [coeffs, rnorm] spells delta in
-    [basis, residual/rnorm]. At k = d the residual is exactly 0: |B B^T - I| =
-    |B^T B - I| <= ORTHO_TOL keeps the computed one far below SPAN_TOL |delta| (see scan_rows).
+    overflow and underflow of the squares; a |delta| past float64's range is read in
+    units of max|delta|. An off-span residual gets a second Gram-Schmidt pass whose
+    correction joins coeffs: [coeffs, rnorm] spells delta in [basis, residual/rnorm].
+    At k = d the residual is exactly 0: |B B^T - I| = |B^T B - I| <= ORTHO_TOL keeps
+    the computed one far below SPAN_TOL |delta| (see scan_rows).
     """
     x = np.asarray(x, dtype=float)
     check_shape(x, center)
@@ -197,8 +198,13 @@ def basis_split(center: np.ndarray, basis: np.ndarray, scale: float,
     residual = delta - basis @ coeffs
     rnorm = _norm(residual)
     # |delta| and |center| are only needed once the body-scale test passes
-    off = (rnorm > SPAN_TOL * scale and rnorm > SPAN_TOL * (dnorm := _norm(delta))
-           and rnorm > SPAN_RES * dnorm + SPAN_RES * _norm(center))
+    off = rnorm > SPAN_TOL * scale
+    if off:
+        r, dnorm, cnorm = rnorm, _norm(delta), _norm(center)
+        if dnorm == math.inf:
+            m = float(np.abs(delta).max())
+            r, dnorm, cnorm = _norm(residual / m), _norm(delta / m), cnorm / m
+        off = r > SPAN_TOL * dnorm and r > SPAN_RES * dnorm + SPAN_RES * cnorm
     if off:
         extra = basis.T @ residual
         residual = residual - basis @ extra

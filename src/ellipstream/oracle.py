@@ -327,7 +327,7 @@ def _structured_margins(steps: Sequence[Step], frames: Sequence[Frame], tol: flo
     - outer: the reach of the previous body in the next one, max over the
       sphere of (x - c_par)^2 / p + (1 - x^2) / q, a quadratic in x (at
       x = 0 after a raise, where the previous body is the disk orthogonal
-      to e1). The reach of z is |N^-1 (z - c)|, by one solve.
+      to e1).
     The asymmetric parts enter by rigorous bounds: |c_perp|, alpha' |dG|_F
     / (2 sqrt(min(p, q))) on the inner support, Weyl's bounds on |G^-1 -
     G0^-1| and on the smallest singular value of N for the reach, and r =
@@ -336,16 +336,16 @@ def _structured_margins(steps: Sequence[Step], frames: Sequence[Frame], tol: flo
     the reach of a point, |(I + R) N^-1 (x - c)|, is at most (1 + r) times
     N's, and the inner support alpha' |(I + R)^-T N^T u| in a unit
     direction u at most alpha' |N^T u| r / (1 - r) above N's, with |N^T u|^2
-    <= max(p, q) + |dG|_F. An r of 1 or more falls back.
+    <= max(p, q) + |dG|_F. An r of 1 or more falls back. The reach of z
+    takes no LU: z - c = shear u_z, so it is |N^-1 (z - c)| = |M' u_z|.
 
-    Each step is computed as its own k x k problem, stacked from the step's
-    own arrays: its frame's shear (after a regular step the previous inverse
-    M), its next state's inverse and the previous center's coordinates in
-    the next span, delta at full rank and basis_split's below it; so only
-    k x k arrays are stacked, and a state two steps share is stacked twice.
-    The stacked products and dot products (`_dots`) round as one step's do,
-    and the comparisons take Python's max and min order, so a NaN falls on
-    the side the per-step form puts it.
+    Each step is its own k x k problem, stacked from its own arrays: its
+    frame's shear (after a regular step the previous inverse M), its next
+    state's inverse, and the previous center's and z's coordinates u_z
+    from the next center in its span; a state two steps share is stacked
+    twice. The stacked products and dot products (`_dots`) round as one
+    step's do, and the comparisons take Python's max and min order, so a
+    NaN falls on the side the per-step form puts it.
     """
     n, k, raised = len(steps), len(frames[0].z), frames[0].raised
     prevs, nexts = [s.prev for s in steps], [s.state for s in steps]
@@ -353,26 +353,30 @@ def _structured_margins(steps: Sequence[Step], frames: Sequence[Frame], tol: flo
     alpha_n = np.array([s.alpha for s in nexts])
     z = np.array([fr.z for fr in frames])
 
-    # the previous center against the next body's span, by basis_split; a
-    # full-rank next body is ambient (its basis is I), so there the
-    # coordinates are delta itself and nothing is off-span
+    # the previous center and z from the next center in the next span's
+    # coordinates: at full rank (basis I) the differences, none off-span; below
+    # it basis_split's, plus the kernel's split of z ([coeffs, rnorm] on a raise)
     if k == len(prevs[0].center):
-        coeffs = np.array([s.center for s in prevs]) - np.array([s.center for s in nexts])
+        coeffs = np.array([p.center - s.center for p, s in zip(prevs, nexts)])
+        u_z = np.array([st.z - s.center for st, s in zip(steps, nexts)])
         off = np.zeros(n, dtype=bool)
     else:
         splits = [basis_split(s.center, s.basis, s.span_scale, p.center)
                   for p, s in zip(prevs, nexts)]
         coeffs = np.array([sp.coeffs for sp in splits])
         off = np.array([sp.off for sp in splits])
+        u_z = np.array([(*s.split.coeffs, s.split.rnorm)[:k] for s in steps]) + coeffs
 
-    # T' = inv(M') by one batched LU per step, and r = |M' T' - I|_F. The
-    # k x k stacks are dropped once read: at high k they are most of a
-    # block's memory
+    # T' = inv(M') by one batched LU per step, r = |M' T' - I|_F, and z's
+    # reach |M' u_z|. The k x k stacks are dropped once read: at high k they
+    # are most of a block's memory
     shear, n_inv = np.array([fr.shear for fr in frames]), np.array([s.inverse for s in nexts])
     n_fac = np.linalg.inv(n_inv)
     r = (n_inv @ n_fac).reshape(n, k * k)
     r[:, ::k + 1] -= 1.0
     r = np.sqrt(_dots(r, r))
+    reach_z = (n_inv @ u_z[:, :, None])[:, :, 0]
+    reach_z = np.sqrt(_dots(reach_z, reach_z))
     del n_inv
     c = (shear @ -coeffs[:, :, None])[:, :, 0]
     nn = shear @ n_fac
@@ -438,10 +442,6 @@ def _structured_margins(steps: Sequence[Step], frames: Sequence[Frame], tol: flo
         err = reach - np.sqrt(reach2)
         err = np.where(err > inner_err, err, inner_err)
         ok = ~((rho == 0.0) | off | ~(dg < low) | (err > 0.1 * tol))
-        reach_z = np.zeros(n)
-        if ok.any():
-            solved = np.linalg.solve(nn[ok], (z - c)[ok][:, :, None])[:, :, 0]
-            reach_z[ok] = np.sqrt(_dots(solved, solved)) * (1.0 + r[ok])
     return 1.0 - np.where(reach_z > reach, reach_z, reach), inner - inner_err, ok
 
 
@@ -504,12 +504,12 @@ def check_monotone_steps(steps: Sequence[Step],
     The update rule grows bodies of revolution about z's direction, so
     _structured_margins certifies the steps in closed form, one pass per
     group of steps with the same frame size and raised flag, each step from
-    its own arrays. _sampled_margins checks by brute force a near-duplicate
-    drop, a step the kernel did not build (its next body off the frame's
-    basis) and a step whose rounding bounds pass tol/10 (cond_bound ~1e8 and
-    up). The tests take the sampled path as the reference. A block's peak
-    memory is about four k x k stacks per step of its largest group, at
-    every rank: no basis is stacked.
+    its own arrays by one LU, with z's reach read off the next state's M'.
+    _sampled_margins checks by brute force a near-duplicate drop, a step the
+    kernel did not build (its next body off the frame's basis) and a step
+    whose rounding bounds pass tol/10 (cond_bound ~1e8 and up). The tests
+    take the sampled path as the reference. A block's peak memory is about
+    four k x k stacks per step of its largest group: no basis is stacked.
     A margin past float64's range reads -inf or NaN, fails, and is the
     step's worst_margin; numpy's floating-point warnings are off throughout.
     """
@@ -602,11 +602,16 @@ def mvee_khachiyan(points: Sequence[np.ndarray], eps: float = 1e-4) -> Ellipsoid
     scratch every _MVEE_RESYNC iterations. The stop is confirmed from a
     fresh inverse, so every point has membership at most
     sqrt(1 + eps (r+1)/r) - 1 in the returned body. Raises OracleError
-    when MVEE_MAX_ITER iterations do not reach the stop.
+    when MVEE_MAX_ITER iterations do not reach the stop. It works in
+    power-of-two units, max|x| in [1/2, 1), as _hull_distance works in
+    spread units: scaling by 2^j is exact, so the body is exactly
+    equivariant under it, and no square or sum over- or underflows.
     """
     pts = _rows(points, 2)
     if not (0.0 < eps < 0.5):
         raise OracleError("eps must lie in (0, 0.5)")
+    e = math.frexp(float(np.abs(pts).max()))[1]  # not 2^e, which overflows at e = 1024
+    pts = np.ldexp(pts, -e)
     mean = pts.mean(axis=0)
     centered = pts - mean
     u_s, s_s, _ = np.linalg.svd(centered.T, full_matrices=False)
@@ -661,10 +666,8 @@ def mvee_khachiyan(points: Sequence[np.ndarray], eps: float = 1e-4) -> Ellipsoid
     shape = (p.T @ (u[:, None] * p) - np.outer(c_span, c_span)) * r
     evals, evecs = np.linalg.eigh(shape)
     evals = np.maximum(evals, 1e-300)
-    semiaxes = np.sqrt(evals)
-    axes = basis @ evecs
-    center = mean + basis @ c_span
-    return Ellipsoid(center, axes, semiaxes)
+    return Ellipsoid(np.ldexp(mean + basis @ c_span, e), basis @ evecs,
+                     np.ldexp(np.sqrt(evals), e))
 
 
 # ---------------------------------------------------------------------------

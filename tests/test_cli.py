@@ -439,15 +439,17 @@ class TestRun:
 
     def test_overflowing_rho_exit_code(self, tmp_path, capsys):
         # a far point, a rank-1 jump past RHO_MAX (a math range error in each
-        # mode before), a raise toward a point at subnormal distance, and the
+        # mode before), a raise toward a point at subnormal distance, the
         # unit square, or the square and e3 in R^3, times 1.5e308, whose span
-        # test's SPAN_RES (|delta| + |center|) and later |T|_F overflowed (a
+        # test's SPAN_RES (|delta| + |center|) and later |T|_F overflowed, and
+        # a point whose |delta| overflows though its coordinates do not (each a
         # silent rank-1 body before): exit 1 naming the step, and no warning
         path = tmp_path / "far.csv"
         for text, t in [("0,0\n1,0\n0,1\n1e200,1e200\n", 4), ("0,0\n2,0\n1e308,0\n", 3),
                         ("0\n2\n1e308\n", 3), ("0\n1\n1.7e308\n", 3), ("0\n1e-310\n", 2),
                         ("0,0\n1.5e308,0\n0,1.5e308\n1.5e308,1.5e308\n", 4),
-                        ("0,0,0\n1.5e308,0,0\n0,1.5e308,0\n1.5e308,1.5e308,0\n0,0,1.5e308\n", 4)]:
+                        ("0,0,0\n1.5e308,0,0\n0,1.5e308,0\n1.5e308,1.5e308,0\n0,0,1.5e308\n", 4),
+                        ("0,0\n1.7e308,0\n1.7e308,1.7e308\n", 3)]:
             path.write_text(text)
             for mode in ("online", "coreset", "verify"):
                 assert self.run_cli(tmp_path, "--mode", mode, "--input", str(path)) == 1

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
+from ellipstream.cli import GENERATORS, generate
 from ellipstream.coreset import TIE_TOL, VOLUME_JUMP_LOG, coreset_step, drop_limit, run_coreset
 from ellipstream.ellipsoid import Ellipsoid, membership
 from ellipstream.update_rule import RoundingState, compute_params
@@ -85,6 +87,24 @@ def test_unselected_points_within_outer_factor():
     for t in range(1, len(pts) + 1):
         if t not in selected:
             assert membership(blown, pts[t - 1]) <= 1e-7
+
+
+@pytest.mark.parametrize("gen", GENERATORS)
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_hull_factor_within_its_bound(gen, d):
+    # conv(stream) lies in c + f (conv(S) - c) for the kept set S; with
+    # qhull's facets {a_i . y <= b_i} of conv(S), the least such f is the
+    # largest gauge max_i a_i . (x - c) / (b_i - a_i . c) over the stream.
+    # Replay and the (2e + 1) scaling of criterion 7 bound it by (2e + 1)/alpha
+    pts = generate(gen, d, 400, 11 + d)
+    trace, _ = run_coreset(pts)
+    state = trace.driver
+    hull = ConvexHull(pts[[t - 1 for t in trace.selected]])
+    a, b = hull.equations[:, :-1], -hull.equations[:, -1]
+    slack = b - a @ state.center
+    assert slack.min() > 0.0
+    factor = float(((pts - state.center) @ a.T / slack).max())
+    assert 1.0 - 1e-9 <= factor <= OUTER_FACTOR / state.alpha
 
 
 def test_size_respects_volume_ledger():

@@ -95,6 +95,13 @@ class TestMembership:
         assert membership(Ellipsoid.point(z0), z0) == 0.0
         assert membership(Ellipsoid.point(z0), np.nextafter(z0, 4.0)) == math.inf
 
+    def test_off_span_where_delta_passes_float64s_range(self):
+        # |x - center| overflows though x and center are finite: the span test
+        # reads the residual in units of max|delta| and finds it off the span
+        e = run_fully_online(np.array([[0.0, 0.0], [1.7e308, 0.0]]))[0].ellipsoid
+        assert e.rank == 1 and e.center[0] == pytest.approx(1.7e308 / 3.0)
+        assert membership(e, np.array([1.7e308, 1.7e308])) == math.inf
+
     def test_in_span_point_of_degenerate_body(self):
         e = Ellipsoid(np.zeros(3), np.eye(3)[:, :2], np.array([1.0, 1.0]))
         assert membership(e, np.array([0.5, 0.0, 0.0])) < 0
@@ -334,6 +341,12 @@ def test_norms_whose_sums_of_squares_are_subnormal(log2_scale):
     assert np.allclose(safe_row_norms(rows * scale), expected, rtol=4 * np.finfo(float).eps, atol=0)
     for row, norm in zip(rows * scale, expected):
         assert _norm(row) == pytest.approx(norm, rel=4 * np.finfo(float).eps)
+
+
+def test_norm_past_float64s_range_is_inf():
+    # the rescaled product m |v/m| overflows as a Python float, with no warning
+    assert _norm(np.array([1.7e308, 1.7e308])) == math.inf
+    assert _norm(np.array([1e308, 1e-300])) == 1e308
 
 
 def test_norm_of_an_infinite_entry_is_inf():

@@ -25,7 +25,7 @@ from ellipstream.oracle import (
 )
 from ellipstream.coreset import run_coreset
 from ellipstream.streaming import run_fully_online, run_seeded
-from ellipstream.update_rule import Frame, RoundingState, compute_params, step
+from ellipstream.update_rule import Frame, RoundingState, Step, compute_params, step
 
 SQUARE = [np.array(p) for p in
           [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]]
@@ -588,11 +588,41 @@ def sampled_certificate(s, tol=1e-7):
         return check_monotone_step(s, tol)
 
 
-def reference_structured_margins(prev: RoundingState, next_: RoundingState,
-                                 frame: Frame, tol: float):
+def z_reach(s: Step, frame: Frame) -> float:
+    """z's reach in the next body, |M' u_z|, for u_z z's coordinates from
+    the next center in the next span: z - c' at full rank, else the
+    kernel's split of z ([coeffs, rnorm] after a raise) plus the previous
+    center's coordinates, both taken from the previous center."""
+    next_ = s.state
+    if next_.dim == len(s.z):
+        u_z = s.z - next_.center
+    else:
+        coeffs = np.append(s.split.coeffs, s.split.rnorm) if frame.raised else s.split.coeffs
+        u_z = coeffs + basis_split(next_.center, next_.basis, next_.span_scale,
+                                   s.prev.center).coeffs
+    y = next_.inverse @ u_z
+    return math.sqrt(y @ y)
+
+
+def solved_z_reach(s: Step, frame: Frame):
+    """(z's reach by a solve with N = shear inv(M'), |N^-1 (z - c)| widened by
+    (1 + r), and r = |M' inv(M') - I|_F): a second route to the reach, through
+    the step's frame and an LU."""
+    next_ = s.state
+    split_c = basis_split(next_.center, next_.basis, next_.span_scale, s.prev.center)
+    factor = np.linalg.inv(next_.inverse)
+    solved = np.linalg.solve(frame.shear @ factor, frame.z - frame.shear @ -split_c.coeffs)
+    r = next_.inverse @ factor
+    r.flat[::len(r) + 1] -= 1.0
+    r = math.sqrt(np.vdot(r, r))
+    return math.sqrt(solved @ solved) * (1.0 + r), r
+
+
+def reference_structured_margins(s: Step, frame: Frame, tol: float):
     """The per-step closed form that oracle._structured_margins vectorizes
-    (see its docstring), kept as the reference: (outer, inner), or None
-    where it does not apply."""
+    (see its docstring) for the step s, kept as the reference: (outer,
+    inner), or None where it does not apply."""
+    prev, next_ = s.prev, s.state
     k = len(frame.z)
     basis = next_.basis
     if next_.dim != k or not (basis is frame.basis or np.array_equal(basis, frame.basis)):
@@ -650,10 +680,7 @@ def reference_structured_margins(prev: RoundingState, next_: RoundingState,
              + c_perp / math.sqrt(low - dg)) * (1.0 + r)
     if max(inner_err, reach - math.sqrt(reach2)) > 0.1 * tol:
         return None
-    reach_z = np.linalg.solve(n, frame.z - c)
-    reach_z = math.sqrt(reach_z @ reach_z) * (1.0 + r)
-
-    return 1.0 - max(reach, reach_z), inner_at(x_inner) - inner_err
+    return 1.0 - max(reach, z_reach(s, frame)), inner_at(x_inner) - inner_err
 
 
 def reference_certificates(steps, tol=oracle.MONOTONE_TOL):
@@ -662,7 +689,7 @@ def reference_certificates(steps, tol=oracle.MONOTONE_TOL):
     certs, fallbacks = [], []
     for i, s in enumerate(steps):
         fr = update_rule.frame(s.prev, s.split)
-        margins = reference_structured_margins(s.prev, s.state, fr, tol)
+        margins = reference_structured_margins(s, fr, tol)
         if margins is None:
             fallbacks.append(i)
             margins = oracle._sampled_margins(s.prev, s.state, s.z, fr)
@@ -939,7 +966,14 @@ class TestBlockCertificate:
             if id(s) in closed:
                 fr = update_rule.frame(s.prev, s.split)
                 assert closed[id(s)] == pytest.approx(
-                    reference_structured_margins(s.prev, s.state, fr, 1e-7), abs=1e-13)
+                    reference_structured_margins(s, fr, 1e-7), abs=1e-13)
+                # |M' u_z| against the solve it replaced, whose LU left a residual
+                # r; each also rounds by up to k eps |M'| |T'| <= k eps cond_bound
+                # relative (Higham 2002, 3.5), which reaches 1e-10 on a raise to
+                # full rank of the mapped chain, where |M' u_z| is the closer to exact
+                solved, r = solved_z_reach(s, fr)
+                rounding = len(fr.z) * np.finfo(float).eps * s.state.cond_bound
+                assert abs(z_reach(s, fr) - solved) <= (2.0 * r + 1e-10 + rounding) * solved
         assert len(certs) == len(steps)
 
     @pytest.mark.parametrize("shift", [-0.3, -0.02, 0.0, 0.02, 0.3])
@@ -955,7 +989,7 @@ class TestBlockCertificate:
         outer, inner, ok = oracle._structured_margins([s], [fr], 1e-7)
         assert ok[0]
         assert (outer[0], inner[0]) == pytest.approx(
-            reference_structured_margins(s.prev, s.state, fr, 1e-7), abs=1e-13)
+            reference_structured_margins(s, fr, 1e-7), abs=1e-13)
 
     def test_no_steps(self):
         assert check_monotone_steps([]) == []
@@ -1027,6 +1061,30 @@ class TestMvee:
         assert e.rank == 3
         assert log_volume(e) - 3.0 * math.log(1e-11) == pytest.approx(ref, rel=1e-9)
         assert max(membership(e, p) for p in pts * 1e-11) <= 1e-4
+
+    @pytest.mark.parametrize("j", [-600, -3, 5, 600])
+    def test_exactly_equivariant_under_powers_of_two(self, j):
+        # the solver works in power-of-two units, where a scale by 2^j is exact
+        pts = np.random.default_rng(2).standard_normal((40, 3))
+        e, scaled = mvee_khachiyan(pts), mvee_khachiyan(pts * 2.0 ** j)
+        assert np.array_equal(scaled.center, e.center * 2.0 ** j)
+        assert np.array_equal(scaled.semiaxes, e.semiaxes * 2.0 ** j)
+        assert np.array_equal(scaled.axes, e.axes)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_clouds_at_either_end_of_float64(self, scale):
+        # the lifted design [p, 1] was singular at 1e-200, and the centred
+        # cloud's squares overflowed at 1e200
+        pts = np.random.default_rng(2).standard_normal((40, 3))
+        e, scaled = mvee_khachiyan(pts), mvee_khachiyan(pts * scale)
+        assert np.allclose(scaled.semiaxes / scale, e.semiaxes, rtol=1e-12, atol=0)
+        assert np.allclose(scaled.center / scale, e.center, rtol=0, atol=1e-12)
+
+    def test_a_cloud_whose_mean_overflows(self):
+        # the mean's sum passed float64's range, and the cloud read as coincident
+        e = mvee_khachiyan([[1.7e308, 0.0], [1.7e308, 1.0], [0.0, 0.0], [1.0, 2.0]])
+        assert e.rank == 1 and e.semiaxes[0] == pytest.approx(8.5e307)
+        assert e.center[0] == pytest.approx(8.5e307)
 
     def test_anisotropic_cloud(self):
         rng = np.random.default_rng(51)
